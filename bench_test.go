@@ -452,6 +452,7 @@ func BenchmarkMachineStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	init := m.Snapshot()
+	b.ReportAllocs()
 	b.ResetTimer()
 	steps := 0
 	for i := 0; i < b.N; i++ {
@@ -460,14 +461,14 @@ func BenchmarkMachineStep(b *testing.B) {
 			m.Restore(init)
 			b.StartTimer()
 		}
-		run := m.Runnable()
-		if len(run) == 0 {
+		tid := m.FirstRunnable()
+		if tid == kvm.NoThread {
 			b.StopTimer()
 			m.Restore(init)
 			b.StartTimer()
 			continue
 		}
-		if _, err := m.Step(run[0]); err != nil {
+		if _, err := m.Step(tid); err != nil {
 			b.Fatal(err)
 		}
 		steps++
@@ -501,6 +502,7 @@ func BenchmarkEnforcedRun(b *testing.B) {
 	}
 	init := m.Snapshot()
 	enf := sched.NewEnforcer(m)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Restore(init)

@@ -124,7 +124,7 @@ func siteSeq(res *sched.RunResult, shared map[uint64]bool) []siteStep {
 			}
 		}
 		if touches {
-			out = append(out, siteStep{site: e.Site(), instr: e.Instr})
+			out = append(out, siteStep{site: e.Site(), instr: *e.Instr})
 		}
 	}
 	return out

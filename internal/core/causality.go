@@ -17,6 +17,11 @@ import (
 	"aitia/internal/sched"
 )
 
+// flipSeqSlack is the room a flip run's sequence gets beyond the failing
+// run's length: a flip changes the order of a few steps and their
+// control flow, so most flip runs fit without regrowing.
+const flipSeqSlack = 16
+
 // Verdict is the outcome of testing one data race's causality to the
 // failure.
 type Verdict uint8
@@ -353,14 +358,11 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 	testRace := func(ctx context.Context, enf *sched.Enforcer, init *kvm.Snapshot, fc *flipCache, idx int, r sched.Race) (TestedRace, error) {
 		// The flip schedule replays failSeq verbatim up to its cut; with
 		// the cache on, Seek brings the machine there (from the deepest
-		// pinned ancestor) and only the suffix plan is enforced, numbered
-		// from BaseSteps so the merged run is byte-identical to a full
-		// enforcement.
-		cut := sched.FlipCut(failSeq, r, fo)
-		var plan sched.Schedule
-		if fc != nil {
-			plan = sched.PlanFlipFrom(failSeq, r, fallback, fo, cut)
-		} else {
+		// pinned ancestor) and only the suffix plan is enforced, appended
+		// to the recorded prefix so the run is exactly a full
+		// enforcement's.
+		cut, plan := sched.PlanFlipCut(failSeq, r, fallback, fo)
+		if fc == nil {
 			plan = sched.PlanFlipOpt(failSeq, r, fallback, fo)
 		}
 		var tr TestedRace
@@ -375,7 +377,9 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 				if err := fc.Seek(cut, "ca.flip", uint64(idx), attempt); err != nil {
 					return err
 				}
-				ro.BaseSteps = cut
+				// The run appends to the prefix: give it room for a
+				// failing run's length so it rarely regrows.
+				ro.Prefix = append(make([]sched.Exec, 0, len(failSeq)+flipSeqSlack), failSeq[:cut]...)
 			} else if err := enf.Machine().TryRestore(init, "ca.flip", uint64(idx), attempt); err != nil {
 				return err
 			}
@@ -383,9 +387,7 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 			if err != nil {
 				return err
 			}
-			if fc != nil {
-				res = mergeFlipRun(failSeq[:cut], res)
-			} else {
+			if fc == nil {
 				// Cache off: the full plan re-enforced the known prefix.
 				ps.replayed.Add(uint64(cut))
 			}

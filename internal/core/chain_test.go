@@ -32,9 +32,9 @@ func synthetic(t *testing.T, n int, kills [][]bool, ambiguous map[int]bool) (*Di
 				continue // the flipped race's victim does not occur
 			}
 			res.Seq = append(res.Seq,
-				sched.Exec{Step: len(res.Seq), Name: "A", Instr: kir.Instr{ID: races[j].First.Instr},
+				sched.Exec{Step: len(res.Seq), Name: "A", Instr: &kir.Instr{ID: races[j].First.Instr},
 					Accesses: []sched.AccessRec{{Addr: races[j].Addr, Write: true}}},
-				sched.Exec{Step: len(res.Seq) + 1, Name: "B", Instr: kir.Instr{ID: races[j].Second.Instr},
+				sched.Exec{Step: len(res.Seq) + 1, Name: "B", Instr: &kir.Instr{ID: races[j].Second.Instr},
 					Accesses: []sched.AccessRec{{Addr: races[j].Addr}}},
 			)
 		}

@@ -255,11 +255,13 @@ func restoreFlip(r sched.Race, fs flipSnap) TestedRace {
 		return tr
 	}
 	run := &sched.RunResult{}
+	instrs := make([]kir.Instr, len(fs.Seq))
 	for step, fe := range fs.Seq {
+		instrs[step].ID = fe.Instr
 		run.Seq = append(run.Seq, sched.Exec{
 			Step:     step,
 			Name:     fe.Thread,
-			Instr:    kir.Instr{ID: fe.Instr},
+			Instr:    &instrs[step],
 			Accesses: fe.Accesses,
 		})
 	}

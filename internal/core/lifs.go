@@ -530,6 +530,7 @@ type searcher struct {
 
 	spareMu sync.Mutex
 	spare   []*workerVM // worker machines reused across phases
+	buf     traceBuf    // the main machine's exploration scratch
 
 	found      bool
 	foundTrace []sched.Exec
@@ -554,6 +555,7 @@ type searcher struct {
 type workerVM struct {
 	m    *kvm.Machine
 	init *kvm.Snapshot
+	buf  traceBuf
 
 	pin      *kvm.Snapshot // pinned branch state, nil when cold
 	pinPhase *phaseRun
@@ -778,7 +780,7 @@ type unit struct {
 	choice  int // task: index into the branch event's canonical choices
 	initial kvm.ThreadID
 
-	rec    *sched.AccessMap // accesses recorded by this unit
+	log    sched.AccessLog // accesses recorded by this unit, compacted
 	leaves []LeafTrace
 	cand   *candidate
 	branch branchInfo    // probe only
@@ -812,7 +814,6 @@ func (p *phaseRun) addUnit(group int, probe bool, choice int, initial kvm.Thread
 		probe:   probe,
 		choice:  choice,
 		initial: initial,
-		rec:     sched.NewAccessMap(),
 	}
 	p.units = append(p.units, u)
 	return u
@@ -856,7 +857,7 @@ func (s *searcher) phase(k int) error {
 		for _, us := range rp.Units {
 			u := p.addUnit(us.Group, us.Probe, us.Choice, kvm.ThreadID(us.Initial))
 			u.ran = us.Ran
-			u.rec = sched.ImportAccessMap(us.Accesses)
+			u.log = sched.ImportAccessLog(us.Accesses)
 			u.leaves = us.Leaves
 			u.branch = branchInfo{natural: us.BranchNatural, choices: us.BranchChoices}
 		}
@@ -886,7 +887,7 @@ func (s *searcher) phase(k int) error {
 		}
 		pu := p.addUnit(gi, true, -1, t.ID)
 		s.m.Restore(s.init)
-		s.runUnit(p, pu, s.m, true, -1, k)
+		s.runUnit(p, pu, s.m, &s.buf, true, -1, k)
 		// The probe left the machine at the group's branch state: pin it
 		// so the group's tasks resume from there instead of replaying the
 		// prefix. (Parallel workers pin their own machines lazily; the
@@ -915,13 +916,13 @@ func (s *searcher) phase(k int) error {
 			}
 			if pin != nil {
 				if s.restorePin(s.m, pin, len(pu.script.trace)) {
-					s.runUnitPinned(p, tu, s.m, -1, k, pu.script)
+					s.runUnitPinned(p, tu, s.m, &s.buf, -1, k, pu.script)
 					continue
 				}
 				pin = nil // corrupt pin: the rest of the group replays from scratch
 			}
 			s.m.Restore(s.init)
-			s.runUnit(p, tu, s.m, false, -1, k)
+			s.runUnit(p, tu, s.m, &s.buf, false, -1, k)
 		}
 		// Serial group boundary: a consistent cut — every unit so far
 		// ran to completion and (if we get here without a candidate)
@@ -958,7 +959,7 @@ func (s *searcher) phase(k int) error {
 				sc := p.scripts[tu.group]
 				if sc != nil && vm.pin != nil && vm.pinPhase == p && vm.pinGroup == tu.group {
 					if s.restorePin(vm.m, vm.pin, len(sc.trace)) {
-						s.runUnitPinned(p, tu, vm.m, worker, k, sc)
+						s.runUnitPinned(p, tu, vm.m, &vm.buf, worker, k, sc)
 						return nil
 					}
 				}
@@ -985,7 +986,7 @@ func (s *searcher) phase(k int) error {
 						continue
 					}
 					s.m.Restore(s.init)
-					s.runUnit(p, tu, s.m, false, -1, k)
+					s.runUnit(p, tu, s.m, &s.buf, false, -1, k)
 				}
 			default:
 				return err
@@ -1009,7 +1010,7 @@ func (s *searcher) phase(k int) error {
 		if winner >= 0 && u.ordinal > winner {
 			break
 		}
-		s.am.Merge(u.rec)
+		s.am.Fold(u.log)
 		s.leaves = append(s.leaves, u.leaves...)
 		s.emitUnit(p, u)
 	}
@@ -1070,7 +1071,7 @@ func (s *searcher) maybeSavePartial(p *phaseRun, k, groupsDone int) {
 			Ran:           u.ran,
 			BranchNatural: u.branch.natural,
 			BranchChoices: u.branch.choices,
-			Accesses:      u.rec.Export(),
+			Accesses:      u.log.Export(),
 			Leaves:        u.leaves,
 		})
 	}
@@ -1089,19 +1090,20 @@ func (s *searcher) maybeSavePartial(p *phaseRun, k, groupsDone int) {
 	})
 }
 
-// runUnit drives one unit's exploration on m from the initial state.
-func (s *searcher) runUnit(p *phaseRun, u *unit, m *kvm.Machine, probe bool, worker, k int) {
+// runUnit drives one unit's exploration on m from the initial state,
+// with buf, m's exploration scratch.
+func (s *searcher) runUnit(p *phaseRun, u *unit, m *kvm.Machine, buf *traceBuf, probe bool, worker, k int) {
 	s.timeUnit(u, worker, func() {
-		newExplorer(p, u, m, probe).run(k)
+		newExplorer(p, u, m, buf, probe).run(k, nil)
 	})
 }
 
 // runUnitPinned drives a task unit from its group's restored branch
 // state: the machine already sits at the branch, and the script supplies
 // the exploration state the prefix replay would have rebuilt.
-func (s *searcher) runUnitPinned(p *phaseRun, u *unit, m *kvm.Machine, worker, k int, sc *branchScript) {
+func (s *searcher) runUnitPinned(p *phaseRun, u *unit, m *kvm.Machine, buf *traceBuf, worker, k int, sc *branchScript) {
 	s.timeUnit(u, worker, func() {
-		newExplorer(p, u, m, false).resumeFromPin(sc, k)
+		newExplorer(p, u, m, buf, false).run(k, sc)
 	})
 }
 
@@ -1110,7 +1112,7 @@ func (s *searcher) runUnitPinned(p *phaseRun, u *unit, m *kvm.Machine, worker, k
 // later tasks of the same group can resume from it.
 func (s *searcher) runUnitPinning(p *phaseRun, u *unit, vm *workerVM, worker, k int) {
 	s.timeUnit(u, worker, func() {
-		e := newExplorer(p, u, vm.m, false)
+		e := newExplorer(p, u, vm.m, &vm.buf, false)
 		if s.opts.Prefix.enabled() {
 			e.onBranch = func() {
 				if pin := s.pinBranch(vm.m); pin != nil {
@@ -1118,7 +1120,7 @@ func (s *searcher) runUnitPinning(p *phaseRun, u *unit, vm *workerVM, worker, k 
 				}
 			}
 		}
-		e.run(k)
+		e.run(k, nil)
 	})
 }
 
@@ -1201,7 +1203,9 @@ type explorer struct {
 	serialOrder bool
 	local       map[visKey]struct{}
 
-	trace   []sched.Exec
+	// buf is the machine's scratch: the trace (the executed steps of the
+	// current path) and the unit's access log live in it.
+	buf     *traceBuf
 	ctxTick int
 	aborted bool
 	// suspectSeen marks the guide suspects executed on the current path
@@ -1215,12 +1219,13 @@ type explorer struct {
 	offReport bool
 }
 
-func newExplorer(p *phaseRun, u *unit, m *kvm.Machine, probe bool) *explorer {
+func newExplorer(p *phaseRun, u *unit, m *kvm.Machine, buf *traceBuf, probe bool) *explorer {
 	e := &explorer{
 		s:            p.s,
 		p:            p,
 		u:            u,
 		m:            m,
+		buf:          buf,
 		probe:        probe,
 		splitPending: true,
 		serialOrder:  probe || p.s.opts.Workers <= 1,
@@ -1231,19 +1236,28 @@ func newExplorer(p *phaseRun, u *unit, m *kvm.Machine, probe bool) *explorer {
 	return e
 }
 
-// run explores the unit from the machine's initial state.
-func (e *explorer) run(budget int) {
-	e.explore(e.u.initial, budget, nil)
+// run explores the unit — from the machine's initial state, or with a
+// script from its group's restored branch state — and leaves the unit's
+// compacted access log on the unit.
+func (e *explorer) run(budget int, sc *branchScript) {
+	e.buf.steps.Reset(nil)
+	e.buf.accs = e.buf.accs[:0]
+	if sc == nil {
+		e.explore(e.u.initial, budget, nil)
+	} else {
+		e.resumeFromPin(sc, budget)
+	}
+	e.u.log = e.buf.accs.Compact()
 }
 
 // resumeFromPin continues a task from its group's restored branch state,
 // reproducing exactly what the uncached task would do after replaying
 // the prefix and flipping splitPending: take the assigned choice. The
-// shared script trace is adopted with its capacity clamped so appends
-// copy instead of clobbering sibling tasks.
+// shared script trace is copied into the machine's trace buffer; its
+// records stay shared, and read-only.
 func (e *explorer) resumeFromPin(sc *branchScript, budget int) {
 	e.splitPending = false
-	e.trace = sc.trace[:len(sc.trace):len(sc.trace)]
+	e.buf.steps.Reset(sc.trace)
 	e.suspectSeen = sc.seen
 	if sc.natural {
 		e.explore(sc.choices[e.u.choice], budget, cloneStack(sc.stack))
@@ -1269,7 +1283,7 @@ func (e *explorer) captureScript(natural bool, choices []kvm.ThreadID, cur kvm.T
 		return
 	}
 	e.u.script = &branchScript{
-		trace:   append([]sched.Exec(nil), e.trace...),
+		trace:   sched.CloneSeq(e.buf.steps.Seq),
 		seen:    e.suspectSeen,
 		stack:   cloneStack(stack),
 		natural: natural,
@@ -1396,7 +1410,7 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 				}
 				e.splitPending = false
 				// The trace so far re-executed the probe's known prefix.
-				e.s.prefix.replayed.Add(uint64(len(e.trace)))
+				e.s.prefix.replayed.Add(uint64(len(e.buf.steps.Seq)))
 				if e.onBranch != nil {
 					e.onBranch()
 				}
@@ -1404,7 +1418,7 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 				continue
 			}
 			snap := e.m.Snapshot()
-			tlen := len(e.trace)
+			mark := e.buf.steps.Mark()
 			seen := e.suspectSeen
 			for _, choice := range choices {
 				if e.explore(choice, budget, cloneStack(returnStack)) {
@@ -1414,7 +1428,7 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 					return false
 				}
 				e.m.Restore(snap)
-				e.trace = e.trace[:tlen]
+				e.buf.steps.Rewind(mark)
 				e.suspectSeen = seen
 				e.offReport = false
 			}
@@ -1449,7 +1463,7 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 					}
 					e.splitPending = false
 					// The trace so far re-executed the probe's known prefix.
-					e.s.prefix.replayed.Add(uint64(len(e.trace)))
+					e.s.prefix.replayed.Add(uint64(len(e.buf.steps.Seq)))
 					if e.onBranch != nil {
 						e.onBranch()
 					}
@@ -1468,7 +1482,7 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 				if !e.splitPending && budget > 0 {
 					others := e.othersViable(cur)
 					snap := e.m.Snapshot()
-					tlen := len(e.trace)
+					mark := e.buf.steps.Mark()
 					seen := e.suspectSeen
 					for _, u := range others {
 						if e.explore(u, budget-1, cloneStack(returnStack)) {
@@ -1478,7 +1492,7 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 							return false
 						}
 						e.m.Restore(snap)
-						e.trace = e.trace[:tlen]
+						e.buf.steps.Rewind(mark)
 						e.suspectSeen = seen
 						e.offReport = false
 					}
@@ -1503,8 +1517,8 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 			cur = owner
 			continue
 		}
-		e.record(cur, curT, ev)
-		if len(e.trace) > e.s.stepBudget() {
+		e.record(curT, ev)
+		if len(e.buf.steps.Seq) > e.s.stepBudget() {
 			e.m.InjectFailure(&sanitizer.Failure{
 				Kind:   sanitizer.KindWatchdog,
 				Thread: curT.Name,
@@ -1516,14 +1530,8 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 	}
 }
 
-// record appends an executed step to the trace and the unit's access map.
-func (e *explorer) record(cur kvm.ThreadID, curT *kvm.Thread, ev kvm.StepEvent) {
-	exec := sched.Exec{
-		Step:   len(e.trace),
-		Thread: cur,
-		Name:   curT.Name,
-		Instr:  ev.Instr,
-	}
+// record appends an executed step to the trace and the unit's access log.
+func (e *explorer) record(curT *kvm.Thread, ev kvm.StepEvent) {
 	if g := e.s.guide; g != nil {
 		if bits, ok := g.byInstr[ev.Instr.ID]; ok {
 			e.suspectSeen |= bits
@@ -1531,16 +1539,9 @@ func (e *explorer) record(cur kvm.ThreadID, curT *kvm.Thread, ev kvm.StepEvent) 
 	}
 	site := sched.Site{Thread: curT.Name, Instr: ev.Instr.ID}
 	for _, a := range ev.Accesses {
-		exec.Accesses = append(exec.Accesses, sched.AccessRec{Addr: a.Addr, Write: a.Write})
-		e.u.rec.Record(site, a.Addr, a.Write)
+		e.buf.accs.Add(site, a.Addr, a.Write)
 	}
-	if len(curT.Locks) > 0 {
-		exec.Lockset = append([]uint64(nil), curT.Locks...)
-	}
-	if ev.Spawned != kvm.NoThread {
-		exec.Spawned = e.m.Thread(ev.Spawned).Name
-	}
-	e.trace = append(e.trace, exec)
+	e.buf.steps.Append(e.m, curT, ev)
 }
 
 // leaf finishes one complete run.
@@ -1563,7 +1564,7 @@ func (e *explorer) leaf(budgetLeft int) bool {
 	}
 	if e.s.opts.RecordLeaves {
 		lt := LeafTrace{Failed: f != nil, Preemptions: e.p.k - budgetLeft}
-		for _, x := range e.trace {
+		for _, x := range e.buf.steps.Seq {
 			if x.Instr.Label != "" {
 				lt.Labels = append(lt.Labels, x.Instr.Label)
 			}
@@ -1576,7 +1577,7 @@ func (e *explorer) leaf(budgetLeft int) bool {
 		// (natural switches at thread completion and involuntary lock
 		// diversions are free).
 		e.u.cand = &candidate{
-			trace:      append([]sched.Exec(nil), e.trace...),
+			trace:      sched.CloneSeq(e.buf.steps.Seq),
 			budgetLeft: budgetLeft,
 		}
 		// CAS-min so lower ordinals always win; units above the best

@@ -100,12 +100,25 @@ func (ps *prefixStats) notePinned(b uint64) {
 // branch; the machine-specific half (the snapshot) is pinned separately
 // per machine, so parallel workers share one script but own their pins.
 type branchScript struct {
-	trace   []sched.Exec   // executed prefix (shared read-only; resume clamps cap)
+	trace   []sched.Exec   // executed prefix (shared read-only; resume copies it)
 	seen    uint32         // guide suspects executed on the prefix
 	stack   []kvm.ThreadID // lock-diversion return stack at the branch
 	natural bool           // natural switch (else conflict preemption)
 	choices []kvm.ThreadID // natural: viable threads; conflict: preemption targets
 	cur     kvm.ThreadID   // conflict: the thread at the conflict point
+}
+
+// traceBuf is one machine's reusable LIFS exploration scratch: the step
+// log the explorer's trace lives in (rewound at every backtrack) and the
+// access log its unit records into. Units on one machine run one at a
+// time, so one buffer per machine — the searcher's main machine, each
+// workerVM — serves them all, and the trace of a pinned task no longer
+// re-copies its group's prefix on its first step. Nothing in the buffer
+// outlives a unit: branch scripts and candidates take copies
+// (sched.CloneSeq), the unit keeps a compacted copy of its access log.
+type traceBuf struct {
+	steps sched.StepLog
+	accs  sched.AccessLog
 }
 
 // flipCache incrementally replays prefixes of the canonical failing
@@ -140,7 +153,7 @@ func newFlipCache(m *kvm.Machine, init *kvm.Snapshot, seq []sched.Exec, cfg Pref
 
 // Seek brings the machine to schedule position n of the failing
 // sequence, after which the caller enforces the flip suffix with
-// sched.Options.BaseSteps = n. It preserves the cache-off fault
+// sched.Options.Prefix = seq[:n]. It preserves the cache-off fault
 // identity: the legacy snapshot-restore check is drawn first with the
 // same (op, key, attempt), so chaos fates match a cache-off run. A
 // fired prefix-restore fault (a corrupt pin) degrades to a from-scratch
@@ -252,33 +265,4 @@ func (sd *prefixSeed) adopt(m *kvm.Machine) ([]flipPin, bool) {
 		}
 	}
 	return live, true
-}
-
-// mergeFlipRun reassembles the full flip run from the replayed prefix
-// and the enforced suffix. The suffix was numbered from BaseSteps =
-// len(prefix), so Seq, Failure, Missed and Threads — everything verdicts
-// and race extraction consume — are byte-identical to a cache-off
-// full-schedule enforcement. Switches (unconsumed for flips) adds the
-// prefix's thread boundaries plus the seam as an approximation of the
-// decisions the skipped enforcement would have counted.
-func mergeFlipRun(prefix []sched.Exec, suffix *sched.RunResult) *sched.RunResult {
-	if len(prefix) == 0 {
-		return suffix
-	}
-	out := &sched.RunResult{
-		Seq:      append(prefix[:len(prefix):len(prefix)], suffix.Seq...),
-		Failure:  suffix.Failure,
-		Switches: suffix.Switches,
-		Missed:   suffix.Missed,
-		Threads:  suffix.Threads,
-	}
-	for i := 1; i < len(prefix); i++ {
-		if prefix[i].Name != prefix[i-1].Name {
-			out.Switches++
-		}
-	}
-	if len(suffix.Seq) > 0 && suffix.Seq[0].Name != prefix[len(prefix)-1].Name {
-		out.Switches++
-	}
-	return out
 }

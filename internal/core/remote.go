@@ -68,11 +68,11 @@ type BranchWork struct {
 type BranchBatch struct {
 	// ProgHash identifies (and, over a wire transport, validates) the
 	// program; InitSig pins the machine's initial state signature.
-	ProgHash string          `json:"prog_hash"`
-	InitSig  uint64          `json:"init_sig"`
-	Budget   int             `json:"budget"` // the phase's preemption budget k
-	Units    []BranchUnitMeta `json:"units"`
-	Visited  []BranchVisited  `json:"visited,omitempty"`
+	ProgHash string               `json:"prog_hash"`
+	InitSig  uint64               `json:"init_sig"`
+	Budget   int                  `json:"budget"` // the phase's preemption budget k
+	Units    []BranchUnitMeta     `json:"units"`
+	Visited  []BranchVisited      `json:"visited,omitempty"`
 	Base     []sched.AccessExport `json:"base,omitempty"`
 	Opts     BranchOpts           `json:"opts"`
 	Work     []BranchWork         `json:"work"`
@@ -167,13 +167,13 @@ func ExecuteBranch(ctx context.Context, prog *kir.Program, batch *BranchBatch, i
 	}
 	u := p.units[w.Ordinal]
 	u.group, u.probe, u.choice, u.initial = w.Group, false, w.Choice, kvm.ThreadID(w.Initial)
-	s.runUnit(p, u, m, false, -1, batch.Budget)
+	s.runUnit(p, u, m, &s.buf, false, -1, batch.Budget)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	res := &BranchResult{
 		Ordinal:   w.Ordinal,
-		Accesses:  u.rec.Export(),
+		Accesses:  u.log.Export(),
 		Leaves:    u.leaves,
 		Schedules: s.schedules.Load(),
 		Pruned:    s.pruned.Load(),
@@ -253,7 +253,7 @@ func (s *searcher) dispatchTasks(p *phaseRun, k int, tasks []*unit, d BranchDisp
 			continue
 		}
 		s.m.Restore(s.init)
-		s.runUnit(p, tu, s.m, false, -1, k)
+		s.runUnit(p, tu, s.m, &s.buf, false, -1, k)
 	}
 }
 
@@ -262,7 +262,7 @@ func (s *searcher) dispatchTasks(p *phaseRun, k int, tasks []*unit, d BranchDisp
 func (s *searcher) importBranchResult(u *unit, res *BranchResult) {
 	u.ran = true
 	u.tWorker = -2 // remote execution marker (obs Info arg only)
-	u.rec = sched.ImportAccessMap(res.Accesses)
+	u.log = sched.ImportAccessLog(res.Accesses)
 	u.leaves = res.Leaves
 	s.pruned.Add(res.Pruned)
 	s.prefix.replayed.Add(res.Replayed)

@@ -205,6 +205,7 @@ func (f *Fuzzer) accepts(fail *sanitizer.Failure) bool {
 // moves to a uniformly random runnable thread).
 func (f *Fuzzer) randomRun(m *kvm.Machine) (*sched.RunResult, error) {
 	res := &sched.RunResult{Threads: make(map[string]kvm.ThreadState)}
+	var log sched.StepLog
 	cur := kvm.NoThread
 	// Per-run thread priorities for the priority strategies, assigned
 	// lazily in deterministic (runnable-slice) order.
@@ -278,19 +279,9 @@ func (f *Fuzzer) randomRun(m *kvm.Machine) (*sched.RunResult, error) {
 			cur = kvm.NoThread
 			continue
 		}
-		t := m.Thread(cur)
-		exec := sched.Exec{Step: len(res.Seq), Thread: cur, Name: t.Name, Instr: ev.Instr}
-		for _, a := range ev.Accesses {
-			exec.Accesses = append(exec.Accesses, sched.AccessRec{Addr: a.Addr, Write: a.Write})
-		}
-		if len(t.Locks) > 0 {
-			exec.Lockset = append([]uint64(nil), t.Locks...)
-		}
-		if ev.Spawned != kvm.NoThread {
-			exec.Spawned = m.Thread(ev.Spawned).Name
-		}
-		res.Seq = append(res.Seq, exec)
+		log.Append(m, m.Thread(cur), ev)
 	}
+	res.Seq = log.Seq
 	res.Failure = m.Failure()
 	for i := 0; i < m.NumThreads(); i++ {
 		t := m.Thread(kvm.ThreadID(i))

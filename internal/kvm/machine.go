@@ -106,12 +106,15 @@ type Access struct {
 	Write bool
 }
 
-// StepEvent reports what one Step did.
+// StepEvent reports what one Step did. Instr points into the machine's
+// finalized (immutable) program. Accesses is backed by a buffer the
+// machine owns: it stays valid only until the next Step, so a caller that
+// keeps the accesses must copy them.
 type StepEvent struct {
 	Thread   ThreadID
-	Instr    kir.Instr
+	Instr    *kir.Instr
 	Executed bool     // false when the step blocked on a lock
-	Accesses []Access // shared-memory accesses performed
+	Accesses []Access // shared-memory accesses performed; reused by the next Step
 	Spawned  ThreadID // thread created by queue_work/call_rcu, else NoThread
 	Failure  *sanitizer.Failure
 	Done     bool // thread finished with this step
@@ -140,6 +143,12 @@ type Machine struct {
 	restores   uint64
 	executed   uint64 // total instructions ever executed; never rewound
 	gen        uint64 // bumped by Reset/RestoreDeep; stales every Snapshot
+
+	// Scratch buffers reused across calls so the step path allocates
+	// nothing: stepAcc backs StepEvent.Accesses until the next Step,
+	// peekAcc backs PeekAccesses' result until the next PeekAccesses.
+	stepAcc []Access
+	peekAcc []Access
 }
 
 // New creates a machine with the program's declared threads ready to run.
@@ -217,16 +226,36 @@ func (m *Machine) Failure() *sanitizer.Failure { return m.failure }
 func (m *Machine) Runnable() []ThreadID {
 	var out []ThreadID
 	for _, t := range m.threads {
-		switch t.State {
-		case Runnable:
+		if m.canRun(t) {
 			out = append(out, t.ID)
-		case Blocked:
-			if _, held := m.lockOwner[t.WaitLock]; !held {
-				out = append(out, t.ID)
-			}
 		}
 	}
 	return out
+}
+
+// FirstRunnable returns the lowest-ID thread Runnable would list, or
+// NoThread when none can make progress. Unlike Runnable it allocates
+// nothing.
+func (m *Machine) FirstRunnable() ThreadID {
+	for _, t := range m.threads {
+		if m.canRun(t) {
+			return t.ID
+		}
+	}
+	return NoThread
+}
+
+// canRun reports whether the thread could make progress right now.
+func (m *Machine) canRun(t *Thread) bool {
+	switch t.State {
+	case Runnable:
+		return true
+	case Blocked:
+		_, held := m.lockOwner[t.WaitLock]
+		return !held
+	default:
+		return false
+	}
 }
 
 // AllDone reports whether every thread has finished.
@@ -245,7 +274,7 @@ func (m *Machine) Deadlocked() bool {
 	if m.failure != nil || m.AllDone() {
 		return false
 	}
-	return len(m.Runnable()) == 0
+	return m.FirstRunnable() == NoThread
 }
 
 // LockOwner returns the thread currently holding the lock at addr.
@@ -277,15 +306,16 @@ func (m *Machine) Frames(tid ThreadID) []Pos {
 	return out
 }
 
-// NextInstr returns the instruction the thread would execute next. ok is
-// false for finished or crashed threads.
-func (m *Machine) NextInstr(tid ThreadID) (kir.Instr, bool) {
+// NextInstr returns the instruction the thread would execute next, as a
+// pointer into the finalized program. ok is false (and the pointer nil)
+// for finished or crashed threads.
+func (m *Machine) NextInstr(tid ThreadID) (*kir.Instr, bool) {
 	t := m.Thread(tid)
 	if t == nil || (t.State != Runnable && t.State != Blocked) {
-		return kir.Instr{}, false
+		return nil, false
 	}
-	fr := t.frames[len(t.frames)-1]
-	return fr.fn.Instrs[fr.pc], true
+	fr := &t.frames[len(t.frames)-1]
+	return &fr.fn.Instrs[fr.pc], true
 }
 
 // CheckLeaks runs the end-of-execution memory-leak check and records a
@@ -319,7 +349,7 @@ func (m *Machine) InjectFailure(f *sanitizer.Failure) {
 }
 
 // fail records the machine failure and crashes the thread.
-func (m *Machine) fail(t *Thread, in kir.Instr, kind sanitizer.Kind, addr uint64, msg string) *sanitizer.Failure {
+func (m *Machine) fail(t *Thread, in *kir.Instr, kind sanitizer.Kind, addr uint64, msg string) *sanitizer.Failure {
 	f := &sanitizer.Failure{Kind: kind, Thread: t.Name, Instr: in.ID, Addr: addr, Msg: msg}
 	m.failure = f
 	t.State = Crashed
@@ -327,7 +357,7 @@ func (m *Machine) fail(t *Thread, in kir.Instr, kind sanitizer.Kind, addr uint64
 }
 
 // failFault records a memory-fault failure with object context.
-func (m *Machine) failFault(t *Thread, in kir.Instr, fault *mem.Fault) *sanitizer.Failure {
+func (m *Machine) failFault(t *Thread, in *kir.Instr, fault *mem.Fault) *sanitizer.Failure {
 	msg := ""
 	if fault.Object != nil {
 		msg = fmt.Sprintf("object %#x (size %d) allocated at %s",
@@ -388,8 +418,17 @@ func (t *Thread) normalize() {
 // Stepping a thread blocked on a held lock returns Executed=false without
 // advancing. Stepping after a machine failure, or stepping a finished
 // thread, is an error — callers drive scheduling and must consult
-// Runnable/Failure first.
+// Runnable/Failure first. The returned event's Accesses are overwritten
+// by the next Step.
 func (m *Machine) Step(tid ThreadID) (StepEvent, error) {
+	ev, err := m.step(tid)
+	if cap(ev.Accesses) > cap(m.stepAcc) {
+		m.stepAcc = ev.Accesses[:0] // keep the grown buffer for later steps
+	}
+	return ev, err
+}
+
+func (m *Machine) step(tid ThreadID) (StepEvent, error) {
 	if m.failure != nil {
 		return StepEvent{}, fmt.Errorf("kvm: machine has failed: %v", m.failure)
 	}
@@ -406,8 +445,8 @@ func (m *Machine) Step(tid ThreadID) (StepEvent, error) {
 	m.saveThread(t)
 
 	fr := &t.frames[len(t.frames)-1]
-	in := fr.fn.Instrs[fr.pc]
-	ev := StepEvent{Thread: tid, Instr: in, Executed: true, Spawned: NoThread}
+	in := &fr.fn.Instrs[fr.pc]
+	ev := StepEvent{Thread: tid, Instr: in, Executed: true, Accesses: m.stepAcc[:0], Spawned: NoThread}
 
 	if t.State == Blocked {
 		// Only a Lock instruction can block; re-attempt it.
@@ -479,12 +518,12 @@ func (m *Machine) Step(tid ThreadID) (StepEvent, error) {
 			taken = a >= bv
 		}
 		if taken {
-			fr.pc = m.prog.BranchTarget(in)
+			fr.pc = m.prog.BranchTarget(*in)
 			advance = false
 		}
 
 	case kir.OpJmp:
-		fr.pc = m.prog.BranchTarget(in)
+		fr.pc = m.prog.BranchTarget(*in)
 		advance = false
 
 	case kir.OpCall:

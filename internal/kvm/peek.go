@@ -10,34 +10,37 @@ import (
 // instruction would perform, resolved against the thread's current register
 // values, without executing anything. LIFS uses this to decide whether the
 // next instruction is a scheduling decision point (a potentially
-// conflicting access).
+// conflicting access). The result is backed by a buffer the machine owns
+// and is overwritten by the next PeekAccesses call.
 func (m *Machine) PeekAccesses(tid ThreadID) []Access {
 	in, ok := m.NextInstr(tid)
 	if !ok || !in.Op.AccessesMemory() {
 		return nil
 	}
 	t := m.Thread(tid)
+	out := m.peekAcc[:0]
 	switch in.Op {
 	case kir.OpLoad, kir.OpListHas:
-		return []Access{{Addr: m.addr(t, in.A)}}
+		out = append(out, Access{Addr: m.addr(t, in.A)})
 	case kir.OpStore, kir.OpListAdd, kir.OpListDel, kir.OpRefGet, kir.OpRefPut:
-		return []Access{{Addr: m.addr(t, in.A), Write: true}}
+		out = append(out, Access{Addr: m.addr(t, in.A), Write: true})
 	case kir.OpFree:
 		base := uint64(value(t, in.A))
 		if base == 0 {
 			return nil
 		}
 		if obj := m.space.ObjectAt(base); obj != nil && obj.Base == base {
-			out := make([]Access, 0, obj.Size)
 			for a := obj.Base; a < obj.Base+uint64(obj.Size); a++ {
 				out = append(out, Access{Addr: a, Write: true})
 			}
-			return out
+		} else {
+			out = append(out, Access{Addr: base, Write: true})
 		}
-		return []Access{{Addr: base, Write: true}}
 	default:
 		return nil
 	}
+	m.peekAcc = out
+	return out
 }
 
 // StateSignature returns a hash of the complete machine state: thread

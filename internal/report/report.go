@@ -76,8 +76,8 @@ func WriteSwimlanes(w io.Writer, prog *kir.Program, seq []sched.Exec) {
 		}
 	}
 	for _, e := range seq {
-		if len(e.Instr.Name()) > width {
-			width = len(e.Instr.Name())
+		if n := nameLen(e.Instr); n > width {
+			width = n
 		}
 	}
 	width += 2
@@ -105,9 +105,28 @@ func WriteSwimlanes(w io.Writer, prog *kir.Program, seq []sched.Exec) {
 		if e.Instr.Label == "" {
 			continue
 		}
-		fmt.Fprintf(w, "  %s\n", cell(seen[e.Name], e.Instr.Name()))
+		fmt.Fprintf(w, "  %s\n", cell(seen[e.Name], e.Instr.Label))
 	}
 	fmt.Fprintln(w)
+}
+
+// nameLen returns len(in.Name()) without formatting the name of an
+// unlabelled instruction: the column width is all the swimlanes need of
+// it, and only labelled instructions are drawn.
+func nameLen(in *kir.Instr) int {
+	if in.Label != "" {
+		return len(in.Label)
+	}
+	return len(in.Fn) + len("+") + decimalLen(in.Idx)
+}
+
+// decimalLen returns len(strconv.Itoa(n)) for n >= 0.
+func decimalLen(n int) int {
+	l := 1
+	for ; n >= 10; n /= 10 {
+		l++
+	}
+	return l
 }
 
 // Disappeared lists the labelled instructions of the original failing run

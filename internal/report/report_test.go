@@ -1,12 +1,16 @@
 package report
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
 	"aitia/internal/core"
+	"aitia/internal/kir"
 	"aitia/internal/kvm"
 	"aitia/internal/scenarios"
+	"aitia/internal/sched"
 )
 
 func TestWriteDiagnosis(t *testing.T) {
@@ -68,5 +72,68 @@ func TestEmptyTable(t *testing.T) {
 	(&Table{Title: "empty"}).Write(&b)
 	if !strings.Contains(b.String(), "empty") {
 		t.Error("title missing")
+	}
+}
+
+// TestNameLenMatchesName: the swimlane column width is computed without
+// formatting unlabelled instruction names, and must agree with Name() on
+// every instruction of every scenario program.
+func TestNameLenMatchesName(t *testing.T) {
+	for _, sc := range scenarios.All() {
+		prog := sc.MustProgram()
+		for id := 0; id < prog.NumInstrs(); id++ {
+			in := prog.MustInstr(kir.InstrID(id))
+			if got, want := nameLen(&in), len(in.Name()); got != want {
+				t.Fatalf("%s: %s: nameLen = %d, len(Name()) = %d", sc.Name, in.Name(), got, want)
+			}
+		}
+	}
+	in := kir.Instr{Fn: "a_long_function_name", Idx: 123456}
+	if got, want := nameLen(&in), len(in.Name()); got != want {
+		t.Fatalf("nameLen = %d, len(Name()) = %d", got, want)
+	}
+}
+
+// TestSwimlanesAllocs: rendering swimlanes allocates nothing per
+// unlabelled step — doubling every unlabelled step leaves the allocation
+// count unchanged, up to a small slack for fmt's buffer pool, which the
+// race detector drains at random.
+func TestSwimlanesAllocs(t *testing.T) {
+	sc, _ := scenarios.ByName("cve-2017-15649")
+	prog := sc.MustProgram()
+	m, err := kvm.New(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := core.Reproduce(m, core.LIFSOptions{WantKind: sc.WantKind, WantInstr: sc.WantInstr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := rep.Run.Seq
+	var doubled []sched.Exec
+	for _, e := range seq {
+		doubled = append(doubled, e)
+		if e.Instr.Label == "" {
+			doubled = append(doubled, e)
+		}
+	}
+	unlabelled := len(doubled) - len(seq)
+	allocs := func(seq []sched.Exec) float64 {
+		var b strings.Builder
+		return testing.AllocsPerRun(10, func() {
+			b.Reset()
+			WriteSwimlanes(&b, prog, seq)
+		})
+	}
+	if a, d := allocs(seq), allocs(doubled); d > a+float64(unlabelled)/8 {
+		t.Errorf("WriteSwimlanes: %.0f allocations for %d steps, %.0f with the %d unlabelled ones doubled", a, len(seq), d, unlabelled)
+	}
+}
+
+func TestDecimalLen(t *testing.T) {
+	for _, n := range []int{0, 1, 9, 10, 99, 100, 12345, math.MaxInt} {
+		if got, want := decimalLen(n), len(strconv.Itoa(n)); got != want {
+			t.Errorf("decimalLen(%d) = %d, want %d", n, got, want)
+		}
 	}
 }

@@ -19,15 +19,17 @@ type Options struct {
 	// LeakCheck runs the memory-leak check when all threads finish.
 	LeakCheck bool
 
-	// BaseSteps is the number of schedule steps already executed before
-	// this run started — non-zero when the caller restored a prefix-cache
-	// snapshot and enforces only a suffix schedule. Executed steps are
-	// numbered, and the watchdog/stall budgets accounted, from BaseSteps,
-	// so a suffix run behaves byte-identically to the tail of a full run.
-	BaseSteps int
+	// Prefix holds the schedule steps already executed before this run
+	// started — non-empty when the caller brought the machine to a
+	// prefix-cache position and enforces only a suffix schedule. The run
+	// appends its steps to Prefix (so it may use Prefix's spare
+	// capacity), numbers them, and accounts the watchdog/stall budgets,
+	// from len(Prefix); the prefix's thread boundaries count as switches.
+	// A suffix run thereby returns exactly the result of the full run.
+	Prefix []Exec
 
 	// OnStep, when non-nil, is called after every executed step with the
-	// cumulative schedule position (BaseSteps + steps executed so far).
+	// cumulative schedule position (len(Prefix) + steps executed so far).
 	// The prefix cache uses it to pin snapshots along a replayed run
 	// without re-stepping it.
 	OnStep func(pos int)
@@ -105,10 +107,7 @@ func (e *Enforcer) pick(prefs []string) kvm.ThreadID {
 			return t.ID
 		}
 	}
-	for _, tid := range e.m.Runnable() {
-		return tid
-	}
-	return kvm.NoThread
+	return e.m.FirstRunnable()
 }
 
 // Run executes the machine under the schedule until failure, completion,
@@ -127,6 +126,15 @@ func (e *Enforcer) Run(sch Schedule, opts Options) (*RunResult, error) {
 	stallAt := opts.Fault.StallStep(faultOp, opts.FaultKey, opts.FaultAttempt)
 	var ticks uint
 	res := &RunResult{Threads: make(map[string]kvm.ThreadState)}
+	log := StepLog{Seq: opts.Prefix}
+	// A full run switches once per thread boundary of the replayed
+	// prefix; so does a suffix run, which counts them up front.
+	for i := 1; i < len(opts.Prefix); i++ {
+		if opts.Prefix[i].Name != opts.Prefix[i-1].Name {
+			res.Switches++
+		}
+	}
+	prefixSwitches := res.Switches
 	pending := append([]Point(nil), sch.Points...) // Skip counters are consumed
 	var returnStack []kvm.ThreadID
 
@@ -138,6 +146,7 @@ func (e *Enforcer) Run(sch Schedule, opts Options) (*RunResult, error) {
 	}
 
 	finish := func() *RunResult {
+		res.Seq = log.Seq
 		res.Failure = e.m.Failure()
 		res.Missed += len(pending)
 		for i := 0; i < e.m.NumThreads(); i++ {
@@ -257,30 +266,18 @@ func (e *Enforcer) Run(sch Schedule, opts Options) (*RunResult, error) {
 			continue
 		}
 
-		exec := Exec{
-			Step:   opts.BaseSteps + len(res.Seq),
-			Thread: cur,
-			Name:   curT.Name,
-			Instr:  ev.Instr,
+		if n := len(log.Seq); n > 0 && n == len(opts.Prefix) && res.Switches == prefixSwitches && log.Seq[n-1].Name != curT.Name {
+			// The seam: the full run switched from the prefix's last
+			// thread to this one, which this run started on directly.
+			res.Switches++
 		}
-		if len(ev.Accesses) > 0 {
-			exec.Accesses = make([]AccessRec, len(ev.Accesses))
-			for i, a := range ev.Accesses {
-				exec.Accesses[i] = AccessRec{Addr: a.Addr, Write: a.Write}
-			}
-		}
-		if len(curT.Locks) > 0 {
-			exec.Lockset = append([]uint64(nil), curT.Locks...)
-		}
-		if ev.Spawned != kvm.NoThread {
-			exec.Spawned = e.m.Thread(ev.Spawned).Name
-		}
-		res.Seq = append(res.Seq, exec)
+		log.Append(e.m, curT, ev)
+		pos := len(log.Seq)
 		if opts.OnStep != nil {
-			opts.OnStep(opts.BaseSteps + len(res.Seq))
+			opts.OnStep(pos)
 		}
 
-		if stallAt >= 0 && opts.BaseSteps+len(res.Seq) > stallAt {
+		if stallAt >= 0 && pos > stallAt {
 			return nil, &faultinject.Fault{
 				Kind:    faultinject.KindEnforceStall,
 				Op:      faultOp,
@@ -288,7 +285,7 @@ func (e *Enforcer) Run(sch Schedule, opts Options) (*RunResult, error) {
 				Attempt: opts.FaultAttempt,
 			}
 		}
-		if opts.BaseSteps+len(res.Seq) > budget {
+		if pos > budget {
 			e.failWatchdog(curT, ev.Instr.ID)
 			return finish(), nil
 		}

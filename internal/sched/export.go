@@ -47,14 +47,6 @@ func (am *AccessMap) Export() []AccessExport {
 // ImportAccessMap rebuilds an AccessMap from exported records.
 func ImportAccessMap(recs []AccessExport) *AccessMap {
 	am := NewAccessMap()
-	for _, r := range recs {
-		s := Site{Thread: r.Thread, Instr: r.Instr}
-		if r.Read {
-			am.Record(s, r.Addr, false)
-		}
-		if r.Write {
-			am.Record(s, r.Addr, true)
-		}
-	}
+	am.Fold(ImportAccessLog(recs))
 	return am
 }

@@ -4,63 +4,43 @@ import (
 	"aitia/internal/kir"
 )
 
-// seqEntry is the minimal projection of an executed step used for schedule
-// reconstruction.
-type seqEntry struct {
-	name  string
-	instr kir.InstrID
-}
-
-func project(seq []Exec) []seqEntry {
-	out := make([]seqEntry, len(seq))
-	for i, e := range seq {
-		out[i] = seqEntry{name: e.Name, instr: e.Instr.ID}
-	}
-	return out
-}
-
-// fromEntries builds the schedule that deterministically replays a desired
-// total order of executed instructions: one post-execution switch point per
-// thread-segment boundary. Occurrence counting (Point.Skip) handles
-// instructions that repeat within a segment.
-func fromEntries(entries []seqEntry, fallback []string) Schedule {
+// FromSeq builds the schedule that deterministically replays the given
+// executed sequence (a desired total order of executed instructions): one
+// post-execution switch point per thread-segment boundary. Occurrence
+// counting (Point.Skip) handles instructions that repeat within a
+// segment. The fallback order takes over after the last switch point (and
+// whenever control flow diverges from the recorded sequence).
+func FromSeq(seq []Exec, fallback []string) Schedule {
 	sch := Schedule{Fallback: fallback}
-	if len(entries) == 0 {
+	if len(seq) == 0 {
 		return sch
 	}
-	sch.Initial = entries[0].name
+	sch.Initial = seq[0].Name
 	segStart := 0
-	for i := 1; i <= len(entries); i++ {
-		if i < len(entries) && entries[i].name == entries[segStart].name {
+	for i := 1; i <= len(seq); i++ {
+		if i < len(seq) && seq[i].Name == seq[segStart].Name {
 			continue
 		}
 		// Segment [segStart, i) of one thread ends at i-1.
-		if i < len(entries) {
-			last := entries[i-1]
+		if i < len(seq) {
+			last := &seq[i-1]
 			skip := 0
 			for j := segStart; j < i-1; j++ {
-				if entries[j].instr == last.instr {
+				if seq[j].Instr.ID == last.Instr.ID {
 					skip++
 				}
 			}
 			sch.Points = append(sch.Points, Point{
-				Run:   last.name,
-				At:    last.instr,
+				Run:   last.Name,
+				At:    last.Instr.ID,
 				After: true,
 				Skip:  skip,
-				To:    entries[i].name,
+				To:    seq[i].Name,
 			})
 		}
 		segStart = i
 	}
 	return sch
-}
-
-// FromSeq builds the schedule that replays the given executed sequence.
-// The fallback order takes over after the last switch point (and whenever
-// control flow diverges from the recorded sequence).
-func FromSeq(seq []Exec, fallback []string) Schedule {
-	return fromEntries(project(seq), fallback)
 }
 
 // FlipOptions tune flip-plan construction (ablation switches).
@@ -97,15 +77,16 @@ func FlipSeqOpt(seq []Exec, r Race, fo FlipOptions) []Exec {
 	tX := r.First.Thread
 	out := make([]Exec, 0, len(seq))
 	out = append(out, seq[:i]...)
-	var moved []Exec
-	for _, e := range seq[i : j+1] {
-		if e.Name == tX {
-			moved = append(moved, e)
-		} else {
-			out = append(out, e)
+	for k := i; k <= j; k++ {
+		if seq[k].Name != tX {
+			out = append(out, seq[k])
 		}
 	}
-	out = append(out, moved...)
+	for k := i; k <= j; k++ {
+		if seq[k].Name == tX {
+			out = append(out, seq[k])
+		}
+	}
 	out = append(out, seq[j+1:]...)
 	return repairSpawnOrder(out)
 }
@@ -118,9 +99,10 @@ func FlipSeqOpt(seq []Exec, r Race, fo FlipOptions) []Exec {
 // while delaying the syscall that queues the work) are thereby resolved
 // the same way the hypervisor would resolve them: the worker simply runs
 // later. Repair iterates because spawn chains nest (syscall -> kworker ->
-// RCU callback).
+// RCU callback). A sequence that already respects spawn order is returned
+// as is.
 func repairSpawnOrder(seq []Exec) []Exec {
-	for pass := 0; pass < 8; pass++ {
+	for pass := 0; pass < 8 && spawnOrderViolated(seq); pass++ {
 		spawnAt := make(map[string]int) // thread name -> spawn step position
 		for pos, e := range seq {
 			if e.Spawned != "" {
@@ -129,7 +111,6 @@ func repairSpawnOrder(seq []Exec) []Exec {
 				}
 			}
 		}
-		violated := false
 		out := make([]Exec, 0, len(seq))
 		var held []Exec // entries waiting for their spawner
 		heldOf := func(name string) bool {
@@ -145,7 +126,6 @@ func repairSpawnOrder(seq []Exec) []Exec {
 			if (spawned && sp > pos) || heldOf(e.Name) {
 				// Runs before its spawner (or behind an earlier held entry
 				// of the same thread): hold it back.
-				violated = true
 				held = append(held, e)
 				continue
 			}
@@ -163,13 +143,37 @@ func repairSpawnOrder(seq []Exec) []Exec {
 				held = rest
 			}
 		}
-		out = append(out, held...)
-		seq = out
-		if !violated {
-			break
-		}
+		seq = append(out, held...)
 	}
 	return seq
+}
+
+// spawnOrderViolated reports whether some thread has an entry before the
+// first entry that spawns it. It allocates nothing: sequences hold few
+// spawns, so each spawn scans the entries before it.
+func spawnOrderViolated(seq []Exec) bool {
+	for pos := range seq {
+		name := seq[pos].Spawned
+		if name == "" {
+			continue
+		}
+		first := true
+		for k := 0; k < pos; k++ {
+			if seq[k].Spawned == name {
+				first = false // an earlier spawn of the same name decides
+				break
+			}
+		}
+		if !first {
+			continue
+		}
+		for k := 0; k < pos; k++ {
+			if seq[k].Name == name {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // widenCriticalSections expands [FirstStep, SecondStep] to respect the
@@ -241,11 +245,10 @@ func PlanFlipOpt(seq []Exec, r Race, fallback []string, fo FlipOptions) Schedule
 // never fire if the access is unreachable, in which case the thread simply
 // finishes), and then resumes the original order.
 func PlanPhantomFlip(seq []Exec, r Race, fallback []string) Schedule {
-	entries := project(seq)
 	i := r.FirstStep
 
-	prefix := fromEntries(entries[:i], fallback)
-	suffix := fromEntries(entries[i:], fallback)
+	prefix := FromSeq(seq[:i], fallback)
+	suffix := FromSeq(seq[i:], fallback)
 
 	sch := Schedule{Fallback: fallback}
 	if i == 0 {
@@ -262,7 +265,7 @@ func PlanPhantomFlip(seq []Exec, r Race, fallback []string) Schedule {
 		sch.Points = append(sch.Points, Point{
 			Run:  r.First.Thread,
 			At:   r.First.Instr,
-			Skip: skipWithinFinalSegment(entries[:i], r.First.Thread, r.First.Instr),
+			Skip: skipWithinFinalSegment(seq[:i], r.First.Thread, r.First.Instr),
 			To:   r.Second.Thread,
 		})
 	}
@@ -278,51 +281,81 @@ func PlanPhantomFlip(seq []Exec, r Race, fallback []string) Schedule {
 	return sch
 }
 
-// FlipCut returns the length of the verbatim prefix the flip plan for race
-// r shares with the original failing sequence: the number of leading steps
-// whose enforced execution is identical to the recorded run. A prefix
-// cache can restore machine state at that position and enforce only the
-// suffix plan built by PlanFlipFrom.
+// PlanFlipCut flips race r once and returns both halves a prefix cache
+// needs: the cut — the length of the verbatim prefix the flip plan shares
+// with the recorded failing sequence — and the suffix of the flip plan
+// that starts there. Enforcing the suffix with Options.Prefix = seq[:cut]
+// on a machine brought to the state just before step cut returns exactly
+// the result of enforcing the full PlanFlipOpt plan from the initial
+// state. It equals FlipCut followed by PlanFlipFrom at that cut.
 //
 // For a displacement flip the cut is the first position whose entry moved
-// (entries keep their original Step stamps through FlipSeqOpt and
-// repairSpawnOrder, so the cut is the first Step mismatch). For a phantom
-// race the plan replays the recorded order verbatim up to the First
-// access, so the cut is FirstStep.
-func FlipCut(seq []Exec, r Race, fo FlipOptions) int {
-	// The cut detection relies on position stamps; a synthetic sequence
-	// without them shares no provable prefix.
-	for k := range seq {
-		if seq[k].Step != k {
-			return 0
+// (entries keep their original Step stamps through the flip and the spawn
+// repair, so the cut is the first Step mismatch). For a phantom race the
+// plan replays the recorded order verbatim up to the First access, so the
+// cut is FirstStep. A sequence without position stamps shares no provable
+// prefix: its cut is 0.
+func PlanFlipCut(seq []Exec, r Race, fallback []string, fo FlipOptions) (int, Schedule) {
+	stamped := positionStamped(seq)
+	if r.Phantom {
+		cut := 0
+		if stamped {
+			cut = r.FirstStep
 		}
+		return cut, planPhantomFlipFrom(seq, r, fallback, cut)
+	}
+	flipped := FlipSeqOpt(seq, r, fo)
+	cut := 0
+	if stamped {
+		cut = firstMoved(flipped)
+	}
+	return cut, FromSeq(flipped[cut:], fallback)
+}
+
+// FlipCut returns the cut PlanFlipCut returns, flipping the race on its
+// own; it is the reference PlanFlipCut is checked against.
+func FlipCut(seq []Exec, r Race, fo FlipOptions) int {
+	if !positionStamped(seq) {
+		return 0
 	}
 	if r.Phantom {
 		return r.FirstStep
 	}
-	flipped := FlipSeqOpt(seq, r, fo)
+	return firstMoved(FlipSeqOpt(seq, r, fo))
+}
+
+// PlanFlipFrom builds the suffix of the flip plan for race r that starts
+// at position n of the enforced order, where n must be at most
+// FlipCut(seq, r, fo). The suffix's first segment re-derives exactly the
+// Skip count the full plan's pending head would have left unconsumed at
+// n, and Initial names the thread the full run would be executing there.
+func PlanFlipFrom(seq []Exec, r Race, fallback []string, fo FlipOptions, n int) Schedule {
+	if r.Phantom {
+		return planPhantomFlipFrom(seq, r, fallback, n)
+	}
+	return FromSeq(FlipSeqOpt(seq, r, fo)[n:], fallback)
+}
+
+// positionStamped reports whether every entry's Step is its index — the
+// stamps the cut detection relies on.
+func positionStamped(seq []Exec) bool {
+	for k := range seq {
+		if seq[k].Step != k {
+			return false
+		}
+	}
+	return true
+}
+
+// firstMoved returns the first position of a flipped sequence whose entry
+// is not the recorded entry of that position.
+func firstMoved(flipped []Exec) int {
 	for k := range flipped {
 		if flipped[k].Step != k {
 			return k
 		}
 	}
 	return len(flipped)
-}
-
-// PlanFlipFrom builds the suffix of the flip plan for race r that starts
-// at position n of the enforced order, where n must be at most
-// FlipCut(seq, r, fo). Enforcing it with Options.BaseSteps = n on a
-// machine restored to the state just before step n behaves byte-
-// identically to the tail of a full PlanFlipOpt enforcement: the suffix's
-// first segment re-derives exactly the Skip count the full plan's pending
-// head would have left unconsumed at n, and Initial names the thread the
-// full run would be executing there.
-func PlanFlipFrom(seq []Exec, r Race, fallback []string, fo FlipOptions, n int) Schedule {
-	if r.Phantom {
-		return planPhantomFlipFrom(seq, r, fallback, n)
-	}
-	flipped := FlipSeqOpt(seq, r, fo)
-	return fromEntries(project(flipped)[n:], fallback)
 }
 
 // planPhantomFlipFrom is PlanPhantomFlip minus its first n steps, with
@@ -334,22 +367,21 @@ func planPhantomFlipFrom(seq []Exec, r Race, fallback []string, n int) Schedule 
 	if n == 0 {
 		return PlanPhantomFlip(seq, r, fallback)
 	}
-	entries := project(seq)
 	i := r.FirstStep
 
 	sch := Schedule{Fallback: fallback}
 	if n < i {
-		prefix := fromEntries(entries[n:i], fallback)
+		prefix := FromSeq(seq[n:i], fallback)
 		sch.Initial = prefix.Initial
 		sch.Points = append(sch.Points, prefix.Points...)
 		sch.Points = append(sch.Points, Point{
 			Run:  r.First.Thread,
 			At:   r.First.Instr,
-			Skip: skipWithinFinalSegment(entries[n:i], r.First.Thread, r.First.Instr),
+			Skip: skipWithinFinalSegment(seq[n:i], r.First.Thread, r.First.Instr),
 			To:   r.Second.Thread,
 		})
 	} else {
-		sch.Initial = entries[n-1].name
+		sch.Initial = seq[n-1].Name
 		sch.Points = append(sch.Points, Point{
 			Run: r.First.Thread,
 			At:  r.First.Instr,
@@ -362,7 +394,7 @@ func planPhantomFlipFrom(seq []Exec, r Race, fallback []string, n int) Schedule 
 		After: true,
 		To:    r.First.Thread,
 	})
-	sch.Points = append(sch.Points, fromEntries(entries[i:], fallback).Points...)
+	sch.Points = append(sch.Points, FromSeq(seq[i:], fallback).Points...)
 	return sch
 }
 
@@ -371,19 +403,19 @@ func planPhantomFlipFrom(seq []Exec, r Race, fallback []string, n int) Schedule 
 // occurrences of (thread, instr) inside the thread's final segment of the
 // prefix (earlier occurrences execute while earlier points are pending and
 // therefore never match this point).
-func skipWithinFinalSegment(entries []seqEntry, thread string, instr kir.InstrID) int {
+func skipWithinFinalSegment(seq []Exec, thread string, instr kir.InstrID) int {
 	// Find the final contiguous segment of the thread at the end of the
 	// prefix; if the prefix ends with another thread's segment, the flip
 	// point becomes head only when control returns to the thread, which is
 	// exactly at the boundary — no occurrences are consumed before it.
-	n := len(entries)
+	n := len(seq)
 	if n == 0 {
 		return 0
 	}
 	skip := 0
-	if entries[n-1].name == thread {
-		for k := n - 1; k >= 0 && entries[k].name == thread; k-- {
-			if entries[k].instr == instr {
+	if seq[n-1].Name == thread {
+		for k := n - 1; k >= 0 && seq[k].Name == thread; k-- {
+			if seq[k].Instr.ID == instr {
 				skip++
 			}
 		}

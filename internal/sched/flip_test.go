@@ -115,7 +115,8 @@ func TestPlanPhantomFlipAtStepZero(t *testing.T) {
 		SecondStep: -1,
 		Phantom:    true,
 	}
-	seq := []Exec{{Step: 0, Name: "B", Instr: prog.MustByLabel("B1")}}
+	b1 := prog.MustByLabel("B1")
+	seq := []Exec{{Step: 0, Name: "B", Instr: &b1}}
 	sch := PlanPhantomFlip(seq, r, []string{"A", "B"})
 	if sch.Initial != "A" {
 		t.Errorf("Initial = %q, want the Second thread", sch.Initial)

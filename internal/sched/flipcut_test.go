@@ -51,20 +51,25 @@ func failingPhantomRun(t *testing.T) (*kvm.Machine, *kvm.Snapshot, *RunResult, [
 // TestPlanFlipFromMatchesFullPlan is the contract the prefix cache is
 // built on: for any race, enforcing the suffix plan from the flip cut —
 // after bringing the machine to that position by replaying the recorded
-// sequence — produces exactly the steps and failure that enforcing the
-// full flip plan from the initial state produces, and the full plan's
-// prefix is the recorded sequence verbatim.
+// sequence, with the recorded prefix as Options.Prefix — returns exactly
+// the run that enforcing the full flip plan from the initial state
+// returns, and the full plan's prefix is the recorded sequence verbatim.
 func TestPlanFlipFromMatchesFullPlan(t *testing.T) {
 	m, init, res, races := failingPhantomRun(t)
 	fallback := []string{"A", "B"}
 	fo := FlipOptions{}
 	for i, r := range races {
-		cut := FlipCut(res.Seq, r, fo)
+		cut, suffix := PlanFlipCut(res.Seq, r, fallback, fo)
 		if cut < 0 || cut > len(res.Seq) {
 			t.Fatalf("race %d: cut = %d out of range [0, %d]", i, cut, len(res.Seq))
 		}
+		if want := FlipCut(res.Seq, r, fo); cut != want {
+			t.Fatalf("race %d: PlanFlipCut cut %d, FlipCut %d", i, cut, want)
+		}
+		if want := PlanFlipFrom(res.Seq, r, fallback, fo, cut); !reflect.DeepEqual(suffix, want) {
+			t.Fatalf("race %d: PlanFlipCut suffix %v, PlanFlipFrom %v", i, suffix, want)
+		}
 		full := PlanFlipOpt(res.Seq, r, fallback, fo)
-		suffix := PlanFlipFrom(res.Seq, r, fallback, fo, cut)
 
 		m.Restore(init)
 		fres, err := NewEnforcer(m).Run(full, Options{})
@@ -84,42 +89,51 @@ func TestPlanFlipFromMatchesFullPlan(t *testing.T) {
 				t.Fatalf("race %d: prefix replay step %d: executed=%v err=%v", i, j, ev.Executed, err)
 			}
 		}
-		sres, err := NewEnforcer(m).Run(suffix, Options{BaseSteps: cut})
+		sres, err := NewEnforcer(m).Run(suffix, Options{Prefix: res.Seq[:cut:cut]})
 		if err != nil {
 			t.Fatalf("race %d: suffix plan: %v", i, err)
 		}
-
-		if !reflect.DeepEqual(fres.Seq[cut:], sres.Seq) {
-			t.Errorf("race %d: suffix steps differ from the full plan's tail\nfull tail: %v\nsuffix:    %v",
-				i, fres.Seq[cut:], sres.Seq)
-		}
-		if !reflect.DeepEqual(fres.Failure, sres.Failure) {
-			t.Errorf("race %d: failures differ: %v vs %v", i, fres.Failure, sres.Failure)
+		if !reflect.DeepEqual(fres, sres) {
+			t.Errorf("race %d: prefix run differs from the full plan's run\nfull:   %+v\nprefix: %+v", i, fres, sres)
 		}
 	}
 }
 
 // TestEnforcerOnStepPositions: the OnStep hook fires once per executed
-// step with the cumulative schedule position (BaseSteps + steps so far) —
-// the positions the prefix cache pins at.
+// step with the cumulative schedule position (len(Prefix) + steps so far)
+// — the positions the prefix cache pins at — and the run appends its
+// steps, numbered from there, after the prefix.
 func TestEnforcerOnStepPositions(t *testing.T) {
-	m, init, _, _ := failingPhantomRun(t)
+	m, init, res, _ := failingPhantomRun(t)
 	m.Restore(init)
 	const base = 3
+	for j := 0; j < base; j++ {
+		if _, err := m.Step(res.Seq[j].Thread); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var got []int
 	rr, err := NewEnforcer(m).Run(Serial("A", "B"), Options{
-		BaseSteps: base,
-		OnStep:    func(pos int) { got = append(got, pos) },
+		Prefix: res.Seq[:base:base],
+		OnStep: func(pos int) { got = append(got, pos) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(rr.Seq) {
-		t.Fatalf("OnStep fired %d times for %d executed steps", len(got), len(rr.Seq))
+	if len(got) != len(rr.Seq)-base {
+		t.Fatalf("OnStep fired %d times for %d executed steps", len(got), len(rr.Seq)-base)
 	}
 	for i, pos := range got {
 		if pos != base+i+1 {
 			t.Fatalf("OnStep[%d] = %d, want %d", i, pos, base+i+1)
+		}
+	}
+	if !reflect.DeepEqual(rr.Seq[:base], res.Seq[:base]) {
+		t.Error("the run does not start with its prefix")
+	}
+	for k, e := range rr.Seq {
+		if e.Step != k {
+			t.Fatalf("Seq[%d].Step = %d", k, e.Step)
 		}
 	}
 }

@@ -1,0 +1,186 @@
+package sched
+
+import (
+	"cmp"
+	"slices"
+	"strings"
+
+	"aitia/internal/kvm"
+)
+
+// StepLog appends executed steps to a sequence. Each record's Accesses
+// and Lockset are packed into arenas the log shares across its records,
+// so recording a step allocates nothing once the arenas have grown.
+// Records point into the arenas with clamped capacity; an arena that
+// grows moves on to a new backing array and leaves the old records
+// intact.
+type StepLog struct {
+	Seq   []Exec
+	accs  []AccessRec
+	locks []uint64
+}
+
+// LogMark is a position in a StepLog, for Rewind.
+type LogMark struct{ seq, accs, locks int }
+
+// Append records one executed step of thread t (ev as returned by
+// m.Step). Its Step field is the record's index in Seq.
+func (l *StepLog) Append(m *kvm.Machine, t *kvm.Thread, ev kvm.StepEvent) {
+	exec := Exec{Step: len(l.Seq), Thread: t.ID, Name: t.Name, Instr: ev.Instr}
+	if len(ev.Accesses) > 0 {
+		k := len(l.accs)
+		for _, a := range ev.Accesses {
+			l.accs = append(l.accs, AccessRec{Addr: a.Addr, Write: a.Write})
+		}
+		exec.Accesses = l.accs[k:len(l.accs):len(l.accs)]
+	}
+	if len(t.Locks) > 0 {
+		k := len(l.locks)
+		l.locks = append(l.locks, t.Locks...)
+		exec.Lockset = l.locks[k:len(l.locks):len(l.locks)]
+	}
+	if ev.Spawned != kvm.NoThread {
+		exec.Spawned = m.Thread(ev.Spawned).Name
+	}
+	l.Seq = append(l.Seq, exec)
+}
+
+// Mark returns the log's current position.
+func (l *StepLog) Mark() LogMark {
+	return LogMark{seq: len(l.Seq), accs: len(l.accs), locks: len(l.locks)}
+}
+
+// Rewind truncates the log back to mk and reuses the space after it:
+// records appended since mk — and any shallow copy of them — become
+// invalid. Records that must outlive a rewind are copied with CloneSeq.
+func (l *StepLog) Rewind(mk LogMark) {
+	l.Seq = l.Seq[:mk.seq]
+	l.accs = l.accs[:mk.accs]
+	l.locks = l.locks[:mk.locks]
+}
+
+// Reset empties the log, keeping its capacity, and adopts seq as its
+// first records (shallowly: seq's accesses and locksets must stay
+// unmodified while the log uses them).
+func (l *StepLog) Reset(seq []Exec) {
+	l.Rewind(LogMark{})
+	l.Seq = append(l.Seq, seq...)
+}
+
+// CloneSeq returns a copy of seq that shares no memory with it apart from
+// the immutable instructions: one array for the records and one each for
+// all their accesses and locksets.
+func CloneSeq(seq []Exec) []Exec {
+	if seq == nil {
+		return nil
+	}
+	var na, nl int
+	for i := range seq {
+		na += len(seq[i].Accesses)
+		nl += len(seq[i].Lockset)
+	}
+	out := slices.Clone(seq)
+	accs := make([]AccessRec, 0, na)
+	locks := make([]uint64, 0, nl)
+	for i := range out {
+		if a := out[i].Accesses; len(a) > 0 {
+			k := len(accs)
+			accs = append(accs, a...)
+			out[i].Accesses = accs[k:len(accs):len(accs)]
+		}
+		if ls := out[i].Lockset; len(ls) > 0 {
+			k := len(locks)
+			locks = append(locks, ls...)
+			out[i].Lockset = locks[k:len(locks):len(locks)]
+		}
+	}
+	return out
+}
+
+// LoggedAccess is one observed access of a site.
+type LoggedAccess struct {
+	Site  Site
+	Addr  uint64
+	Write bool
+}
+
+// AccessLog is an append-only record of observed accesses. Recording is a
+// slice append, with none of an AccessMap's map work; Fold merges a log
+// into a map. Folding unions access modes bitwise, so folding any number
+// of logs, in any order, yields the same map — the property the parallel
+// LIFS search relies on when it merges its units' logs.
+type AccessLog []LoggedAccess
+
+// Add appends one observed access.
+func (l *AccessLog) Add(s Site, addr uint64, write bool) {
+	*l = append(*l, LoggedAccess{Site: s, Addr: addr, Write: write})
+}
+
+func compareLogged(a, b LoggedAccess) int {
+	if c := strings.Compare(a.Site.Thread, b.Site.Thread); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Site.Instr, b.Site.Instr); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Addr, b.Addr); c != 0 {
+		return c
+	}
+	switch {
+	case a.Write == b.Write:
+		return 0
+	case b.Write:
+		return -1
+	default:
+		return 1
+	}
+}
+
+// Compact sorts l in place — by thread, instruction, address, reads
+// first — and returns a new duplicate-free log of the same accesses.
+func (l AccessLog) Compact() AccessLog {
+	slices.SortFunc(l, compareLogged)
+	n := 0
+	for i := range l {
+		if i == 0 || l[i] != l[i-1] {
+			n++
+		}
+	}
+	out := make(AccessLog, 0, n)
+	for i := range l {
+		if i == 0 || l[i] != l[i-1] {
+			out = append(out, l[i])
+		}
+	}
+	return out
+}
+
+// Fold records every access of l into am.
+func (am *AccessMap) Fold(l AccessLog) {
+	for _, a := range l {
+		am.Record(a.Site, a.Addr, a.Write)
+	}
+}
+
+// Export flattens the log into the records of a map holding exactly its
+// accesses (AccessMap.Export).
+func (l AccessLog) Export() []AccessExport {
+	am := NewAccessMap()
+	am.Fold(l)
+	return am.Export()
+}
+
+// ImportAccessLog rebuilds an AccessLog from exported records.
+func ImportAccessLog(recs []AccessExport) AccessLog {
+	var l AccessLog
+	for _, r := range recs {
+		s := Site{Thread: r.Thread, Instr: r.Instr}
+		if r.Read {
+			l.Add(s, r.Addr, false)
+		}
+		if r.Write {
+			l.Add(s, r.Addr, true)
+		}
+	}
+	return l
+}

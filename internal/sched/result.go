@@ -26,12 +26,16 @@ type AccessRec struct {
 	Write bool
 }
 
-// Exec records one executed instruction in a run.
+// Exec records one executed instruction in a run. Instr points into the
+// finalized program the run executed; finalized programs are immutable,
+// so the record shares the instruction instead of copying it. Accesses
+// and Lockset are read-only: records of one run may share their backing
+// arrays.
 type Exec struct {
 	Step     int // index in RunResult.Seq
 	Thread   kvm.ThreadID
 	Name     string // thread name
-	Instr    kir.Instr
+	Instr    *kir.Instr
 	Accesses []AccessRec
 	Lockset  []uint64 // locks held by the thread just after this step
 	Spawned  string   // name of the thread this step spawned (queue_work/call_rcu)
@@ -163,33 +167,6 @@ func (am *AccessMap) Clone() *AccessMap {
 		cp.byAddr[a] = inner
 	}
 	return cp
-}
-
-// Merge folds every access recorded in other into am. Access modes are
-// bitmask-unioned, so merging any number of per-worker maps in any order
-// yields the same map — the property the parallel LIFS search relies on
-// when combining worker results between rounds.
-func (am *AccessMap) Merge(other *AccessMap) {
-	for s, byAddr := range other.m {
-		dst := am.m[s]
-		if dst == nil {
-			dst = make(map[uint64]accessMode, len(byAddr))
-			am.m[s] = dst
-		}
-		for a, mode := range byAddr {
-			dst[a] |= mode
-		}
-	}
-	for a, byThread := range other.byAddr {
-		dst := am.byAddr[a]
-		if dst == nil {
-			dst = make(map[string]accessMode, len(byThread))
-			am.byAddr[a] = dst
-		}
-		for t, mode := range byThread {
-			dst[t] |= mode
-		}
-	}
 }
 
 // ConflictsAt reports whether an access (thread, addr, write) conflicts

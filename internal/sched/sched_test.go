@@ -422,7 +422,7 @@ func TestFlipSeqProperties(t *testing.T) {
 func TestRepairSpawnOrder(t *testing.T) {
 	// A spawns K at step 1; a reordering put K's step before the spawn.
 	in := func(name string, id kir.InstrID, spawned string) Exec {
-		return Exec{Name: name, Instr: kir.Instr{ID: id}, Spawned: spawned}
+		return Exec{Name: name, Instr: &kir.Instr{ID: id}, Spawned: spawned}
 	}
 	seq := []Exec{
 		in("kworker:S", 10, ""), // violates: spawned at step 2
@@ -440,6 +440,12 @@ func TestRepairSpawnOrder(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
+	}
+
+	// A sequence that already respects spawn order comes back as is,
+	// without a copy.
+	if again := repairSpawnOrder(fixed); &again[0] != &fixed[0] || len(again) != len(fixed) {
+		t.Error("repair of a spawn-ordered sequence copied it")
 	}
 }
 
