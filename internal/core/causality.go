@@ -705,23 +705,19 @@ func surrounds(p, q sched.Race) bool {
 
 // flipRealized reports whether the intended reversed order was observed.
 func flipRealized(res *sched.RunResult, r sched.Race) bool {
-	if r.Phantom {
+	order, firstRan, secondRan := sched.RaceTrace(res, r)
+	switch {
+	case order == -1:
+		return true
+	case r.Phantom:
 		// The phantom's Second access had never executed; realization
 		// means it ran at all before First (or First vanished entirely).
-		switch sched.RaceOrder(res, r) {
-		case -1:
-			return true
-		}
-		return res.Executed(r.Second) && !res.Executed(r.First)
-	}
-	switch sched.RaceOrder(res, r) {
-	case -1:
-		return true
-	case 0:
+		return secondRan && !firstRan
+	case order == 0:
 		// The pair vanished: the flip steered control flow away from the
 		// racing accesses altogether, which also counts as "the original
 		// order did not happen".
-		return !res.Executed(r.First) || !res.Executed(r.Second)
+		return !firstRan || !secondRan
 	}
 	return false
 }

@@ -190,7 +190,7 @@ type caCheckpoint struct {
 // flipSnap is one settled flip test: its index in the deterministic
 // test order, the pre-ambiguity verdict, and a compressed form of the
 // flip run — just the executed (site, accesses) sequence, which is all
-// the chain construction (sched.RaceOccurred/RaceOrder, Executed)
+// the chain construction (sched.RaceOccurred/RaceTrace, executed sites)
 // consumes from it.
 type flipSnap struct {
 	Idx      int        `json:"idx"`

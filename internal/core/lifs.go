@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -324,7 +325,7 @@ func reproduceContext(ctx context.Context, m *kvm.Machine, opts LIFSOptions, all
 	}
 rounds:
 	for round := startRound; round < 2 && !s.found; round++ {
-		sitesBefore := len(s.am.Sites())
+		sitesBefore := s.am.NumSites()
 		startK := 0
 		if resume != nil && round == resume.Round {
 			sitesBefore = resume.SitesAtRoundStart
@@ -361,7 +362,7 @@ rounds:
 				}
 			}
 		}
-		if s.found || len(s.am.Sites()) == sitesBefore {
+		if s.found || s.am.NumSites() == sitesBefore {
 			break
 		}
 	}
@@ -719,13 +720,9 @@ type visShard struct {
 
 const visShards = 64
 
-func newVisitedSet() *visitedSet {
-	v := &visitedSet{}
-	for i := range v.shards {
-		v.shards[i].m = make(map[visKey]int)
-	}
-	return v
-}
+// newVisitedSet returns an empty set. A shard's map is made by its first
+// insert, so a phase that claims few states allocates few maps.
+func newVisitedSet() *visitedSet { return &visitedSet{} }
 
 func (v *visitedSet) shard(k visKey) *visShard {
 	return &v.shards[k.sig%visShards]
@@ -748,6 +745,9 @@ func (v *visitedSet) insert(k visKey, ordinal int) (claimant int, inserted bool)
 	defer sh.mu.Unlock()
 	if c, ok := sh.m[k]; ok {
 		return c, false
+	}
+	if sh.m == nil {
+		sh.m = make(map[visKey]int)
 	}
 	sh.m[k] = ordinal
 	return ordinal, true
@@ -780,7 +780,7 @@ type unit struct {
 	choice  int // task: index into the branch event's canonical choices
 	initial kvm.ThreadID
 
-	log    sched.AccessLog // accesses recorded by this unit, compacted
+	log    sched.AccessLog // accesses this unit recorded that its phase's base lacks
 	leaves []LeafTrace
 	cand   *candidate
 	branch branchInfo    // probe only
@@ -1237,17 +1237,17 @@ func newExplorer(p *phaseRun, u *unit, m *kvm.Machine, buf *traceBuf, probe bool
 }
 
 // run explores the unit — from the machine's initial state, or with a
-// script from its group's restored branch state — and leaves the unit's
-// compacted access log on the unit.
+// script from its group's restored branch state — and leaves a copy of
+// the unit's access log on the unit.
 func (e *explorer) run(budget int, sc *branchScript) {
 	e.buf.steps.Reset(nil)
-	e.buf.accs = e.buf.accs[:0]
+	e.buf.reset()
 	if sc == nil {
 		e.explore(e.u.initial, budget, nil)
 	} else {
 		e.resumeFromPin(sc, budget)
 	}
-	e.u.log = e.buf.accs.Compact()
+	e.u.log = slices.Clone(e.buf.accs)
 }
 
 // resumeFromPin continues a task from its group's restored branch state,
@@ -1530,7 +1530,12 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 	}
 }
 
-// record appends an executed step to the trace and the unit's access log.
+// record appends an executed step to the trace, and its accesses to the
+// unit's access log unless the phase-frozen base already holds them. The
+// filter cannot change the merged map: the phase merge is a union into
+// the searcher's map, which contains the base, and every unit of a phase
+// — local, remote (BranchBatch.Base) or resumed mid-phase — filters
+// against the same base.
 func (e *explorer) record(curT *kvm.Thread, ev kvm.StepEvent) {
 	if g := e.s.guide; g != nil {
 		if bits, ok := g.byInstr[ev.Instr.ID]; ok {
@@ -1539,7 +1544,9 @@ func (e *explorer) record(curT *kvm.Thread, ev kvm.StepEvent) {
 	}
 	site := sched.Site{Thread: curT.Name, Instr: ev.Instr.ID}
 	for _, a := range ev.Accesses {
-		e.buf.accs.Add(site, a.Addr, a.Write)
+		if !e.p.base.Has(site, a.Addr, a.Write) {
+			e.buf.log(site, a.Addr, a.Write)
+		}
 	}
 	e.buf.steps.Append(e.m, curT, ev)
 }

@@ -13,12 +13,14 @@ import (
 )
 
 // TestParallelReproduceMatchesSerial: the parallel search must return the
-// exact same reproduction as the serial one — schedule, race set and
-// interleaving count — across the whole scenario corpus, and an 8-worker
-// analysis of the parallel reproduction must yield a byte-identical
-// diagnosis, with the prefix cache on. (Stats.Schedules and Stats.Pruned
-// may legitimately differ: parallel units cannot see their in-flight
-// siblings' visited states; see TestParallelScheduleCountBound.)
+// exact same reproduction as the serial one — schedule, race set,
+// interleaving count and merged access knowledge (Accesses.Export, the
+// checkpoint and fleet wire form) — across the whole scenario corpus, and
+// a parallel analysis of the parallel reproduction must yield a
+// byte-identical diagnosis, with the prefix cache on. (Stats.Schedules
+// and Stats.Pruned may legitimately differ: parallel units cannot see
+// their in-flight siblings' visited states; see
+// TestParallelScheduleCountBound.)
 // Scoped to the hand-built subset so factory growth does not swell the
 // sweep; the factory itself asserts worker identity on its emissions.
 func TestParallelReproduceMatchesSerial(t *testing.T) {
@@ -46,7 +48,7 @@ func TestParallelReproduceMatchesSerial(t *testing.T) {
 				t.Fatalf("serial Analyze: %v", err)
 			}
 
-			for _, workers := range []int{2, 8} {
+			for _, workers := range []int{2, 4, 8} {
 				popts := opts
 				popts.Workers = workers
 				mP := mustMachine(t, prog)
@@ -59,6 +61,9 @@ func TestParallelReproduceMatchesSerial(t *testing.T) {
 				}
 				if !reflect.DeepEqual(par.Races, serial.Races) {
 					t.Errorf("workers=%d races = %v, want %v", workers, par.Races, serial.Races)
+				}
+				if got, want := par.Accesses.Export(), serial.Accesses.Export(); !reflect.DeepEqual(got, want) {
+					t.Errorf("workers=%d merged accesses differ from serial: %d records, want %d", workers, len(got), len(want))
 				}
 				if par.Stats.Interleavings != serial.Stats.Interleavings {
 					t.Errorf("workers=%d interleavings = %d, want %d",

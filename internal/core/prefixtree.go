@@ -115,10 +115,40 @@ type branchScript struct {
 // workerVM — serves them all, and the trace of a pinned task no longer
 // re-copies its group's prefix on its first step. Nothing in the buffer
 // outlives a unit: branch scripts and candidates take copies
-// (sched.CloneSeq), the unit keeps a compacted copy of its access log.
+// (sched.CloneSeq), the unit keeps a copy of its access log.
 type traceBuf struct {
 	steps sched.StepLog
 	accs  sched.AccessLog
+	// recent is a direct-mapped cache of accesses already in accs, so a
+	// unit re-executing the same suffix in schedule after schedule logs
+	// each access about once. A miss only costs a duplicate record,
+	// which Fold dedupes; the zero entry matches no access, as every
+	// thread has a name.
+	recent [1 << 6]sched.LoggedAccess // indexed by a 6-bit hash
+}
+
+// reset empties the access log and its cache for a new unit.
+func (b *traceBuf) reset() {
+	b.accs = b.accs[:0]
+	clear(b.recent[:])
+}
+
+// log appends an access unless the cache has seen it since reset.
+func (b *traceBuf) log(s sched.Site, addr uint64, write bool) {
+	a := sched.LoggedAccess{Site: s, Addr: addr, Write: write}
+	h := uint64(s.Instr)<<32 ^ addr
+	if n := len(s.Thread); n > 0 {
+		// Threads running the same code differ mostly at the end of
+		// their names (worker0, worker1).
+		h ^= uint64(n)<<48 ^ uint64(s.Thread[n-1])<<56
+	}
+	// Fibonacci hashing: the top bits of the product pick the slot.
+	slot := &b.recent[(h*0x9e3779b97f4a7c15)>>58]
+	if *slot == a {
+		return
+	}
+	*slot = a
+	b.accs = append(b.accs, a)
 }
 
 // flipCache incrementally replays prefixes of the canonical failing

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"aitia/internal/faultinject"
+	"aitia/internal/kir"
 	"aitia/internal/scenarios"
+	"aitia/internal/sched"
 )
 
 // prefixPipeline runs the serial Reproduce+Analyze pipeline on a fresh
@@ -206,5 +209,37 @@ func TestAnalyzeWarmHandoff(t *testing.T) {
 	// replay is far below even one pass over the sequence.
 	if seq := uint64(len(rep.Run.Seq)); warm.Stats.ReplayedInstrs >= seq {
 		t.Errorf("warm replay %d >= failing-sequence length %d", warm.Stats.ReplayedInstrs, seq)
+	}
+}
+
+// TestTraceBufLogDedupes: a trace buffer's access log, cache and all,
+// folds to the same map as every access it was handed, logs a repeated
+// stream far fewer times than it was handed, and forgets nothing across
+// a reset.
+func TestTraceBufLogDedupes(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	threads := []string{"a", "ab", "abc", "b"}
+	for _, distinct := range []int{8, 300} {
+		var buf traceBuf
+		buf.reset()
+		var raw sched.AccessLog
+		for n := 0; n < 5000; n++ {
+			k := rng.Intn(distinct)
+			s := sched.Site{Thread: threads[k%len(threads)], Instr: kir.InstrID(k % 13)}
+			addr, write := uint64(0x100+k%29), k%3 == 0
+			raw.Add(s, addr, write)
+			buf.log(s, addr, write)
+		}
+		if got, want := buf.accs.Export(), raw.Export(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d distinct accesses: log folds to %v, want %v", distinct, got, want)
+		}
+		if distinct == 8 && len(buf.accs) > 2*distinct {
+			t.Errorf("%d distinct accesses logged %d times", distinct, len(buf.accs))
+		}
+		buf.reset()
+		buf.log(raw[0].Site, raw[0].Addr, raw[0].Write)
+		if len(buf.accs) != 1 {
+			t.Errorf("after reset, logging a seen access left %d records, want 1", len(buf.accs))
+		}
 	}
 }

@@ -59,7 +59,14 @@ type Operand struct {
 	Reg  Reg    // register (KindReg, KindInd base)
 	Sym  string // global symbol (KindGlobal)
 	Off  int64  // word offset (KindGlobal, KindInd)
+
+	global int32 // KindGlobal: index+1 of Sym in Program.Globals, set by Finalize
 }
+
+// Global returns the index in Program.Globals of a KindGlobal operand's
+// symbol, resolved when the program was finalized; -1 before that and
+// for other kinds.
+func (o Operand) Global() int { return int(o.global) - 1 }
 
 // Imm returns an immediate operand.
 func Imm(v int64) Operand { return Operand{Kind: KindImm, Imm: v} }

@@ -216,8 +216,8 @@ func (p *Program) Finalize() error {
 		return fmt.Errorf("kir: program declares no threads")
 	}
 
-	globals := make(map[string]bool, len(p.Globals))
-	for _, g := range p.Globals {
+	globals := make(map[string]int32, len(p.Globals)) // name -> index+1
+	for gi, g := range p.Globals {
 		if g.Name == "" {
 			return fmt.Errorf("kir: global with empty name")
 		}
@@ -234,17 +234,17 @@ func (p *Program) Finalize() error {
 		if int64(len(g.Init)) > limit {
 			return fmt.Errorf("kir: global %q has %d initializers for %d words", g.Name, len(g.Init), limit)
 		}
-		if globals[g.Name] {
+		if globals[g.Name] != 0 {
 			return fmt.Errorf("kir: duplicate global %q", g.Name)
 		}
-		globals[g.Name] = true
+		globals[g.Name] = int32(gi) + 1
 	}
 	for _, g := range p.Globals {
 		for off, sym := range g.AddrOf {
 			if off < 0 || off >= g.Size {
 				return fmt.Errorf("kir: global %q: AddrOf offset %d out of range", g.Name, off)
 			}
-			if !globals[sym] {
+			if globals[sym] == 0 {
 				return fmt.Errorf("kir: global %q: AddrOf references undeclared global %q", g.Name, sym)
 			}
 		}
@@ -308,8 +308,11 @@ func (p *Program) Finalize() error {
 					return fmt.Errorf("kir: %s[%d]: call of undefined function %q", name, i, in.Target)
 				}
 			}
-			for _, opnd := range []Operand{in.A, in.B} {
-				if opnd.Kind == KindGlobal && !globals[opnd.Sym] {
+			for _, opnd := range []*Operand{&in.A, &in.B} {
+				if opnd.Kind != KindGlobal {
+					continue
+				}
+				if opnd.global = globals[opnd.Sym]; opnd.global == 0 {
 					return fmt.Errorf("kir: %s[%d]: undeclared global %q", name, i, opnd.Sym)
 				}
 			}

@@ -124,6 +124,7 @@ type StepEvent struct {
 type Machine struct {
 	prog      *kir.Program
 	space     *mem.Space
+	gbase     []uint64 // base address of each of prog.Globals, by index
 	threads   []*Thread
 	lockOwner map[uint64]ThreadID
 	failure   *sanitizer.Failure
@@ -163,8 +164,12 @@ func New(prog *kir.Program) (*Machine, error) {
 	m := &Machine{
 		prog:      prog,
 		space:     space,
+		gbase:     make([]uint64, len(prog.Globals)),
 		lockOwner: make(map[uint64]ThreadID),
 		spawnSeq:  make(map[kir.InstrID]int),
+	}
+	for i, g := range prog.Globals {
+		m.gbase[i], _ = space.GlobalAddr(g.Name)
 	}
 	for _, td := range prog.Threads {
 		t := &Thread{
@@ -383,17 +388,13 @@ func value(t *Thread, o kir.Operand) int64 {
 	}
 }
 
-// addr resolves an address operand. Global symbols were validated at
-// Finalize; indirect addresses may be anything (that is the point — wild
-// and NULL pointers fault at access time).
+// addr resolves an address operand. Global operands were resolved to
+// global indices at Finalize; indirect addresses may be anything (that is
+// the point — wild and NULL pointers fault at access time).
 func (m *Machine) addr(t *Thread, o kir.Operand) uint64 {
 	switch o.Kind {
 	case kir.KindGlobal:
-		base, ok := m.space.GlobalAddr(o.Sym)
-		if !ok {
-			panic(fmt.Sprintf("kvm: undeclared global %q", o.Sym))
-		}
-		return base + uint64(o.Off)
+		return m.gbase[o.Global()] + uint64(o.Off)
 	case kir.KindInd:
 		return uint64(t.Regs[o.Reg] + o.Off)
 	default:

@@ -8,6 +8,7 @@ package report
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -138,19 +139,27 @@ func Disappeared(original, perturbed *sched.RunResult) []string {
 	if perturbed == nil {
 		return nil
 	}
-	var out []string
-	seenOut := make(map[string]bool)
+	// The original's labelled sites, struck off as the perturbed run
+	// executes them. Sites, not labels, are compared: a run restored
+	// from a checkpoint carries instructions without labels.
+	gone := make(map[sched.Site]string)
 	for _, e := range original.Seq {
-		if e.Instr.Label == "" || seenOut[e.Instr.Label] {
-			continue
-		}
-		if !perturbed.Executed(e.Site()) {
-			seenOut[e.Instr.Label] = true
-			out = append(out, e.Instr.Label)
+		if e.Instr.Label != "" {
+			gone[e.Site()] = e.Instr.Label
 		}
 	}
+	for _, e := range perturbed.Seq {
+		if len(gone) == 0 {
+			return nil
+		}
+		delete(gone, e.Site())
+	}
+	var out []string
+	for _, label := range gone {
+		out = append(out, label)
+	}
 	sort.Strings(out)
-	return out
+	return slices.Compact(out)
 }
 
 // Table renders rows with aligned columns; the first row is the header.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"aitia/internal/core"
+	"aitia/internal/durable"
 	"aitia/internal/kir"
 	"aitia/internal/kvm"
 	"aitia/internal/scenarios"
@@ -135,5 +136,54 @@ func TestDecimalLen(t *testing.T) {
 		if got, want := decimalLen(n), len(strconv.Itoa(n)); got != want {
 			t.Errorf("decimalLen(%d) = %d, want %d", n, got, want)
 		}
+	}
+}
+
+// TestRestoredDiagnosisReportsLikeFresh: a diagnosis whose flip runs were
+// restored from a checkpoint (instructions carrying only their IDs)
+// renders the same report as the fresh diagnosis it was saved from, the
+// "[disappeared: ...]" notes included.
+func TestRestoredDiagnosisReportsLikeFresh(t *testing.T) {
+	notes := 0
+	for _, sc := range scenarios.HandBuilt() {
+		prog := sc.MustProgram()
+		m, err := kvm.New(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := core.Reproduce(m, core.LIFSOptions{WantKind: sc.WantKind, WantInstr: sc.WantInstr(), LeakCheck: sc.NeedsLeakCheck()})
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		st, err := durable.OpenCheckpointStore(t.TempDir(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := core.AnalysisOptions{LeakCheck: sc.NeedsLeakCheck(), Checkpoint: &core.CheckpointConfig{Store: st}}
+		render := func() string {
+			d, err := core.Analyze(m, rep, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", sc.Name, err)
+			}
+			var b strings.Builder
+			WriteDiagnosis(&b, prog, rep, d)
+			// Elapsed times differ between any two runs.
+			var kept []string
+			for _, line := range strings.Split(b.String(), "\n") {
+				if !strings.Contains(line, "elapsed:") {
+					kept = append(kept, line)
+				}
+			}
+			return strings.Join(kept, "\n")
+		}
+		fresh := render()
+		restored := render()
+		if restored != fresh {
+			t.Errorf("%s: restored report differs from fresh:\n--- fresh\n%s\n--- restored\n%s", sc.Name, fresh, restored)
+		}
+		notes += strings.Count(fresh, "[disappeared:")
+	}
+	if notes == 0 {
+		t.Error("no hand-built scenario reports a disappeared instruction; the test compares nothing")
 	}
 }

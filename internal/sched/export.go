@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"sort"
+	"slices"
 
 	"aitia/internal/kir"
 )
@@ -9,7 +9,8 @@ import (
 // AccessExport is the serializable form of one AccessMap entry: a site's
 // observed access to an address, split into read/write flags. It exists
 // for durable checkpoints — the in-memory AccessMap holds unexported
-// nested maps that neither encoding/json nor a future format could reach.
+// interned tables that neither encoding/json nor a future format could
+// reach.
 type AccessExport struct {
 	Thread string      `json:"t"`
 	Instr  kir.InstrID `json:"i"`
@@ -22,19 +23,21 @@ type AccessExport struct {
 // Sites() order, addresses ascending within a site. Import(Export()) is
 // an identity (the map is a pure union of such records).
 func (am *AccessMap) Export() []AccessExport {
-	var out []AccessExport
-	for _, s := range am.Sites() {
-		byAddr := am.m[s]
-		addrs := make([]uint64, 0, len(byAddr))
-		for a := range byAddr {
-			addrs = append(addrs, a)
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-		for _, a := range addrs {
-			mode := byAddr[a]
+	if len(am.modes) == 0 {
+		return nil
+	}
+	order := make([]*siteAddrs, len(am.sites))
+	for i := range am.sites {
+		order[i] = &am.sites[i]
+	}
+	slices.SortFunc(order, func(a, b *siteAddrs) int { return compareSites(a.site, b.site) })
+	out := make([]AccessExport, 0, len(am.modes))
+	for _, sa := range order {
+		for _, a := range sa.addrs {
+			mode := am.modes[accessKey{addr: a, site: sa.key}]
 			out = append(out, AccessExport{
-				Thread: s.Thread,
-				Instr:  s.Instr,
+				Thread: sa.site.Thread,
+				Instr:  sa.site.Instr,
 				Addr:   a,
 				Read:   mode&modeRead != 0,
 				Write:  mode&modeWrite != 0,

@@ -94,8 +94,8 @@ func TestPhantomRacesAndFlip(t *testing.T) {
 	if res2.Failed() {
 		t.Errorf("phantom flip still failed: %v\nseq: %s", res2.Failure, res2.FormatSeq(prog, false))
 	}
-	if RaceOrder(res2, r) != -1 {
-		t.Errorf("phantom flip order = %d, want -1 (A2 before B2)", RaceOrder(res2, r))
+	if order, _, _ := RaceTrace(res2, r); order != -1 {
+		t.Errorf("phantom flip order = %d, want -1 (A2 before B2)", order)
 	}
 }
 
@@ -132,7 +132,7 @@ func TestPlanPhantomFlipAtStepZero(t *testing.T) {
 	// The flip must be realized: A1 (the phantom's Second) executes
 	// before B1 (its First). The downstream BUG is the program's
 	// legitimate behaviour under that order and is irrelevant here.
-	if got := RaceOrder(res, r); got != -1 {
+	if got, _, _ := RaceTrace(res, r); got != -1 {
 		t.Errorf("flip order = %d, want -1 (A1 before B1); seq: %s",
 			got, res.FormatSeq(prog, false))
 	}

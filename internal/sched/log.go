@@ -1,9 +1,7 @@
 package sched
 
 import (
-	"cmp"
 	"slices"
-	"strings"
 
 	"aitia/internal/kvm"
 )
@@ -108,51 +106,13 @@ type LoggedAccess struct {
 // slice append, with none of an AccessMap's map work; Fold merges a log
 // into a map. Folding unions access modes bitwise, so folding any number
 // of logs, in any order, yields the same map — the property the parallel
-// LIFS search relies on when it merges its units' logs.
+// LIFS search relies on when it merges its units' logs. A log may hold
+// the same access many times; Fold and Export dedupe.
 type AccessLog []LoggedAccess
 
 // Add appends one observed access.
 func (l *AccessLog) Add(s Site, addr uint64, write bool) {
 	*l = append(*l, LoggedAccess{Site: s, Addr: addr, Write: write})
-}
-
-func compareLogged(a, b LoggedAccess) int {
-	if c := strings.Compare(a.Site.Thread, b.Site.Thread); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Site.Instr, b.Site.Instr); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Addr, b.Addr); c != 0 {
-		return c
-	}
-	switch {
-	case a.Write == b.Write:
-		return 0
-	case b.Write:
-		return -1
-	default:
-		return 1
-	}
-}
-
-// Compact sorts l in place — by thread, instruction, address, reads
-// first — and returns a new duplicate-free log of the same accesses.
-func (l AccessLog) Compact() AccessLog {
-	slices.SortFunc(l, compareLogged)
-	n := 0
-	for i := range l {
-		if i == 0 || l[i] != l[i-1] {
-			n++
-		}
-	}
-	out := make(AccessLog, 0, n)
-	for i := range l {
-		if i == 0 || l[i] != l[i-1] {
-			out = append(out, l[i])
-		}
-	}
-	return out
 }
 
 // Fold records every access of l into am.

@@ -141,13 +141,6 @@ func TestAccessLogMatchesAccessMap(t *testing.T) {
 	if !reflect.DeepEqual(log.Export(), am.Export()) {
 		t.Fatalf("log export differs from map export\nlog: %v\nmap: %v", log.Export(), am.Export())
 	}
-	compact := log.Compact()
-	if len(compact) >= len(log) {
-		t.Fatalf("Compact kept %d of %d entries", len(compact), len(log))
-	}
-	if !reflect.DeepEqual(compact.Export(), am.Export()) {
-		t.Fatal("Compact changed the accesses")
-	}
 	if !reflect.DeepEqual(ImportAccessLog(am.Export()).Export(), am.Export()) {
 		t.Fatal("ImportAccessLog does not round-trip")
 	}

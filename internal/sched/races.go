@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"aitia/internal/kir"
@@ -84,34 +85,36 @@ func commonLock(a, b []uint64) uint64 {
 	return 0
 }
 
-// accessPoint is an internal flattened view of one access in a run.
+// accessPoint is one access of a run: its step's index in Seq, and
+// whether it writes.
 type accessPoint struct {
-	step    int
-	site    Site
-	write   bool
-	lockset []uint64
+	i     int32
+	write bool
 }
 
-// accessesByAddr flattens a run into per-address ordered access lists.
-func accessesByAddr(res *RunResult) map[uint64][]accessPoint {
+// accessesByAddr flattens a run into per-address ordered access lists. It
+// also returns the addresses, in the order of their first access.
+func accessesByAddr(res *RunResult) (map[uint64][]accessPoint, []uint64) {
 	byAddr := make(map[uint64][]accessPoint)
-	for _, e := range res.Seq {
-		for _, a := range e.Accesses {
-			byAddr[a.Addr] = append(byAddr[a.Addr], accessPoint{
-				step:    e.Step,
-				site:    e.Site(),
-				write:   a.Write,
-				lockset: e.Lockset,
-			})
+	var addrs []uint64
+	for i := range res.Seq {
+		for _, a := range res.Seq[i].Accesses {
+			list, ok := byAddr[a.Addr]
+			if !ok {
+				addrs = append(addrs, a.Addr)
+			}
+			byAddr[a.Addr] = append(list, accessPoint{i: int32(i), write: a.Write})
 		}
 	}
-	return byAddr
+	return byAddr, addrs
 }
 
 // ExtractRaces returns the data races observed in a run: for every address
 // and every access, the pair formed with the *next conflicting access by a
 // different thread* (at least one of the two is a store), in observed
-// order, deduplicated by static site pair (the first occurrence wins).
+// order, deduplicated by static site pair. Addresses are visited in
+// ascending order, so when one site pair races on several addresses the
+// race on the lowest address wins.
 //
 // Pairing with the next conflicting access — rather than only the
 // immediately adjacent one — matters for patterns like double frees, where
@@ -121,27 +124,29 @@ func accessesByAddr(res *RunResult) map[uint64][]accessPoint {
 // The result is sorted by LastStep so that Causality Analysis can pop
 // races from the back of the failure-causing sequence.
 func ExtractRaces(res *RunResult) []Race {
-	byAddr := accessesByAddr(res)
+	byAddr, addrs := accessesByAddr(res)
+	slices.Sort(addrs)
 	seen := make(map[RaceKey]bool)
 	var races []Race
-	for addr, list := range byAddr {
+	for _, addr := range addrs {
+		list := byAddr[addr]
 		for i := 0; i < len(list); i++ {
-			first := list[i]
+			first := &res.Seq[list[i].i]
 			for j := i + 1; j < len(list); j++ {
-				second := list[j]
-				if second.site.Thread == first.site.Thread {
+				second := &res.Seq[list[j].i]
+				if second.Name == first.Name {
 					continue
 				}
-				if !first.write && !second.write {
+				if !list[i].write && !list[j].write {
 					continue
 				}
 				r := Race{
-					First:      first.site,
-					Second:     second.site,
+					First:      first.Site(),
+					Second:     second.Site(),
 					Addr:       addr,
-					FirstStep:  first.step,
-					SecondStep: second.step,
-					CSLock:     commonLock(first.lockset, second.lockset),
+					FirstStep:  first.Step,
+					SecondStep: second.Step,
+					CSLock:     commonLock(first.Lockset, second.Lockset),
 				}
 				if !seen[r.Key()] {
 					seen[r.Key()] = true
@@ -160,7 +165,9 @@ func ExtractRaces(res *RunResult) []Race {
 // known access of a thread that the failure left unfinished. For each
 // (executed-address, unexecuted-site) pair, the *last* executed access is
 // used as First, matching the paper's construction where B17 => A12 enters
-// the test set although A12 never ran.
+// the test set although A12 never ran. A site's addresses are visited in
+// ascending order, so when one site pair races on several addresses the
+// race on the lowest address wins.
 func PhantomRaces(res *RunResult, am *AccessMap) []Race {
 	// Threads that were cut short: unfinished or crashed.
 	unfinished := make(map[string]bool)
@@ -172,30 +179,35 @@ func PhantomRaces(res *RunResult, am *AccessMap) []Race {
 	if len(unfinished) == 0 {
 		return nil
 	}
-	byAddr := accessesByAddr(res)
+	byAddr, _ := accessesByAddr(res)
+	executed := make(map[Site]bool, len(res.Seq))
+	for _, e := range res.Seq {
+		executed[e.Site()] = true
+	}
 	seen := make(map[RaceKey]bool)
 	var races []Race
-	for _, s := range am.Sites() {
-		if !unfinished[s.Thread] || res.Executed(s) {
+	for _, sa := range am.sites {
+		s := sa.site
+		if !unfinished[s.Thread] || executed[s] {
 			continue
 		}
-		for addr := range am.Addrs(s) {
+		for _, addr := range sa.addrs {
 			list := byAddr[addr]
 			// Last executed *conflicting* access to addr by a different
 			// thread (read-read pairs are skipped, not terminal).
 			for i := len(list) - 1; i >= 0; i-- {
-				p := list[i]
-				if p.site.Thread == s.Thread {
+				p := &res.Seq[list[i].i]
+				if p.Name == s.Thread {
 					continue
 				}
-				if !p.write && !am.Writes(s, addr) {
+				if !list[i].write && am.modes[accessKey{addr: addr, site: sa.key}]&modeWrite == 0 {
 					continue
 				}
 				r := Race{
-					First:      p.site,
+					First:      p.Site(),
 					Second:     s,
 					Addr:       addr,
-					FirstStep:  p.step,
+					FirstStep:  p.Step,
 					SecondStep: -1,
 					Phantom:    true,
 				}
@@ -234,54 +246,43 @@ func sortRaces(races []Race) {
 // Causality Analysis uses the *negation* — "R2 does not occur" — to detect
 // race-steered control flow when another race is flipped.
 func RaceOccurred(res *RunResult, r Race) bool {
-	var firstTouched, secondTouched bool
-	for _, e := range res.Seq {
-		s := e.Site()
-		if s != r.First && s != r.Second {
-			continue
-		}
-		for _, a := range e.Accesses {
-			if a.Addr != r.Addr {
-				continue
-			}
-			if s == r.First {
-				firstTouched = true
-			} else {
-				secondTouched = true
-			}
-		}
-	}
-	return firstTouched && secondTouched
+	order, _, _ := RaceTrace(res, r)
+	return order != 0
 }
 
-// RaceOrder reports the observed order of the race's pair in a run:
-// +1 if First's access to the address precedes Second's, -1 if reversed,
-// 0 if the pair did not occur.
-func RaceOrder(res *RunResult, r Race) int {
+// RaceTrace scans a run once for a race's pair. order is +1 if First's
+// access to the race address precedes Second's, -1 if reversed, and 0 if
+// the pair did not occur; firstRan and secondRan report whether each
+// site executed at all, touching the address or not.
+func RaceTrace(res *RunResult, r Race) (order int, firstRan, secondRan bool) {
 	firstAt, secondAt := -1, -1
 	for _, e := range res.Seq {
 		s := e.Site()
-		if s != r.First && s != r.Second {
+		isFirst, isSecond := s == r.First, s == r.Second
+		if !isFirst && !isSecond {
 			continue
 		}
+		firstRan = firstRan || isFirst
+		secondRan = secondRan || isSecond
 		for _, a := range e.Accesses {
 			if a.Addr != r.Addr {
 				continue
 			}
-			if s == r.First && firstAt < 0 {
+			if isFirst && firstAt < 0 {
 				firstAt = e.Step
 			}
-			if s == r.Second && secondAt < 0 {
+			if isSecond && secondAt < 0 {
 				secondAt = e.Step
 			}
 		}
 	}
 	switch {
 	case firstAt < 0 || secondAt < 0:
-		return 0
+		order = 0
 	case firstAt < secondAt:
-		return +1
+		order = +1
 	default:
-		return -1
+		order = -1
 	}
+	return order, firstRan, secondRan
 }

@@ -303,8 +303,8 @@ func TestRaceOrderAndOccurrence(t *testing.T) {
 		if !RaceOccurred(res, r) {
 			t.Errorf("race %s did not occur in its own run", r.Format(prog))
 		}
-		if RaceOrder(res, r) != 1 {
-			t.Errorf("race %s order = %d, want +1", r.Format(prog), RaceOrder(res, r))
+		if order, _, _ := RaceTrace(res, r); order != 1 {
+			t.Errorf("race %s order = %d, want +1", r.Format(prog), order)
 		}
 	}
 	// In the all-serial B-first run, the x race does not occur (B1 reads
