@@ -31,6 +31,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -44,6 +45,7 @@ import (
 	"aitia/internal/kir"
 	"aitia/internal/kvm"
 	"aitia/internal/manager"
+	"aitia/internal/mem"
 	"aitia/internal/obs"
 	"aitia/internal/prior"
 	"aitia/internal/report"
@@ -210,7 +212,10 @@ type PhaseStat struct {
 	Elapsed   time.Duration `json:"elapsed"`
 }
 
-// Result is a completed diagnosis.
+// Result is a completed diagnosis. It holds the program, reproduction
+// and diagnosis it was built from — every flip run included — so that
+// Report can render the full text on demand; a caller that keeps many
+// results should keep their Summary instead.
 type Result struct {
 	// Scenario is the scenario name, when diagnosed from the corpus.
 	Scenario string
@@ -286,8 +291,22 @@ type Result struct {
 	// only). Always false without Options.CheckpointDir.
 	Resumed       bool
 	CheckpointAge time.Duration
-	// Report is the full human-readable diagnosis report.
-	Report string
+
+	// What Report renders from.
+	prog *kir.Program
+	rep  *core.Reproduction
+	diag *core.Diagnosis
+}
+
+// Report renders the full human-readable diagnosis report ("" for a
+// Result not built by this package).
+func (r *Result) Report() string {
+	if r.diag == nil {
+		return ""
+	}
+	var sb strings.Builder
+	report.WriteDiagnosis(&sb, r.prog, r.rep, r.diag)
+	return sb.String()
 }
 
 // ScenarioInfo describes one corpus entry.
@@ -639,21 +658,18 @@ func maxU64(a, b uint64) uint64 {
 
 // buildResult converts internal results to the public shape.
 func buildResult(prog *kir.Program, rep *core.Reproduction, d *core.Diagnosis) *Result {
-	m, _ := kvm.New(prog) // for symbolizing addresses
+	space, _ := mem.NewSpace(prog.Globals) // for symbolizing addresses
 	variable := func(addr uint64) string {
-		if m != nil {
-			if sym, off, ok := m.Space().SymbolAt(addr); ok {
+		if space != nil {
+			if sym, off, ok := space.SymbolAt(addr); ok {
 				if off != 0 {
-					return fmt.Sprintf("%s+%d", sym, off)
+					return sym + "+" + strconv.FormatUint(off, 10)
 				}
 				return sym
 			}
 		}
-		return fmt.Sprintf("%#x", addr)
+		return "0x" + strconv.FormatUint(addr, 16)
 	}
-	var sb strings.Builder
-	report.WriteDiagnosis(&sb, prog, rep, d)
-
 	res := &Result{
 		Failure:           d.Failure.Kind.String(),
 		FailSequence:      rep.Run.FormatSeq(prog, false),
@@ -678,7 +694,9 @@ func buildResult(prog *kir.Program, rep *core.Reproduction, d *core.Diagnosis) *
 		DiagnoseTime:      d.Stats.Elapsed,
 		Resumed:           rep.Stats.Resumed || d.Stats.Resumed,
 		CheckpointAge:     rep.Stats.CheckpointAge,
-		Report:            sb.String(),
+		prog:              prog,
+		rep:               rep,
+		diag:              d,
 	}
 	for _, p := range rep.Stats.Phases {
 		res.Phases = append(res.Phases, PhaseStat{Budget: p.Budget, Schedules: p.Schedules, Elapsed: p.Elapsed})

@@ -52,7 +52,7 @@ func TestDiagnoseScenario(t *testing.T) {
 	if len(res.Benign) == 0 {
 		t.Error("the planted benign stats race is missing")
 	}
-	if !strings.Contains(res.Report, "Causality chain") {
+	if !strings.Contains(res.Report(), "Causality chain") {
 		t.Error("report not rendered")
 	}
 	if res.Interleavings != 2 || res.LIFSSchedules == 0 || res.AnalysisSchedules == 0 {

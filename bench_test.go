@@ -532,6 +532,33 @@ func BenchmarkRaceExtraction(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyze measures one cold Causality Analysis: every flip test
+// of a reproduction, run on a machine other than the one that reproduced
+// it, so no prefix snapshot carries over from the search.
+func BenchmarkAnalyze(b *testing.B) {
+	sc, _ := scenarios.ByName("cve-2017-15649")
+	prog := sc.MustProgram()
+	m, err := kvm.New(prog)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := core.Reproduce(m, core.LIFSOptions{WantKind: sc.WantKind, WantInstr: sc.WantInstr()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	am, err := kvm.New(prog)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Analyze(am, rep, core.AnalysisOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFuzzerRun measures the bug finder's per-run cost.
 func BenchmarkFuzzerRun(b *testing.B) {
 	sc, _ := scenarios.ByName("fig5")

@@ -126,7 +126,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Print(fres.Diagnosis.Report)
+		fmt.Print(fres.Diagnosis.Report())
 	}
 }
 

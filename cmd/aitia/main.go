@@ -148,7 +148,7 @@ func main() {
 		fmt.Println(res.Chain)
 		return
 	}
-	fmt.Print(res.Report)
+	fmt.Print(res.Report())
 }
 
 // writeTrace exports the tracer's events as a Chrome trace-event JSON

@@ -82,7 +82,7 @@ type Ranked struct {
 
 // Analyze extracts patterns from a labeled corpus and ranks them by
 // correlation with the failure. Runs must contain at least one failing
-// and one passing execution.
+// and one passing execution, each a full run (empty Base).
 func Analyze(runs []*sched.RunResult) ([]Ranked, error) {
 	var nFail, nPass int
 	failOcc := make(map[Pattern]int)

@@ -43,7 +43,7 @@ func (r *Result) Format(prog *kir.Program) string {
 // Analyze locates the inflection point of a failed run against a corpus
 // of non-failed runs. It returns an error when no passing runs are
 // available or the failed run never deviates (both outside Kairux's
-// assumptions).
+// assumptions). All runs must be full runs (empty Base).
 func Analyze(failRun *sched.RunResult, passRuns []*sched.RunResult) (*Result, error) {
 	if failRun == nil || !failRun.Failed() {
 		return nil, fmt.Errorf("kairux: need a failed run")

@@ -66,7 +66,7 @@ type Options struct {
 // Mine extracts correlated variable pairs from an execution corpus. The
 // access unit is (run, thread): the set of shared addresses one thread
 // touched in one execution — the dynamic analogue of MUVI's per-function
-// access sets.
+// access sets. The runs must be full runs (empty Base).
 func Mine(runs []*sched.RunResult, opts Options) []Correlation {
 	if opts.MinConfidence <= 0 {
 		opts.MinConfidence = DefaultMinConfidence

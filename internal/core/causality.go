@@ -17,9 +17,9 @@ import (
 	"aitia/internal/sched"
 )
 
-// flipSeqSlack is the room a flip run's sequence gets beyond the failing
-// run's length: a flip changes the order of a few steps and their
-// control flow, so most flip runs fit without regrowing.
+// flipSeqSlack is the room a flip run's own step records get beyond the
+// failing run's length past the cut: a flip changes the order of a few
+// steps and their control flow, so most flip runs fit without regrowing.
 const flipSeqSlack = 16
 
 // Verdict is the outcome of testing one data race's causality to the
@@ -358,9 +358,10 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 	testRace := func(ctx context.Context, enf *sched.Enforcer, init *kvm.Snapshot, fc *flipCache, idx int, r sched.Race) (TestedRace, error) {
 		// The flip schedule replays failSeq verbatim up to its cut; with
 		// the cache on, Seek brings the machine there (from the deepest
-		// pinned ancestor) and only the suffix plan is enforced, appended
-		// to the recorded prefix so the run is exactly a full
-		// enforcement's.
+		// pinned ancestor) and only the suffix plan is enforced. The run
+		// shares failSeq[:cut] as its Base and records only its own
+		// steps, so Base followed by Seq is exactly a full enforcement's
+		// sequence.
 		cut, plan := sched.PlanFlipCut(failSeq, r, fallback, fo)
 		if fc == nil {
 			plan = sched.PlanFlipOpt(failSeq, r, fallback, fo)
@@ -377,12 +378,13 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 				if err := fc.Seek(cut, "ca.flip", uint64(idx), attempt); err != nil {
 					return err
 				}
-				// The run appends to the prefix: give it room for a
-				// failing run's length so it rarely regrows.
-				ro.Prefix = append(make([]sched.Exec, 0, len(failSeq)+flipSeqSlack), failSeq[:cut]...)
+				ro.Prefix = failSeq[:cut:cut]
 			} else if err := enf.Machine().TryRestore(init, "ca.flip", uint64(idx), attempt); err != nil {
 				return err
 			}
+			// Size the run's own records for the rest of a failing run's
+			// length, so they rarely regrow.
+			ro.SeqCap = len(failSeq) - len(ro.Prefix) + flipSeqSlack
 			res, err := enf.Run(plan, ro)
 			if err != nil {
 				return err

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"aitia/internal/kir"
@@ -276,13 +276,13 @@ func buildChain(d *Diagnosis, failure *sanitizer.Failure) *Chain {
 		// non-independent of the chain (including the final groups, whose
 		// empty successor set means "directly causes the failure").
 		sig := func(gi int) string {
-			var ss []int
+			var ss []byte
 			for gj := 0; gj < ng; gj++ {
 				if adj[gi][gj] {
-					ss = append(ss, gj)
+					ss = strconv.AppendInt(append(ss, ' '), int64(gj), 10)
 				}
 			}
-			return fmt.Sprint(ss)
+			return string(ss)
 		}
 		merged := false
 		seen := make(map[string]int)

@@ -221,12 +221,16 @@ func snapFlip(idx int, tr TestedRace) flipSnap {
 	}
 	if tr.FlipRun != nil {
 		fs.Failed = tr.FlipRun.Failed()
-		for _, e := range tr.FlipRun.Seq {
-			fs.Seq = append(fs.Seq, flipExec{
-				Thread:   e.Name,
-				Instr:    e.Instr.ID,
-				Accesses: e.Accesses,
-			})
+		fs.Seq = make([]flipExec, 0, len(tr.FlipRun.Base)+len(tr.FlipRun.Seq))
+		for _, part := range tr.FlipRun.Parts() {
+			for i := range part {
+				e := &part[i]
+				fs.Seq = append(fs.Seq, flipExec{
+					Thread:   e.Name,
+					Instr:    e.Instr.ID,
+					Accesses: e.Accesses,
+				})
+			}
 		}
 	}
 	return fs

@@ -2,17 +2,28 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"aitia/internal/scenarios"
 	"aitia/internal/sched"
 )
 
+// joinedRun returns a copy of res whose Seq is its complete sequence,
+// Base followed by Seq, and whose Base is empty: the shape of the same
+// run enforced from the initial state.
+func joinedRun(res *sched.RunResult) *sched.RunResult {
+	cp := *res
+	cp.Base, cp.Seq = nil, append(slices.Clone(res.Base), res.Seq...)
+	return &cp
+}
+
 // TestPlanFlipCutCorpus: on the failing run of every corpus scenario, for
 // every race of its test set (phantom races included), PlanFlipCut's one
 // flip yields exactly FlipCut's cut and PlanFlipFrom's suffix plan, and
 // enforcing that suffix after the recorded prefix — with the prefix as
-// Options.Prefix — returns a run deep-equal to the full flip plan's.
+// Options.Prefix — returns a run whose Base followed by Seq deep-equals
+// the full flip plan's run.
 func TestPlanFlipCutCorpus(t *testing.T) {
 	races, phantoms := 0, 0
 	for _, sc := range scenarios.All() {
@@ -66,12 +77,12 @@ func TestPlanFlipCutCorpus(t *testing.T) {
 					}
 				}
 				pro := ro
-				pro.Prefix = append([]sched.Exec(nil), seq[:cut]...)
+				pro.Prefix = seq[:cut:cut]
 				got, err := sched.NewEnforcer(m).Run(suffix, pro)
 				if err != nil {
 					t.Fatalf("%s race %d: suffix plan: %v", sc.Name, i, err)
 				}
-				if !reflect.DeepEqual(got, full) {
+				if got = joinedRun(got); !reflect.DeepEqual(got, full) {
 					t.Fatalf("%s race %d (cut %d of %d): prefix run differs from the full plan's run\nfull:   switches %d missed %d failure %v, %d steps\nprefix: switches %d missed %d failure %v, %d steps",
 						sc.Name, i, cut, len(seq), full.Switches, full.Missed, full.Failure, len(full.Seq),
 						got.Switches, got.Missed, got.Failure, len(got.Seq))

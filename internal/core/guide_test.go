@@ -19,9 +19,9 @@ func guideFor(rep *Reproduction) *Guide {
 	r := rep.Races[len(rep.Races)-1]
 	return &Guide{Suspects: []SuspectAccess{
 		{Instr: r.First.Instr, Thread: r.First.Thread, Addr: r.Addr,
-			Write: rep.Accesses.Writes(r.First, r.Addr)},
+			Write: rep.Accesses.Has(r.First, r.Addr, true)},
 		{Instr: r.Second.Instr, Thread: r.Second.Thread, Addr: r.Addr,
-			Write: rep.Accesses.Writes(r.Second, r.Addr)},
+			Write: rep.Accesses.Has(r.Second, r.Addr, true)},
 	}}
 }
 

@@ -164,7 +164,7 @@ type LeafTrace struct {
 // sequence (as a run result), a schedule that deterministically replays
 // it, all data races found in it, and the accumulated access knowledge.
 type Reproduction struct {
-	Run      *sched.RunResult
+	Run      *sched.RunResult // the failing run, a full run (empty Base)
 	Schedule sched.Schedule
 	Races    []sched.Race
 	Accesses *sched.AccessMap
@@ -427,6 +427,8 @@ rounds:
 		ro.FaultOp = "lifs.replay"
 		ro.FaultAttempt = attempt
 		ro.Ctx = ctx
+		// The replay re-executes the found trace: size its log once.
+		ro.SeqCap = len(s.foundTrace)
 		if seedFC != nil {
 			ro.OnStep = func(pos int) {
 				if pos%seedFC.stride == 0 {

@@ -68,7 +68,7 @@ func comparePipelines(t *testing.T, sc *scenarios.Scenario, repA, repB *Reproduc
 		ra, rb := dA.Tested[i].FlipRun, dB.Tested[i].FlipRun
 		if (ra == nil) != (rb == nil) {
 			t.Errorf("flip run %d present in one pipeline only", i)
-		} else if ra != nil && !reflect.DeepEqual(ra.Seq, rb.Seq) {
+		} else if ra != nil && !reflect.DeepEqual(joinedRun(ra).Seq, joinedRun(rb).Seq) {
 			t.Errorf("flip run %d differs step for step", i)
 		}
 	}
@@ -106,6 +106,46 @@ func TestPrefixCacheOnOffIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFlipRunSharesFailingPrefix: with the cache on, every executed flip
+// run holds the failing run's first cut records by reference — its Base
+// is rep.Run.Seq[:cut] itself, not a copy — and Base followed by its own
+// steps is exactly the cache-off flip run, enforcement metadata included.
+func TestFlipRunSharesFailingPrefix(t *testing.T) {
+	flips := 0
+	for _, sc := range scenarios.HandBuilt() {
+		prog := sc.MustProgram()
+		var fallback []string
+		for _, td := range prog.Threads {
+			fallback = append(fallback, td.Name)
+		}
+		rep, dOn := prefixPipeline(t, sc, PrefixConfig{}, nil)
+		_, dOff := prefixPipeline(t, sc, PrefixConfig{Disable: true}, nil)
+		failSeq := rep.Run.Seq
+		for i, tr := range dOn.Tested {
+			if tr.FlipRun == nil {
+				continue
+			}
+			flips++
+			cut, _ := sched.PlanFlipCut(failSeq, tr.Race, fallback, sched.FlipOptions{})
+			base := tr.FlipRun.Base
+			if len(base) != cut || (cut > 0 && &base[0] != &failSeq[0]) {
+				t.Errorf("%s flip %d: Base has %d records, want failing run's first %d shared", sc.Name, i, len(base), cut)
+			}
+			off := dOff.Tested[i].FlipRun
+			if len(off.Base) != 0 {
+				t.Errorf("%s flip %d: cache-off run has a Base of %d records", sc.Name, i, len(off.Base))
+			}
+			if !reflect.DeepEqual(joinedRun(tr.FlipRun), off) {
+				t.Errorf("%s flip %d (cut %d): Base followed by Seq differs from the cache-off flip run", sc.Name, i, cut)
+			}
+		}
+	}
+	if flips == 0 {
+		t.Fatal("no executed flip")
+	}
+	t.Logf("%d executed flips", flips)
 }
 
 // TestPrefixBudgetExhaustionKeepsResults: a 1-byte budget refuses every

@@ -90,6 +90,7 @@ func (t *Trace) Format() string {
 // FromRun synthesizes a trace from an executed run: enter/exit events at
 // each thread's first/last step, invoke events at spawn steps, and the
 // crash. fds optionally assigns file descriptors to syscall threads.
+// res must be a full run (empty Base).
 func FromRun(res *sched.RunResult, fds map[string]int) *Trace {
 	tr := &Trace{Crash: res.Failure, FDs: fds}
 	first := make(map[string]int)

@@ -2,6 +2,7 @@ package kir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -73,7 +74,9 @@ func (in Instr) Name() string {
 	if in.Label != "" {
 		return in.Label
 	}
-	return fmt.Sprintf("%s+%d", in.Fn, in.Idx)
+	// Concatenated rather than formatted: names are built for every
+	// result, and fmt's printer pool would refill after each GC.
+	return in.Fn + "+" + strconv.Itoa(in.Idx)
 }
 
 // hasDstReg reports whether the opcode writes a destination register.

@@ -1,6 +1,9 @@
 package kir
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Reg names a general-purpose register. Every thread has NumRegs registers;
 // a thread's functions share the register file (registers model the values
@@ -31,7 +34,7 @@ const (
 )
 
 // String returns the assembler name of the register.
-func (r Reg) String() string { return fmt.Sprintf("r%d", uint8(r)) }
+func (r Reg) String() string { return "r" + strconv.Itoa(int(r)) }
 
 // OperandKind discriminates Operand variants.
 type OperandKind uint8
@@ -103,19 +106,19 @@ func (o Operand) String() string {
 	case KindNone:
 		return "_"
 	case KindImm:
-		return fmt.Sprintf("%d", o.Imm)
+		return strconv.FormatInt(o.Imm, 10)
 	case KindReg:
 		return o.Reg.String()
 	case KindGlobal:
 		if o.Off != 0 {
-			return fmt.Sprintf("[%s+%d]", o.Sym, o.Off)
+			return "[" + o.Sym + "+" + strconv.FormatInt(o.Off, 10) + "]"
 		}
-		return fmt.Sprintf("[%s]", o.Sym)
+		return "[" + o.Sym + "]"
 	case KindInd:
 		if o.Off != 0 {
-			return fmt.Sprintf("[%s+%d]", o.Reg, o.Off)
+			return "[" + o.Reg.String() + "+" + strconv.FormatInt(o.Off, 10) + "]"
 		}
-		return fmt.Sprintf("[%s]", o.Reg)
+		return "[" + o.Reg.String() + "]"
 	default:
 		return fmt.Sprintf("operand(%d)", uint8(o.Kind))
 	}

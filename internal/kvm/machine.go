@@ -13,6 +13,7 @@ package kvm
 
 import (
 	"fmt"
+	"strconv"
 
 	"aitia/internal/faultinject"
 	"aitia/internal/kir"
@@ -339,7 +340,7 @@ func (m *Machine) CheckLeaks() *sanitizer.Failure {
 		Kind:  sanitizer.KindMemoryLeak,
 		Instr: o.AllocSite,
 		Addr:  o.Base,
-		Msg:   fmt.Sprintf("%d object(s) never freed; first allocated at %s", len(leaked), m.prog.InstrName(o.AllocSite)),
+		Msg:   strconv.Itoa(len(leaked)) + " object(s) never freed; first allocated at " + m.prog.InstrName(o.AllocSite),
 	}
 	return m.failure
 }
@@ -365,10 +366,11 @@ func (m *Machine) fail(t *Thread, in *kir.Instr, kind sanitizer.Kind, addr uint6
 func (m *Machine) failFault(t *Thread, in *kir.Instr, fault *mem.Fault) *sanitizer.Failure {
 	msg := ""
 	if fault.Object != nil {
-		msg = fmt.Sprintf("object %#x (size %d) allocated at %s",
-			fault.Object.Base, fault.Object.Size, m.prog.InstrName(fault.Object.AllocSite))
+		msg = "object 0x" + strconv.FormatUint(fault.Object.Base, 16) +
+			" (size " + strconv.FormatInt(fault.Object.Size, 10) + ") allocated at " +
+			m.prog.InstrName(fault.Object.AllocSite)
 		if fault.Object.FreeSite != kir.NoInstr {
-			msg += fmt.Sprintf(", freed at %s", m.prog.InstrName(fault.Object.FreeSite))
+			msg += ", freed at " + m.prog.InstrName(fault.Object.FreeSite)
 		}
 	}
 	return m.fail(t, in, sanitizer.FromFault(fault), fault.Addr, msg)
@@ -594,7 +596,7 @@ func (m *Machine) step(tid ThreadID) (StepEvent, error) {
 
 	case kir.OpBugOn:
 		if value(t, in.A) != 0 {
-			ev.Failure = m.fail(t, in, sanitizer.KindBugOn, 0, fmt.Sprintf("BUG_ON(%s != 0)", in.A))
+			ev.Failure = m.fail(t, in, sanitizer.KindBugOn, 0, "BUG_ON("+in.A.String()+" != 0)")
 			return ev, nil
 		}
 
@@ -608,7 +610,7 @@ func (m *Machine) step(tid ThreadID) (StepEvent, error) {
 		dup, fault := m.space.ListHas(a, v)
 		if fault == nil && dup {
 			ev.Failure = m.fail(t, in, sanitizer.KindBugOn, a,
-				fmt.Sprintf("list_add corruption: entry %d is already on the list", v))
+				"list_add corruption: entry "+strconv.FormatInt(v, 10)+" is already on the list")
 			return ev, nil
 		}
 		if fault == nil {
@@ -678,9 +680,9 @@ func (m *Machine) step(tid ThreadID) (StepEvent, error) {
 		if in.Op == kir.OpCallRCU {
 			kind, prefix = kir.KindSoftirq, "rcu"
 		}
-		name := fmt.Sprintf("%s:%s", prefix, m.prog.InstrName(in.ID))
+		name := prefix + ":" + m.prog.InstrName(in.ID)
 		if n := m.spawnSeq[in.ID]; n > 0 {
-			name = fmt.Sprintf("%s#%d", name, n)
+			name += "#" + strconv.Itoa(n)
 		}
 		m.saveSpawnSeq(in.ID)
 		m.spawnSeq[in.ID]++

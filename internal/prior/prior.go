@@ -9,7 +9,7 @@
 package prior
 
 import (
-	"fmt"
+	"strconv"
 	"sync"
 
 	"aitia/internal/core"
@@ -52,11 +52,11 @@ func symbol(o kir.Operand) string {
 	switch o.Kind {
 	case kir.KindGlobal:
 		if o.Off != 0 {
-			return fmt.Sprintf("[%s+%d]", o.Sym, o.Off)
+			return "[" + o.Sym + "+" + strconv.FormatInt(o.Off, 10) + "]"
 		}
 		return "[" + o.Sym + "]"
 	case kir.KindInd:
-		return fmt.Sprintf("[heap+%d]", o.Off)
+		return "[heap+" + strconv.FormatInt(o.Off, 10) + "]"
 	}
 	return ""
 }

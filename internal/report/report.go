@@ -133,8 +133,9 @@ func decimalLen(n int) int {
 // Disappeared lists the labelled instructions of the original failing run
 // that no longer execute in a perturbed run — the paper's Figure 6(a)
 // "Disappeared" column, the visible footprint of a race-steered control
-// flow. A nil perturbed run (a flip settled by the learned prior without
-// executing) has no footprint.
+// flow. Either run may be a flip run; both its parts are read. A nil
+// perturbed run (a flip settled by the learned prior without executing)
+// has no footprint.
 func Disappeared(original, perturbed *sched.RunResult) []string {
 	if perturbed == nil {
 		return nil
@@ -143,16 +144,20 @@ func Disappeared(original, perturbed *sched.RunResult) []string {
 	// executes them. Sites, not labels, are compared: a run restored
 	// from a checkpoint carries instructions without labels.
 	gone := make(map[sched.Site]string)
-	for _, e := range original.Seq {
-		if e.Instr.Label != "" {
-			gone[e.Site()] = e.Instr.Label
+	for _, part := range original.Parts() {
+		for i := range part {
+			if in := part[i].Instr; in.Label != "" {
+				gone[part[i].Site()] = in.Label
+			}
 		}
 	}
-	for _, e := range perturbed.Seq {
-		if len(gone) == 0 {
-			return nil
+	for _, part := range perturbed.Parts() {
+		for i := range part {
+			if len(gone) == 0 {
+				return nil
+			}
+			delete(gone, part[i].Site())
 		}
-		delete(gone, e.Site())
 	}
 	var out []string
 	for _, label := range gone {

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"cmp"
-	"maps"
 	"slices"
 	"strings"
 
@@ -94,7 +93,8 @@ func (am *AccessMap) key(s Site) (k siteKey, ok bool) {
 	return siteKey{instr: s.Instr, thread: t}, t >= 0
 }
 
-// RecordRun folds a run's accesses into the map.
+// RecordRun folds a run's accesses into the map. res must be a full run
+// (empty Base).
 func (am *AccessMap) RecordRun(res *RunResult) {
 	for _, e := range res.Seq {
 		for _, a := range e.Accesses {
@@ -146,24 +146,6 @@ func (am *AccessMap) Has(s Site, addr uint64, write bool) bool {
 	return ok && am.modes[accessKey{addr: addr, site: sk}]&modeOf(write) != 0
 }
 
-// Clone returns an independent copy of the map.
-func (am *AccessMap) Clone() *AccessMap {
-	cp := &AccessMap{
-		threads: slices.Clone(am.threads),
-		modes:   maps.Clone(am.modes),
-		byAddr:  make(map[uint64][]threadMode, len(am.byAddr)),
-		sites:   slices.Clone(am.sites),
-		siteIdx: maps.Clone(am.siteIdx),
-	}
-	for a, list := range am.byAddr {
-		cp.byAddr[a] = slices.Clone(list)
-	}
-	for i := range cp.sites {
-		cp.sites[i].addrs = slices.Clone(cp.sites[i].addrs)
-	}
-	return cp
-}
-
 // ConflictsAt reports whether an access (thread, addr, write) conflicts
 // with any access of a different thread recorded so far: the addresses
 // match and at least one side writes.
@@ -184,90 +166,10 @@ func (am *AccessMap) ConflictsAt(thread string, addr uint64, write bool) bool {
 // NumSites returns the number of known sites.
 func (am *AccessMap) NumSites() int { return len(am.sites) }
 
+// compareSites orders sites by thread name, then instruction.
 func compareSites(a, b Site) int {
 	if c := strings.Compare(a.Thread, b.Thread); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.Instr, b.Instr)
-}
-
-// Sites returns all known sites in deterministic order: by thread name,
-// then instruction.
-func (am *AccessMap) Sites() []Site {
-	out := make([]Site, len(am.sites))
-	for i := range am.sites {
-		out[i] = am.sites[i].site
-	}
-	slices.SortFunc(out, compareSites)
-	return out
-}
-
-// siteAddrs returns the addresses a site has been observed to access, in
-// ascending order. The slice belongs to the map.
-func (am *AccessMap) siteAddrs(s Site) []uint64 {
-	sk, ok := am.key(s)
-	if !ok {
-		return nil
-	}
-	si, ok := am.siteIdx[sk]
-	if !ok {
-		return nil
-	}
-	return am.sites[si].addrs
-}
-
-// Addrs returns the addresses a site has been observed to access.
-func (am *AccessMap) Addrs(s Site) map[uint64]bool {
-	addrs := am.siteAddrs(s)
-	out := make(map[uint64]bool, len(addrs))
-	for _, a := range addrs {
-		out[a] = true
-	}
-	return out
-}
-
-// Writes reports whether the site has been observed to write addr.
-func (am *AccessMap) Writes(s Site, addr uint64) bool {
-	return am.Has(s, addr, true)
-}
-
-// ConflictAddrs returns the addresses where sites a and b conflict: both
-// access the address and at least one writes it. Sites on the same thread
-// never conflict (conflicts require different threads by definition).
-func (am *AccessMap) ConflictAddrs(a, b Site) []uint64 {
-	if a.Thread == b.Thread {
-		return nil
-	}
-	ka, okA := am.key(a)
-	kb, okB := am.key(b)
-	if !okA || !okB {
-		return nil
-	}
-	var out []uint64
-	for _, addr := range am.siteAddrs(a) {
-		mb := am.modes[accessKey{addr: addr, site: kb}]
-		if mb != 0 && (am.modes[accessKey{addr: addr, site: ka}]|mb)&modeWrite != 0 {
-			out = append(out, addr)
-		}
-	}
-	return out
-}
-
-// ConflictsWithAny reports whether site s conflicts with any known site of
-// a different thread, at any of its addresses. LIFS asks the narrower
-// ConflictsAt, for the addresses an instruction is about to touch.
-func (am *AccessMap) ConflictsWithAny(s Site) bool {
-	sk, ok := am.key(s)
-	if !ok {
-		return false
-	}
-	for _, addr := range am.siteAddrs(s) {
-		ms := am.modes[accessKey{addr: addr, site: sk}]
-		for _, tm := range am.byAddr[addr] {
-			if tm.thread != sk.thread && (ms|tm.mode)&modeWrite != 0 {
-				return true
-			}
-		}
-	}
-	return false
 }

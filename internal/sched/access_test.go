@@ -58,7 +58,8 @@ func (am *naiveAccessMap) ConflictsAt(thread string, addr uint64, write bool) bo
 	return false
 }
 
-func (am *naiveAccessMap) Sites() []Site {
+// sortedSites returns the known sites by thread name, then instruction.
+func (am *naiveAccessMap) sortedSites() []Site {
 	out := make([]Site, 0, len(am.m))
 	for s := range am.m {
 		out = append(out, s)
@@ -72,51 +73,9 @@ func (am *naiveAccessMap) Sites() []Site {
 	return out
 }
 
-func (am *naiveAccessMap) Addrs(s Site) map[uint64]bool {
-	out := make(map[uint64]bool, len(am.m[s]))
-	for a := range am.m[s] {
-		out[a] = true
-	}
-	return out
-}
-
-func (am *naiveAccessMap) Writes(s Site, addr uint64) bool {
-	return am.m[s][addr]&modeWrite != 0
-}
-
-func (am *naiveAccessMap) ConflictAddrs(a, b Site) []uint64 {
-	if a.Thread == b.Thread {
-		return nil
-	}
-	var out []uint64
-	for addr, ma := range am.m[a] {
-		mb, ok := am.m[b][addr]
-		if !ok {
-			continue
-		}
-		if ma&modeWrite != 0 || mb&modeWrite != 0 {
-			out = append(out, addr)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func (am *naiveAccessMap) ConflictsWithAny(s Site) bool {
-	for other := range am.m {
-		if other.Thread == s.Thread {
-			continue
-		}
-		if len(am.ConflictAddrs(s, other)) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 func (am *naiveAccessMap) Export() []AccessExport {
 	var out []AccessExport
-	for _, s := range am.Sites() {
+	for _, s := range am.sortedSites() {
 		byAddr := am.m[s]
 		addrs := make([]uint64, 0, len(byAddr))
 		for a := range byAddr {
@@ -159,10 +118,7 @@ func threadNames(n int) []string {
 func compareAccessMaps(t *testing.T, got *AccessMap, want *naiveAccessMap, threads []string, rng *rand.Rand, nInstr, nAddr int) {
 	t.Helper()
 	probe := append(slices.Clone(threads), "never-seen", "T", "")
-	sites := want.Sites()
-	if g := got.Sites(); !reflect.DeepEqual(g, sites) && len(g)+len(sites) > 0 {
-		t.Fatalf("Sites = %v, want %v", g, sites)
-	}
+	sites := want.sortedSites()
 	if got.NumSites() != len(sites) {
 		t.Fatalf("NumSites = %d, want %d", got.NumSites(), len(sites))
 	}
@@ -177,23 +133,10 @@ func compareAccessMaps(t *testing.T, got *AccessMap, want *naiveAccessMap, threa
 	}
 	for i := 0; i < 50; i++ {
 		a := Site{Thread: probe[rng.Intn(len(probe))], Instr: kir.InstrID(rng.Intn(nInstr + 1))}
-		b := Site{Thread: probe[rng.Intn(len(probe))], Instr: kir.InstrID(rng.Intn(nInstr + 1))}
 		if len(sites) > 0 && i%2 == 0 {
-			a, b = sites[rng.Intn(len(sites))], sites[rng.Intn(len(sites))]
-		}
-		if g, x := got.Addrs(a), want.Addrs(a); !reflect.DeepEqual(g, x) {
-			t.Fatalf("Addrs(%v) = %v, want %v", a, g, x)
-		}
-		if g, x := got.ConflictAddrs(a, b), want.ConflictAddrs(a, b); !reflect.DeepEqual(g, x) {
-			t.Fatalf("ConflictAddrs(%v, %v) = %v, want %v", a, b, g, x)
-		}
-		if g, x := got.ConflictsWithAny(a), want.ConflictsWithAny(a); g != x {
-			t.Fatalf("ConflictsWithAny(%v) = %v, want %v", a, g, x)
+			a = sites[rng.Intn(len(sites))]
 		}
 		addr := uint64(rng.Intn(nAddr + 1))
-		if g, x := got.Writes(a, addr), want.Writes(a, addr); g != x {
-			t.Fatalf("Writes(%v, %d) = %v, want %v", a, addr, g, x)
-		}
 		for _, w := range []bool{false, true} {
 			if g, x := got.Has(a, addr, w), want.Has(a, addr, w); g != x {
 				t.Fatalf("Has(%v, %d, %v) = %v, want %v", a, addr, w, g, x)
@@ -206,9 +149,6 @@ func compareAccessMaps(t *testing.T, got *AccessMap, want *naiveAccessMap, threa
 	}
 	if g := ImportAccessMap(exp).Export(); !reflect.DeepEqual(g, exp) {
 		t.Fatal("ImportAccessMap does not round-trip")
-	}
-	if g := got.Clone().Export(); !reflect.DeepEqual(g, exp) {
-		t.Fatal("Clone differs from its source")
 	}
 }
 

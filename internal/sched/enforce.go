@@ -22,11 +22,18 @@ type Options struct {
 	// Prefix holds the schedule steps already executed before this run
 	// started — non-empty when the caller brought the machine to a
 	// prefix-cache position and enforces only a suffix schedule. The run
-	// appends its steps to Prefix (so it may use Prefix's spare
-	// capacity), numbers them, and accounts the watchdog/stall budgets,
-	// from len(Prefix); the prefix's thread boundaries count as switches.
-	// A suffix run thereby returns exactly the result of the full run.
+	// never copies or writes it: it returns Prefix by reference as
+	// RunResult.Base and records only its own steps into RunResult.Seq,
+	// numbering them, and accounting the watchdog/stall budgets, from
+	// len(Prefix); the prefix's thread boundaries count as switches. A
+	// suffix run thereby returns exactly the full run's sequence, split
+	// into Base and Seq.
 	Prefix []Exec
+
+	// SeqCap, when positive, is the number of own step records the run
+	// allocates up front (the caller's estimate of the run's length past
+	// Prefix), so RunResult.Seq does not grow from empty.
+	SeqCap int
 
 	// OnStep, when non-nil, is called after every executed step with the
 	// cumulative schedule position (len(Prefix) + steps executed so far).
@@ -126,7 +133,13 @@ func (e *Enforcer) Run(sch Schedule, opts Options) (*RunResult, error) {
 	stallAt := opts.Fault.StallStep(faultOp, opts.FaultKey, opts.FaultAttempt)
 	var ticks uint
 	res := &RunResult{Threads: make(map[string]kvm.ThreadState)}
-	log := StepLog{Seq: opts.Prefix}
+	if len(opts.Prefix) > 0 {
+		res.Base = opts.Prefix
+	}
+	log := StepLog{base: len(opts.Prefix)}
+	if opts.SeqCap > 0 {
+		log.Seq = make([]Exec, 0, opts.SeqCap)
+	}
 	// A full run switches once per thread boundary of the replayed
 	// prefix; so does a suffix run, which counts them up front.
 	for i := 1; i < len(opts.Prefix); i++ {
@@ -266,13 +279,13 @@ func (e *Enforcer) Run(sch Schedule, opts Options) (*RunResult, error) {
 			continue
 		}
 
-		if n := len(log.Seq); n > 0 && n == len(opts.Prefix) && res.Switches == prefixSwitches && log.Seq[n-1].Name != curT.Name {
+		if n := len(opts.Prefix); n > 0 && len(log.Seq) == 0 && res.Switches == prefixSwitches && opts.Prefix[n-1].Name != curT.Name {
 			// The seam: the full run switched from the prefix's last
 			// thread to this one, which this run started on directly.
 			res.Switches++
 		}
 		log.Append(e.m, curT, ev)
-		pos := len(log.Seq)
+		pos := len(opts.Prefix) + len(log.Seq)
 		if opts.OnStep != nil {
 			opts.OnStep(pos)
 		}

@@ -19,8 +19,8 @@ type AccessExport struct {
 	Write  bool        `json:"w,omitempty"`
 }
 
-// Export flattens the map into a deterministic record list: sites in
-// Sites() order, addresses ascending within a site. Import(Export()) is
+// Export flattens the map into a deterministic record list: sites by
+// thread name, then instruction, addresses ascending within a site. Import(Export()) is
 // an identity (the map is a pure union of such records).
 func (am *AccessMap) Export() []AccessExport {
 	if len(am.modes) == 0 {

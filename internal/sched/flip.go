@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"slices"
+
 	"aitia/internal/kir"
 )
 
@@ -65,8 +67,22 @@ type FlipOptions struct {
 // in seq); phantom races are planned by PlanPhantomFlip.
 func FlipSeq(seq []Exec, r Race) []Exec { return FlipSeqOpt(seq, r, FlipOptions{}) }
 
-// FlipSeqOpt is FlipSeq with ablation switches.
+// FlipSeqOpt is FlipSeq with ablation switches: seq up to the displaced
+// region, followed by flipTail's tail.
 func FlipSeqOpt(seq []Exec, r Race, fo FlipOptions) []Exec {
+	i, tail := flipTail(seq, r, fo)
+	// seq[:i:i] has no spare capacity: the append copies it into a new
+	// array sized for the tail too.
+	return append(seq[:i:i], tail...)
+}
+
+// flipTail builds only the part of race r's flipped order that can
+// differ from seq: it returns the displaced region's start i and the
+// flipped order from position i on, so FlipSeqOpt(seq, r, fo) is seq[:i]
+// followed by the tail. seq must be an executed order — every entry of
+// a spawned thread follows its spawn — so the spawn repair never moves
+// an entry of seq[:i]; it is told which threads seq[:i] already spawned.
+func flipTail(seq []Exec, r Race, fo FlipOptions) (int, []Exec) {
 	if r.Phantom {
 		panic("sched: FlipSeq on a phantom race")
 	}
@@ -75,20 +91,30 @@ func FlipSeqOpt(seq []Exec, r Race, fo FlipOptions) []Exec {
 		i, j = widenCriticalSections(seq, r)
 	}
 	tX := r.First.Thread
-	out := make([]Exec, 0, len(seq))
-	out = append(out, seq[:i]...)
+	tail := make([]Exec, 0, len(seq)-i)
 	for k := i; k <= j; k++ {
 		if seq[k].Name != tX {
-			out = append(out, seq[k])
+			tail = append(tail, seq[k])
 		}
 	}
 	for k := i; k <= j; k++ {
 		if seq[k].Name == tX {
-			out = append(out, seq[k])
+			tail = append(tail, seq[k])
 		}
 	}
-	out = append(out, seq[j+1:]...)
-	return repairSpawnOrder(out)
+	tail = append(tail, seq[j+1:]...)
+	return i, repairSpawnOrder(tail, spawnedIn(seq[:i]))
+}
+
+// spawnedIn returns the names of the threads spawned in seq, each once.
+func spawnedIn(seq []Exec) []string {
+	var names []string
+	for k := range seq {
+		if name := seq[k].Spawned; name != "" && !slices.Contains(names, name) {
+			names = append(names, name)
+		}
+	}
+	return names
 }
 
 // repairSpawnOrder restores spawn causality in a reordered sequence: a
@@ -99,11 +125,15 @@ func FlipSeqOpt(seq []Exec, r Race, fo FlipOptions) []Exec {
 // while delaying the syscall that queues the work) are thereby resolved
 // the same way the hypervisor would resolve them: the worker simply runs
 // later. Repair iterates because spawn chains nest (syscall -> kworker ->
-// RCU callback). A sequence that already respects spawn order is returned
-// as is.
-func repairSpawnOrder(seq []Exec) []Exec {
-	for pass := 0; pass < 8 && spawnOrderViolated(seq); pass++ {
+// RCU callback). seq may continue an executed prefix; spawned names the
+// threads that prefix already spawned, whose entries are never held. A
+// sequence that already respects spawn order is returned as is.
+func repairSpawnOrder(seq []Exec, spawned []string) []Exec {
+	for pass := 0; pass < 8 && spawnOrderViolated(seq, spawned); pass++ {
 		spawnAt := make(map[string]int) // thread name -> spawn step position
+		for _, name := range spawned {
+			spawnAt[name] = -1
+		}
 		for pos, e := range seq {
 			if e.Spawned != "" {
 				if _, dup := spawnAt[e.Spawned]; !dup {
@@ -149,12 +179,13 @@ func repairSpawnOrder(seq []Exec) []Exec {
 }
 
 // spawnOrderViolated reports whether some thread has an entry before the
-// first entry that spawns it. It allocates nothing: sequences hold few
-// spawns, so each spawn scans the entries before it.
-func spawnOrderViolated(seq []Exec) bool {
+// first entry that spawns it, where spawned names the threads an executed
+// prefix before seq already spawned. It allocates nothing: sequences hold
+// few spawns, so each spawn scans the entries before it.
+func spawnOrderViolated(seq []Exec, spawned []string) bool {
 	for pos := range seq {
 		name := seq[pos].Spawned
-		if name == "" {
+		if name == "" || slices.Contains(spawned, name) {
 			continue
 		}
 		first := true
@@ -287,7 +318,9 @@ func PlanPhantomFlip(seq []Exec, r Race, fallback []string) Schedule {
 // that starts there. Enforcing the suffix with Options.Prefix = seq[:cut]
 // on a machine brought to the state just before step cut returns exactly
 // the result of enforcing the full PlanFlipOpt plan from the initial
-// state. It equals FlipCut followed by PlanFlipFrom at that cut.
+// state. It equals FlipCut followed by PlanFlipFrom at that cut, but
+// builds only the flipped tail (flipTail), never a copy of the whole
+// sequence.
 //
 // For a displacement flip the cut is the first position whose entry moved
 // (entries keep their original Step stamps through the flip and the spawn
@@ -304,16 +337,17 @@ func PlanFlipCut(seq []Exec, r Race, fallback []string, fo FlipOptions) (int, Sc
 		}
 		return cut, planPhantomFlipFrom(seq, r, fallback, cut)
 	}
-	flipped := FlipSeqOpt(seq, r, fo)
-	cut := 0
-	if stamped {
-		cut = firstMoved(flipped)
+	if !stamped {
+		return 0, FromSeq(FlipSeqOpt(seq, r, fo), fallback)
 	}
-	return cut, FromSeq(flipped[cut:], fallback)
+	i, tail := flipTail(seq, r, fo)
+	moved := firstMoved(tail, i)
+	return i + moved, FromSeq(tail[moved:], fallback)
 }
 
-// FlipCut returns the cut PlanFlipCut returns, flipping the race on its
-// own; it is the reference PlanFlipCut is checked against.
+// FlipCut returns the cut PlanFlipCut returns, flipping the whole
+// sequence on its own; it is the reference PlanFlipCut is checked
+// against.
 func FlipCut(seq []Exec, r Race, fo FlipOptions) int {
 	if !positionStamped(seq) {
 		return 0
@@ -321,7 +355,7 @@ func FlipCut(seq []Exec, r Race, fo FlipOptions) int {
 	if r.Phantom {
 		return r.FirstStep
 	}
-	return firstMoved(FlipSeqOpt(seq, r, fo))
+	return firstMoved(FlipSeqOpt(seq, r, fo), 0)
 }
 
 // PlanFlipFrom builds the suffix of the flip plan for race r that starts
@@ -347,11 +381,12 @@ func positionStamped(seq []Exec) bool {
 	return true
 }
 
-// firstMoved returns the first position of a flipped sequence whose entry
-// is not the recorded entry of that position.
-func firstMoved(flipped []Exec) int {
+// firstMoved returns the first index k of flipped, a flipped order that
+// starts at position from, whose entry is not the recorded entry of
+// position from+k (len(flipped) when none moved).
+func firstMoved(flipped []Exec, from int) int {
 	for k := range flipped {
-		if flipped[k].Step != k {
+		if flipped[k].Step != from+k {
 			return k
 		}
 	}

@@ -2,10 +2,20 @@ package sched
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"aitia/internal/kvm"
 )
+
+// joined returns a copy of res whose Seq is its complete sequence, Base
+// followed by Seq, and whose Base is empty: the shape of the same run
+// enforced from the initial state.
+func joined(res *RunResult) *RunResult {
+	cp := *res
+	cp.Base, cp.Seq = nil, append(slices.Clone(res.Base), res.Seq...)
+	return &cp
+}
 
 // failingPhantomRun reproduces the canonical failing run of phantomProg
 // (A executes A1, B fails at B3 before A2 runs) and returns the machine,
@@ -93,7 +103,10 @@ func TestPlanFlipFromMatchesFullPlan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("race %d: suffix plan: %v", i, err)
 		}
-		if !reflect.DeepEqual(fres, sres) {
+		if len(fres.Base) != 0 {
+			t.Errorf("race %d: a run from the initial state has a Base of %d steps", i, len(fres.Base))
+		}
+		if !reflect.DeepEqual(fres, joined(sres)) {
 			t.Errorf("race %d: prefix run differs from the full plan's run\nfull:   %+v\nprefix: %+v", i, fres, sres)
 		}
 	}
@@ -101,8 +114,8 @@ func TestPlanFlipFromMatchesFullPlan(t *testing.T) {
 
 // TestEnforcerOnStepPositions: the OnStep hook fires once per executed
 // step with the cumulative schedule position (len(Prefix) + steps so far)
-// — the positions the prefix cache pins at — and the run appends its
-// steps, numbered from there, after the prefix.
+// — the positions the prefix cache pins at — and the run returns the
+// prefix as its Base and records its own steps, numbered from there.
 func TestEnforcerOnStepPositions(t *testing.T) {
 	m, init, res, _ := failingPhantomRun(t)
 	m.Restore(init)
@@ -120,18 +133,19 @@ func TestEnforcerOnStepPositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(rr.Seq)-base {
-		t.Fatalf("OnStep fired %d times for %d executed steps", len(got), len(rr.Seq)-base)
+	if len(got) != len(rr.Seq) {
+		t.Fatalf("OnStep fired %d times for %d executed steps", len(got), len(rr.Seq))
 	}
 	for i, pos := range got {
 		if pos != base+i+1 {
 			t.Fatalf("OnStep[%d] = %d, want %d", i, pos, base+i+1)
 		}
 	}
-	if !reflect.DeepEqual(rr.Seq[:base], res.Seq[:base]) {
-		t.Error("the run does not start with its prefix")
+	full := joined(rr).Seq
+	if !reflect.DeepEqual(full[:base], res.Seq[:base]) || &rr.Base[0] != &res.Seq[0] {
+		t.Error("the run does not start with its prefix, shared")
 	}
-	for k, e := range rr.Seq {
+	for k, e := range full {
 		if e.Step != k {
 			t.Fatalf("Seq[%d].Step = %d", k, e.Step)
 		}

@@ -16,15 +16,17 @@ type StepLog struct {
 	Seq   []Exec
 	accs  []AccessRec
 	locks []uint64
+	base  int // Step stamp of Seq[0]: the length of the prefix the log continues
 }
 
 // LogMark is a position in a StepLog, for Rewind.
 type LogMark struct{ seq, accs, locks int }
 
 // Append records one executed step of thread t (ev as returned by
-// m.Step). Its Step field is the record's index in Seq.
+// m.Step). Its Step field is the record's position in the run: its index
+// in Seq, counted from the end of the prefix the log continues.
 func (l *StepLog) Append(m *kvm.Machine, t *kvm.Thread, ev kvm.StepEvent) {
-	exec := Exec{Step: len(l.Seq), Thread: t.ID, Name: t.Name, Instr: ev.Instr}
+	exec := Exec{Step: l.base + len(l.Seq), Thread: t.ID, Name: t.Name, Instr: ev.Instr}
 	if len(ev.Accesses) > 0 {
 		k := len(l.accs)
 		for _, a := range ev.Accesses {

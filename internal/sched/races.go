@@ -58,7 +58,7 @@ func (r Race) LastStep() int {
 
 // Format renders the race in paper notation, e.g. "A6 => B12".
 func (r Race) Format(prog *kir.Program) string {
-	return fmt.Sprintf("%s => %s", prog.InstrName(r.First.Instr), prog.InstrName(r.Second.Instr))
+	return prog.InstrName(r.First.Instr) + " => " + prog.InstrName(r.Second.Instr)
 }
 
 // FormatLong renders the race with thread and address detail.
@@ -122,7 +122,8 @@ func accessesByAddr(res *RunResult) (map[uint64][]accessPoint, []uint64) {
 // (read_A, read_B, write_B, write_A): the race read_A => write_B is the
 // one whose flip prevents the failure, and it is not an adjacent pair.
 // The result is sorted by LastStep so that Causality Analysis can pop
-// races from the back of the failure-causing sequence.
+// races from the back of the failure-causing sequence. res must be a
+// full run (empty Base), such as a reproduction's failing run.
 func ExtractRaces(res *RunResult) []Race {
 	byAddr, addrs := accessesByAddr(res)
 	slices.Sort(addrs)
@@ -167,7 +168,7 @@ func ExtractRaces(res *RunResult) []Race {
 // used as First, matching the paper's construction where B17 => A12 enters
 // the test set although A12 never ran. A site's addresses are visited in
 // ascending order, so when one site pair races on several addresses the
-// race on the lowest address wins.
+// race on the lowest address wins. res must be a full run (empty Base).
 func PhantomRaces(res *RunResult, am *AccessMap) []Race {
 	// Threads that were cut short: unfinished or crashed.
 	unfinished := make(map[string]bool)
@@ -253,26 +254,30 @@ func RaceOccurred(res *RunResult, r Race) bool {
 // RaceTrace scans a run once for a race's pair. order is +1 if First's
 // access to the race address precedes Second's, -1 if reversed, and 0 if
 // the pair did not occur; firstRan and secondRan report whether each
-// site executed at all, touching the address or not.
+// site executed at all, touching the address or not. The run may be a
+// flip run: its shared Base is scanned before its own steps.
 func RaceTrace(res *RunResult, r Race) (order int, firstRan, secondRan bool) {
 	firstAt, secondAt := -1, -1
-	for _, e := range res.Seq {
-		s := e.Site()
-		isFirst, isSecond := s == r.First, s == r.Second
-		if !isFirst && !isSecond {
-			continue
-		}
-		firstRan = firstRan || isFirst
-		secondRan = secondRan || isSecond
-		for _, a := range e.Accesses {
-			if a.Addr != r.Addr {
+	for _, part := range res.Parts() {
+		for i := range part {
+			e := &part[i]
+			s := e.Site()
+			isFirst, isSecond := s == r.First, s == r.Second
+			if !isFirst && !isSecond {
 				continue
 			}
-			if isFirst && firstAt < 0 {
-				firstAt = e.Step
-			}
-			if isSecond && secondAt < 0 {
-				secondAt = e.Step
+			firstRan = firstRan || isFirst
+			secondRan = secondRan || isSecond
+			for _, a := range e.Accesses {
+				if a.Addr != r.Addr {
+					continue
+				}
+				if isFirst && firstAt < 0 {
+					firstAt = e.Step
+				}
+				if isSecond && secondAt < 0 {
+					secondAt = e.Step
+				}
 			}
 		}
 	}

@@ -31,7 +31,7 @@ type AccessRec struct {
 // and Lockset are read-only: records of one run may share their backing
 // arrays.
 type Exec struct {
-	Step     int // index in RunResult.Seq
+	Step     int // position in the run: index in RunResult.Base, then Seq
 	Thread   kvm.ThreadID
 	Name     string // thread name
 	Instr    *kir.Instr
@@ -46,7 +46,16 @@ func (e Exec) Site() Site { return Site{Thread: e.Name, Instr: e.Instr.ID} }
 // RunResult is the outcome of one enforced run: the totally ordered
 // instruction sequence that executed (a failure-causing instruction
 // sequence when the run failed), the failure, and enforcement metadata.
+//
+// The sequence comes in two parts. Base is the prefix the run started
+// from (Options.Prefix, held by reference and shared with whoever
+// recorded it — for a flip run, the failing run's first cut records);
+// Seq holds the steps this run executed itself, stamped from len(Base).
+// A run enforced from the initial state has an empty Base. Readers that
+// may be handed a flip run read both parts (Parts); readers documented
+// as taking only full runs read Seq alone.
 type RunResult struct {
+	Base     []Exec // read-only shared prefix
 	Seq      []Exec
 	Failure  *sanitizer.Failure
 	Switches int                        // context switches performed by the enforcer
@@ -57,6 +66,10 @@ type RunResult struct {
 // Failed reports whether the run ended in a kernel failure.
 func (r *RunResult) Failed() bool { return r.Failure != nil }
 
+// Parts returns the run's executed sequence as its two parts, Base then
+// Seq, for range loops that read both without concatenating them.
+func (r *RunResult) Parts() [2][]Exec { return [2][]Exec{r.Base, r.Seq} }
+
 // SiteName renders a site using the program's instruction labels.
 func SiteName(prog *kir.Program, s Site) string {
 	return fmt.Sprintf("%s/%s", s.Thread, prog.InstrName(s.Instr))
@@ -66,13 +79,15 @@ func SiteName(prog *kir.Program, s Site) string {
 // "A2 => A5 => B2 => B11 => A6 => B12 => B17". Instructions without labels
 // are skipped unless all is true.
 func (r *RunResult) FormatSeq(prog *kir.Program, all bool) string {
-	var parts []string
-	for _, e := range r.Seq {
-		in := e.Instr
-		if in.Label == "" && !all {
-			continue
+	var names []string
+	for _, part := range r.Parts() {
+		for i := range part {
+			in := part[i].Instr
+			if in.Label == "" && !all {
+				continue
+			}
+			names = append(names, in.Name())
 		}
-		parts = append(parts, in.Name())
 	}
-	return strings.Join(parts, " => ")
+	return strings.Join(names, " => ")
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -430,7 +431,7 @@ func TestRepairSpawnOrder(t *testing.T) {
 		in("A", 2, "kworker:S"),
 		in("A", 3, ""),
 	}
-	fixed := repairSpawnOrder(seq)
+	fixed := repairSpawnOrder(seq, nil)
 	order := []string{}
 	for _, e := range fixed {
 		order = append(order, e.Name)
@@ -444,7 +445,7 @@ func TestRepairSpawnOrder(t *testing.T) {
 
 	// A sequence that already respects spawn order comes back as is,
 	// without a copy.
-	if again := repairSpawnOrder(fixed); &again[0] != &fixed[0] || len(again) != len(fixed) {
+	if again := repairSpawnOrder(fixed, nil); &again[0] != &fixed[0] || len(again) != len(fixed) {
 		t.Error("repair of a spawn-ordered sequence copied it")
 	}
 }
@@ -458,11 +459,14 @@ func TestAccessMapConflicts(t *testing.T) {
 	am.Record(b, 100, true)
 	am.Record(c, 200, false)
 
-	if got := am.ConflictAddrs(a, b); len(got) != 1 || got[0] != 100 {
-		t.Errorf("ConflictAddrs = %v", got)
+	// a and b conflict at 100 only: a reads it, b writes it, and neither
+	// touches the other's other address.
+	if !am.Has(a, 100, false) || !am.Has(b, 100, true) || am.Has(a, 200, false) || am.Has(a, 200, true) {
+		t.Errorf("a/b conflict addresses: %v", am.Export())
 	}
-	if got := am.ConflictAddrs(a, c); len(got) != 0 {
-		t.Errorf("read-read conflict: %v", got)
+	// a and c share no address, so a read-read pair never arises.
+	if am.Has(c, 100, false) || am.Has(c, 100, true) {
+		t.Errorf("read-read conflict: %v", am.Export())
 	}
 	if !am.ConflictsAt("A", 100, false) {
 		t.Error("A's read of 100 conflicts with B's write")
@@ -479,7 +483,12 @@ func TestAccessMapConflicts(t *testing.T) {
 	if !am.ConflictsAt("A", 200, true) {
 		t.Error("a write against a read is a conflict")
 	}
-	if len(am.Sites()) != 3 {
-		t.Errorf("sites = %v", am.Sites())
+	want := []AccessExport{
+		{Thread: "A", Instr: 1, Addr: 100, Read: true},
+		{Thread: "B", Instr: 2, Addr: 100, Write: true},
+		{Thread: "B", Instr: 3, Addr: 200, Read: true},
+	}
+	if got := am.Export(); !reflect.DeepEqual(got, want) || am.NumSites() != 3 {
+		t.Errorf("sites = %v (%d), want %v", got, am.NumSites(), want)
 	}
 }

@@ -193,8 +193,13 @@ func TestWarmCacheRespectsLRUBound(t *testing.T) {
 		t.Errorf("warmed cache holds %d results, want the LRU bound 2", got)
 	}
 	// The newest two journaled results hit; the oldest was evicted and
-	// re-runs the pipeline.
-	for i, wantHit := range map[int]bool{1: false, 2: true, 3: true} {
+	// re-runs the pipeline. It is resubmitted last: its re-run result
+	// enters the cache and would evict one of the others.
+	for _, c := range []struct {
+		i       int
+		wantHit bool
+	}{{2, true}, {3, true}, {1, false}} {
+		i, wantHit := c.i, c.wantHit
 		st, err := submitN(t, s2, i)
 		if err != nil {
 			t.Fatal(err)
