@@ -550,26 +550,18 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 		var wmMu sync.Mutex
 		err := runWorkers(ctx, opts.Tracer, "ca-flip", opts.Workers, len(execOrder),
 			func(int) (*flipVM, error) {
-				var vm *flipVM
-				err := faultinject.Do(ctx, opts.Fault, opts.Retry, func(context.Context, int) error {
-					if err := opts.Fault.Check(faultinject.KindWorkerDeath, "ca.worker-vm", opts.Fault.Seq(), 0); err != nil {
-						return err
-					}
-					wm, err := kvm.New(m.Prog())
-					if err != nil {
-						return err
-					}
-					wm.SetFaultPlan(opts.Fault)
-					vm = &flipVM{enf: sched.NewEnforcer(wm), init: wm.Snapshot()}
-					if opts.Prefix.enabled() {
-						vm.fc = newFlipCache(wm, vm.init, failSeq, opts.Prefix, opts.Fault, &ps)
-					}
-					wmMu.Lock()
-					workerMachines = append(workerMachines, wm)
-					wmMu.Unlock()
-					return nil
-				})
-				return vm, err
+				wm, err := newWorkerMachine(ctx, m.Prog(), opts.Fault, opts.Retry, "ca.worker-vm", 0)
+				if err != nil {
+					return nil, err
+				}
+				vm := &flipVM{enf: sched.NewEnforcer(wm), init: wm.Snapshot()}
+				if opts.Prefix.enabled() {
+					vm.fc = newFlipCache(wm, vm.init, failSeq, opts.Prefix, opts.Fault, &ps)
+				}
+				wmMu.Lock()
+				workerMachines = append(workerMachines, wm)
+				wmMu.Unlock()
+				return vm, nil
 			},
 			func(ctx context.Context, vm *flipVM, worker, pos int) error {
 				idx := execOrder[pos]

@@ -46,10 +46,11 @@ type LIFSOptions struct {
 	// (initial-thread choice × first preemption or natural-switch decision)
 	// across this many goroutines, each driving its own kvm.Machine. Zero
 	// or one searches serially. Parallel and serial searches return the
-	// same reproduction (schedule, races and interleaving count); only
-	// Stats.Schedules/Pruned may differ, because parallel units cannot
-	// share visited states with in-flight siblings. Requires the machine
-	// to be in its initial state.
+	// same reproduction (schedule, races, interleaving count, accesses
+	// and leaves); only Stats.Schedules/Pruned may differ between serial
+	// and parallel, because parallel units cannot share visited states
+	// with in-flight siblings. Requires the machine to be in its initial
+	// state.
 	Workers int
 	// Tracer collects execution spans (per deepening phase, per search
 	// unit, per pool dispatch). Nil disables tracing at zero cost. The
@@ -77,7 +78,8 @@ type LIFSOptions struct {
 	// fleet-executed phase merges byte-identical results; branches the
 	// dispatcher does not return (lost node, expired lease, partition)
 	// are swept up serially on the main machine. Nil keeps the search
-	// local. Ignored under Guide (guided pruning state does not travel).
+	// local. The batch carries the Guide, so guided searches dispatch
+	// too.
 	Dispatch BranchDispatcher
 	// Checkpoint arms durable search checkpoints: the frontier is saved
 	// at every deepening-phase boundary (and, serially, every
@@ -122,18 +124,20 @@ type PhaseStat struct {
 
 // SearchStats summarize a LIFS search.
 type SearchStats struct {
-	// Schedules counts the complete runs executed by THIS process
-	// (checkpoint-resumed work is not re-counted). The count is
-	// deterministic for a given worker count but bounded, not equal,
-	// across worker counts: a serial search prunes on every earlier
-	// unit's visited-state claims, while a parallel task may consult
-	// only claims that deterministically exist at its point of the
-	// serial visit order (probe claims of its group or lower) — sibling
-	// tasks' claims land in timing-dependent order and are ignored. A
-	// parallel search therefore executes the same value >= the serial
-	// count at every worker count; the prefix cache changes neither
-	// (it skips replay work, never schedules). Pinned by
-	// TestParallelScheduleCountBound.
+	// Schedules counts the complete runs of the search units up to each
+	// phase's winner, executed by this search (checkpoint-resumed work is
+	// not re-counted); runs of units past the winner, cut short or not,
+	// are not counted. Each unit's exploration is a pure function of the
+	// phase, so the count is deterministic. It is bounded, not equal,
+	// across serial and parallel: a serial search prunes on every
+	// earlier unit's visited-state claims, while a parallel task may
+	// consult only claims that deterministically exist at its point of
+	// the serial visit order (probe claims of its group or lower). A
+	// parallel search therefore counts the same value >= the serial
+	// count at every worker count and dispatcher; the prefix cache
+	// changes neither (it skips replay work, never schedules). Pinned by
+	// TestParallelScheduleCountBound. Pruned and GuidePruned are counted
+	// the same way.
 	Schedules     int
 	Interleavings int           // preemption count at which the failure reproduced
 	Pruned        int           // branches pruned as equivalent states
@@ -211,7 +215,6 @@ func reproduceContext(ctx context.Context, m *kvm.Machine, opts LIFSOptions, all
 	}
 
 	s := &searcher{
-		m:    m,
 		am:   sched.NewAccessMap(),
 		opts: opts,
 		ctx:  ctx,
@@ -220,7 +223,8 @@ func reproduceContext(ctx context.Context, m *kvm.Machine, opts LIFSOptions, all
 		s.fallback = append(s.fallback, td.Name)
 	}
 	s.initSig = m.StateSignature()
-	s.init = m.Snapshot()
+	s.main = &workerVM{m: m, init: m.Snapshot()}
+	init := s.main.init
 
 	// Report-guided mode: compile the reachability oracles and seed the
 	// suspect accesses into the access knowledge, so the suspect pair is
@@ -367,21 +371,18 @@ rounds:
 		}
 	}
 	s.stats.Elapsed = time.Since(start)
-	s.stats.Schedules = int(s.schedules.Load())
-	s.stats.Pruned = int(s.pruned.Load())
-	s.stats.GuidePruned = int(s.guidePruned.Load())
 	s.stats.SnapshotBytes = m.SnapshotBytes() + s.workerBytes()
 
 	if searchErr != nil {
-		m.Restore(s.init)
+		m.Restore(init)
 		return nil, searchErr
 	}
 	if s.ctxErr != nil {
-		m.Restore(s.init)
+		m.Restore(init)
 		return nil, s.ctxErr
 	}
 	if !s.found {
-		m.Restore(s.init)
+		m.Restore(init)
 		return nil, fmt.Errorf("%w after %d schedules (max %d interleavings)",
 			ErrNotReproduced, s.stats.Schedules, opts.MaxInterleavings)
 	}
@@ -412,14 +413,14 @@ rounds:
 	// machine seeks its flip cuts without re-executing the prefix.
 	var seedFC *flipCache
 	if opts.Prefix.enabled() {
-		seedFC = newFlipCache(m, s.init, nil, opts.Prefix, opts.Fault, &s.prefix)
+		seedFC = newFlipCache(m, init, nil, opts.Prefix, opts.Fault, &s.prefix)
 	}
 	err := faultinject.Do(ctx, opts.Fault, opts.Retry, func(ctx context.Context, attempt int) error {
 		attempts = attempt + 1
 		if seedFC != nil {
 			seedFC.drop(0) // a retry restores init, staling earlier pins
 		}
-		if err := m.TryRestore(s.init, "lifs.replay", 0, attempt); err != nil {
+		if err := m.TryRestore(init, "lifs.replay", 0, attempt); err != nil {
 			return err
 		}
 		ro := s.runOpts()
@@ -431,7 +432,7 @@ rounds:
 		ro.SeqCap = len(s.foundTrace)
 		if seedFC != nil {
 			ro.OnStep = func(pos int) {
-				if pos%seedFC.stride == 0 {
+				if pos%DefaultPinStride == 0 {
 					seedFC.pin(pos)
 				}
 			}
@@ -456,7 +457,7 @@ rounds:
 			// whose fault fate differed): never trust it again — delete
 			// and search fresh, exactly once.
 			_ = opts.Checkpoint.Store.Delete(s.ckKey)
-			m.Restore(s.init)
+			m.Restore(init)
 			return reproduceContext(ctx, m, opts, false)
 		}
 		return nil, fmt.Errorf("core: replay of the found schedule did not reproduce the failure (got %v)", res.Failure)
@@ -504,19 +505,18 @@ rounds:
 		Leaves:   s.leaves,
 	}
 	if seedFC != nil {
-		rep.seed = &prefixSeed{m: m, init: s.init, pins: seedFC.pins}
+		rep.seed = &prefixSeed{m: m, init: init, pins: seedFC.pins}
 	}
 	return rep, nil
 }
 
 // searcher carries the state of one LIFS search.
 type searcher struct {
-	m        *kvm.Machine
+	main     *workerVM        // the searched machine: probes and sweeps run here
 	am       *sched.AccessMap // authoritative access knowledge, merged between phases
 	opts     LIFSOptions
 	guide    *guideState // compiled report guide; nil in blind mode
 	fallback []string
-	init     *kvm.Snapshot
 	initSig  uint64 // state signature of the initial state (worker validation)
 	stats    SearchStats
 	ctx      context.Context
@@ -524,16 +524,16 @@ type searcher struct {
 	errMu  sync.Mutex
 	ctxErr error // set when ctx canceled the search
 
-	schedules   atomic.Int64 // complete runs executed
-	pruned      atomic.Int64
-	guidePruned atomic.Int64
-	exhausted   atomic.Bool  // MaxSchedules hit
-	best        atomic.Int64 // lowest unit ordinal with an accepted leaf this phase
-	prefix      prefixStats  // prefix-cache work counters (always tracked)
+	// schedules is the live count of complete runs on this process's
+	// machines. It enforces MaxSchedules mid-phase; the statistics come
+	// from the phase merge, which counts only the units up to the winner.
+	schedules atomic.Int64
+	exhausted atomic.Bool  // MaxSchedules hit
+	best      atomic.Int64 // lowest unit ordinal with an accepted leaf this phase
+	prefix    prefixStats  // prefix-cache work counters (always tracked)
 
 	spareMu sync.Mutex
 	spare   []*workerVM // worker machines reused across phases
-	buf     traceBuf    // the main machine's exploration scratch
 
 	found      bool
 	foundTrace []sched.Exec
@@ -541,20 +541,21 @@ type searcher struct {
 
 	// Checkpointing state. resume is consumed by the first phase call;
 	// ckRound/ckSites mirror the round loop so mid-phase saves can
-	// write a complete frontier; lastSave tracks the schedule counter
-	// at the last durable save for the Every cadence.
+	// write a complete frontier; lastSave tracks the schedule count at
+	// the last durable save for the Every cadence.
 	ckKey    string
 	resume   *lifsCheckpoint
 	ckRound  int
 	ckSites  int
-	lastSave int64
+	lastSave int
 }
 
-// workerVM is one parallel worker's private kernel VM. Snapshots are
-// per-machine, so each worker pins its own copy of a group's branch
-// state (pin); the machine-independent script is shared from the probe.
-// A pin is valid only for tasks of the same phase and group — anything
-// else restores init, which truncates the journal under the pin.
+// workerVM is one machine that explores units: the searcher's main
+// machine or a pool worker's private one. Snapshots are per-machine, so
+// each VM pins its own copy of a group's branch state (pin); the
+// machine-independent script is shared from the probe. A pin is valid
+// only for tasks of the same phase and group — anything else resets the
+// VM to init, which truncates the journal under the pin.
 type workerVM struct {
 	m    *kvm.Machine
 	init *kvm.Snapshot
@@ -565,12 +566,18 @@ type workerVM struct {
 	pinGroup int
 }
 
-// acquireVM pops a spare worker machine or builds a fresh one. A fresh
-// machine must match the searched machine's initial state — the parallel
-// search replays prefixes from scratch on each worker. Launches are an
-// injection point (worker death), retried under the plan; the key is a
-// plan-global sequence, which is safe because which VM runs a unit never
-// changes the unit's result.
+// reset restores the VM's initial state and drops its pin, which the
+// restore invalidates.
+func (vm *workerVM) reset() {
+	vm.pin, vm.pinPhase = nil, nil
+	vm.m.Restore(vm.init)
+}
+
+// acquireVM pops a spare worker machine or builds a fresh one, which
+// must match the searched machine's initial state: workers replay
+// prefixes from scratch. Which VM runs a unit never changes the unit's
+// result, so the launch's worker-death fault may key on a plan-global
+// sequence.
 func (s *searcher) acquireVM() (*workerVM, error) {
 	s.spareMu.Lock()
 	if n := len(s.spare); n > 0 {
@@ -580,23 +587,11 @@ func (s *searcher) acquireVM() (*workerVM, error) {
 		return vm, nil
 	}
 	s.spareMu.Unlock()
-	var vm *workerVM
-	err := faultinject.Do(s.ctx, s.opts.Fault, s.opts.Retry, func(context.Context, int) error {
-		if err := s.opts.Fault.Check(faultinject.KindWorkerDeath, "lifs.worker-vm", s.opts.Fault.Seq(), 0); err != nil {
-			return err
-		}
-		wm, err := kvm.New(s.m.Prog())
-		if err != nil {
-			return err
-		}
-		if wm.StateSignature() != s.initSig {
-			return errors.New("core: parallel search requires the machine in its initial state")
-		}
-		wm.SetFaultPlan(s.opts.Fault)
-		vm = &workerVM{m: wm, init: wm.Snapshot()}
-		return nil
-	})
-	return vm, err
+	m, err := newWorkerMachine(s.ctx, s.main.m.Prog(), s.opts.Fault, s.opts.Retry, "lifs.worker-vm", s.initSig)
+	if err != nil {
+		return nil, err
+	}
+	return &workerVM{m: m, init: m.Snapshot()}, nil
 }
 
 // releaseVMs returns worker machines to the spare pool after a phase.
@@ -630,33 +625,33 @@ func (s *searcher) workerExecuted() uint64 {
 	return n
 }
 
-// pinBranch pins the machine's current (branch) state for the prefix
-// cache, unless the cache is disabled or the pinned-bytes budget is
-// exhausted.
-func (s *searcher) pinBranch(m *kvm.Machine) *kvm.Snapshot {
+// pinBranch pins vm's current state as the branch state of p's group
+// for the prefix cache, unless the cache is disabled or the
+// pinned-bytes budget is exhausted.
+func (s *searcher) pinBranch(vm *workerVM, p *phaseRun, group int) {
 	if !s.opts.Prefix.enabled() {
-		return nil
+		return
 	}
-	lb := m.LiveBytes()
+	lb := vm.m.LiveBytes()
 	if lb > s.opts.Prefix.budget() {
-		return nil
+		return
 	}
 	s.prefix.notePinned(lb)
-	return m.Snapshot()
+	vm.pin, vm.pinPhase, vm.pinGroup = vm.m.Snapshot(), p, group
 }
 
-// restorePin restores a pinned branch snapshot and credits the skipped
+// restorePin restores vm's pinned branch snapshot and credits the skipped
 // prefix. It reports false when the prefix-restore fault fires — a
 // corrupt pin — in which case the machine is untouched and the caller
 // degrades to a from-scratch replay. The fault is keyed by a plan-global
 // sequence, like worker death: which runs hit a pin differs across
 // worker counts, but a degraded restore only changes work, never the
 // explored tree.
-func (s *searcher) restorePin(m *kvm.Machine, pin *kvm.Snapshot, saved int) bool {
+func (s *searcher) restorePin(vm *workerVM, saved int) bool {
 	if err := s.opts.Fault.Check(faultinject.KindPrefixRestore, "lifs.pin", s.opts.Fault.Seq(), 0); err != nil {
 		return false
 	}
-	m.Restore(pin)
+	vm.m.Restore(vm.pin)
 	s.prefix.hits.Add(1)
 	s.prefix.saved.Add(uint64(saved))
 	return true
@@ -788,6 +783,11 @@ type unit struct {
 	branch branchInfo    // probe only
 	script *branchScript // probe only: resume state for pinned tasks
 
+	// The unit's own counts, which the phase merge adds to SearchStats
+	// for the units up to the winner: complete runs, runs pruned as
+	// equivalent states, and runs the report guide pruned or discarded.
+	schedules, pruned, guidePruned int
+
 	// Span timing (obs): the wall window where the unit ran and the
 	// worker slot that ran it (-1 for the main machine). Spans are
 	// committed by the phase merge step in ordinal order, never here.
@@ -803,6 +803,11 @@ type phaseRun struct {
 	base  *sched.AccessMap // frozen decision map: conflict points for the whole phase
 	vis   *visitedSet
 	units []*unit
+	// serial runs the phase's units strictly in ordinal order, each
+	// claiming its visited states as it goes. Otherwise only probes
+	// claim, and tasks prune on the claims that exist at their point of
+	// the serial visit order (see explorer.pruneCheck).
+	serial bool
 	// scripts maps group index to the probe's branch script. Written
 	// serially during the group loop (probes always run on the main
 	// machine, before any parallel dispatch), read-only afterwards.
@@ -836,18 +841,20 @@ func (s *searcher) phase(k int) error {
 		return nil
 	}
 	start := time.Now()
-	schedBefore := s.schedules.Load()
-	prunedBefore := s.pruned.Load()
+	schedBefore, prunedBefore := s.stats.Schedules, s.stats.Pruned
 	ph := s.opts.Tracer.Begin("lifs", "phase", 0)
 	ph.Arg("budget", int64(k))
 	defer func() {
-		ph.Info("schedules", s.schedules.Load()-schedBefore)
-		ph.Info("pruned", s.pruned.Load()-prunedBefore)
+		ph.Info("schedules", int64(s.stats.Schedules-schedBefore))
+		ph.Info("pruned", int64(s.stats.Pruned-prunedBefore))
 		ph.End()
 	}()
-	p := &phaseRun{s: s, k: k, base: s.am, vis: newVisitedSet(), scripts: make(map[int]*branchScript)}
+	p := &phaseRun{
+		s: s, k: k, base: s.am, vis: newVisitedSet(),
+		scripts: make(map[int]*branchScript),
+		serial:  s.opts.Workers <= 1,
+	}
 	s.best.Store(math.MaxInt64)
-	parallel := s.opts.Workers > 1
 
 	// A mid-phase checkpoint re-enters here: the completed units are
 	// restored (with their access records, leaves and branch shapes)
@@ -870,9 +877,10 @@ func (s *searcher) phase(k int) error {
 
 	// The initial thread choice is itself a decision: branch over every
 	// declared thread (spawned threads cannot exist yet). Each group's
-	// probe runs the deterministic prefix on the main machine and claims
-	// its states; in serial mode the group's tasks run immediately after
-	// it, in parallel mode all tasks are dispatched to the pool below.
+	// probe runs the deterministic prefix on the main machine, claims its
+	// states and leaves the machine pinned at the group's branch; a
+	// serial phase sweeps the group's tasks right after it, a parallel
+	// one hands all tasks to the pool or the fleet below.
 	var tasks []*unit
 	for gi := startGroup; gi < len(s.fallback); gi++ {
 		if s.exhausted.Load() || s.ctxErr != nil {
@@ -883,124 +891,50 @@ func (s *searcher) phase(k int) error {
 		if s.best.Load() < int64(len(p.units)) {
 			break
 		}
-		t := s.m.ThreadByName(s.fallback[gi])
+		t := s.main.m.ThreadByName(s.fallback[gi])
 		if t == nil {
 			continue
 		}
 		pu := p.addUnit(gi, true, -1, t.ID)
-		s.m.Restore(s.init)
-		s.runUnit(p, pu, s.m, &s.buf, true, -1, k)
-		// The probe left the machine at the group's branch state: pin it
-		// so the group's tasks resume from there instead of replaying the
-		// prefix. (Parallel workers pin their own machines lazily; the
-		// main machine is only used for probes there.)
-		var pin *kvm.Snapshot
+		s.main.reset()
+		s.timeUnit(pu, -1, func() { newExplorer(p, pu, s.main, true).run(nil) })
 		if pu.script != nil {
 			p.scripts[gi] = pu.script
-			if !parallel {
-				pin = s.pinBranch(s.m)
-			}
+			s.pinBranch(s.main, p, gi)
 		}
-		var groupTasks []*unit
+		first := len(p.units)
 		for c := 0; c < pu.branch.choices; c++ {
-			groupTasks = append(groupTasks, p.addUnit(gi, false, c, t.ID))
+			p.addUnit(gi, false, c, t.ID)
 		}
-		if parallel {
-			tasks = append(tasks, groupTasks...)
+		if !p.serial {
+			tasks = append(tasks, p.units[first:]...)
 			continue
 		}
-		for _, tu := range groupTasks {
-			if s.exhausted.Load() || s.ctxErr != nil {
-				break
-			}
-			if s.best.Load() < int64(tu.ordinal) {
-				break
-			}
-			if pin != nil {
-				if s.restorePin(s.m, pin, len(pu.script.trace)) {
-					s.runUnitPinned(p, tu, s.m, &s.buf, -1, k, pu.script)
-					continue
-				}
-				pin = nil // corrupt pin: the rest of the group replays from scratch
-			}
-			s.m.Restore(s.init)
-			s.runUnit(p, tu, s.m, &s.buf, false, -1, k)
-		}
+		s.sweep(p, p.units[first:])
 		// Serial group boundary: a consistent cut — every unit so far
 		// ran to completion and (if we get here without a candidate)
 		// none accepted. Checkpoint on the Every cadence.
 		s.maybeSavePartial(p, k, gi+1)
 	}
 
-	if parallel && len(tasks) > 0 && s.ctxErr == nil && s.opts.Dispatch != nil && s.guide == nil {
-		// Fleet mode: lease the tasks out through the dispatcher; any
-		// branch the fleet did not execute is swept serially below.
-		s.dispatchTasks(p, k, tasks, s.opts.Dispatch)
-	} else if parallel && len(tasks) > 0 && s.ctxErr == nil {
-		var vmMu sync.Mutex
-		var vms []*workerVM
-		err := runWorkers(s.ctx, s.opts.Tracer, "lifs-task", s.opts.Workers, len(tasks),
-			func(int) (*workerVM, error) {
-				vm, err := s.acquireVM()
-				if err != nil {
-					return nil, err
-				}
-				vmMu.Lock()
-				vms = append(vms, vm)
-				vmMu.Unlock()
-				return vm, nil
-			},
-			func(ctx context.Context, vm *workerVM, worker, i int) error {
-				tu := tasks[i]
-				if s.exhausted.Load() || s.best.Load() < int64(tu.ordinal) {
-					return nil
-				}
-				// Resume from this worker's pin when it holds the right
-				// group's branch state; otherwise replay the prefix once
-				// and pin it at the branch for the group's later tasks.
-				sc := p.scripts[tu.group]
-				if sc != nil && vm.pin != nil && vm.pinPhase == p && vm.pinGroup == tu.group {
-					if s.restorePin(vm.m, vm.pin, len(sc.trace)) {
-						s.runUnitPinned(p, tu, vm.m, &vm.buf, worker, k, sc)
-						return nil
-					}
-				}
-				vm.pin, vm.pinPhase = nil, nil // init restore invalidates any pin
-				vm.m.Restore(vm.init)
-				s.runUnitPinning(p, tu, vm, worker, k)
-				return nil
-			})
-		s.releaseVMs(vms)
-		if err != nil {
-			switch {
-			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-				s.setCtxErr(err)
-			case faultinject.Is(err):
-				// The worker fleet could not be (re)built: degrade to the
-				// main machine for the units the pool never ran. The pool
-				// has joined, so every unit's ran flag is settled, and the
-				// serial sweep preserves the ordinal winner rule.
-				for _, tu := range tasks {
-					if tu.ran || s.exhausted.Load() || s.ctxErr != nil {
-						continue
-					}
-					if s.best.Load() < int64(tu.ordinal) {
-						continue
-					}
-					s.m.Restore(s.init)
-					s.runUnit(p, tu, s.m, &s.buf, false, -1, k)
-				}
-			default:
-				return err
-			}
+	if len(tasks) > 0 && s.ctxErr == nil {
+		if s.opts.Dispatch != nil {
+			s.dispatchTasks(p, tasks, s.opts.Dispatch)
+		} else if err := s.runPool(p, tasks); err != nil {
+			return err
 		}
+		// Whatever the fleet did not return or a pool the fault plan
+		// killed left unrun — never a task past a candidate — runs on
+		// the main machine.
+		s.sweep(p, tasks)
 	}
 
 	// Deterministic winner rule: the lowest phase wins by construction of
 	// iterative deepening; within the phase, the candidate with the lowest
 	// unit ordinal — the first accept of the serial visit order. Merge the
-	// access records and leaves of every unit up to the winner (later
-	// units may have been cut short and must not leak into the result).
+	// access records, leaves and counts of every unit up to the winner
+	// (later units may have been cut short and must not leak into the
+	// result): each of them ran to completion, whichever machine ran it.
 	winner := -1
 	for _, u := range p.units {
 		if u.cand != nil {
@@ -1014,7 +948,14 @@ func (s *searcher) phase(k int) error {
 		}
 		s.am.Fold(u.log)
 		s.leaves = append(s.leaves, u.leaves...)
+		s.stats.Schedules += u.schedules
+		s.stats.Pruned += u.pruned
+		s.stats.GuidePruned += u.guidePruned
 		s.emitUnit(p, u)
+	}
+	if s.stats.Schedules >= s.opts.MaxSchedules {
+		// Fleet-run units count only here.
+		s.exhausted.Store(true)
 	}
 	if winner >= 0 {
 		w := p.units[winner]
@@ -1024,10 +965,75 @@ func (s *searcher) phase(k int) error {
 	}
 	s.stats.Phases = append(s.stats.Phases, PhaseStat{
 		Budget:    k,
-		Schedules: int(s.schedules.Load() - schedBefore),
+		Schedules: s.stats.Schedules - schedBefore,
 		Elapsed:   time.Since(start),
 	})
 	return nil
+}
+
+// runPool runs a parallel phase's tasks on the local worker pool. A
+// pool the fault plan killed returns nil: it has joined, so every ran
+// flag is settled, and the caller's sweep runs what it left.
+func (s *searcher) runPool(p *phaseRun, tasks []*unit) error {
+	var vmMu sync.Mutex
+	var vms []*workerVM
+	err := runWorkers(s.ctx, s.opts.Tracer, "lifs-task", s.opts.Workers, len(tasks),
+		func(int) (*workerVM, error) {
+			vm, err := s.acquireVM()
+			if err != nil {
+				return nil, err
+			}
+			vmMu.Lock()
+			vms = append(vms, vm)
+			vmMu.Unlock()
+			return vm, nil
+		},
+		func(_ context.Context, vm *workerVM, worker, i int) error {
+			if tu := tasks[i]; !s.exhausted.Load() && s.best.Load() >= int64(tu.ordinal) {
+				s.runTask(p, tu, vm, worker)
+			}
+			return nil
+		})
+	s.releaseVMs(vms)
+	switch {
+	case err == nil:
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		s.setCtxErr(err)
+	case !faultinject.Is(err):
+		return err
+	}
+	return nil
+}
+
+// sweep runs on the main machine, in ordinal order, every task of tasks
+// nothing else ran: a serial phase's group, and the tasks a parallel
+// phase's pool or fleet left. It is the one place tasks run on the main
+// machine. It stops at the first candidate: nothing after it can win.
+func (s *searcher) sweep(p *phaseRun, tasks []*unit) {
+	for _, tu := range tasks {
+		if s.exhausted.Load() || s.ctxErr != nil || tu.cand != nil || s.best.Load() < int64(tu.ordinal) {
+			return
+		}
+		if !tu.ran {
+			s.runTask(p, tu, s.main, -1)
+		}
+	}
+}
+
+// runTask explores task unit tu on vm, the one way every task runs:
+// serial, pool, sweep and fleet node alike. It resumes from vm's pin when
+// the pin holds tu's group branch state of this phase. Otherwise it
+// resets vm, replays the group prefix and pins vm at the branch for the
+// group's next task on this machine.
+func (s *searcher) runTask(p *phaseRun, tu *unit, vm *workerVM, worker int) {
+	e := newExplorer(p, tu, vm, false)
+	sc := p.scripts[tu.group]
+	if sc == nil || vm.pinPhase != p || vm.pinGroup != tu.group || !s.restorePin(vm, len(sc.trace)) {
+		sc = nil
+		vm.reset()
+		e.pinAtBranch = s.opts.Prefix.enabled()
+	}
+	s.timeUnit(tu, worker, func() { e.run(sc) })
 }
 
 // takeResumePartial consumes the searcher's pending resume state and
@@ -1058,8 +1064,11 @@ func (s *searcher) maybeSavePartial(p *phaseRun, k, groupsDone int) {
 	if s.best.Load() != math.MaxInt64 || s.exhausted.Load() || s.ctxErr != nil {
 		return
 	}
-	n := s.schedules.Load()
-	if n-s.lastSave < int64(cfg.Every) {
+	n := s.stats.Schedules
+	for _, u := range p.units {
+		n += u.schedules
+	}
+	if n-s.lastSave < cfg.Every {
 		return
 	}
 	s.lastSave = n
@@ -1089,40 +1098,6 @@ func (s *searcher) maybeSavePartial(p *phaseRun, k, groupsDone int) {
 		Accesses:          s.am.Export(),
 		Leaves:            s.leaves,
 		Partial:           pp,
-	})
-}
-
-// runUnit drives one unit's exploration on m from the initial state,
-// with buf, m's exploration scratch.
-func (s *searcher) runUnit(p *phaseRun, u *unit, m *kvm.Machine, buf *traceBuf, probe bool, worker, k int) {
-	s.timeUnit(u, worker, func() {
-		newExplorer(p, u, m, buf, probe).run(k, nil)
-	})
-}
-
-// runUnitPinned drives a task unit from its group's restored branch
-// state: the machine already sits at the branch, and the script supplies
-// the exploration state the prefix replay would have rebuilt.
-func (s *searcher) runUnitPinned(p *phaseRun, u *unit, m *kvm.Machine, buf *traceBuf, worker, k int, sc *branchScript) {
-	s.timeUnit(u, worker, func() {
-		newExplorer(p, u, m, buf, false).run(k, sc)
-	})
-}
-
-// runUnitPinning drives a task unit from the initial state on a worker
-// VM, pinning the machine at the group's branch event so the worker's
-// later tasks of the same group can resume from it.
-func (s *searcher) runUnitPinning(p *phaseRun, u *unit, vm *workerVM, worker, k int) {
-	s.timeUnit(u, worker, func() {
-		e := newExplorer(p, u, vm.m, &vm.buf, false)
-		if s.opts.Prefix.enabled() {
-			e.onBranch = func() {
-				if pin := s.pinBranch(vm.m); pin != nil {
-					vm.pin, vm.pinPhase, vm.pinGroup = pin, p, u.group
-				}
-			}
-		}
-		e.run(k, nil)
 	})
 }
 
@@ -1180,33 +1155,33 @@ func (s *searcher) emitUnit(p *phaseRun, u *unit) {
 
 // explorer drives one unit's exploration on one machine.
 type explorer struct {
-	s *searcher
-	p *phaseRun
-	u *unit
-	m *kvm.Machine
+	s  *searcher
+	p  *phaseRun
+	u  *unit
+	vm *workerVM
+	m  *kvm.Machine // vm.m
 
 	probe bool
 	// splitPending is true until the unit passes its group's branch event:
 	// the probe stops there, a task takes its assigned choice there.
 	splitPending bool
-	// onBranch, when set, fires once at the task's branch event, with the
-	// machine at the branch state and before the choice is taken — the
-	// parallel workers' pin point.
-	onBranch func()
+	// pinAtBranch pins vm at the task's branch event, with the machine at
+	// the branch state and before the choice is taken.
+	pinAtBranch bool
 	// skipBranch makes the first loop iteration of a pin-resumed
 	// fall-through task skip the return-stack check and the conflict
 	// block: an uncached fall-through proceeds straight from the branch
 	// event to the Step without re-entering the loop top, so a resumed
 	// one must not re-run the checks that sit above it.
 	skipBranch bool
-	// serialOrder is true when units run strictly in ordinal order and
-	// insert into the shared visited set (probing, and serial mode); false
-	// for parallel tasks, whose own revisits go to the local map instead.
+	// serialOrder is true when the unit inserts into the shared visited
+	// set (probes, and every unit of a serial phase); false for parallel
+	// tasks, whose own revisits go to the local map instead.
 	serialOrder bool
 	local       map[visKey]struct{}
 
-	// buf is the machine's scratch: the trace (the executed steps of the
-	// current path) and the unit's access log live in it.
+	// buf is vm's scratch: the trace (the executed steps of the current
+	// path) and the unit's access log live in it.
 	buf     *traceBuf
 	ctxTick int
 	aborted bool
@@ -1221,16 +1196,17 @@ type explorer struct {
 	offReport bool
 }
 
-func newExplorer(p *phaseRun, u *unit, m *kvm.Machine, buf *traceBuf, probe bool) *explorer {
+func newExplorer(p *phaseRun, u *unit, vm *workerVM, probe bool) *explorer {
 	e := &explorer{
 		s:            p.s,
 		p:            p,
 		u:            u,
-		m:            m,
-		buf:          buf,
+		vm:           vm,
+		m:            vm.m,
+		buf:          &vm.buf,
 		probe:        probe,
 		splitPending: true,
-		serialOrder:  probe || p.s.opts.Workers <= 1,
+		serialOrder:  probe || p.serial,
 	}
 	if !e.serialOrder {
 		e.local = make(map[visKey]struct{})
@@ -1241,13 +1217,13 @@ func newExplorer(p *phaseRun, u *unit, m *kvm.Machine, buf *traceBuf, probe bool
 // run explores the unit — from the machine's initial state, or with a
 // script from its group's restored branch state — and leaves a copy of
 // the unit's access log on the unit.
-func (e *explorer) run(budget int, sc *branchScript) {
+func (e *explorer) run(sc *branchScript) {
 	e.buf.steps.Reset(nil)
 	e.buf.reset()
 	if sc == nil {
-		e.explore(e.u.initial, budget, nil)
+		e.explore(e.u.initial, e.p.k, nil)
 	} else {
-		e.resumeFromPin(sc, budget)
+		e.resumeFromPin(sc, e.p.k)
 	}
 	e.u.log = slices.Clone(e.buf.accs)
 }
@@ -1276,6 +1252,16 @@ func (e *explorer) resumeFromPin(sc *branchScript, budget int) {
 	// loop-top checks it would not have re-run.
 	e.skipBranch = true
 	e.explore(sc.cur, budget, cloneStack(sc.stack))
+}
+
+// passBranch takes a task past its group's branch event. The trace so
+// far re-executed the probe's known prefix; pinAtBranch pins it.
+func (e *explorer) passBranch() {
+	e.splitPending = false
+	e.s.prefix.replayed.Add(uint64(len(e.buf.steps.Seq)))
+	if e.pinAtBranch {
+		e.s.pinBranch(e.vm, e.p, e.u.group)
+	}
 }
 
 // captureScript saves the machine-independent half of the branch state
@@ -1410,12 +1396,7 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 					e.captureScript(true, choices, cur, returnStack)
 					return false
 				}
-				e.splitPending = false
-				// The trace so far re-executed the probe's known prefix.
-				e.s.prefix.replayed.Add(uint64(len(e.buf.steps.Seq)))
-				if e.onBranch != nil {
-					e.onBranch()
-				}
+				e.passBranch()
 				cur = choices[e.u.choice]
 				continue
 			}
@@ -1463,12 +1444,7 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 						e.captureScript(false, others, cur, returnStack)
 						return false
 					}
-					e.splitPending = false
-					// The trace so far re-executed the probe's known prefix.
-					e.s.prefix.replayed.Add(uint64(len(e.buf.steps.Seq)))
-					if e.onBranch != nil {
-						e.onBranch()
-					}
+					e.passBranch()
 					if c := e.u.choice; c < len(others) {
 						return e.explore(others[c], budget-1, cloneStack(returnStack))
 					}
@@ -1564,11 +1540,11 @@ func (e *explorer) leaf(budgetLeft int) bool {
 	// the winner's own path never goes off-report (every suspect executes
 	// on it and the accept site stays reachable until the failure).
 	if e.s.guide != nil && (e.offReport || !e.s.accept(f)) {
-		e.s.guidePruned.Add(1)
+		e.u.guidePruned++
 		return false
 	}
-	n := e.s.schedules.Add(1)
-	if int(n) >= e.s.opts.MaxSchedules {
+	e.u.schedules++
+	if int(e.s.schedules.Add(1)) >= e.s.opts.MaxSchedules {
 		e.s.exhausted.Store(true)
 	}
 	if e.s.opts.RecordLeaves {
@@ -1668,18 +1644,18 @@ func (e *explorer) pruneCheck(cur kvm.ThreadID, budget int) bool {
 		if inserted || e.exempt(c) {
 			return false
 		}
-		e.s.pruned.Add(1)
+		e.u.pruned++
 		return true
 	}
 	if c, ok := e.p.vis.get(key); ok {
 		if e.exempt(c) {
 			return false
 		}
-		e.s.pruned.Add(1)
+		e.u.pruned++
 		return true
 	}
 	if _, ok := e.local[key]; ok {
-		e.s.pruned.Add(1)
+		e.u.pruned++
 		return true
 	}
 	e.local[key] = struct{}{}
@@ -1718,7 +1694,7 @@ func (e *explorer) guidePruned() bool {
 		return false
 	}
 	if g.pruned(e.m, e.suspectSeen) {
-		e.s.guidePruned.Add(1)
+		e.u.guidePruned++
 		return true
 	}
 	return false

@@ -168,29 +168,40 @@ func TestParallelReproduceCancel(t *testing.T) {
 }
 
 // TestParallelReproduceRepeatable: repeated parallel runs are themselves
-// deterministic (the winner rule is timing-independent).
+// deterministic (the winner rule is timing-independent), down to the
+// schedule and prune counts, which count only the units up to the
+// winner.
 func TestParallelReproduceRepeatable(t *testing.T) {
-	sc, _ := scenarios.ByName("cve-2017-15649")
-	prog := sc.MustProgram()
-	opts := LIFSOptions{
-		WantKind:  sc.WantKind,
-		WantInstr: sc.WantInstr(),
-		Workers:   4,
-	}
-	first, err := Reproduce(mustMachine(t, prog), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		again, err := Reproduce(mustMachine(t, prog), opts)
+	// fig7 and syz02-packet-frame are where counting every executed run,
+	// winner or not, drifted with timing.
+	for _, name := range []string{"cve-2017-15649", "fig7", "syz02-packet-frame"} {
+		sc, _ := scenarios.ByName(name)
+		prog := sc.MustProgram()
+		opts := LIFSOptions{
+			WantKind:  sc.WantKind,
+			WantInstr: sc.WantInstr(),
+			LeakCheck: sc.NeedsLeakCheck(),
+			Workers:   4,
+		}
+		first, err := Reproduce(mustMachine(t, prog), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(again.Schedule, first.Schedule) {
-			t.Fatalf("run %d schedule = %v, want %v", i, again.Schedule, first.Schedule)
-		}
-		if !reflect.DeepEqual(again.Races, first.Races) {
-			t.Fatalf("run %d races differ", i)
+		for i := 0; i < 3; i++ {
+			again, err := Reproduce(mustMachine(t, prog), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(again.Schedule, first.Schedule) {
+				t.Fatalf("%s run %d schedule = %v, want %v", name, i, again.Schedule, first.Schedule)
+			}
+			if !reflect.DeepEqual(again.Races, first.Races) {
+				t.Fatalf("%s run %d races differ", name, i)
+			}
+			if again.Stats.Schedules != first.Stats.Schedules || again.Stats.Pruned != first.Stats.Pruned {
+				t.Fatalf("%s run %d schedules/pruned = %d/%d, want %d/%d", name, i,
+					again.Stats.Schedules, again.Stats.Pruned, first.Stats.Schedules, first.Stats.Pruned)
+			}
 		}
 	}
 }

@@ -7,8 +7,36 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aitia/internal/faultinject"
+	"aitia/internal/kir"
+	"aitia/internal/kvm"
 	"aitia/internal/obs"
 )
+
+// newWorkerMachine launches a fresh machine of prog for a worker: the
+// LIFS pool, a fleet node's branch execution and Causality Analysis's
+// flip pool. The launch is an injection point (worker death) under op,
+// retried under the plan. A nonzero initSig must match the fresh
+// machine's initial state signature.
+func newWorkerMachine(ctx context.Context, prog *kir.Program, fault *faultinject.Plan, retry faultinject.RetryPolicy, op string, initSig uint64) (*kvm.Machine, error) {
+	var m *kvm.Machine
+	err := faultinject.Do(ctx, fault, retry, func(context.Context, int) error {
+		if err := fault.Check(faultinject.KindWorkerDeath, op, fault.Seq(), 0); err != nil {
+			return err
+		}
+		wm, err := kvm.New(prog)
+		if err != nil {
+			return err
+		}
+		if initSig != 0 && wm.StateSignature() != initSig {
+			return fmt.Errorf("%w: initial state signature mismatch", ErrBranchTask)
+		}
+		wm.SetFaultPlan(fault)
+		m = wm
+		return nil
+	})
+	return m, err
+}
 
 // runWorkers fans jobs 0..n-1 out to a pool of up to workers goroutines.
 // Each worker builds its own state once via newState (both callers use

@@ -29,7 +29,8 @@ import (
 // Default prefix-cache knobs.
 const (
 	// DefaultPinStride is the schedule-position stride at which the flip
-	// replay cache pins snapshots along the canonical failing sequence.
+	// replay cache pins snapshots along the canonical failing sequence
+	// (and the search's final replay seeds it).
 	// Snapshots are O(1) copy-on-write journal marks, so a dense stride
 	// costs almost nothing and keeps the per-flip replay gap at most
 	// stride-1 steps.
@@ -40,17 +41,13 @@ const (
 )
 
 // PrefixConfig configures the incremental-replay prefix cache. The zero
-// value enables the cache with the default stride and byte budget.
+// value enables the cache with the default byte budget.
 type PrefixConfig struct {
 	// Disable turns the cache off: every run replays its schedule from
 	// instruction 0, as the pipeline did before the cache existed.
 	// Results are identical either way — only the work differs — so
 	// Disable exists for benchmarking and defense in depth.
 	Disable bool
-	// Stride pins a snapshot every Stride schedule positions along a
-	// cached flip prefix; zero means DefaultPinStride. Smaller strides
-	// shrink the replayed gap per flip at the cost of more pins.
-	Stride int
 	// BudgetBytes bounds the bytes pinned by live prefix snapshots
 	// (measured with kvm.Machine.LiveBytes). Zero means
 	// DefaultPinBudget. When the budget is exhausted no further pins
@@ -60,13 +57,6 @@ type PrefixConfig struct {
 }
 
 func (c PrefixConfig) enabled() bool { return !c.Disable }
-
-func (c PrefixConfig) stride() int {
-	if c.Stride > 0 {
-		return c.Stride
-	}
-	return DefaultPinStride
-}
 
 func (c PrefixConfig) budget() uint64 {
 	if c.BudgetBytes > 0 {
@@ -154,14 +144,14 @@ func (b *traceBuf) log(s sched.Site, addr uint64, write bool) {
 // flipCache incrementally replays prefixes of the canonical failing
 // sequence for the analysis's flip tests. A flip at cut n shares
 // seq[:n] with the failing run verbatim; the cache pins snapshots every
-// stride positions along the sequence and serves each Seek from the
-// deepest pinned ancestor, replaying only the gap. One cache per
-// machine: serial analysis has one, each parallel flip worker its own.
+// DefaultPinStride positions along the sequence and serves each Seek
+// from the deepest pinned ancestor, replaying only the gap. One cache
+// per machine: serial analysis has one, each parallel flip worker its
+// own.
 type flipCache struct {
 	m      *kvm.Machine
 	init   *kvm.Snapshot
 	seq    []sched.Exec // canonical failing sequence (position-stamped)
-	stride int
 	budget uint64
 	fault  *faultinject.Plan
 	stats  *prefixStats
@@ -176,8 +166,7 @@ type flipPin struct {
 func newFlipCache(m *kvm.Machine, init *kvm.Snapshot, seq []sched.Exec, cfg PrefixConfig, fault *faultinject.Plan, stats *prefixStats) *flipCache {
 	return &flipCache{
 		m: m, init: init, seq: seq,
-		stride: cfg.stride(), budget: cfg.budget(),
-		fault: fault, stats: stats,
+		budget: cfg.budget(), fault: fault, stats: stats,
 	}
 }
 
@@ -218,10 +207,10 @@ func (c *flipCache) Seek(n int, op string, key uint64, attempt int) error {
 	return c.replay(from, n, false)
 }
 
-// replay re-executes seq[from:n] step by step, re-pinning stride
-// positions on the way. A divergence from a pinned state degrades to
-// one from-scratch replay; diverging from the initial state is a real
-// bug and fails loudly.
+// replay re-executes seq[from:n] step by step, re-pinning every
+// DefaultPinStride positions on the way. A divergence from a pinned
+// state degrades to one from-scratch replay; diverging from the initial
+// state is a real bug and fails loudly.
 func (c *flipCache) replay(from, n int, retried bool) error {
 	for j := from; j < n; j++ {
 		ev, err := c.m.Step(c.seq[j].Thread)
@@ -234,14 +223,14 @@ func (c *flipCache) replay(from, n int, retried bool) error {
 			return c.replay(0, n, true)
 		}
 		c.stats.replayed.Add(1)
-		if pos := j + 1; pos%c.stride == 0 {
+		if pos := j + 1; pos%DefaultPinStride == 0 {
 			c.pin(pos)
 		}
 	}
 	// Pin the sought position itself: flip retries and sibling flips of
 	// the same race seek the same cut, and a pin exactly there makes the
 	// repeat gap zero.
-	if n > from && n%c.stride != 0 {
+	if n > from && n%DefaultPinStride != 0 {
 		c.pin(n)
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"aitia/internal/faultinject"
 	"aitia/internal/kir"
 	"aitia/internal/kvm"
 	"aitia/internal/sanitizer"
@@ -63,8 +64,8 @@ type BranchWork struct {
 
 // BranchBatch is one deepening phase's dispatchable branch work: the
 // shared execution context (frozen base map, probe claims, unit table,
-// options) plus the task units to run. The batch is pure data — JSON
-// for a wire transport, shared by reference in process.
+// options, report guide) plus the task units to run. The batch is pure
+// data — JSON for a wire transport, shared by reference in process.
 type BranchBatch struct {
 	// ProgHash identifies (and, over a wire transport, validates) the
 	// program; InitSig pins the machine's initial state signature.
@@ -75,22 +76,23 @@ type BranchBatch struct {
 	Visited  []BranchVisited      `json:"visited,omitempty"`
 	Base     []sched.AccessExport `json:"base,omitempty"`
 	Opts     BranchOpts           `json:"opts"`
-	Work     []BranchWork         `json:"work"`
+	// Guide is the search's report guide; nil for a blind search.
+	Guide *Guide       `json:"guide,omitempty"`
+	Work  []BranchWork `json:"work"`
 }
 
 // BranchResult is one executed branch unit's complete outcome — exactly
 // the state a local run leaves on its unit.
 type BranchResult struct {
-	Ordinal    int                  `json:"ordinal"`
-	Accesses   []sched.AccessExport `json:"accesses,omitempty"`
-	Leaves     []LeafTrace          `json:"leaves,omitempty"`
-	Accepted   bool                 `json:"accepted,omitempty"`
-	Trace      []sched.Exec         `json:"trace,omitempty"`
-	BudgetLeft int                  `json:"budget_left,omitempty"`
-	Schedules  int64                `json:"schedules,omitempty"`
-	Pruned     int64                `json:"pruned,omitempty"`
-	Replayed   uint64               `json:"replayed,omitempty"`
-	Exhausted  bool                 `json:"exhausted,omitempty"`
+	Ordinal     int                  `json:"ordinal"`
+	Accesses    []sched.AccessExport `json:"accesses,omitempty"`
+	Leaves      []LeafTrace          `json:"leaves,omitempty"`
+	Accepted    bool                 `json:"accepted,omitempty"`
+	Trace       []sched.Exec         `json:"trace,omitempty"`
+	BudgetLeft  int                  `json:"budget_left,omitempty"`
+	Schedules   int                  `json:"schedules,omitempty"`
+	Pruned      int                  `json:"pruned,omitempty"`
+	GuidePruned int                  `json:"guide_pruned,omitempty"`
 }
 
 // BranchDispatcher executes a phase's branch batch somewhere else — the
@@ -126,39 +128,33 @@ func ExecuteBranch(ctx context.Context, prog *kir.Program, batch *BranchBatch, i
 	if h := prog.Hash(); batch.ProgHash != "" && batch.ProgHash != h {
 		return nil, fmt.Errorf("%w: program hash %s, batch wants %s", ErrBranchTask, h, batch.ProgHash)
 	}
-	m, err := kvm.New(prog)
+	m, err := newWorkerMachine(ctx, prog, nil, faultinject.RetryPolicy{}, "", batch.InitSig)
 	if err != nil {
 		return nil, err
 	}
-	if batch.InitSig != 0 && m.StateSignature() != batch.InitSig {
-		return nil, fmt.Errorf("%w: initial state signature mismatch", ErrBranchTask)
+	opts := LIFSOptions{
+		StepBudget:   batch.Opts.StepBudget,
+		MaxSchedules: batch.Opts.MaxSchedules,
+		LeakCheck:    batch.Opts.LeakCheck,
+		RecordLeaves: batch.Opts.RecordLeaves,
+		NoPruning:    batch.Opts.NoPruning,
+		WantKind:     batch.Opts.WantKind,
+		WantInstr:    batch.Opts.WantInstr,
+		Guide:        batch.Guide,
+		// A one-task machine has no later task to resume at a pin.
+		Prefix: PrefixConfig{Disable: true},
 	}
-	maxSched := batch.Opts.MaxSchedules
-	if maxSched <= 0 {
-		maxSched = DefaultMaxSchedules
+	if opts.MaxSchedules <= 0 {
+		opts.MaxSchedules = DefaultMaxSchedules
 	}
-	s := &searcher{
-		m:  m,
-		am: sched.ImportAccessMap(batch.Base),
-		opts: LIFSOptions{
-			StepBudget:   batch.Opts.StepBudget,
-			MaxSchedules: maxSched,
-			LeakCheck:    batch.Opts.LeakCheck,
-			RecordLeaves: batch.Opts.RecordLeaves,
-			NoPruning:    batch.Opts.NoPruning,
-			WantKind:     batch.Opts.WantKind,
-			WantInstr:    batch.Opts.WantInstr,
-			// Workers > 1 selects the parallel-task explorer semantics
-			// (read-only shared claims, own revisits in a local map) —
-			// the semantics the batch's visited snapshot was built for.
-			Workers: 2,
-		},
-		ctx: ctx,
+	s := &searcher{main: &workerVM{m: m, init: m.Snapshot()}, opts: opts, ctx: ctx}
+	if opts.Guide != nil {
+		s.guide = newGuideState(prog, opts)
 	}
-	s.initSig = m.StateSignature()
-	s.init = m.Snapshot()
 	s.best.Store(math.MaxInt64)
-	p := &phaseRun{s: s, k: batch.Budget, base: s.am, vis: newVisitedSet()}
+	// The batch is a parallel phase's: its tasks prune on the probe
+	// claims only (serial false).
+	p := &phaseRun{s: s, k: batch.Budget, base: sched.ImportAccessMap(batch.Base), vis: newVisitedSet()}
 	for _, um := range batch.Units {
 		p.addUnit(um.Group, um.Probe, 0, 0)
 	}
@@ -167,18 +163,17 @@ func ExecuteBranch(ctx context.Context, prog *kir.Program, batch *BranchBatch, i
 	}
 	u := p.units[w.Ordinal]
 	u.group, u.probe, u.choice, u.initial = w.Group, false, w.Choice, kvm.ThreadID(w.Initial)
-	s.runUnit(p, u, m, &s.buf, false, -1, batch.Budget)
+	s.runTask(p, u, s.main, -1)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	res := &BranchResult{
-		Ordinal:   w.Ordinal,
-		Accesses:  u.log.Export(),
-		Leaves:    u.leaves,
-		Schedules: s.schedules.Load(),
-		Pruned:    s.pruned.Load(),
-		Replayed:  s.prefix.replayed.Load(),
-		Exhausted: s.exhausted.Load(),
+		Ordinal:     w.Ordinal,
+		Accesses:    u.log.Export(),
+		Leaves:      u.leaves,
+		Schedules:   u.schedules,
+		Pruned:      u.pruned,
+		GuidePruned: u.guidePruned,
 	}
 	if u.cand != nil {
 		res.Accepted = true
@@ -191,11 +186,11 @@ func ExecuteBranch(ctx context.Context, prog *kir.Program, batch *BranchBatch, i
 // exportBatch builds the phase's dispatchable batch from the live
 // search state. Probes have all completed by dispatch time, so the
 // visited set is exactly the probe claims a remote explorer must see.
-func (s *searcher) exportBatch(p *phaseRun, k int, tasks []*unit) *BranchBatch {
+func (s *searcher) exportBatch(p *phaseRun, tasks []*unit) *BranchBatch {
 	b := &BranchBatch{
-		ProgHash: s.m.Prog().Hash(),
+		ProgHash: s.main.m.Prog().Hash(),
 		InitSig:  s.initSig,
-		Budget:   k,
+		Budget:   p.k,
 		Base:     p.base.Export(),
 		Opts: BranchOpts{
 			StepBudget:   s.opts.StepBudget,
@@ -206,6 +201,7 @@ func (s *searcher) exportBatch(p *phaseRun, k int, tasks []*unit) *BranchBatch {
 			WantKind:     s.opts.WantKind,
 			WantInstr:    s.opts.WantInstr,
 		},
+		Guide: s.opts.Guide,
 	}
 	for _, u := range p.units {
 		b.Units = append(b.Units, BranchUnitMeta{Group: u.group, Probe: u.probe})
@@ -220,62 +216,38 @@ func (s *searcher) exportBatch(p *phaseRun, k int, tasks []*unit) *BranchBatch {
 }
 
 // dispatchTasks runs the phase's parallel tasks through the fleet
-// dispatcher, importing whatever the fleet executed and sweeping up the
-// rest on the main machine — serially, in ordinal order, exactly the
-// degradation path a failed local worker fleet takes. The ordinal
-// winner rule survives every outcome: remote results are imported in
-// ordinal order, units beyond an accepted candidate are skipped (as the
-// serial search skips them), and unexecuted units run locally.
-func (s *searcher) dispatchTasks(p *phaseRun, k int, tasks []*unit, d BranchDispatcher) {
-	batch := s.exportBatch(p, k, tasks)
-	results, err := d.RunBranches(s.ctx, s.m.Prog(), batch)
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		s.setCtxErr(err)
+// dispatcher and imports whatever the fleet executed; the phase's sweep
+// runs the rest on the main machine, in ordinal order. The ordinal
+// winner rule survives every outcome: the merge takes units in ordinal
+// order up to the lowest candidate, and the sweep runs every unrun task
+// below it.
+func (s *searcher) dispatchTasks(p *phaseRun, tasks []*unit, d BranchDispatcher) {
+	results, err := d.RunBranches(s.ctx, s.main.m.Prog(), s.exportBatch(p, tasks))
+	if err != nil {
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			s.setCtxErr(err)
+		}
 		return
 	}
-	byOrdinal := make(map[int]*BranchResult, len(results))
-	if err == nil {
-		for _, res := range results {
-			if res != nil {
-				byOrdinal[res.Ordinal] = res
-			}
-		}
-	}
-	for _, tu := range tasks {
-		if tu.ran || s.exhausted.Load() || s.ctxErr != nil {
+	for _, res := range results {
+		if res == nil || res.Ordinal < 0 || res.Ordinal >= len(p.units) {
 			continue
 		}
-		if s.best.Load() < int64(tu.ordinal) {
-			continue
+		if u := p.units[res.Ordinal]; !u.probe && !u.ran {
+			importBranchResult(u, res)
 		}
-		if res, ok := byOrdinal[tu.ordinal]; ok {
-			s.importBranchResult(tu, res)
-			continue
-		}
-		s.m.Restore(s.init)
-		s.runUnit(p, tu, s.m, &s.buf, false, -1, k)
 	}
 }
 
-// importBranchResult installs a remotely executed unit's outcome as if
-// the unit had run on a local worker.
-func (s *searcher) importBranchResult(u *unit, res *BranchResult) {
+// importBranchResult installs a remotely executed unit's outcome on the
+// unit, as a local run would have left it.
+func importBranchResult(u *unit, res *BranchResult) {
 	u.ran = true
 	u.tWorker = -2 // remote execution marker (obs Info arg only)
 	u.log = sched.ImportAccessLog(res.Accesses)
 	u.leaves = res.Leaves
-	s.pruned.Add(res.Pruned)
-	s.prefix.replayed.Add(res.Replayed)
-	if n := s.schedules.Add(res.Schedules); int(n) >= s.opts.MaxSchedules || res.Exhausted {
-		s.exhausted.Store(true)
-	}
+	u.schedules, u.pruned, u.guidePruned = res.Schedules, res.Pruned, res.GuidePruned
 	if res.Accepted {
 		u.cand = &candidate{trace: res.Trace, budgetLeft: res.BudgetLeft}
-		for {
-			b := s.best.Load()
-			if int64(u.ordinal) >= b || s.best.CompareAndSwap(b, int64(u.ordinal)) {
-				break
-			}
-		}
 	}
 }

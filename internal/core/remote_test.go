@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"aitia/internal/faultinject"
 	"aitia/internal/kir"
 	"aitia/internal/scenarios"
 )
@@ -54,7 +55,12 @@ func (deadDispatcher) RunBranches(ctx context.Context, prog *kir.Program, batch 
 // through the dispatch path — serialized to a BranchBatch, re-executed
 // on a fresh VM by ExecuteBranch, re-imported — must reproduce exactly
 // what the in-process parallel search finds, across the hand-built
-// corpus. This is the determinism contract fleet execution rests on.
+// corpus. So must a search whose worker pool never launches (every
+// task swept up on the main machine), and a guided search through the
+// fleet. Beyond the reproduction, the merged access knowledge, the
+// leaves and the schedule and prune counts must match: they count only
+// the units up to the winner, whichever machine ran them. This is the
+// determinism contract fleet execution rests on.
 func TestDispatchedReproduceMatchesParallel(t *testing.T) {
 	for _, sc := range scenarios.HandBuilt() {
 		sc := sc
@@ -62,10 +68,11 @@ func TestDispatchedReproduceMatchesParallel(t *testing.T) {
 			t.Parallel()
 			prog := sc.MustProgram()
 			opts := LIFSOptions{
-				WantKind:  sc.WantKind,
-				WantInstr: sc.WantInstr(),
-				LeakCheck: sc.NeedsLeakCheck(),
-				Workers:   4,
+				WantKind:     sc.WantKind,
+				WantInstr:    sc.WantInstr(),
+				LeakCheck:    sc.NeedsLeakCheck(),
+				Workers:      4,
+				RecordLeaves: true,
 			}
 			base, err := Reproduce(mustMachine(t, prog), opts)
 			if err != nil {
@@ -74,30 +81,61 @@ func TestDispatchedReproduceMatchesParallel(t *testing.T) {
 				}
 				t.Fatalf("baseline Reproduce: %v", err)
 			}
+			guided := opts
+			guided.Guide = guideFor(base)
+			guidedBase, err := Reproduce(mustMachine(t, prog), guided)
+			if err != nil {
+				t.Fatalf("guided baseline Reproduce: %v", err)
+			}
+			dispatch := func(o LIFSOptions, d BranchDispatcher) LIFSOptions {
+				o.Dispatch = d
+				return o
+			}
+			poolFailure := opts
+			poolFailure.Fault = faultinject.NewPlan(1, 0).SetRate(faultinject.KindWorkerDeath, 1)
+			poolFailure.Retry = quickRetry
+			remote, guidedRemote := &loopbackDispatcher{}, &loopbackDispatcher{}
 
 			for _, tc := range []struct {
 				name string
-				d    BranchDispatcher
+				opts LIFSOptions
+				want *Reproduction
 			}{
-				{"all-remote", &loopbackDispatcher{}},
-				{"every-3rd-dropped", &loopbackDispatcher{skip: 3}},
-				{"all-dropped", deadDispatcher{}},
+				{"all-remote", dispatch(opts, remote), base},
+				{"every-3rd-dropped", dispatch(opts, &loopbackDispatcher{skip: 3}), base},
+				{"all-dropped", dispatch(opts, deadDispatcher{}), base},
+				{"pool-failure", poolFailure, base},
+				{"guided-all-remote", dispatch(guided, guidedRemote), guidedBase},
 			} {
-				dopts := opts
-				dopts.Dispatch = tc.d
-				got, err := Reproduce(mustMachine(t, prog), dopts)
+				got, err := Reproduce(mustMachine(t, prog), tc.opts)
 				if err != nil {
 					t.Fatalf("%s Reproduce: %v", tc.name, err)
 				}
-				if !reflect.DeepEqual(got.Schedule, base.Schedule) {
-					t.Errorf("%s schedule = %v\nwant      %v", tc.name, got.Schedule, base.Schedule)
+				want := tc.want
+				if !reflect.DeepEqual(got.Schedule, want.Schedule) {
+					t.Errorf("%s schedule = %v\nwant      %v", tc.name, got.Schedule, want.Schedule)
 				}
-				if !reflect.DeepEqual(got.Races, base.Races) {
-					t.Errorf("%s races = %v, want %v", tc.name, got.Races, base.Races)
+				if !reflect.DeepEqual(got.Races, want.Races) {
+					t.Errorf("%s races = %v, want %v", tc.name, got.Races, want.Races)
 				}
-				if got.Stats.Interleavings != base.Stats.Interleavings {
-					t.Errorf("%s interleavings = %d, want %d", tc.name, got.Stats.Interleavings, base.Stats.Interleavings)
+				if got.Stats.Interleavings != want.Stats.Interleavings {
+					t.Errorf("%s interleavings = %d, want %d", tc.name, got.Stats.Interleavings, want.Stats.Interleavings)
 				}
+				if g, w := got.Accesses.Export(), want.Accesses.Export(); !reflect.DeepEqual(g, w) {
+					t.Errorf("%s merged accesses differ: %d records, want %d", tc.name, len(g), len(w))
+				}
+				if !reflect.DeepEqual(got.Leaves, want.Leaves) {
+					t.Errorf("%s leaves differ: %d, want %d", tc.name, len(got.Leaves), len(want.Leaves))
+				}
+				if got.Stats.Schedules != want.Stats.Schedules || got.Stats.Pruned != want.Stats.Pruned ||
+					got.Stats.GuidePruned != want.Stats.GuidePruned {
+					t.Errorf("%s schedules/pruned/guide-pruned = %d/%d/%d, want %d/%d/%d", tc.name,
+						got.Stats.Schedules, got.Stats.Pruned, got.Stats.GuidePruned,
+						want.Stats.Schedules, want.Stats.Pruned, want.Stats.GuidePruned)
+				}
+			}
+			if remote.executed.Load() > 0 && guidedRemote.executed.Load() == 0 {
+				t.Errorf("guided search dispatched no branch; the blind one dispatched %d", remote.executed.Load())
 			}
 		})
 	}

@@ -63,8 +63,9 @@ type Options struct {
 	// Nil disables checkpointing at zero cost.
 	Checkpoint *core.CheckpointConfig
 	// Dispatch routes each reproduction's parallel branch units to a
-	// fleet of remote executors (see core.BranchDispatcher). Nil keeps
-	// every search local.
+	// fleet of remote executors (see core.BranchDispatcher), for blind
+	// and report-guided reproductions alike. Nil keeps every search
+	// local.
 	Dispatch core.BranchDispatcher
 	// Prior, when set, closes the learning loop around the analysis: it
 	// serves as the flip-test ranker (core.AnalysisOptions.Ranker) and
