@@ -30,7 +30,7 @@ import (
 // resumes with the full budget and compares chain, reproduction and
 // schedule counts. A second leg interrupts the causality analysis at
 // its first settled-flip checkpoint and resumes that too.
-func runCrashResume() error {
+func runCrashResume(j *job) error {
 	configs := []struct {
 		scenario string
 		workers  int
@@ -40,18 +40,17 @@ func runCrashResume() error {
 		{"cve-2017-15649", 8, 0}, // parallel, phase boundaries only
 		{"syz08-j1939-refcount", 1, 4},
 	}
-	bad := 0
+	t := j.tally(34)
 	for _, c := range configs {
 		label := fmt.Sprintf("%s/w%d/every%d", c.scenario, c.workers, c.every)
 		if err := crashResumeOne(c.scenario, c.workers, c.every); err != nil {
-			fmt.Printf("FAIL %-34s %v\n", label, err)
-			bad++
+			t.fail(label, "%v", err)
 			continue
 		}
-		fmt.Printf("ok   %-34s interrupted search and analysis both resumed to the golden diagnosis\n", label)
+		t.line("ok", label, "interrupted search and analysis both resumed to the golden diagnosis")
 	}
-	if bad > 0 {
-		return fmt.Errorf("crash-resume: %d of %d configurations failed", bad, len(configs))
+	if err := t.err("of %d configurations failed", len(configs)); err != nil {
+		return err
 	}
 	fmt.Printf("crash-resume: all %d configurations recover deterministically\n", len(configs))
 	return nil
@@ -173,10 +172,11 @@ func crashResumeOne(name string, workers, every int) error {
 // gate: it spawns a real aitia-serve with a durable data dir, submits
 // the scenario corpus, SIGKILLs the server mid-diagnosis, restarts it
 // on the same data dir, and asserts every job reaches a terminal state
-// with its golden chain. dataDir == "" uses a temp dir; a non-empty one
-// is left in place on failure so CI can upload the journal as an
-// artifact (the server log is written there either way).
-func runKillRecover(list []*scenarios.Scenario, serveBin, dataDir string) (err error) {
+// with its golden chain. The data dir is DIR/kill-recover under
+// -artifacts, left in place on failure so CI can upload the journal (the
+// server log is written there either way), or a temp dir without it.
+func runKillRecover(j *job) (err error) {
+	serveBin, dataDir := j.arg, j.artifactDir()
 	if _, serr := os.Stat(serveBin); serr != nil {
 		return fmt.Errorf("kill-recover: serve binary: %w", serr)
 	}
@@ -222,8 +222,8 @@ func runKillRecover(list []*scenarios.Scenario, serveBin, dataDir string) (err e
 		return fmt.Errorf("first incarnation never became healthy: %w", err)
 	}
 
-	jobs := make(map[string]string, len(list)) // job ID -> scenario name
-	for _, sc := range list {
+	jobs := make(map[string]string, len(j.list)) // job ID -> scenario name
+	for _, sc := range j.list {
 		id, err := submitScenario(base, sc.Name)
 		if err != nil {
 			return fmt.Errorf("submitting %s: %w", sc.Name, err)
@@ -270,18 +270,16 @@ func runKillRecover(list []*scenarios.Scenario, serveBin, dataDir string) (err e
 	// Every submitted job must reach a terminal state with its golden
 	// chain — nothing lost, nothing wrong.
 	deadline := time.Now().Add(3 * time.Minute)
-	bad := 0
+	t := j.tally(22)
 	resumed := 0
 	for id, name := range jobs {
 		st, err := waitTerminal(base, id, deadline)
 		if err != nil {
-			fmt.Printf("FAIL %-22s job %s: %v\n", name, id, err)
-			bad++
+			t.fail(name, "job %s: %v", id, err)
 			continue
 		}
 		if st.State != "done" {
-			fmt.Printf("FAIL %-22s job %s: state %q (error %q), want done\n", name, id, st.State, st.Error)
-			bad++
+			t.fail(name, "job %s: state %q (error %q), want done", id, st.State, st.Error)
 			continue
 		}
 		want := scenarios.GoldenChains[name]
@@ -290,16 +288,15 @@ func runKillRecover(list []*scenarios.Scenario, serveBin, dataDir string) (err e
 			if st.Result != nil {
 				got = st.Result.Chain
 			}
-			fmt.Printf("FAIL %-22s chain = %q\n     %-22s want    %q\n", name, got, "", want)
-			bad++
+			t.failChain(name, got, want)
 			continue
 		}
 		if st.Result.Resumed {
 			resumed++
 		}
 	}
-	if bad > 0 {
-		return fmt.Errorf("kill-recover: %d of %d jobs lost or diverged after the kill", bad, len(jobs))
+	if err := t.err("of %d jobs lost or diverged after the kill", len(jobs)); err != nil {
+		return err
 	}
 	fmt.Printf("kill-recover: all %d jobs reached their golden chain after SIGKILL + restart (%d resumed from a checkpoint)\n",
 		len(jobs), resumed)

@@ -1,16 +1,15 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"time"
 
 	"aitia/internal/core"
+	"aitia/internal/eval"
 	"aitia/internal/faultinject"
 	"aitia/internal/fleet"
-	"aitia/internal/kvm"
 	"aitia/internal/scenarios"
 )
 
@@ -38,7 +37,7 @@ type fleetOutcome struct {
 //     against the golden set.
 //  2. Chaos fleet: a fresh 3-node in-process fleet whose coordinator
 //     leases every deepening-phase branch to its peers, under seeded
-//     lease-expiry and handoff-drop faults at the given rate and node
+//     lease-expiry and handoff-drop faults at fleetRate and node
 //     death at a quarter of it. Whatever the fleet drops, re-leases or
 //     loses to a SIGKILLed node, the chain must equal the serial one.
 //  3. Partitioned coordinator: the coordinator is cut off from both
@@ -52,31 +51,16 @@ type fleetOutcome struct {
 // at least one injected lease expiry fired and at least one node was
 // actually killed mid-diagnosis — a chaos run where nothing went wrong
 // proves nothing.
-func runFleet(seed int64, rate float64, artifactDir string, list []*scenarios.Scenario, name string) error {
-	pipeline := func(sc *scenarios.Scenario, dispatch core.BranchDispatcher) (*core.Diagnosis, string, error) {
-		prog := sc.MustProgram()
-		m, err := kvm.New(prog)
+func runFleet(j *job) error {
+	seed := j.cfg.seed
+	pipeline := func(sc *scenarios.Scenario, dispatch core.BranchDispatcher) (string, error) {
+		_, d, err := eval.DiagnoseWith(sc,
+			core.LIFSOptions{Workers: 4, Dispatch: dispatch},
+			core.AnalysisOptions{Workers: 4})
 		if err != nil {
-			return nil, "", err
+			return "", err
 		}
-		rep, err := core.Reproduce(m, core.LIFSOptions{
-			WantKind:  sc.WantKind,
-			WantInstr: sc.WantInstr(),
-			LeakCheck: sc.NeedsLeakCheck(),
-			Workers:   4,
-			Dispatch:  dispatch,
-		})
-		if err != nil {
-			return nil, "", err
-		}
-		d, err := core.Analyze(m, rep, core.AnalysisOptions{
-			LeakCheck: sc.NeedsLeakCheck(),
-			Workers:   4,
-		})
-		if err != nil {
-			return nil, "", err
-		}
-		return d, d.Chain.Format(prog), nil
+		return d.Chain.Format(sc.MustProgram()), nil
 	}
 	// coordinatorFor picks the scenario's ring owner among the live
 	// nodes — the replica a fleet submission would land on.
@@ -91,21 +75,20 @@ func runFleet(seed int64, rate float64, artifactDir string, list []*scenarios.Sc
 	}
 
 	fmt.Printf("fleet gate: %d nodes, fault seed %d, rate %g (node death %g)\n",
-		len(fleetNodes), seed, rate, rate/4)
-	bad := 0
+		len(fleetNodes), seed, fleetRate, fleetRate/4)
+	t := j.tally(22)
 	var outcomes []fleetOutcome
 	var totalExpiry, totalDrops, totalReexec, totalRemote, totalKills uint64
-	for i, sc := range list {
+	for i, sc := range j.list {
 		out := fleetOutcome{Scenario: sc.Name}
 		fail := func(format string, args ...any) {
 			out.Failure = fmt.Sprintf(format, args...)
-			fmt.Printf("FAIL %-22s %s\n", sc.Name, out.Failure)
-			bad++
+			t.fail(sc.Name, "%s", out.Failure)
 		}
 		progHash := sc.MustProgram().Hash()
 
 		// 1. Serial baseline, held to the golden chain.
-		_, chainSerial, serr := pipeline(sc, nil)
+		chainSerial, serr := pipeline(sc, nil)
 		out.SerialChain = chainSerial
 		if serr != nil {
 			fail("serial baseline errored: %v", serr)
@@ -118,13 +101,13 @@ func runFleet(seed int64, rate float64, artifactDir string, list []*scenarios.Sc
 			continue
 		}
 
-		// 2. Chaos fleet: expiries and drops at rate, node death at a
+		// 2. Chaos fleet: expiries and drops at fleetRate, node death at a
 		// quarter of it (a death is fleet-wide and permanent, so it is
 		// the rarest event of the mix).
 		plan := faultinject.NewPlan(seed, 0).
-			SetRate(faultinject.KindLeaseExpiry, rate).
-			SetRate(faultinject.KindPartition, rate).
-			SetRate(faultinject.KindNodeDeath, rate/4)
+			SetRate(faultinject.KindLeaseExpiry, fleetRate).
+			SetRate(faultinject.KindPartition, fleetRate).
+			SetRate(faultinject.KindNodeDeath, fleetRate/4)
 		cluster := fleet.NewLocalCluster(fleetNodes, fleet.ClusterConfig{
 			Epoch:    1,
 			LeaseTTL: 500 * time.Millisecond,
@@ -138,11 +121,10 @@ func runFleet(seed int64, rate float64, artifactDir string, list []*scenarios.Sc
 			cluster.Kill(owner)
 			coord = coordinatorFor(cluster, progHash)
 			coord.NoteJobHandoff()
-			fmt.Printf("hand %-22s ring owner %s killed pre-submit, %s takes the job\n",
-				sc.Name, owner, coord.ID())
+			t.line("hand", sc.Name, "ring owner %s killed pre-submit, %s takes the job", owner, coord.ID())
 		}
 		disp := coord.Dispatcher()
-		_, chainFleet, ferr := pipeline(sc, disp)
+		chainFleet, ferr := pipeline(sc, disp)
 		out.FleetChain = chainFleet
 		out.Degraded = disp.Degraded()
 		st := coord.Status()
@@ -165,8 +147,8 @@ func runFleet(seed int64, rate float64, artifactDir string, list []*scenarios.Sc
 		case disp.Degraded() != "" && disp.Degraded() != fleet.ReasonPartitioned:
 			fail("fleet degraded with unknown reason %q", disp.Degraded())
 		default:
-			fmt.Printf("ok   %-22s %d remote, %d expired, %d dropped, %d re-executed, killed %v\n",
-				sc.Name, st.RemoteBranches, st.InjectedExpiry, st.HandoffDrops, st.Reexecuted, out.Killed)
+			t.line("ok", sc.Name, "%d remote, %d expired, %d dropped, %d re-executed, killed %v",
+				st.RemoteBranches, st.InjectedExpiry, st.HandoffDrops, st.Reexecuted, out.Killed)
 		}
 
 		// 3. Partitioned coordinator: no chaos, just the cut. The search
@@ -176,7 +158,7 @@ func runFleet(seed int64, rate float64, artifactDir string, list []*scenarios.Sc
 		pcoord := coordinatorFor(pcluster, progHash)
 		pcluster.Partition(pcoord.ID())
 		pdisp := pcoord.Dispatcher()
-		_, chainPart, perr := pipeline(sc, pdisp)
+		chainPart, perr := pipeline(sc, pdisp)
 		switch {
 		case perr != nil:
 			fail("partitioned run errored: %v", perr)
@@ -185,7 +167,7 @@ func runFleet(seed int64, rate float64, artifactDir string, list []*scenarios.Sc
 		case chainPart != chainSerial:
 			fail("partitioned chain = %q, serial %q", chainPart, chainSerial)
 		default:
-			fmt.Printf("part %-22s degraded to local serial (%s), chain identical\n", sc.Name, pdisp.Degraded())
+			t.line("part", sc.Name, "degraded to local serial (%s), chain identical", pdisp.Degraded())
 		}
 		outcomes = append(outcomes, out)
 	}
@@ -193,37 +175,22 @@ func runFleet(seed int64, rate float64, artifactDir string, list []*scenarios.Sc
 	fmt.Printf("fleet gate totals: %d remote branches, %d injected expiries, %d handoff drops, %d re-executions, %d node deaths\n",
 		totalRemote, totalExpiry, totalDrops, totalReexec, totalKills)
 	if totalExpiry == 0 {
-		fmt.Printf("FAIL corpus-wide: no injected lease expiry fired (seed %d, rate %g) — the chaos proved nothing\n", seed, rate)
-		bad++
+		t.fail("", "corpus-wide: no injected lease expiry fired (seed %d, rate %g) — the chaos proved nothing", seed, fleetRate)
 	}
 	if totalKills == 0 {
-		fmt.Printf("FAIL corpus-wide: no node death fired (seed %d, rate %g) — raise the rate or change the seed\n", seed, rate/4)
-		bad++
+		t.fail("", "corpus-wide: no node death fired (seed %d, rate %g) — raise the rate or change the seed", seed, fleetRate/4)
 	}
-	if bad > 0 {
-		if err := writeFleetArtifacts(artifactDir, outcomes); err != nil {
-			fmt.Fprintf(os.Stderr, "fleet: could not write artifacts: %v\n", err)
+	if t.bad > 0 {
+		if dir := j.artifactDir(); dir != "" {
+			if err := writeJSON(filepath.Join(dir, "fleet-outcomes.json"), outcomes); err != nil {
+				fmt.Fprintf(os.Stderr, "fleet: could not write artifacts: %v\n", err)
+			}
 		}
-		return fmt.Errorf("fleet: %d violations across %d %s scenarios (seed %d, rate %g)", bad, len(list), name, seed, rate)
+	}
+	if err := t.err("violations across %d %s scenarios (seed %d, rate %g)", len(j.list), j.corpus, seed, fleetRate); err != nil {
+		return err
 	}
 	fmt.Printf("fleet: all %d %s scenarios byte-identical to serial across chaos fleet, node death and coordinator partition (seed %d, rate %g)\n",
-		len(list), name, seed, rate)
+		len(j.list), j.corpus, seed, fleetRate)
 	return nil
-}
-
-// writeFleetArtifacts dumps every scenario's outcome (chains, degraded
-// reasons, node statuses, kill lists) as JSON so a failed CI gate
-// leaves a postmortem. A nil/empty dir disables artifacts.
-func writeFleetArtifacts(dir string, outcomes []fleetOutcome) error {
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	payload, err := json.MarshalIndent(outcomes, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "fleet-outcomes.json"), payload, 0o644)
 }

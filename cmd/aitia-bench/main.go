@@ -1,13 +1,17 @@
 // Command aitia-bench regenerates the paper's evaluation artifacts from
-// the scenario corpus: Table 1 (requirements matrix), Table 2 (CVE
+// the scenario corpus — Table 1 (requirements matrix), Table 2 (CVE
 // diagnoses), Table 3 (Syzkaller-bug diagnoses), the §5.2 conciseness
-// statistics, the baseline comparison, and the Figure 5 search tree.
+// statistics, the baseline comparison and the Figure 5 search tree — and
+// runs the repository's CI gates. Every artifact and gate is one entry of
+// the modes table below.
 //
 // Usage:
 //
 //	aitia-bench -all
 //	aitia-bench -table 2
 //	aitia-bench -conciseness -baselines
+//	aitia-bench -check-chains -corpus generated
+//	aitia-bench -faults -seed 2 -artifacts artifacts
 package main
 
 import (
@@ -17,9 +21,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -38,156 +44,392 @@ import (
 	"aitia/internal/scenarios"
 )
 
-func main() {
-	var (
-		all      = flag.Bool("all", false, "regenerate every artifact")
-		table    = flag.Int("table", 0, "regenerate one table (1, 2 or 3)")
-		concise  = flag.Bool("conciseness", false, "regenerate the §5.2 conciseness statistics")
-		baseline = flag.Bool("baselines", false, "regenerate the baseline comparison (§5.2/§5.3)")
-		figure5  = flag.Bool("figure5", false, "regenerate the Figure 5 search tree")
-		ablation = flag.Bool("ablations", false, "run the design-choice ablations")
-		repro    = flag.Bool("reproduction", false, "compare LIFS vs random scheduling for reproduction cost")
-		chains   = flag.Bool("chains", false, "print every scenario's causality chain")
-		lifs     = flag.Bool("lifs", false, "run the LIFS performance artifact (parallel search + snapshot strategy)")
-		flips    = flag.Bool("flips", false, "run the learned flip-ordering artifact: diagnose the corpus cold (no prior) and warm (prior fed by the cold pass), comparing flip-test counts")
-		out      = flag.String("out", "", "with -lifs, -flips or their -check gates: also write the artifact as JSON to this path")
-		seed     = flag.Int64("seed", 1, "seed for the baselines' execution corpus")
-		checkCh  = flag.Bool("check-chains", false, "re-diagnose the corpus and fail unless every chain matches the golden set (the CI corpus gate)")
-		checkRep = flag.Bool("check-reports", false, "report-corpus gate: synthesize each scenario's crash report, re-diagnose from the report alone, and fail unless the chain is golden and the seeded search runs strictly fewer schedules than the blind baseline")
-		repArt   = flag.String("report-artifacts", "", "with -check-reports: write each failing scenario's synthesized report and execution trace into this directory")
-		faults   = flag.Bool("faults", false, "chaos gate: re-diagnose the corpus under deterministic fault injection (seeded by -seed) and fail unless serial and 8-worker runs agree and every chain is golden or Partial with a machine-readable reason")
-		faultR   = flag.Float64("fault-rate", 0.1, "with -faults: per-decision fault probability")
-		fleetG   = flag.Bool("fleet", false, "fleet chaos gate: diagnose the corpus on a 3-node in-process fleet under seeded lease-expiry, handoff-drop and node-death faults, plus a coordinator-partition and a dead-owner handoff case, and fail unless every chain is byte-identical to the serial run")
-		fleetR   = flag.Float64("fleet-rate", 0.08, "with -fleet: per-decision fleet fault probability (node death fires at a quarter of it)")
-		fleetArt = flag.String("fleet-artifacts", "", "with -fleet: write per-scenario outcomes and node statuses into this directory on failure")
-		checkLF  = flag.String("check-lifs", "", "run the -lifs artifact and fail if schedule counts or speedups regress more than 25% against the committed baseline JSON at this path")
-		checkFl  = flag.String("check-flips", "", "flip-regression gate: run the -flips artifact and fail unless every warm chain is byte-identical to cold, the warm pass skips at least 25% of flip tests, and flip counts stay within ±25% of the committed baseline JSON at this path")
-		crashRes = flag.Bool("crash-resume", false, "crash-recovery gate, in-process half: interrupt checkpointed diagnoses mid-search and mid-analysis and fail unless they resume to the golden diagnosis with strictly fewer schedules")
-		killRec  = flag.String("kill-recover", "", "crash-recovery gate, process half: path to an aitia-serve binary to spawn with a durable data dir, SIGKILL mid-diagnosis, restart, and fail unless every submitted job recovers to its golden chain")
-		killDir  = flag.String("kill-data-dir", "", "with -kill-recover: use this data dir (left in place on failure for artifact upload); empty uses a temp dir")
-		corpus   = flag.String("corpus", "", "scenario subset for the corpus gates (all, handbuilt, generated, or a group name); empty picks each gate's default — handbuilt for the perf and resilience gates, all for the correctness gates")
-		checkMx  = flag.Bool("check-matrix", false, "bug-class coverage gate: classify the corpus into the failure-class × interleaving-structure matrix and fail unless every failure class keeps at least -matrix-min representatives")
-		matrixMn = flag.Int("matrix-min", 3, "with -check-matrix: minimum representatives per failure class")
-		trace    = flag.String("trace", "", "write an execution trace of diagnosing -trace-scenario as Chrome trace-event JSON to this path")
-		traceSc  = flag.String("trace-scenario", "cve-2017-15649", "scenario to diagnose for -trace")
-		traceW   = flag.Int("trace-workers", runtime.GOMAXPROCS(0), "worker count for the -trace diagnosis")
-	)
-	flag.Parse()
-	if !*all && *table == 0 && !*concise && !*baseline && !*figure5 && !*chains && !*ablation && !*repro && !*lifs && !*flips && !*checkCh && !*checkRep && !*checkMx && !*faults && !*fleetG && !*crashRes && *killRec == "" && *checkLF == "" && *checkFl == "" && *trace == "" {
-		*all = true
-	}
-
-	if *all || *table == 2 {
-		check(printTable2())
-	}
-	if *all || *table == 3 {
-		check(printTable3())
-	}
-	if *all || *concise {
-		check(printConciseness())
-	}
-	if *all || *baseline || *table == 1 {
-		check(printBaselines(*seed, *all || *table == 1))
-	}
-	if *all || *figure5 {
-		check(printFigure5())
-	}
-	if *all || *ablation {
-		check(printAblations())
-	}
-	if *all || *repro {
-		check(printReproduction(*seed))
-	}
-	if *chains {
-		check(printChains())
-	}
-	if *lifs {
-		list, _ := gateCorpus(*corpus, "handbuilt")
-		_, err := printLIFS(list, *out)
-		check(err)
-	}
-	if *flips {
-		list, _ := gateCorpus(*corpus, "handbuilt")
-		_, err := printFlips(list, *out)
-		check(err)
-	}
-	if *checkCh {
-		list, name := gateCorpus(*corpus, "all")
-		check(checkChains(list, name))
-	}
-	if *checkRep {
-		list, name := gateCorpus(*corpus, "all")
-		check(checkReports(list, name, *repArt))
-	}
-	if *checkMx {
-		list, name := gateCorpus(*corpus, "all")
-		check(checkMatrix(list, name, *matrixMn))
-	}
-	if *faults {
-		// With -faults, -trace names the failure artifact runChaos writes
-		// for the first violating scenario, not a standalone trace run.
-		list, name := gateCorpus(*corpus, "handbuilt")
-		check(runChaos(*seed, *faultR, *trace, list, name))
-	}
-	if *fleetG {
-		list, name := gateCorpus(*corpus, "handbuilt")
-		check(runFleet(*seed, *fleetR, *fleetArt, list, name))
-	}
-	if *crashRes {
-		check(runCrashResume())
-	}
-	if *killRec != "" {
-		list, _ := gateCorpus(*corpus, "handbuilt")
-		check(runKillRecover(list, *killRec, *killDir))
-	}
-	if *checkLF != "" {
-		list, _ := gateCorpus(*corpus, "handbuilt")
-		check(checkLIFSArtifact(list, *checkLF, *out))
-	}
-	if *checkFl != "" {
-		list, _ := gateCorpus(*corpus, "handbuilt")
-		check(checkFlipsArtifact(list, *checkFl, *out))
-	}
-	if *trace != "" && !*faults {
-		check(writeTrace(*trace, *traceSc, *traceW))
-	}
+// A mode is one artifact or gate, declared once: the flag that selects
+// it, the corpus it runs by default, whether the no-flag default (-all)
+// includes it, and what it runs.
+type mode struct {
+	name  string // the selecting flag, and the mode's -artifacts subdirectory
+	table int    // for a paper table: selected by -table <table> instead of its own flag
+	value bool   // the flag takes a value (named in backquotes in usage); the mode runs when it is set
+	usage string
+	// corpus is the default -corpus subset: handbuilt for the perf and
+	// resilience gates, so corpus growth never shifts their committed
+	// baselines; all for the correctness gates, so every emitted scenario
+	// is held to its pinned ground truth. Empty for a mode that runs no
+	// corpus.
+	corpus string
+	out    bool // writes its artifact to -out
+	inAll  bool
+	run    func(*job) error
 }
 
-// gateCorpus resolves the -corpus flag for one gate: an explicit value
-// wins, otherwise the gate's default applies. The perf and resilience
-// gates default to "handbuilt" so the growing generated corpus never
-// shifts their committed baselines; the correctness gates default to
-// "all" so every emitted scenario is held to its pinned ground truth.
-func gateCorpus(flagVal, def string) ([]*scenarios.Scenario, string) {
+// modes lists every artifact and gate in the order they run.
+var modes = []mode{
+	{name: "table2", table: 2, inAll: true, run: printTable2},
+	{name: "table3", table: 3, inAll: true, run: printTable3},
+	{name: "conciseness", usage: "regenerate the §5.2 conciseness statistics", inAll: true, run: printConciseness},
+	{name: "baselines", usage: "regenerate the baseline comparison (§5.2/§5.3)", inAll: true, run: printBaselines},
+	{name: "table1", table: 1, inAll: true, run: printTable1},
+	{name: "figure5", usage: "regenerate the Figure 5 search tree", inAll: true, run: printFigure5},
+	{name: "ablations", usage: "run the design-choice ablations", inAll: true, run: printAblations},
+	{name: "reproduction", usage: "compare LIFS vs random scheduling for reproduction cost", inAll: true, run: printReproduction},
+	{name: "chains", usage: "print every scenario's causality chain", run: printChains},
+	{name: "lifs", corpus: "handbuilt", out: true, run: artifact(measureLIFS, compareLIFS),
+		usage: "run the LIFS performance artifact (parallel search + snapshot strategy)"},
+	{name: "flips", corpus: "handbuilt", out: true, run: artifact(measureFlips, compareFlips),
+		usage: "run the learned flip-ordering artifact: diagnose the corpus cold (no prior) and warm (prior fed by the cold pass), comparing flip-test counts"},
+	{name: "check-chains", corpus: "all", run: checkChains,
+		usage: "re-diagnose the corpus and fail unless every chain matches the golden set (the CI corpus gate)"},
+	{name: "check-reports", corpus: "all", run: checkReports,
+		usage: "report-corpus gate: synthesize each scenario's crash report, re-diagnose from the report alone, and fail unless the chain is golden and the seeded search runs strictly fewer schedules than the blind baseline"},
+	{name: "check-matrix", corpus: "all", run: checkMatrix,
+		usage: fmt.Sprintf("bug-class coverage gate: classify the corpus into the failure-class × interleaving-structure matrix and fail unless every failure class keeps at least %d representatives", matrixMin)},
+	{name: "faults", corpus: "handbuilt", run: runChaos,
+		usage: "chaos gate: re-diagnose the corpus under deterministic fault injection (seeded by -seed) and fail unless serial and 8-worker runs agree and every chain is golden or Partial with a machine-readable reason"},
+	{name: "fleet", corpus: "handbuilt", run: runFleet,
+		usage: "fleet chaos gate: diagnose the corpus on a 3-node in-process fleet under seeded lease-expiry, handoff-drop and node-death faults, plus a coordinator-partition and a dead-owner handoff case, and fail unless every chain is byte-identical to the serial run"},
+	{name: "crash-resume", run: runCrashResume,
+		usage: "crash-recovery gate, in-process half: interrupt checkpointed diagnoses mid-search and mid-analysis and fail unless they resume to the golden diagnosis with strictly fewer schedules"},
+	{name: "kill-recover", value: true, corpus: "handbuilt", run: runKillRecover,
+		usage: "crash-recovery gate, process half: spawn the aitia-serve binary at this `path` with a durable data dir, SIGKILL it mid-diagnosis, restart it, and fail unless every submitted job recovers to its golden chain"},
+	{name: "check-lifs", value: true, corpus: "handbuilt", out: true, run: artifact(measureLIFS, compareLIFS),
+		usage: "run the -lifs artifact and fail if schedule counts or speedups regress more than 25% against the committed baseline JSON at this `path`"},
+	{name: "check-flips", value: true, corpus: "handbuilt", out: true, run: artifact(measureFlips, compareFlips),
+		usage: "flip-regression gate: run the -flips artifact and fail unless every warm chain is byte-identical to cold, the warm pass skips at least 25% of flip tests, and flip counts stay within ±25% of the committed baseline JSON at this `path`"},
+	{name: "trace", value: true, run: writeTrace,
+		usage: "write an execution trace of diagnosing -trace-scenario as Chrome trace-event JSON to this `path`"},
+}
+
+// The fault rates and the coverage floor the gates hold the corpus to.
+const (
+	chaosRate = 0.1  // -faults: per-decision fault probability
+	fleetRate = 0.08 // -fleet: per-decision fleet fault probability; node death fires at a quarter of it
+	matrixMin = 3    // -check-matrix: minimum representatives per failure class
+)
+
+// config is a parsed command line: the shared options and the selected
+// modes, in table order.
+type config struct {
+	seed          int64
+	out           string
+	artifacts     string
+	traceScenario string
+	traceWorkers  int
+	jobs          []*job
+
+	baselineRows []eval.BaselineRow // computed once for -baselines and -table 1
+}
+
+// A job is one selected mode with its inputs resolved.
+type job struct {
+	*mode
+	cfg    *config
+	arg    string                // the flag's value, for a mode that takes one
+	list   []*scenarios.Scenario // the -corpus subset, for a mode that runs one
+	corpus string                // the subset's name
+}
+
+var errUsage = errors.New("usage")
+
+// parse reads the command line. Usage errors are printed to stderr with
+// the flag summary and returned as errUsage (or flag.ErrHelp for -h).
+func parse(args []string, stderr io.Writer) (*config, error) {
+	fs := flag.NewFlagSet("aitia-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	c := &config{}
+	all := fs.Bool("all", false, "regenerate every artifact (the default when no mode is selected)")
+	table := fs.Int("table", 0, "regenerate one table (1, 2 or 3)")
+	corpus := fs.String("corpus", "", "scenario subset for the corpus modes (all, handbuilt, generated, or a group name); empty picks each mode's default — handbuilt for the perf and resilience gates, all for the correctness gates")
+	fs.Int64Var(&c.seed, "seed", 1, "seed for the baselines' execution corpus and the chaos and fleet fault plans")
+	fs.StringVar(&c.out, "out", "", "with one of -lifs, -flips, -check-lifs or -check-flips: also write the artifact as JSON to this `path`")
+	fs.StringVar(&c.artifacts, "artifacts", "", "write each failing gate's postmortem under `DIR`/<mode>/; -kill-recover uses DIR/kill-recover as its data dir (a temp dir when empty)")
+	fs.StringVar(&c.traceScenario, "trace-scenario", "cve-2017-15649", "scenario to diagnose for -trace")
+	fs.IntVar(&c.traceWorkers, "trace-workers", runtime.GOMAXPROCS(0), "worker count for the -trace diagnosis")
+	on := make([]bool, len(modes))
+	vals := make([]string, len(modes))
+	for i, m := range modes {
+		switch {
+		case m.table != 0:
+		case m.value:
+			fs.StringVar(&vals[i], m.name, "", m.usage)
+		default:
+			fs.BoolVar(&on[i], m.name, false, m.usage)
+		}
+	}
+	usage := func(format string, args ...any) error {
+		fmt.Fprintf(stderr, "aitia-bench: "+format+"\n", args...)
+		fs.Usage()
+		return errUsage
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, err
+		}
+		return nil, errUsage
+	}
+	if fs.NArg() > 0 {
+		return nil, usage("unexpected argument %q (every mode is a -flag)", fs.Arg(0))
+	}
+
+	tableOK := *table == 0
+	for i, m := range modes {
+		switch {
+		case m.table != 0:
+			on[i] = m.table == *table
+			tableOK = tableOK || on[i]
+		case m.value:
+			on[i] = vals[i] != ""
+		}
+	}
+	if !tableOK {
+		return nil, usage("-table %d: want 1, 2 or 3", *table)
+	}
+	if !slices.Contains(on, true) {
+		*all = true
+	}
+	outs := 0
+	for i := range modes {
+		m := &modes[i]
+		if !on[i] && !(*all && m.inAll) {
+			continue
+		}
+		j := &job{mode: m, cfg: c, arg: vals[i]}
+		if m.corpus != "" {
+			list, name, err := resolveCorpus(*corpus, m.corpus)
+			if err != nil {
+				return nil, usage("-%s: %v", m.name, err)
+			}
+			j.list, j.corpus = list, name
+		}
+		if m.out {
+			outs++
+		}
+		c.jobs = append(c.jobs, j)
+	}
+	if c.out != "" && outs != 1 {
+		return nil, usage("-out names one file, but %d of -lifs, -flips, -check-lifs and -check-flips are selected", outs)
+	}
+	return c, nil
+}
+
+// resolveCorpus resolves -corpus for one mode: an explicit value wins,
+// otherwise the mode's default applies.
+func resolveCorpus(flagVal, def string) ([]*scenarios.Scenario, string, error) {
 	name := flagVal
 	if name == "" {
 		name = def
 	}
 	list, err := scenarios.Subset(name)
-	check(err)
-	if len(list) == 0 {
-		check(fmt.Errorf("corpus subset %q is empty", name))
+	if err != nil {
+		return nil, "", err
 	}
-	return list, name
+	if len(list) == 0 {
+		return nil, "", fmt.Errorf("corpus subset %q is empty", name)
+	}
+	return list, name, nil
+}
+
+// run runs the selected modes in table order, stopping at the first that
+// fails.
+func (c *config) run() error {
+	for _, j := range c.jobs {
+		if err := j.run(j); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func main() {
+	c, err := parse(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+	if err := c.run(); err != nil {
+		fmt.Fprintln(os.Stderr, "aitia-bench:", err)
+		os.Exit(1)
+	}
+}
+
+// artifactDir is where the job leaves its postmortem: DIR/<mode> under
+// -artifacts, or "" when -artifacts is unset.
+func (j *job) artifactDir() string {
+	if j.cfg.artifacts == "" {
+		return ""
+	}
+	return filepath.Join(j.cfg.artifacts, j.name)
+}
+
+// tally prints a gate's per-item verdict lines and counts its failures.
+type tally struct {
+	gate  string // prefixes the summary error
+	width int    // the item-name column
+	bad   int
+	first string // the first item that failed
+}
+
+func (j *job) tally(width int) *tally { return &tally{gate: j.name, width: width} }
+
+// line prints one verdict line: a tag (ok, FAIL, skip, part, degr, ...),
+// the item in a fixed-width column, and the message. An empty item drops
+// the column.
+func (t *tally) line(tag, item, format string, args ...any) {
+	msg := fmt.Sprintf(format, args...)
+	if item == "" {
+		fmt.Printf("%-4s %s\n", tag, msg)
+		return
+	}
+	fmt.Printf("%-4s %-*s %s\n", tag, t.width, item, msg)
+}
+
+// fail prints a FAIL line and counts it.
+func (t *tally) fail(item, format string, args ...any) {
+	if t.bad == 0 {
+		t.first = item
+	}
+	t.bad++
+	t.line("FAIL", item, format, args...)
+}
+
+// failChain fails an item whose chain differs from the one wanted.
+func (t *tally) failChain(item, got, want string) {
+	t.fail(item, "chain = %q\n     %-*s want    %q", got, t.width, "", want)
+}
+
+// err is nil when nothing failed, else the gate's summary error: the
+// gate, the failure count, then format.
+func (t *tally) err(format string, args ...any) error {
+	if t.bad == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s: %d "+format, append([]any{t.gate, t.bad}, args...)...)
+}
+
+// within reports whether got lies in base's ±tol band, edges included.
+func within(got, base, tol float64) bool {
+	return got >= base*(1-tol) && got <= base*(1+tol)
+}
+
+// band renders base's ±tol band for a FAIL line.
+func band(base, tol float64) string {
+	return fmt.Sprintf("±%g%%: %g..%g", tol*100, base*(1-tol), base*(1+tol))
+}
+
+func readJSON(path string, v any) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("parsing %s: %w", path, err)
+	}
+	return nil
+}
+
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return writeFile(path, append(data, '\n'))
+}
+
+// writeFile writes data to path, creating its directory.
+func writeFile(path string, data []byte) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
+}
+
+func chromeJSON(tr *obs.Tracer) ([]byte, error) {
+	var buf bytes.Buffer
+	err := tr.WriteChrome(&buf)
+	return buf.Bytes(), err
+}
+
+// artifact returns the run function of a measured artifact mode: measure
+// the job's corpus and print the tables, write the artifact to -out, and,
+// when the flag named a baseline JSON (the -check- modes), fail on every
+// regression compare finds against it. compare returns the note the
+// passing line ends with.
+func artifact[T any](measure func([]*scenarios.Scenario) (*T, error), compare func(t *tally, baseline string, base, fresh *T) string) func(*job) error {
+	return func(j *job) error {
+		var base T
+		if j.arg != "" {
+			if err := readJSON(j.arg, &base); err != nil {
+				return fmt.Errorf("%s: %w", j.name, err)
+			}
+		}
+		fresh, err := measure(j.list)
+		if err != nil {
+			return err
+		}
+		if out := j.cfg.out; out != "" {
+			if err := writeJSON(out, fresh); err != nil {
+				return err
+			}
+			fmt.Printf("wrote %s\n", out)
+		}
+		if j.arg == "" {
+			return nil
+		}
+		t := j.tally(22)
+		note := compare(t, j.arg, &base, fresh)
+		where := ""
+		if j.cfg.out != "" {
+			where = fmt.Sprintf(" (fresh artifact written to %s)", j.cfg.out)
+		}
+		if err := t.err("regressions against %s%s", j.arg, where); err != nil {
+			return err
+		}
+		fmt.Printf("%s: no regression against %s (%s)\n", j.name, j.arg, note)
+		return nil
+	}
+}
+
+// printMoved shows each scenario's two counters next to the baseline's
+// after a corpus-total check failed, marking the rows that moved, so the
+// CI log names the offending scenarios without a local rerun.
+func printMoved[R any](title string, cols [2]string, base, fresh []R, counts func(R) (string, [2]uint64)) {
+	baseCounts := make(map[string][2]uint64, len(base))
+	for _, r := range base {
+		name, c := counts(r)
+		baseCounts[name] = c
+	}
+	t := report.Table{Title: title}
+	t.Add("Scenario", cols[0], "base", cols[1], "base")
+	for _, r := range fresh {
+		name, c := counts(r)
+		b := baseCounts[name]
+		if c != b {
+			name = "! " + name
+		}
+		t.Add(name, fmt.Sprint(c[0]), fmt.Sprint(b[0]), fmt.Sprint(c[1]), fmt.Sprint(b[1]))
+	}
+	t.Write(os.Stdout)
 }
 
 // checkMatrix is the bug-class coverage CI gate: it classifies the
 // selected corpus into the failure-class × interleaving-structure matrix
 // (the Tables 2–3 bug taxonomy) and fails unless every failure class
-// keeps at least minPer representatives. The full matrix prints either
+// keeps at least matrixMin representatives. The full matrix prints either
 // way, so a failing run shows exactly which cells went empty.
-func checkMatrix(list []*scenarios.Scenario, name string, minPer int) error {
+func checkMatrix(j *job) error {
 	m := factory.NewMatrix()
-	for _, sc := range list {
+	for _, sc := range j.list {
 		m.AddScenario(sc)
 	}
-	fmt.Printf("bug-class matrix (%s corpus, %d scenarios):\n%s", name, m.Total(), m)
-	if missing := m.MissingFailure(minPer); len(missing) > 0 {
+	fmt.Printf("bug-class matrix (%s corpus, %d scenarios):\n%s", j.corpus, m.Total(), m)
+	if missing := m.MissingFailure(matrixMin); len(missing) > 0 {
 		return fmt.Errorf("check-matrix: failure classes below %d representatives in the %s corpus: %s",
-			minPer, name, strings.Join(missing, ", "))
+			matrixMin, j.corpus, strings.Join(missing, ", "))
 	}
 	fmt.Printf("check-matrix: every failure class has >= %d representatives across %d scenarios\n",
-		minPer, len(list))
+		matrixMin, len(j.list))
 	return nil
 }
 
@@ -195,34 +437,30 @@ func checkMatrix(list []*scenarios.Scenario, name string, minPer int) error {
 // the selected subset and compares the causality chain against
 // scenarios.GoldenChains, independently of `go test` — an edited or
 // skipped golden test cannot hide a regression from this path.
-func checkChains(list []*scenarios.Scenario, name string) error {
-	rows, err := eval.Run(list)
+func checkChains(j *job) error {
+	rows, err := eval.Run(j.list)
 	if err != nil {
 		return err
 	}
 	// Only the full corpus can account for every golden chain; a subset
 	// run still requires a golden for each of its own scenarios below.
-	if name == "all" && len(rows) != len(scenarios.GoldenChains) {
+	if j.corpus == "all" && len(rows) != len(scenarios.GoldenChains) {
 		return fmt.Errorf("check-chains: corpus has %d scenarios but %d golden chains — regenerate with -chains and update internal/scenarios/golden.go",
 			len(rows), len(scenarios.GoldenChains))
 	}
-	bad := 0
+	t := j.tally(22)
 	for _, r := range rows {
-		want, ok := scenarios.GoldenChains[r.Scenario.Name]
-		if !ok {
-			fmt.Printf("FAIL %-22s no golden chain\n", r.Scenario.Name)
-			bad++
-			continue
+		switch want, ok := scenarios.GoldenChains[r.Scenario.Name]; {
+		case !ok:
+			t.fail(r.Scenario.Name, "no golden chain")
+		case r.Chain != want:
+			t.failChain(r.Scenario.Name, r.Chain, want)
+		default:
+			t.line("ok", r.Scenario.Name, "%s", r.Chain)
 		}
-		if r.Chain != want {
-			fmt.Printf("FAIL %-22s chain = %q\n     %-22s want    %q\n", r.Scenario.Name, r.Chain, "", want)
-			bad++
-			continue
-		}
-		fmt.Printf("ok   %-22s %s\n", r.Scenario.Name, r.Chain)
 	}
-	if bad > 0 {
-		return fmt.Errorf("check-chains: %d of %d scenarios diverge from the golden chains", bad, len(rows))
+	if err := t.err("of %d scenarios diverge from the golden chains", len(rows)); err != nil {
+		return err
 	}
 	fmt.Printf("check-chains: all %d scenario chains match the golden set\n", len(rows))
 	return nil
@@ -234,28 +472,21 @@ func checkChains(list []*scenarios.Scenario, name string) error {
 // fails unless the report-driven chain matches the golden set AND the
 // report-seeded search executes strictly fewer schedules than the blind
 // baseline — the whole point of constraining LIFS with report suspects.
-// When artifactDir is set, each violating scenario leaves its report and
-// an execution trace of the report-driven run there for upload.
+// With -artifacts, each violating scenario leaves its report and an
+// execution trace of the report-driven run for upload.
 // Generated scenarios whose manifest recorded ReportOK=false at emission
 // are skipped with a visible line rather than failed.
-func checkReports(list []*scenarios.Scenario, name, artifactDir string) error {
-	bad, checked := 0, 0
-	for _, sc := range list {
+func checkReports(j *job) error {
+	t := j.tally(22)
+	checked := 0
+	for _, sc := range j.list {
 		if sc.GenInfo != nil && !sc.GenInfo.ReportOK {
-			fmt.Printf("skip %-22s synthesized report does not round-trip (recorded at emission)\n", sc.Name)
+			t.line("skip", sc.Name, "synthesized report does not round-trip (recorded at emission)")
 			continue
 		}
 		checked++
 		prog := sc.MustProgram()
-		m, err := kvm.New(prog)
-		if err != nil {
-			return err
-		}
-		blind, err := core.Reproduce(m, core.LIFSOptions{
-			WantKind:  sc.WantKind,
-			WantInstr: sc.WantInstr(),
-			LeakCheck: sc.NeedsLeakCheck(),
-		})
+		blind, err := eval.ReproduceWith(sc, core.LIFSOptions{})
 		if err != nil {
 			return fmt.Errorf("check-reports: %s: blind baseline: %w", sc.Name, err)
 		}
@@ -274,56 +505,72 @@ func checkReports(list []*scenarios.Scenario, name, artifactDir string) error {
 			return err
 		}
 		mres, err := mgr.DiagnoseReport(context.Background(), rpt)
-		fail := func(format string, args ...any) {
-			fmt.Printf("FAIL %-22s %s\n", sc.Name, fmt.Sprintf(format, args...))
-			bad++
-			if werr := writeReportArtifacts(artifactDir, sc.Name, text, tr); werr != nil {
-				fmt.Fprintf(os.Stderr, "check-reports: could not write artifacts for %s: %v\n", sc.Name, werr)
-			}
-		}
+		bad := t.bad
 		switch {
 		case err != nil:
-			fail("report-driven diagnosis errored: %v", err)
+			t.fail(sc.Name, "report-driven diagnosis errored: %v", err)
 		case mres.Resolution.Degraded():
-			fail("synthesized report resolved degraded: %v", mres.Resolution.Partial)
+			t.fail(sc.Name, "synthesized report resolved degraded: %v", mres.Resolution.Partial)
 		default:
 			chain := mres.Diagnosis.Chain.Format(prog)
 			seeded := mres.Reproduction.Stats.Schedules
 			if want := scenarios.GoldenChains[sc.Name]; chain != want {
-				fail("chain = %q\n     %-22s want    %q", chain, "", want)
+				t.failChain(sc.Name, chain, want)
 			} else if seeded >= blind.Stats.Schedules {
-				fail("seeded search ran %d schedules, blind baseline %d — want strictly fewer", seeded, blind.Stats.Schedules)
+				t.fail(sc.Name, "seeded search ran %d schedules, blind baseline %d — want strictly fewer", seeded, blind.Stats.Schedules)
 			} else {
-				fmt.Printf("ok   %-22s %d -> %d schedules  %s\n", sc.Name, blind.Stats.Schedules, seeded, chain)
+				t.line("ok", sc.Name, "%d -> %d schedules  %s", blind.Stats.Schedules, seeded, chain)
+			}
+		}
+		if t.bad > bad {
+			if werr := writeReportArtifacts(j, sc.Name, text, tr); werr != nil {
+				fmt.Fprintf(os.Stderr, "check-reports: could not write artifacts for %s: %v\n", sc.Name, werr)
 			}
 		}
 	}
-	if bad > 0 {
-		return fmt.Errorf("check-reports: %d of %d scenarios fail the report-driven gate", bad, checked)
+	if err := t.err("of %d scenarios fail the report-driven gate", checked); err != nil {
+		return err
 	}
 	fmt.Printf("check-reports: all %d scenarios (%s corpus) diagnose from their crash report alone, each with fewer schedules than blind\n",
-		checked, name)
+		checked, j.corpus)
 	return nil
 }
 
 // writeReportArtifacts dumps a violating scenario's synthesized report
-// and the Chrome trace of its report-driven diagnosis, so the CI gate
-// leaves a postmortem. A nil/empty dir disables artifacts.
-func writeReportArtifacts(dir, name, reportText string, tr *obs.Tracer) error {
+// and the Chrome trace of its report-driven diagnosis under -artifacts,
+// so the CI gate leaves a postmortem.
+func writeReportArtifacts(j *job, name, reportText string, tr *obs.Tracer) error {
+	dir := j.artifactDir()
 	if dir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := writeFile(filepath.Join(dir, name+".report.txt"), []byte(reportText)); err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, name+".report.txt"), []byte(reportText), 0o644); err != nil {
+	data, err := chromeJSON(tr)
+	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
-		return err
+	return writeFile(filepath.Join(dir, name+".trace.json"), data)
+}
+
+// chaosRetry is the chaos gate's retry budget per faulted operation.
+var chaosRetry = faultinject.RetryPolicy{
+	MaxAttempts: 6,
+	BaseBackoff: 100 * time.Microsecond,
+	MaxBackoff:  2 * time.Millisecond,
+}
+
+// diagnoseChaos diagnoses one scenario under the chaos gate's fault plan.
+func diagnoseChaos(sc *scenarios.Scenario, seed int64, workers int, tr *obs.Tracer) (*core.Diagnosis, string, error) {
+	plan := faultinject.NewPlan(seed, chaosRate)
+	_, d, err := eval.DiagnoseWith(sc,
+		core.LIFSOptions{Workers: workers, Fault: plan, Retry: chaosRetry, Tracer: tr},
+		core.AnalysisOptions{Workers: workers, Fault: plan, Retry: chaosRetry, Tracer: tr})
+	if err != nil {
+		return nil, "", err
 	}
-	return os.WriteFile(filepath.Join(dir, name+".trace.json"), buf.Bytes(), 0o644)
+	return d, d.Chain.Format(sc.MustProgram()), nil
 }
 
 // runChaos is the chaos CI gate: every corpus scenario is re-diagnosed
@@ -334,162 +581,103 @@ func writeReportArtifacts(dir, name, reportText string, tr *obs.Tracer) error {
 // or a classified retry exhaustion (which a service deployment would
 // requeue). Anything else — divergent chains, unclassified errors, a
 // silently wrong chain — fails the gate.
-func runChaos(seed int64, rate float64, tracePath string, list []*scenarios.Scenario, name string) error {
-	retry := faultinject.RetryPolicy{
-		MaxAttempts: 6,
-		BaseBackoff: 100 * time.Microsecond,
-		MaxBackoff:  2 * time.Millisecond,
-	}
-	pipeline := func(sc *scenarios.Scenario, workers int, tr *obs.Tracer) (*core.Diagnosis, string, error) {
-		plan := faultinject.NewPlan(seed, rate)
-		m, err := kvm.New(sc.MustProgram())
-		if err != nil {
-			return nil, "", err
-		}
-		rep, err := core.Reproduce(m, core.LIFSOptions{
-			WantKind:  sc.WantKind,
-			WantInstr: sc.WantInstr(),
-			LeakCheck: sc.NeedsLeakCheck(),
-			Workers:   workers,
-			Fault:     plan,
-			Retry:     retry,
-			Tracer:    tr,
-		})
-		if err != nil {
-			return nil, "", err
-		}
-		d, err := core.Analyze(m, rep, core.AnalysisOptions{
-			LeakCheck: sc.NeedsLeakCheck(),
-			Workers:   workers,
-			Fault:     plan,
-			Retry:     retry,
-			Tracer:    tr,
-		})
-		if err != nil {
-			return nil, "", err
-		}
-		return d, d.Chain.Format(sc.MustProgram()), nil
-	}
-
-	fmt.Printf("chaos gate: fault seed %d, rate %g, retry budget %d\n", seed, rate, retry.MaxAttempts)
-	bad := 0
-	var firstBad *scenarios.Scenario
-	violated := func(sc *scenarios.Scenario) {
-		bad++
-		if firstBad == nil {
-			firstBad = sc
-		}
-	}
-	for _, sc := range list {
-		ds, cs, serr := pipeline(sc, 1, nil)
-		dp, cp, perr := pipeline(sc, 8, nil)
+func runChaos(j *job) error {
+	seed := j.cfg.seed
+	fmt.Printf("chaos gate: fault seed %d, rate %g, retry budget %d\n", seed, chaosRate, chaosRetry.MaxAttempts)
+	t := j.tally(22)
+	for _, sc := range j.list {
+		ds, cs, serr := diagnoseChaos(sc, seed, 1, nil)
+		dp, cp, perr := diagnoseChaos(sc, seed, 8, nil)
 		switch {
 		case serr != nil || perr != nil:
 			if serr != nil && perr != nil &&
 				errors.Is(serr, faultinject.ErrExhausted) && errors.Is(perr, faultinject.ErrExhausted) {
-				fmt.Printf("degr %-22s classified exhaustion on both (requeueable): %v\n", sc.Name, serr)
+				t.line("degr", sc.Name, "classified exhaustion on both (requeueable): %v", serr)
 				continue
 			}
-			fmt.Printf("FAIL %-22s errors diverge or unclassified:\n     serial:   %v\n     workers8: %v\n", sc.Name, serr, perr)
-			violated(sc)
+			t.fail(sc.Name, "errors diverge or unclassified:\n     serial:   %v\n     workers8: %v", serr, perr)
 		case cs != cp || ds.Partial != dp.Partial || ds.PartialReason != dp.PartialReason:
-			fmt.Printf("FAIL %-22s serial and 8-worker runs diverge:\n     serial:   %q partial=%v (%s)\n     workers8: %q partial=%v (%s)\n",
-				sc.Name, cs, ds.Partial, ds.PartialReason, cp, dp.Partial, dp.PartialReason)
-			violated(sc)
+			t.fail(sc.Name, "serial and 8-worker runs diverge:\n     serial:   %q partial=%v (%s)\n     workers8: %q partial=%v (%s)",
+				cs, ds.Partial, ds.PartialReason, cp, dp.Partial, dp.PartialReason)
+		case ds.Partial && ds.PartialReason == "":
+			t.fail(sc.Name, "Partial without a machine-readable reason")
 		case ds.Partial:
-			if ds.PartialReason == "" {
-				fmt.Printf("FAIL %-22s Partial without a machine-readable reason\n", sc.Name)
-				violated(sc)
-				continue
-			}
-			fmt.Printf("part %-22s %q (%d unknown, reason %s)\n", sc.Name, cs, len(ds.Unknown), ds.PartialReason)
+			t.line("part", sc.Name, "%q (%d unknown, reason %s)", cs, len(ds.Unknown), ds.PartialReason)
+		case cs != scenarios.GoldenChains[sc.Name]:
+			t.failChain(sc.Name, cs, scenarios.GoldenChains[sc.Name])
 		default:
-			if want := scenarios.GoldenChains[sc.Name]; cs != want {
-				fmt.Printf("FAIL %-22s chain = %q\n     %-22s want    %q\n", sc.Name, cs, "", want)
-				violated(sc)
-				continue
-			}
-			fmt.Printf("ok   %-22s %s\n", sc.Name, cs)
+			t.line("ok", sc.Name, "%s", cs)
 		}
 	}
-	if bad > 0 {
-		if tracePath != "" && firstBad != nil {
-			if terr := writeChaosTrace(tracePath, firstBad, pipeline); terr != nil {
-				fmt.Fprintf(os.Stderr, "faults: could not write failure trace: %v\n", terr)
-			}
+	if t.bad > 0 {
+		if terr := writeChaosTrace(j, t.first); terr != nil {
+			fmt.Fprintf(os.Stderr, "faults: could not write failure trace: %v\n", terr)
 		}
-		return fmt.Errorf("faults: %d scenarios violated the chaos invariant (seed %d, rate %g)", bad, seed, rate)
+	}
+	if err := t.err("scenarios violated the chaos invariant (seed %d, rate %g)", seed, chaosRate); err != nil {
+		return err
 	}
 	fmt.Printf("faults: all %d %s scenarios deterministic under injection (seed %d, rate %g)\n",
-		len(list), name, seed, rate)
+		len(j.list), j.corpus, seed, chaosRate)
 	return nil
 }
 
 // writeChaosTrace re-runs the first violating scenario's faulted serial
 // pipeline with tracing enabled and dumps the spans — fault injections,
-// retries and all — as a Chrome trace, so a failed chaos gate leaves a
-// postmortem artifact. The rerun's own error is irrelevant (the gate has
-// already failed); whatever spans were collected get written.
-func writeChaosTrace(outPath string, sc *scenarios.Scenario, pipeline func(*scenarios.Scenario, int, *obs.Tracer) (*core.Diagnosis, string, error)) error {
+// retries and all — as a Chrome trace under -artifacts, so a failed
+// chaos gate leaves a postmortem. The rerun's own error is irrelevant
+// (the gate has already failed); whatever spans were collected get
+// written.
+func writeChaosTrace(j *job, name string) error {
+	dir := j.artifactDir()
+	sc, ok := scenarios.ByName(name)
+	if dir == "" || !ok {
+		return nil
+	}
+	path := filepath.Join(dir, name+".trace.json")
 	tr := obs.New()
-	_, _, rerr := pipeline(sc, 1, tr)
-	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	_, _, rerr := diagnoseChaos(sc, j.cfg.seed, 1, tr)
+	data, err := chromeJSON(tr)
+	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(outPath, buf.Bytes(), 0o644); err != nil {
+	if err := writeFile(path, data); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "faults: wrote failure trace of %s to %s (%d spans, rerun error: %v)\n",
-		sc.Name, outPath, len(tr.Events()), rerr)
+		sc.Name, path, len(tr.Events()), rerr)
 	return nil
 }
 
 // writeTrace diagnoses one scenario with tracing enabled and exports the
 // trace as Chrome trace-event JSON, validating it on the way out.
-func writeTrace(outPath, name string, workers int) error {
-	sc, ok := scenarios.ByName(name)
+func writeTrace(j *job) error {
+	sc, ok := scenarios.ByName(j.cfg.traceScenario)
 	if !ok {
-		return fmt.Errorf("unknown scenario %q", name)
+		return fmt.Errorf("unknown scenario %q", j.cfg.traceScenario)
 	}
-	m, err := kvm.New(sc.MustProgram())
-	if err != nil {
-		return err
-	}
+	workers := j.cfg.traceWorkers
 	tr := obs.New()
-	rep, err := core.Reproduce(m, core.LIFSOptions{
-		WantKind:  sc.WantKind,
-		WantInstr: sc.WantInstr(),
-		LeakCheck: sc.NeedsLeakCheck(),
-		Workers:   workers,
-		Tracer:    tr,
-	})
+	_, d, err := eval.DiagnoseWith(sc,
+		core.LIFSOptions{Workers: workers, Tracer: tr},
+		core.AnalysisOptions{Workers: workers, Tracer: tr})
 	if err != nil {
 		return err
 	}
-	d, err := core.Analyze(m, rep, core.AnalysisOptions{
-		LeakCheck: sc.NeedsLeakCheck(),
-		Workers:   workers,
-		Tracer:    tr,
-	})
+	data, err := chromeJSON(tr)
 	if err != nil {
 		return err
 	}
-
-	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
-		return err
-	}
-	if err := obs.ValidateChrome(buf.Bytes()); err != nil {
+	if err := obs.ValidateChrome(data); err != nil {
 		return fmt.Errorf("exported trace does not validate: %w", err)
 	}
-	if err := os.WriteFile(outPath, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(j.arg, data, 0o644); err != nil {
 		return err
 	}
 
 	events := tr.Events()
 	fmt.Printf("wrote %s: %d spans from diagnosing %s with %d workers (chain: %s)\n",
-		outPath, len(events), sc.Name, workers, d.Chain.Format(sc.MustProgram()))
+		j.arg, len(events), sc.Name, workers, d.Chain.Format(sc.MustProgram()))
 	t := report.Table{Title: "Span summary (open the JSON in chrome://tracing or https://ui.perfetto.dev)"}
 	t.Add("Category", "Span", "Count", "Total")
 	for _, st := range obs.Summarize(events) {
@@ -547,14 +735,13 @@ type lifsSnapshotRow struct {
 	Speedup        float64 `json:"speedup"`
 }
 
-// printLIFS measures the two perf mechanisms of the search engine — worker
-// sharding (LIFSOptions.Workers) and copy-on-write snapshots — and writes
-// the numbers to stdout and, with -out, to a JSON artifact. All timings are
-// best-of-3 to damp scheduler noise. The measured artifact is returned so
-// -check-lifs can compare it against a committed baseline. The replay
-// section measures the scenarios in list (the -corpus subset, hand-built
-// by default so the committed baseline is insensitive to corpus growth).
-func printLIFS(list []*scenarios.Scenario, outPath string) (*lifsArtifact, error) {
+// measureLIFS measures the two perf mechanisms of the search engine —
+// worker sharding (LIFSOptions.Workers) and copy-on-write snapshots — and
+// prints the numbers. All timings are best-of-3 to damp scheduler noise.
+// The replay section measures the scenarios in list (the -corpus subset,
+// hand-built by default so the committed baseline is insensitive to
+// corpus growth).
+func measureLIFS(list []*scenarios.Scenario) (*lifsArtifact, error) {
 	art := lifsArtifact{
 		Generated:  time.Now().UTC().Format(time.RFC3339),
 		CPUs:       runtime.NumCPU(),
@@ -692,17 +879,6 @@ func printLIFS(list []*scenarios.Scenario, outPath string) (*lifsArtifact, error
 	st.Write(os.Stdout)
 	fmt.Printf("  (%d cycles of %d steps each; deep-copy cost grows with state width, CoW with bytes dirtied)\n\n",
 		cycles, burst)
-
-	if outPath != "" {
-		data, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-		fmt.Printf("wrote %s\n", outPath)
-	}
 	return &art, nil
 }
 
@@ -719,25 +895,10 @@ func measureReplay(list []*scenarios.Scenario) ([]lifsReplayRow, error) {
 		var scheds [2]int
 		row := lifsReplayRow{Scenario: sc.Name}
 		for i, disable := range []bool{true, false} {
-			m, err := kvm.New(sc.MustProgram())
-			if err != nil {
-				return nil, err
-			}
-			rep, err := core.Reproduce(m, core.LIFSOptions{
-				WantKind:  sc.WantKind,
-				WantInstr: sc.WantInstr(),
-				LeakCheck: sc.NeedsLeakCheck(),
-				Prefix:    core.PrefixConfig{Disable: disable},
-			})
+			prefix := core.PrefixConfig{Disable: disable}
+			rep, d, err := eval.DiagnoseWith(sc, core.LIFSOptions{Prefix: prefix}, core.AnalysisOptions{Prefix: prefix})
 			if err != nil {
 				return nil, fmt.Errorf("replay-measure %s (cache=%v): %w", sc.Name, !disable, err)
-			}
-			d, err := core.Analyze(m, rep, core.AnalysisOptions{
-				LeakCheck: sc.NeedsLeakCheck(),
-				Prefix:    core.PrefixConfig{Disable: disable},
-			})
-			if err != nil {
-				return nil, fmt.Errorf("replay-measure %s analyze (cache=%v): %w", sc.Name, !disable, err)
 			}
 			replayed[i] = rep.Stats.ReplayedInstrs + d.Stats.ReplayedInstrs
 			chains[i] = d.Chain.Format(sc.MustProgram())
@@ -776,36 +937,16 @@ func replayRatio(off, on uint64) float64 {
 	return float64(off) / float64(on)
 }
 
-// checkLIFSArtifact is the bench-regression CI gate: it re-measures the
-// -lifs artifact and compares it against the committed baseline at
-// baselinePath. Wall-clock times do not transfer between machines, so
-// the gate checks machine-portable quantities only: per-(scenario,
-// workers) schedule counts within ±25%, and parallel/snapshot speedup
-// ratios one-sided (a regression of more than 25% fails; being faster
-// never does). Parallel speedups are skipped when this machine has
-// fewer CPUs than the baseline machine. With -out, the fresh artifact
-// is written there so CI can upload it as the new candidate baseline.
-func checkLIFSArtifact(list []*scenarios.Scenario, baselinePath, outPath string) error {
-	data, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("check-lifs: %w", err)
-	}
-	var base lifsArtifact
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("check-lifs: parsing %s: %w", baselinePath, err)
-	}
-	art, err := printLIFS(list, outPath)
-	if err != nil {
-		return err
-	}
-
+// compareLIFS is the bench-regression CI gate (-check-lifs) on a fresh
+// -lifs artifact. Wall-clock times do not transfer between machines, so
+// it checks machine-portable quantities only: per-(scenario, workers)
+// schedule counts within ±25%, and parallel/snapshot speedup ratios
+// one-sided (a regression of more than 25% fails; being faster never
+// does). Parallel speedups are skipped when this machine has fewer CPUs
+// than the baseline machine.
+func compareLIFS(t *tally, baseline string, base, art *lifsArtifact) string {
 	const tol = 0.25
-	bad := 0
-	fail := func(format string, args ...any) {
-		fmt.Printf("FAIL "+format+"\n", args...)
-		bad++
-	}
-
+	t.width = 28
 	parallel := make(map[string]lifsParallelRow)
 	for _, r := range base.Parallel {
 		parallel[fmt.Sprintf("%s/w%d", r.Scenario, r.Workers)] = r
@@ -819,16 +960,15 @@ func checkLIFSArtifact(list []*scenarios.Scenario, baselinePath, outPath string)
 		key := fmt.Sprintf("%s/w%d", r.Scenario, r.Workers)
 		b, ok := parallel[key]
 		if !ok {
-			fail("%-28s not in baseline %s — regenerate it with -lifs -out", key, baselinePath)
+			t.fail(key, "not in baseline %s — regenerate it with -lifs -out", baseline)
 			continue
 		}
-		lo, hi := float64(b.Schedules)*(1-tol), float64(b.Schedules)*(1+tol)
-		if s := float64(r.Schedules); s < lo || s > hi {
-			fail("%-28s schedules = %d, baseline %d (±25%%: %.0f..%.0f) — the search explores a different amount of work",
-				key, r.Schedules, b.Schedules, lo, hi)
+		if !within(float64(r.Schedules), float64(b.Schedules), tol) {
+			t.fail(key, "schedules = %d, baseline %d (%s) — the search explores a different amount of work",
+				r.Schedules, b.Schedules, band(float64(b.Schedules), tol))
 		}
 		if compareSpeedups && r.Speedup < b.Speedup*(1-tol) {
-			fail("%-28s speedup = %.2fx, baseline %.2fx (floor %.2fx)", key, r.Speedup, b.Speedup, b.Speedup*(1-tol))
+			t.fail(key, "speedup = %.2fx, baseline %.2fx (floor %.2fx)", r.Speedup, b.Speedup, b.Speedup*(1-tol))
 		}
 	}
 
@@ -839,13 +979,13 @@ func checkLIFSArtifact(list []*scenarios.Scenario, baselinePath, outPath string)
 	for _, r := range art.Snapshot {
 		b, ok := snapshot[r.State]
 		if !ok {
-			fail("snapshot/%-19s not in baseline %s — regenerate it with -lifs -out", r.State, baselinePath)
+			t.fail("snapshot/"+r.State, "not in baseline %s — regenerate it with -lifs -out", baseline)
 			continue
 		}
 		// The CoW-vs-deep ratio is single-threaded and machine-stable.
 		if r.Speedup < b.Speedup*(1-tol) {
-			fail("snapshot/%-19s CoW speedup = %.1fx, baseline %.1fx (floor %.1fx)",
-				r.State, r.Speedup, b.Speedup, b.Speedup*(1-tol))
+			t.fail("snapshot/"+r.State, "CoW speedup = %.1fx, baseline %.1fx (floor %.1fx)",
+				r.Speedup, b.Speedup, b.Speedup*(1-tol))
 		}
 	}
 
@@ -855,72 +995,43 @@ func checkLIFSArtifact(list []*scenarios.Scenario, baselinePath, outPath string)
 	// against the baseline (improvements always pass; measureReplay has
 	// already asserted golden chains and cache-on/off schedule equality).
 	if len(base.Replay) == 0 {
-		fail("replay section missing from baseline %s — regenerate it with -lifs -out", baselinePath)
-	} else {
-		var baseOn, baseHits uint64
-		for _, r := range base.Replay {
-			baseOn += r.ReplayedOn
-			baseHits += uint64(r.PrefixHits)
-		}
-		var freshOff, freshOn, freshHits uint64
-		for _, r := range art.Replay {
-			freshOff += r.ReplayedOff
-			freshOn += r.ReplayedOn
-			freshHits += uint64(r.PrefixHits)
-		}
-		replayBad := bad
-		const minReplayReduction = 5.0
-		if ratio := replayRatio(freshOff, freshOn); ratio < minReplayReduction {
-			fail("replay reduction = %.1fx (corpus replayed %d off, %d on), floor %.0fx — the prefix cache stopped paying off",
-				ratio, freshOff, freshOn, minReplayReduction)
-		}
-		if ceil := float64(baseOn) * (1 + tol); float64(freshOn) > ceil {
-			fail("replayed instructions (cache on) = %d, baseline %d (ceiling +25%%: %.0f) — more prefix work is being re-executed",
-				freshOn, baseOn, ceil)
-		}
-		lo, hi := float64(baseHits)*(1-tol), float64(baseHits)*(1+tol)
-		if h := float64(freshHits); h < lo || h > hi {
-			fail("prefix hits = %d, baseline %d (±25%%: %.0f..%.0f) — the cache hit rate changed structurally",
-				freshHits, baseHits, lo, hi)
-		}
-		// The checks above compare corpus totals; name the scenarios that
-		// moved so the CI log pinpoints the regression without a local rerun.
-		if bad > replayBad {
-			printReplayRows(base.Replay, art.Replay)
-		}
+		t.fail("", "replay section missing from baseline %s — regenerate it with -lifs -out", baseline)
+		return ""
 	}
-
-	if bad > 0 {
-		where := ""
-		if outPath != "" {
-			where = fmt.Sprintf(" (fresh artifact written to %s)", outPath)
-		}
-		return fmt.Errorf("check-lifs: %d regressions against %s%s", bad, baselinePath, where)
+	var baseOn, baseHits uint64
+	for _, r := range base.Replay {
+		baseOn += r.ReplayedOn
+		baseHits += uint64(r.PrefixHits)
 	}
-	fmt.Printf("check-lifs: no regression against %s (tolerance ±25%%, replay floor 5x)\n", baselinePath)
-	return nil
-}
-
-// printReplayRows shows each scenario's replay counters next to the
-// baseline's when a corpus-total replay check fails, marking the rows
-// that moved, so the offending scenarios are visible in the CI log.
-func printReplayRows(baseRows, freshRows []lifsReplayRow) {
-	base := make(map[string]lifsReplayRow, len(baseRows))
-	for _, r := range baseRows {
-		base[r.Scenario] = r
+	var freshOff, freshOn, freshHits uint64
+	for _, r := range art.Replay {
+		freshOff += r.ReplayedOff
+		freshOn += r.ReplayedOn
+		freshHits += uint64(r.PrefixHits)
 	}
-	t := report.Table{Title: "  per-scenario replay counters (fresh vs baseline)"}
-	t.Add("Scenario", "replayed on", "base", "hits", "base")
-	for _, r := range freshRows {
-		b := base[r.Scenario]
-		name := r.Scenario
-		if r.ReplayedOn != b.ReplayedOn || r.PrefixHits != b.PrefixHits {
-			name = "! " + name
-		}
-		t.Add(name, fmt.Sprint(r.ReplayedOn), fmt.Sprint(b.ReplayedOn),
-			fmt.Sprint(r.PrefixHits), fmt.Sprint(b.PrefixHits))
+	replayBad := t.bad
+	const minReplayReduction = 5.0
+	if ratio := replayRatio(freshOff, freshOn); ratio < minReplayReduction {
+		t.fail("", "replay reduction = %.1fx (corpus replayed %d off, %d on), floor %.0fx — the prefix cache stopped paying off",
+			ratio, freshOff, freshOn, minReplayReduction)
 	}
-	t.Write(os.Stdout)
+	if ceil := float64(baseOn) * (1 + tol); float64(freshOn) > ceil {
+		t.fail("", "replayed instructions (cache on) = %d, baseline %d (ceiling +25%%: %.0f) — more prefix work is being re-executed",
+			freshOn, baseOn, ceil)
+	}
+	if !within(float64(freshHits), float64(baseHits), tol) {
+		t.fail("", "prefix hits = %d, baseline %d (%s) — the cache hit rate changed structurally",
+			freshHits, baseHits, band(float64(baseHits), tol))
+	}
+	// The checks above compare corpus totals; name the scenarios that
+	// moved so the CI log pinpoints the regression without a local rerun.
+	if t.bad > replayBad {
+		printMoved("  per-scenario replay counters (fresh vs baseline)", [2]string{"replayed on", "hits"},
+			base.Replay, art.Replay, func(r lifsReplayRow) (string, [2]uint64) {
+				return r.Scenario, [2]uint64{r.ReplayedOn, uint64(r.PrefixHits)}
+			})
+	}
+	return "tolerance ±25%, replay floor 5x"
 }
 
 // The JSON shape of the -flips learned-ordering artifact (BENCH_flips.json).
@@ -950,35 +1061,8 @@ type flipsRow struct {
 	Chain       string `json:"chain"`
 }
 
-// diagnoseFlips reproduces one scenario serially and analyzes it with
-// the given worker count and optional flip ranker.
-func diagnoseFlips(sc *scenarios.Scenario, ranker core.FlipRanker, workers int) (*core.Diagnosis, *kir.Program, error) {
-	prog := sc.MustProgram()
-	m, err := kvm.New(prog)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep, err := core.Reproduce(m, core.LIFSOptions{
-		WantKind:  sc.WantKind,
-		WantInstr: sc.WantInstr(),
-		LeakCheck: sc.NeedsLeakCheck(),
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	d, err := core.Analyze(m, rep, core.AnalysisOptions{
-		LeakCheck: sc.NeedsLeakCheck(),
-		Workers:   workers,
-		Ranker:    ranker,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return d, prog, nil
-}
-
 // measureFlips runs the cold and warm corpus passes behind the -flips
-// artifact. Cold analyses run with no ranker — the exact fixed backward
+// artifact and prints the counts. Cold analyses run with no ranker — the exact fixed backward
 // order — and feed every settled verdict into one shared prior store;
 // warm analyses rank and skip with that store, serially and with 8
 // workers. Any chain divergence or an executed+skipped/test-set mismatch
@@ -993,7 +1077,8 @@ func measureFlips(list []*scenarios.Scenario) (*flipsArtifact, error) {
 	pst := prior.NewStore(prior.Config{})
 
 	for _, sc := range list {
-		d, prog, err := diagnoseFlips(sc, nil, 0)
+		prog := sc.MustProgram()
+		_, d, err := eval.DiagnoseWith(sc, core.LIFSOptions{}, core.AnalysisOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("flips-measure %s (cold): %w", sc.Name, err)
 		}
@@ -1013,11 +1098,11 @@ func measureFlips(list []*scenarios.Scenario) (*flipsArtifact, error) {
 	for i, sc := range list {
 		row := &art.Scenarios[i]
 		for _, workers := range []int{0, 8} {
-			d, prog, err := diagnoseFlips(sc, pst, workers)
+			_, d, err := eval.DiagnoseWith(sc, core.LIFSOptions{}, core.AnalysisOptions{Workers: workers, Ranker: pst})
 			if err != nil {
 				return nil, fmt.Errorf("flips-measure %s (warm, workers=%d): %w", sc.Name, workers, err)
 			}
-			if chain := d.Chain.Format(prog); chain != row.Chain {
+			if chain := d.Chain.Format(sc.MustProgram()); chain != row.Chain {
 				return nil, fmt.Errorf("flips-measure %s: warm chain (workers=%d) %q differs from cold %q — the prior changed the diagnosis",
 					sc.Name, workers, chain, row.Chain)
 			}
@@ -1042,19 +1127,7 @@ func measureFlips(list []*scenarios.Scenario) (*flipsArtifact, error) {
 	if art.ColdFlips > 0 {
 		art.Reduction = 1 - float64(art.WarmFlips)/float64(art.ColdFlips)
 	}
-	return art, nil
-}
 
-// printFlips measures the learned flip-ordering prior over the corpus —
-// a cold pass feeding one shared store, then a warm pass ranking and
-// skipping with it — and writes the numbers to stdout and, with -out,
-// to a JSON artifact. The measured artifact is returned so -check-flips
-// can compare it against a committed baseline.
-func printFlips(list []*scenarios.Scenario, outPath string) (*flipsArtifact, error) {
-	art, err := measureFlips(list)
-	if err != nil {
-		return nil, err
-	}
 	t := report.Table{Title: "Learned flip ordering: cold vs warm prior (corpus, serial + 8 workers)"}
 	t.Add("Scenario", "test set", "cold flips", "warm flips", "skipped", "prior hits")
 	for _, r := range art.Scenarios {
@@ -1064,50 +1137,18 @@ func printFlips(list []*scenarios.Scenario, outPath string) (*flipsArtifact, err
 	t.Write(os.Stdout)
 	fmt.Printf("  (corpus flip tests: %d cold, %d warm — %.0f%% skipped; %d signature pairs learned)\n\n",
 		art.ColdFlips, art.WarmFlips, art.Reduction*100, art.PriorPairs)
-
-	if outPath != "" {
-		data, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-		fmt.Printf("wrote %s\n", outPath)
-	}
 	return art, nil
 }
 
-// checkFlipsArtifact is the flip-regression CI gate: it re-measures the
-// -flips artifact (which itself hard-fails on any warm chain diverging
-// from cold or golden) and then holds the flip counts to the committed
-// baseline at baselinePath: the warm pass must skip at least 25% of the
-// corpus' flip tests, and per-scenario and corpus-total counts must stay
-// within ±25% of the baseline. Corpus-total failures also print the
-// per-scenario rows, so a CI log pinpoints which diagnosis regressed.
-// With -out, the fresh artifact is written there so CI can upload it.
-func checkFlipsArtifact(list []*scenarios.Scenario, baselinePath, outPath string) error {
-	data, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("check-flips: %w", err)
-	}
-	var base flipsArtifact
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("check-flips: parsing %s: %w", baselinePath, err)
-	}
-	art, err := printFlips(list, outPath)
-	if err != nil {
-		return err
-	}
-
+// compareFlips is the flip-regression CI gate (-check-flips) on a fresh
+// -flips artifact, which itself hard-fails on any warm chain diverging
+// from cold or golden. It holds the flip counts to the committed
+// baseline: cold counts exactly, warm counts within ±25% per scenario and
+// corpus-wide, and the warm pass must skip at least 25% of the corpus'
+// flip tests. Corpus-total failures also print the per-scenario rows.
+func compareFlips(t *tally, baseline string, base, art *flipsArtifact) string {
 	const tol = 0.25
 	const minReduction = 0.25
-	bad := 0
-	fail := func(format string, args ...any) {
-		fmt.Printf("FAIL "+format+"\n", args...)
-		bad++
-	}
-
 	baseRows := make(map[string]flipsRow, len(base.Scenarios))
 	for _, r := range base.Scenarios {
 		baseRows[r.Scenario] = r
@@ -1115,68 +1156,34 @@ func checkFlipsArtifact(list []*scenarios.Scenario, baselinePath, outPath string
 	for _, r := range art.Scenarios {
 		b, ok := baseRows[r.Scenario]
 		if !ok {
-			fail("%-22s not in baseline %s — regenerate it with -flips -out", r.Scenario, baselinePath)
+			t.fail(r.Scenario, "not in baseline %s — regenerate it with -flips -out", baseline)
 			continue
 		}
 		if r.ColdFlips != b.ColdFlips {
-			fail("%-22s cold flips = %d, baseline %d — the test set itself changed; regenerate the baseline",
-				r.Scenario, r.ColdFlips, b.ColdFlips)
+			t.fail(r.Scenario, "cold flips = %d, baseline %d — the test set itself changed; regenerate the baseline",
+				r.ColdFlips, b.ColdFlips)
 		}
-		lo, hi := float64(b.WarmFlips)*(1-tol), float64(b.WarmFlips)*(1+tol)
-		if w := float64(r.WarmFlips); w < lo || w > hi {
-			fail("%-22s warm flips = %d, baseline %d (±25%%: %.1f..%.1f)",
-				r.Scenario, r.WarmFlips, b.WarmFlips, lo, hi)
+		if !within(float64(r.WarmFlips), float64(b.WarmFlips), tol) {
+			t.fail(r.Scenario, "warm flips = %d, baseline %d (%s)", r.WarmFlips, b.WarmFlips, band(float64(b.WarmFlips), tol))
 		}
 	}
 
-	aggBad := false
+	aggBad := t.bad
 	if art.Reduction < minReduction {
-		fail("corpus warm pass skips %.0f%% of flip tests (%d cold -> %d warm), floor %.0f%% — the prior stopped paying off",
+		t.fail("", "corpus warm pass skips %.0f%% of flip tests (%d cold -> %d warm), floor %.0f%% — the prior stopped paying off",
 			art.Reduction*100, art.ColdFlips, art.WarmFlips, minReduction*100)
-		aggBad = true
 	}
 	if ceil := float64(base.WarmFlips) * (1 + tol); float64(art.WarmFlips) > ceil {
-		fail("corpus warm flips = %d, baseline %d (ceiling +25%%: %.0f) — warm diagnoses execute more flip tests",
+		t.fail("", "corpus warm flips = %d, baseline %d (ceiling +25%%: %.0f) — warm diagnoses execute more flip tests",
 			art.WarmFlips, base.WarmFlips, ceil)
-		aggBad = true
 	}
-	if aggBad {
-		printFlipsRows(base.Scenarios, art.Scenarios)
+	if t.bad > aggBad {
+		printMoved("  per-scenario flip counts (fresh vs baseline)", [2]string{"warm", "skipped"},
+			base.Scenarios, art.Scenarios, func(r flipsRow) (string, [2]uint64) {
+				return r.Scenario, [2]uint64{uint64(r.WarmFlips), uint64(r.WarmSkipped)}
+			})
 	}
-
-	if bad > 0 {
-		where := ""
-		if outPath != "" {
-			where = fmt.Sprintf(" (fresh artifact written to %s)", outPath)
-		}
-		return fmt.Errorf("check-flips: %d regressions against %s%s", bad, baselinePath, where)
-	}
-	fmt.Printf("check-flips: no regression against %s (chains byte-identical, %.0f%% of flip tests skipped warm, tolerance ±25%%)\n",
-		baselinePath, art.Reduction*100)
-	return nil
-}
-
-// printFlipsRows shows each scenario's flip counts next to the
-// baseline's when a corpus-total check fails, marking the rows that
-// moved, so the offending scenarios are visible in the CI log without
-// a local rerun.
-func printFlipsRows(baseRows, freshRows []flipsRow) {
-	base := make(map[string]flipsRow, len(baseRows))
-	for _, r := range baseRows {
-		base[r.Scenario] = r
-	}
-	t := report.Table{Title: "  per-scenario flip counts (fresh vs baseline)"}
-	t.Add("Scenario", "warm", "base warm", "skipped", "base skipped")
-	for _, r := range freshRows {
-		b := base[r.Scenario]
-		name := r.Scenario
-		if r.WarmFlips != b.WarmFlips || r.WarmSkipped != b.WarmSkipped {
-			name = "! " + name
-		}
-		t.Add(name, fmt.Sprint(r.WarmFlips), fmt.Sprint(b.WarmFlips),
-			fmt.Sprint(r.WarmSkipped), fmt.Sprint(b.WarmSkipped))
-	}
-	t.Write(os.Stdout)
+	return fmt.Sprintf("chains byte-identical, %.0f%% of flip tests skipped warm, tolerance ±25%%", art.Reduction*100)
 }
 
 // snapshotCycle times one checkpoint / burst / revert cycle, best of 3
@@ -1225,8 +1232,8 @@ func snapshotCycle(prog *kir.Program, cycles, burst int, deep bool) (time.Durati
 	return best / time.Duration(cycles), nil
 }
 
-func printReproduction(seed int64) error {
-	rows, err := eval.RunReproductionComparison(scenarios.GroupSyzkaller, seed)
+func printReproduction(j *job) error {
+	rows, err := eval.RunReproductionComparison(scenarios.GroupSyzkaller, j.cfg.seed)
 	if err != nil {
 		return err
 	}
@@ -1243,7 +1250,7 @@ func printReproduction(seed int64) error {
 	return nil
 }
 
-func printAblations() error {
+func printAblations(*job) error {
 	rows, err := eval.RunAblations()
 	if err != nil {
 		return err
@@ -1259,14 +1266,7 @@ func printAblations() error {
 	return nil
 }
 
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "aitia-bench:", err)
-		os.Exit(1)
-	}
-}
-
-func printTable2() error {
+func printTable2(*job) error {
 	rows, err := eval.RunGroup(scenarios.GroupCVE)
 	if err != nil {
 		return err
@@ -1284,7 +1284,7 @@ func printTable2() error {
 	return nil
 }
 
-func printTable3() error {
+func printTable3(*job) error {
 	rows, err := eval.RunGroup(scenarios.GroupSyzkaller)
 	if err != nil {
 		return err
@@ -1311,7 +1311,7 @@ func printTable3() error {
 	return nil
 }
 
-func printConciseness() error {
+func printConciseness(*job) error {
 	rows, err := eval.RunGroup(scenarios.GroupSyzkaller)
 	if err != nil {
 		return err
@@ -1331,8 +1331,21 @@ func printConciseness() error {
 	return nil
 }
 
-func printBaselines(seed int64, withTable1 bool) error {
-	rows, err := eval.RunBaselines(scenarios.GroupSyzkaller, seed)
+// baselines runs the baseline comparison once per command line: -baselines
+// and -table 1 both render it.
+func (c *config) baselines() ([]eval.BaselineRow, error) {
+	if c.baselineRows == nil {
+		rows, err := eval.RunBaselines(scenarios.GroupSyzkaller, c.seed)
+		if err != nil {
+			return nil, err
+		}
+		c.baselineRows = rows
+	}
+	return c.baselineRows, nil
+}
+
+func printBaselines(j *job) error {
+	rows, err := j.cfg.baselines()
 	if err != nil {
 		return err
 	}
@@ -1358,20 +1371,25 @@ func printBaselines(seed int64, withTable1 bool) error {
 	t.Write(os.Stdout)
 	fmt.Printf("  AITIA diagnoses %d/%d; Kairux completes %d/%d; CoopBL completes %d/%d; MUVI reaches %d/%d\n\n",
 		len(rows), len(rows), kair, len(rows), coop, len(rows), muvi, len(rows))
-
-	if withTable1 {
-		t1 := report.Table{Title: "Table 1: requirements matrix (derived from the measured corpus)"}
-		t1.Add("System", "Comprehensive", "Pattern-agnostic", "Concise", "Evidence")
-		for _, r := range eval.Table1(rows) {
-			t1.Add(r.System, r.Comprehensive, r.PatternAgnostic, r.Concise, r.Evidence)
-		}
-		t1.Write(os.Stdout)
-		fmt.Println()
-	}
 	return nil
 }
 
-func printFigure5() error {
+func printTable1(j *job) error {
+	rows, err := j.cfg.baselines()
+	if err != nil {
+		return err
+	}
+	t := report.Table{Title: "Table 1: requirements matrix (derived from the measured corpus)"}
+	t.Add("System", "Comprehensive", "Pattern-agnostic", "Concise", "Evidence")
+	for _, r := range eval.Table1(rows) {
+		t.Add(r.System, r.Comprehensive, r.PatternAgnostic, r.Concise, r.Evidence)
+	}
+	t.Write(os.Stdout)
+	fmt.Println()
+	return nil
+}
+
+func printFigure5(*job) error {
 	leaves, rep, err := eval.Figure5()
 	if err != nil {
 		return err
@@ -1389,7 +1407,7 @@ func printFigure5() error {
 	return nil
 }
 
-func printChains() error {
+func printChains(*job) error {
 	rows, err := eval.RunAll()
 	if err != nil {
 		return err

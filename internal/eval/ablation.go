@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"aitia/internal/core"
-	"aitia/internal/kvm"
 	"aitia/internal/scenarios"
 )
 
@@ -31,11 +30,11 @@ func RunAblations() ([]AblationRow, error) {
 	// 1. Equivalent-state pruning: schedule count on the hardest CVE.
 	{
 		sc, _ := scenarios.ByName("cve-2017-15649")
-		on, err := reproduceWith(sc, core.LIFSOptions{})
+		on, err := ReproduceWith(sc, core.LIFSOptions{})
 		if err != nil {
 			return nil, err
 		}
-		off, err := reproduceWith(sc, core.LIFSOptions{NoPruning: true})
+		off, err := ReproduceWith(sc, core.LIFSOptions{NoPruning: true})
 		if err != nil {
 			return nil, err
 		}
@@ -56,11 +55,11 @@ func RunAblations() ([]AblationRow, error) {
 	// which every subsequent flip test pays for.
 	{
 		sc, _ := scenarios.ByName("syz02-packet-frame")
-		on, err := reproduceWith(sc, core.LIFSOptions{})
+		on, err := ReproduceWith(sc, core.LIFSOptions{})
 		if err != nil {
 			return nil, err
 		}
-		off, err := reproduceWith(sc, core.LIFSOptions{NoLeastFirst: true})
+		off, err := ReproduceWith(sc, core.LIFSOptions{NoLeastFirst: true})
 		if err != nil {
 			return nil, err
 		}
@@ -81,11 +80,11 @@ func RunAblations() ([]AblationRow, error) {
 	{
 		sc, _ := scenarios.ByName("cve-2017-15649")
 		prog := sc.MustProgram()
-		with, err := diagnoseWith(sc, core.LIFSOptions{}, core.AnalysisOptions{})
+		_, with, err := DiagnoseWith(sc, core.LIFSOptions{}, core.AnalysisOptions{})
 		if err != nil {
 			return nil, err
 		}
-		without, err := diagnoseWith(sc, core.LIFSOptions{NoPhantom: true}, core.AnalysisOptions{})
+		_, without, err := DiagnoseWith(sc, core.LIFSOptions{NoPhantom: true}, core.AnalysisOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -107,11 +106,11 @@ func RunAblations() ([]AblationRow, error) {
 	// intended.
 	{
 		sc, _ := scenarios.ByName("syz10-md-ioctl")
-		with, err := diagnoseWith(sc, core.LIFSOptions{}, core.AnalysisOptions{})
+		_, with, err := DiagnoseWith(sc, core.LIFSOptions{}, core.AnalysisOptions{})
 		if err != nil {
 			return nil, err
 		}
-		without, err := diagnoseWith(sc, core.LIFSOptions{}, core.AnalysisOptions{NoCriticalSections: true})
+		_, without, err := DiagnoseWith(sc, core.LIFSOptions{}, core.AnalysisOptions{NoCriticalSections: true})
 		if err != nil {
 			return nil, err
 		}
@@ -144,39 +143,4 @@ func verdictLess(with, without int, msg string) string {
 		return fmt.Sprintf("%s (%.1fx fewer schedules)", msg, float64(without)/float64(with))
 	}
 	return "UNEXPECTED: no reduction on this scenario"
-}
-
-func reproduceWith(sc *scenarios.Scenario, lifs core.LIFSOptions) (*core.Reproduction, error) {
-	prog, err := sc.Program()
-	if err != nil {
-		return nil, err
-	}
-	m, err := kvm.New(prog)
-	if err != nil {
-		return nil, err
-	}
-	lifs.WantKind = sc.WantKind
-	lifs.WantInstr = sc.WantInstr()
-	lifs.LeakCheck = sc.NeedsLeakCheck()
-	return core.Reproduce(m, lifs)
-}
-
-func diagnoseWith(sc *scenarios.Scenario, lifs core.LIFSOptions, an core.AnalysisOptions) (*core.Diagnosis, error) {
-	prog, err := sc.Program()
-	if err != nil {
-		return nil, err
-	}
-	m, err := kvm.New(prog)
-	if err != nil {
-		return nil, err
-	}
-	lifs.WantKind = sc.WantKind
-	lifs.WantInstr = sc.WantInstr()
-	lifs.LeakCheck = sc.NeedsLeakCheck()
-	rep, err := core.Reproduce(m, lifs)
-	if err != nil {
-		return nil, err
-	}
-	an.LeakCheck = sc.NeedsLeakCheck()
-	return core.Analyze(m, rep, an)
 }

@@ -25,6 +25,40 @@ import (
 // Diagnose runs the full pipeline (LIFS + Causality Analysis) on one
 // scenario and returns both stages' outputs.
 func Diagnose(sc *scenarios.Scenario) (*core.Reproduction, *core.Diagnosis, error) {
+	rep, d, err := DiagnoseWith(sc, core.LIFSOptions{}, core.AnalysisOptions{})
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", sc.Name, err)
+	}
+	return rep, d, nil
+}
+
+// ReproduceWith runs LIFS on one scenario on a fresh machine. The
+// scenario's ground truth sets lifs.WantKind, WantInstr and LeakCheck;
+// every other option is the caller's.
+func ReproduceWith(sc *scenarios.Scenario, lifs core.LIFSOptions) (*core.Reproduction, error) {
+	_, rep, err := reproduce(sc, lifs)
+	return rep, err
+}
+
+// DiagnoseWith runs LIFS and then causality analysis on one scenario on
+// a fresh machine and returns both stages' outputs. The scenario's ground
+// truth sets the same lifs fields as in ReproduceWith, and an.LeakCheck.
+// Errors are the stages' own, unwrapped, so callers can print and
+// classify them.
+func DiagnoseWith(sc *scenarios.Scenario, lifs core.LIFSOptions, an core.AnalysisOptions) (*core.Reproduction, *core.Diagnosis, error) {
+	m, rep, err := reproduce(sc, lifs)
+	if err != nil {
+		return nil, nil, err
+	}
+	an.LeakCheck = sc.NeedsLeakCheck()
+	d, err := core.Analyze(m, rep, an)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rep, d, nil
+}
+
+func reproduce(sc *scenarios.Scenario, lifs core.LIFSOptions) (*kvm.Machine, *core.Reproduction, error) {
 	prog, err := sc.Program()
 	if err != nil {
 		return nil, nil, err
@@ -33,19 +67,11 @@ func Diagnose(sc *scenarios.Scenario) (*core.Reproduction, *core.Diagnosis, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	rep, err := core.Reproduce(m, core.LIFSOptions{
-		WantKind:  sc.WantKind,
-		WantInstr: sc.WantInstr(),
-		LeakCheck: sc.NeedsLeakCheck(),
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: LIFS: %w", sc.Name, err)
-	}
-	d, err := core.Analyze(m, rep, core.AnalysisOptions{LeakCheck: sc.NeedsLeakCheck()})
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: causality analysis: %w", sc.Name, err)
-	}
-	return rep, d, nil
+	lifs.WantKind = sc.WantKind
+	lifs.WantInstr = sc.WantInstr()
+	lifs.LeakCheck = sc.NeedsLeakCheck()
+	rep, err := core.Reproduce(m, lifs)
+	return m, rep, err
 }
 
 // Row is one diagnosed scenario with the statistics the paper reports.

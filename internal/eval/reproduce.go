@@ -7,7 +7,6 @@ import (
 
 	"aitia/internal/core"
 	"aitia/internal/fuzz"
-	"aitia/internal/kvm"
 	"aitia/internal/scenarios"
 )
 
@@ -64,15 +63,7 @@ func reproCompare(sc *scenarios.Scenario, seed int64) (ReproRow, error) {
 	if err != nil {
 		return ReproRow{}, err
 	}
-	m, err := kvm.New(prog)
-	if err != nil {
-		return ReproRow{}, err
-	}
-	rep, err := core.Reproduce(m, core.LIFSOptions{
-		WantKind:  sc.WantKind,
-		WantInstr: sc.WantInstr(),
-		LeakCheck: sc.NeedsLeakCheck(),
-	})
+	rep, err := ReproduceWith(sc, core.LIFSOptions{})
 	if err != nil {
 		return ReproRow{}, err
 	}
