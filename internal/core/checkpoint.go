@@ -42,9 +42,11 @@ func (c *CheckpointConfig) saved(key string) {
 }
 
 // Checkpoint format versions. Bump when the payload layout changes;
-// loads reject other versions and the search falls back to fresh.
+// loads reject other versions and the search falls back to fresh. LIFS
+// version 2 dropped the visited-state claims a version-1 partial phase
+// carried: a version-1 snapshot loads as absent.
 const (
-	lifsCheckpointVersion = 1
+	lifsCheckpointVersion = 2
 	caCheckpointVersion   = 1
 )
 
@@ -72,14 +74,13 @@ type lifsCheckpoint struct {
 
 // partialPhase captures a serial phase cut at a group boundary: the
 // units explored so far (all complete, none accepted — an accepted
-// candidate ends the phase), and the visited-state claims they made.
-// Restoring both reproduces the exact pruning decisions, so the resumed
-// remainder of the phase explores the same tree as the lost run.
+// candidate ends the phase). Units prune only on their own visited
+// states, so the resumed remainder of the phase explores the same tree
+// as the lost run from these alone.
 type partialPhase struct {
 	Budget     int        `json:"budget"`
 	GroupsDone int        `json:"groups_done"`
 	Units      []unitSnap `json:"units,omitempty"`
-	Visited    []visEntry `json:"visited,omitempty"`
 }
 
 // unitSnap is the serializable outcome of one completed search unit.
@@ -93,14 +94,6 @@ type unitSnap struct {
 	BranchChoices int                  `json:"branch_choices,omitempty"`
 	Accesses      []sched.AccessExport `json:"accesses,omitempty"`
 	Leaves        []LeafTrace          `json:"leaves,omitempty"`
-}
-
-// visEntry is one visited-state claim.
-type visEntry struct {
-	Sig     uint64 `json:"sig"`
-	Cur     int    `json:"cur"`
-	Budget  int    `json:"budget"`
-	Ordinal int    `json:"ordinal"`
 }
 
 // lifsCheckpointKey derives the snapshot key for a search: the program
@@ -159,22 +152,6 @@ func saveLIFSCheckpoint(cfg *CheckpointConfig, key string, ck *lifsCheckpoint) {
 		return
 	}
 	cfg.saved(key)
-}
-
-// exportVisited dumps the visited set's claims deterministically enough
-// for a resume (replaying claims is order-independent: each key holds
-// its first claimant, and a serial phase never double-claims).
-func exportVisited(v *visitedSet) []visEntry {
-	var out []visEntry
-	for i := range v.shards {
-		sh := &v.shards[i]
-		sh.mu.RLock()
-		for k, ord := range sh.m {
-			out = append(out, visEntry{Sig: k.sig, Cur: int(k.cur), Budget: k.budget, Ordinal: ord})
-		}
-		sh.mu.RUnlock()
-	}
-	return out
 }
 
 // caCheckpoint is the serialized progress of a causality analysis: the

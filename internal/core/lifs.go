@@ -47,10 +47,10 @@ type LIFSOptions struct {
 	// across this many goroutines, each driving its own kvm.Machine. Zero
 	// or one searches serially. Parallel and serial searches return the
 	// same reproduction (schedule, races, interleaving count, accesses
-	// and leaves); only Stats.Schedules/Pruned may differ between serial
-	// and parallel, because parallel units cannot share visited states
-	// with in-flight siblings. Requires the machine to be in its initial
-	// state.
+	// and leaves) and the same Stats.Schedules, Pruned and GuidePruned:
+	// every unit prunes only on its own visited states, so its
+	// exploration does not depend on which machine runs it or when.
+	// Requires the machine to be in its initial state.
 	Workers int
 	// Tracer collects execution spans (per deepening phase, per search
 	// unit, per pool dispatch). Nil disables tracing at zero cost. The
@@ -99,7 +99,8 @@ type LIFSOptions struct {
 
 	// Ablation switches (all default off, i.e. the paper's design):
 
-	// NoPruning disables the DPOR-style equivalent-state pruning.
+	// NoPruning disables the equivalent-state pruning: each search unit
+	// skips a state it already reached with the same thread and budget.
 	NoPruning bool
 	// NoLeastFirst disables the least-interleaving-first iterative
 	// deepening and searches directly at MaxInterleavings.
@@ -128,15 +129,10 @@ type SearchStats struct {
 	// phase's winner, executed by this search (checkpoint-resumed work is
 	// not re-counted); runs of units past the winner, cut short or not,
 	// are not counted. Each unit's exploration is a pure function of the
-	// phase, so the count is deterministic. It is bounded, not equal,
-	// across serial and parallel: a serial search prunes on every
-	// earlier unit's visited-state claims, while a parallel task may
-	// consult only claims that deterministically exist at its point of
-	// the serial visit order (probe claims of its group or lower). A
-	// parallel search therefore counts the same value >= the serial
-	// count at every worker count and dispatcher; the prefix cache
-	// changes neither (it skips replay work, never schedules). Pinned by
-	// TestParallelScheduleCountBound. Pruned and GuidePruned are counted
+	// phase and the unit, so the count is the same serially, at every
+	// worker count, through a dispatcher and with the prefix cache on or
+	// off (it skips replay work, never schedules). Pinned by
+	// TestParallelScheduleCountExact. Pruned and GuidePruned are counted
 	// the same way.
 	Schedules     int
 	Interleavings int           // preemption count at which the failure reproduced
@@ -694,60 +690,12 @@ func (s *searcher) accept(f *sanitizer.Failure) bool {
 	return f.Kind == s.opts.WantKind
 }
 
+// visKey identifies an explored state within one unit: the machine's
+// state signature, the thread about to run and the remaining budget.
 type visKey struct {
 	sig    uint64
 	cur    kvm.ThreadID
 	budget int
-}
-
-// visitedSet is the phase's sharded concurrent visited-state set. Each
-// entry records the ordinal of the unit that first claimed the state.
-// Writers are the sequential parts of the phase (probing, and every unit
-// in serial mode); during parallel task execution it is read-only and the
-// per-shard locks only guard against the race detector's view of the
-// probe-phase writes.
-type visitedSet struct {
-	shards [visShards]visShard
-}
-
-type visShard struct {
-	mu sync.RWMutex
-	m  map[visKey]int
-}
-
-const visShards = 64
-
-// newVisitedSet returns an empty set. A shard's map is made by its first
-// insert, so a phase that claims few states allocates few maps.
-func newVisitedSet() *visitedSet { return &visitedSet{} }
-
-func (v *visitedSet) shard(k visKey) *visShard {
-	return &v.shards[k.sig%visShards]
-}
-
-// get returns the claimant of k, if any.
-func (v *visitedSet) get(k visKey) (int, bool) {
-	sh := v.shard(k)
-	sh.mu.RLock()
-	c, ok := sh.m[k]
-	sh.mu.RUnlock()
-	return c, ok
-}
-
-// insert claims k for ordinal unless already claimed; it returns the
-// existing claimant when not inserted.
-func (v *visitedSet) insert(k visKey, ordinal int) (claimant int, inserted bool) {
-	sh := v.shard(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if c, ok := sh.m[k]; ok {
-		return c, false
-	}
-	if sh.m == nil {
-		sh.m = make(map[visKey]int)
-	}
-	sh.m[k] = ordinal
-	return ordinal, true
 }
 
 // branchInfo describes the branch event a probe discovered: the first
@@ -801,12 +749,9 @@ type phaseRun struct {
 	s     *searcher
 	k     int
 	base  *sched.AccessMap // frozen decision map: conflict points for the whole phase
-	vis   *visitedSet
 	units []*unit
-	// serial runs the phase's units strictly in ordinal order, each
-	// claiming its visited states as it goes. Otherwise only probes
-	// claim, and tasks prune on the claims that exist at their point of
-	// the serial visit order (see explorer.pruneCheck).
+	// serial sweeps each group's tasks right after its probe on the main
+	// machine; otherwise the tasks go to the worker pool or the fleet.
 	serial bool
 	// scripts maps group index to the probe's branch script. Written
 	// serially during the group loop (probes always run on the main
@@ -829,9 +774,9 @@ func (p *phaseRun) addUnit(group int, probe bool, choice int, initial kvm.Thread
 // phase explores all schedules with at most k preemptions. Conflict-point
 // decisions consult the AccessMap frozen at phase entry, so exploration
 // from a machine state is a pure function of (state, thread, budget) — the
-// property that makes cross-unit pruning sound and the parallel search
-// deterministic. Accesses recorded during the phase are merged back into
-// the searcher's map afterwards (and feed the next phase/round).
+// property that makes the parallel search deterministic. Accesses
+// recorded during the phase are merged back into the searcher's map
+// afterwards (and feed the next phase/round).
 func (s *searcher) phase(k int) error {
 	if err := s.ctx.Err(); err != nil {
 		s.setCtxErr(err)
@@ -850,16 +795,16 @@ func (s *searcher) phase(k int) error {
 		ph.End()
 	}()
 	p := &phaseRun{
-		s: s, k: k, base: s.am, vis: newVisitedSet(),
+		s: s, k: k, base: s.am,
 		scripts: make(map[int]*branchScript),
 		serial:  s.opts.Workers <= 1,
 	}
 	s.best.Store(math.MaxInt64)
 
 	// A mid-phase checkpoint re-enters here: the completed units are
-	// restored (with their access records, leaves and branch shapes)
-	// and their visited-state claims replayed, so the remaining groups
-	// explore — and prune — exactly as the lost run would have.
+	// restored (with their access records, leaves and branch shapes), and
+	// the remaining groups explore exactly as the lost run would have —
+	// no unit's exploration depends on another's.
 	startGroup := 0
 	if rp := s.takeResumePartial(k); rp != nil {
 		startGroup = rp.GroupsDone
@@ -870,15 +815,12 @@ func (s *searcher) phase(k int) error {
 			u.leaves = us.Leaves
 			u.branch = branchInfo{natural: us.BranchNatural, choices: us.BranchChoices}
 		}
-		for _, ve := range rp.Visited {
-			p.vis.insert(visKey{sig: ve.Sig, cur: kvm.ThreadID(ve.Cur), budget: ve.Budget}, ve.Ordinal)
-		}
 	}
 
 	// The initial thread choice is itself a decision: branch over every
 	// declared thread (spawned threads cannot exist yet). Each group's
-	// probe runs the deterministic prefix on the main machine, claims its
-	// states and leaves the machine pinned at the group's branch; a
+	// probe runs the deterministic prefix on the main machine and leaves
+	// the machine pinned at the group's branch; a
 	// serial phase sweeps the group's tasks right after it, a parallel
 	// one hands all tasks to the pool or the fleet below.
 	var tasks []*unit
@@ -1072,7 +1014,7 @@ func (s *searcher) maybeSavePartial(p *phaseRun, k, groupsDone int) {
 		return
 	}
 	s.lastSave = n
-	pp := &partialPhase{Budget: k, GroupsDone: groupsDone, Visited: exportVisited(p.vis)}
+	pp := &partialPhase{Budget: k, GroupsDone: groupsDone}
 	for _, u := range p.units {
 		pp.Units = append(pp.Units, unitSnap{
 			Group:         u.group,
@@ -1174,11 +1116,9 @@ type explorer struct {
 	// event to the Step without re-entering the loop top, so a resumed
 	// one must not re-run the checks that sit above it.
 	skipBranch bool
-	// serialOrder is true when the unit inserts into the shared visited
-	// set (probes, and every unit of a serial phase); false for parallel
-	// tasks, whose own revisits go to the local map instead.
-	serialOrder bool
-	local       map[visKey]struct{}
+	// visited holds the states this unit reached (see pruneCheck); made
+	// by the first insert.
+	visited map[visKey]struct{}
 
 	// buf is vm's scratch: the trace (the executed steps of the current
 	// path) and the unit's access log live in it.
@@ -1197,7 +1137,7 @@ type explorer struct {
 }
 
 func newExplorer(p *phaseRun, u *unit, vm *workerVM, probe bool) *explorer {
-	e := &explorer{
+	return &explorer{
 		s:            p.s,
 		p:            p,
 		u:            u,
@@ -1206,12 +1146,7 @@ func newExplorer(p *phaseRun, u *unit, vm *workerVM, probe bool) *explorer {
 		buf:          &vm.buf,
 		probe:        probe,
 		splitPending: true,
-		serialOrder:  probe || p.serial,
 	}
-	if !e.serialOrder {
-		e.local = make(map[visKey]struct{})
-	}
-	return e
 }
 
 // run explores the unit — from the machine's initial state, or with a
@@ -1419,13 +1354,14 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 		}
 
 		// Conflicting instructions are the scheduling decision points:
-		// equivalent machine states are pruned here (the DPOR-style skip —
-		// a path reaching a state another path already explored with the
-		// same remaining budget produces only equivalent sequences), and
-		// remaining preemption budget branches to every other viable
-		// thread. Off-report paths skip this entirely: they neither branch
-		// nor claim visited states (their subtree fate differs from a
-		// normal path's, so a claim here would dedup-prune live work).
+		// states the unit already reached are pruned here (a path
+		// reaching a state the unit already explored with the same
+		// remaining budget produces only equivalent sequences, and a state
+		// loop ends), and remaining preemption budget branches to every
+		// other viable thread. Off-report paths skip this entirely: they
+		// neither branch nor record visited states (their subtree fate
+		// differs from a normal path's, so a record here would prune live
+		// work).
 		if e.skipBranch {
 			// Pin-resumed fall-through: the branch event (prune check
 			// included) already ran in the probe; proceed to the Step.
@@ -1621,67 +1557,30 @@ func (e *explorer) isConflictPoint(cur kvm.ThreadID) bool {
 	return false
 }
 
-// pruneCheck consults and updates the visited-state set. The rules keep
-// the winner and the merged AccessMap identical across worker counts:
-//
-//   - A unit always prunes on its own earlier claims (a state loop).
-//   - Replaying the prefix (splitPending) over the own group's probe
-//     claims is exempt — that is the task reaching its branch event.
-//   - In serial order every existing claim belongs to an earlier unit
-//     that ran to completion, exactly the classic single-map semantics.
-//   - Parallel tasks prune only on lower-group probe claims: those are
-//     the claims that provably exist at this point in the serial visit
-//     order too. Sibling tasks' claims are ignored (their completion
-//     order is nondeterministic), so each unit's exploration — and hence
-//     the winner's trace and the merged map — never depends on timing.
+// pruneCheck consults and updates the unit's own visited-state set: it
+// prunes a state the unit already reached with the same current thread
+// and remaining budget, which ends state loops (a spin-wait revisits its
+// state on every turn) and skips a second path into ground the unit
+// already explored. Units never see each other's states, so each unit's
+// exploration is a pure function of the phase and the unit, whichever
+// machine runs it and in whatever order. A task replaying its group
+// prefix (splitPending) neither checks nor inserts — the probe checked
+// those states — so its set starts empty at the branch event, exactly
+// as for a task resumed from a pin.
 func (e *explorer) pruneCheck(cur kvm.ThreadID, budget int) bool {
-	if e.s.opts.NoPruning {
+	if e.s.opts.NoPruning || (e.splitPending && !e.probe) {
 		return false
 	}
 	key := visKey{sig: e.m.StateSignature(), cur: cur, budget: budget}
-	if e.serialOrder {
-		c, inserted := e.p.vis.insert(key, e.u.ordinal)
-		if inserted || e.exempt(c) {
-			return false
-		}
+	if _, ok := e.visited[key]; ok {
 		e.u.pruned++
 		return true
 	}
-	if c, ok := e.p.vis.get(key); ok {
-		if e.exempt(c) {
-			return false
-		}
-		e.u.pruned++
-		return true
+	if e.visited == nil {
+		e.visited = make(map[visKey]struct{})
 	}
-	if _, ok := e.local[key]; ok {
-		e.u.pruned++
-		return true
-	}
-	e.local[key] = struct{}{}
+	e.visited[key] = struct{}{}
 	return false
-}
-
-// exempt reports whether a visited-set hit on claimant c does not prune e.
-func (e *explorer) exempt(c int) bool {
-	if c == e.u.ordinal {
-		return false // own revisit always prunes
-	}
-	cu := e.p.units[c]
-	replay := cu.probe && cu.group == e.u.group && e.splitPending
-	if e.serialOrder {
-		return replay
-	}
-	if replay {
-		return true
-	}
-	// Parallel task: prune only on probe claims of this group or lower —
-	// the claims that provably exist at this point of the serial visit
-	// order (every probe up to and including the own group ran to
-	// completion before any of the group's tasks were dispatched). An
-	// own-group probe claim hit after the branch event is a loop back
-	// into the prefix, which the serial search prunes too.
-	return !(cu.probe && cu.group <= e.u.group)
 }
 
 // guidePruned applies the report guide's reachability test to the

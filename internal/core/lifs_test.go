@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"aitia/internal/kasm"
 	"aitia/internal/kir"
 	"aitia/internal/kvm"
 	"aitia/internal/sanitizer"
@@ -113,5 +114,56 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 	if !res.Failed() || !res.Failure.SameSymptom(rep.Run.Failure) {
 		t.Errorf("replay failure = %v, want %v", res.Failure, rep.Run.Failure)
+	}
+}
+
+// spinWaitSrc needs one preemption: B must publish ready and null p,
+// and A must then run past its spin and dereference p before B restores
+// it. Every turn of A's spin revisits the same machine state, so the
+// search terminates only because a unit prunes its own revisits.
+const spinWaitSrc = `
+global ready = 0
+global obj = 42
+ptr p -> obj
+ptr q -> obj
+
+thread A waiter
+thread B publisher
+
+func waiter
+spin:
+        load r1, [ready]
+        beq r1, 0, spin
+        load r2, [p]
+@Ad     load r3, [r2]
+        ret
+end
+
+func publisher
+        store [ready], 1
+        store [p], 0
+        load r1, [q]
+        store [p], r1
+        ret
+end
+`
+
+// TestSpinWaitLoopGuard: a spin-wait must not explode the search. With
+// per-unit pruning it reproduces in a handful of schedules, serially and
+// in parallel; without any pruning, every spin turn is a fresh
+// preemption point and the search runs tens of thousands of schedules.
+func TestSpinWaitLoopGuard(t *testing.T) {
+	prog := kasm.MustParse(spinWaitSrc)
+	for _, workers := range []int{0, 4} {
+		rep, err := Reproduce(mustMachine(t, prog), LIFSOptions{WantKind: sanitizer.KindNullDeref, Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if rep.Stats.Schedules > 10 {
+			t.Errorf("workers=%d schedules = %d, want <= 10", workers, rep.Stats.Schedules)
+		}
+		if rep.Stats.Interleavings != 1 {
+			t.Errorf("workers=%d interleavings = %d, want 1", workers, rep.Stats.Interleavings)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -14,13 +15,12 @@ import (
 
 // TestParallelReproduceMatchesSerial: the parallel search must return the
 // exact same reproduction as the serial one — schedule, race set,
-// interleaving count and merged access knowledge (Accesses.Export, the
-// checkpoint and fleet wire form) — across the whole scenario corpus, and
-// a parallel analysis of the parallel reproduction must yield a
-// byte-identical diagnosis, with the prefix cache on. (Stats.Schedules
-// and Stats.Pruned may legitimately differ: parallel units cannot see
-// their in-flight siblings' visited states; see
-// TestParallelScheduleCountBound.)
+// interleaving count, merged access knowledge (Accesses.Export, the
+// checkpoint and fleet wire form) and the schedule, prune and
+// guide-prune counts — across the whole scenario corpus, and a parallel
+// analysis of the parallel reproduction must yield a byte-identical
+// diagnosis, with the prefix cache on. A serial search with the cache
+// off must count the same too.
 // Scoped to the hand-built subset so factory growth does not swell the
 // sweep; the factory itself asserts worker identity on its emissions.
 func TestParallelReproduceMatchesSerial(t *testing.T) {
@@ -47,6 +47,21 @@ func TestParallelReproduceMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("serial Analyze: %v", err)
 			}
+			sameCounts := func(name string, got SearchStats) {
+				t.Helper()
+				want := serial.Stats
+				if got.Schedules != want.Schedules || got.Pruned != want.Pruned || got.GuidePruned != want.GuidePruned {
+					t.Errorf("%s schedules/pruned/guide-pruned = %d/%d/%d, want serial %d/%d/%d", name,
+						got.Schedules, got.Pruned, got.GuidePruned, want.Schedules, want.Pruned, want.GuidePruned)
+				}
+			}
+			coldOpts := opts
+			coldOpts.Prefix = PrefixConfig{Disable: true}
+			cold, err := Reproduce(mustMachine(t, prog), coldOpts)
+			if err != nil {
+				t.Fatalf("cache-off Reproduce: %v", err)
+			}
+			sameCounts("cache-off", cold.Stats)
 
 			for _, workers := range []int{2, 4, 8} {
 				popts := opts
@@ -69,6 +84,7 @@ func TestParallelReproduceMatchesSerial(t *testing.T) {
 					t.Errorf("workers=%d interleavings = %d, want %d",
 						workers, par.Stats.Interleavings, serial.Stats.Interleavings)
 				}
+				sameCounts(fmt.Sprintf("workers=%d", workers), par.Stats)
 				parD, err := Analyze(mP, par, AnalysisOptions{Workers: workers})
 				if err != nil {
 					t.Fatalf("workers=%d Analyze: %v", workers, err)
@@ -90,50 +106,30 @@ func TestParallelReproduceMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelScheduleCountBound documents and pins the schedule-count
-// drift between serial and parallel searches on syz08-j1939-refcount
-// (the corpus's widest search). The counts differ by design: a serial
-// search prunes on every earlier unit's visited-state claims, while a
-// parallel task may prune only on claims that deterministically exist at
-// its point of the serial visit order — probe claims of its own group or
-// lower. Sibling tasks' claims land in timing-dependent order and must
-// be ignored, so the parallel search re-executes the few schedules a
-// serial search would have pruned against an earlier task. Both counts
-// are deterministic: the serial count is fixed, the parallel count is
-// the same value >= it for every worker count, and the prefix cache
-// changes neither (it skips replay work, not schedules).
-func TestParallelScheduleCountBound(t *testing.T) {
+// TestParallelScheduleCountExact pins the schedule count of
+// syz08-j1939-refcount (the corpus's widest search) at every worker
+// count, with the prefix cache on and off. Every unit prunes only on its
+// own visited states, so serial and parallel searches run exactly the
+// same schedules, and the cache skips replay work, never schedules.
+func TestParallelScheduleCountExact(t *testing.T) {
 	sc, _ := scenarios.ByName("syz08-j1939-refcount")
 	prog := sc.MustProgram()
-	const serialWant, parallelWant = 21, 23
+	const want = 23
 	for _, disable := range []bool{false, true} {
-		opts := LIFSOptions{
-			WantKind:  sc.WantKind,
-			WantInstr: sc.WantInstr(),
-			LeakCheck: sc.NeedsLeakCheck(),
-			Prefix:    PrefixConfig{Disable: disable},
-		}
-		serial, err := Reproduce(mustMachine(t, prog), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial.Stats.Schedules != serialWant {
-			t.Errorf("cache-disable=%v serial schedules = %d, want %d", disable, serial.Stats.Schedules, serialWant)
-		}
-		for _, workers := range []int{2, 4, 8} {
-			popts := opts
-			popts.Workers = workers
-			par, err := Reproduce(mustMachine(t, prog), popts)
+		for _, workers := range []int{1, 2, 4, 8} {
+			rep, err := Reproduce(mustMachine(t, prog), LIFSOptions{
+				WantKind:  sc.WantKind,
+				WantInstr: sc.WantInstr(),
+				LeakCheck: sc.NeedsLeakCheck(),
+				Workers:   workers,
+				Prefix:    PrefixConfig{Disable: disable},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if par.Stats.Schedules != parallelWant {
+			if rep.Stats.Schedules != want {
 				t.Errorf("cache-disable=%v workers=%d schedules = %d, want %d",
-					disable, workers, par.Stats.Schedules, parallelWant)
-			}
-			if par.Stats.Schedules < serial.Stats.Schedules {
-				t.Errorf("workers=%d executed fewer schedules (%d) than serial (%d); the bound is serial <= parallel",
-					workers, par.Stats.Schedules, serial.Stats.Schedules)
+					disable, workers, rep.Stats.Schedules, want)
 			}
 		}
 	}

@@ -17,30 +17,14 @@ import (
 // branch units — the same units the local worker pool shards — exported
 // as a self-contained, serializable batch that any process holding the
 // same program can execute. Branch exploration is a pure function of
-// (initial machine state, phase budget, frozen base AccessMap, probe
-// visited claims, unit identity, search options): everything in that
-// tuple rides in the batch, so a remote execution returns byte-identical
-// access records, leaves and candidate traces to a local one — which is
+// (initial machine state, phase budget, frozen base AccessMap, unit
+// identity, search options). A unit prunes only on its own visited
+// states, so no visited-state claims travel; everything in the tuple
+// rides in the batch, and a remote execution returns byte-identical
+// access records, leaves and candidate traces to a local one. That is
 // what lets a fleet-wide diagnosis reproduce the serial diagnosis
 // exactly, whichever node ran which branch, however many times a lost
 // lease forced a branch to be re-executed.
-
-// BranchUnitMeta is the pruning-relevant identity of one phase unit.
-// Remote pruneCheck/exempt decisions consult the claimant unit's group
-// and probe flag, so the whole ordinal-indexed unit table travels.
-type BranchUnitMeta struct {
-	Group int  `json:"g"`
-	Probe bool `json:"p,omitempty"`
-}
-
-// BranchVisited is one probe visited-state claim (serializable twin of
-// the internal visited-set entry).
-type BranchVisited struct {
-	Sig     uint64 `json:"sig"`
-	Cur     int    `json:"cur"`
-	Budget  int    `json:"budget"`
-	Ordinal int    `json:"ordinal"`
-}
 
 // BranchOpts is the subset of LIFSOptions a branch execution depends on.
 type BranchOpts struct {
@@ -53,8 +37,8 @@ type BranchOpts struct {
 	WantInstr    kir.InstrID    `json:"want_instr,omitempty"`
 }
 
-// BranchWork names one branch unit to execute: a task unit's ordinal
-// and branch choice within the batch's unit table.
+// BranchWork names one branch unit to execute: a task unit's phase
+// ordinal, its group and initial thread, and its branch choice.
 type BranchWork struct {
 	Ordinal int `json:"ordinal"`
 	Group   int `json:"group"`
@@ -63,17 +47,15 @@ type BranchWork struct {
 }
 
 // BranchBatch is one deepening phase's dispatchable branch work: the
-// shared execution context (frozen base map, probe claims, unit table,
-// options, report guide) plus the task units to run. The batch is pure
-// data — JSON for a wire transport, shared by reference in process.
+// shared execution context (frozen base map, options, report guide)
+// plus the task units to run. The batch is pure data — JSON for a wire
+// transport, shared by reference in process.
 type BranchBatch struct {
 	// ProgHash identifies (and, over a wire transport, validates) the
 	// program; InitSig pins the machine's initial state signature.
 	ProgHash string               `json:"prog_hash"`
 	InitSig  uint64               `json:"init_sig"`
 	Budget   int                  `json:"budget"` // the phase's preemption budget k
-	Units    []BranchUnitMeta     `json:"units"`
-	Visited  []BranchVisited      `json:"visited,omitempty"`
 	Base     []sched.AccessExport `json:"base,omitempty"`
 	Opts     BranchOpts           `json:"opts"`
 	// Guide is the search's report guide; nil for a blind search.
@@ -109,7 +91,8 @@ type BranchDispatcher interface {
 }
 
 // ErrBranchTask rejects a malformed or mismatched branch execution
-// request (wrong program, foreign initial state, ordinal out of range).
+// request (wrong program, foreign initial state, work index out of
+// range).
 var ErrBranchTask = errors.New("core: invalid branch task")
 
 // ExecuteBranch runs one unit of a branch batch on a fresh VM of prog
@@ -122,9 +105,6 @@ func ExecuteBranch(ctx context.Context, prog *kir.Program, batch *BranchBatch, i
 		return nil, fmt.Errorf("%w: work index %d of %d", ErrBranchTask, i, len(batch.Work))
 	}
 	w := batch.Work[i]
-	if w.Ordinal < 0 || w.Ordinal >= len(batch.Units) {
-		return nil, fmt.Errorf("%w: ordinal %d outside unit table of %d", ErrBranchTask, w.Ordinal, len(batch.Units))
-	}
 	if h := prog.Hash(); batch.ProgHash != "" && batch.ProgHash != h {
 		return nil, fmt.Errorf("%w: program hash %s, batch wants %s", ErrBranchTask, h, batch.ProgHash)
 	}
@@ -152,17 +132,8 @@ func ExecuteBranch(ctx context.Context, prog *kir.Program, batch *BranchBatch, i
 		s.guide = newGuideState(prog, opts)
 	}
 	s.best.Store(math.MaxInt64)
-	// The batch is a parallel phase's: its tasks prune on the probe
-	// claims only (serial false).
-	p := &phaseRun{s: s, k: batch.Budget, base: sched.ImportAccessMap(batch.Base), vis: newVisitedSet()}
-	for _, um := range batch.Units {
-		p.addUnit(um.Group, um.Probe, 0, 0)
-	}
-	for _, ve := range batch.Visited {
-		p.vis.insert(visKey{sig: ve.Sig, cur: kvm.ThreadID(ve.Cur), budget: ve.Budget}, ve.Ordinal)
-	}
-	u := p.units[w.Ordinal]
-	u.group, u.probe, u.choice, u.initial = w.Group, false, w.Choice, kvm.ThreadID(w.Initial)
+	p := &phaseRun{s: s, k: batch.Budget, base: sched.ImportAccessMap(batch.Base)}
+	u := &unit{ordinal: w.Ordinal, group: w.Group, choice: w.Choice, initial: kvm.ThreadID(w.Initial)}
 	s.runTask(p, u, s.main, -1)
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -184,8 +155,7 @@ func ExecuteBranch(ctx context.Context, prog *kir.Program, batch *BranchBatch, i
 }
 
 // exportBatch builds the phase's dispatchable batch from the live
-// search state. Probes have all completed by dispatch time, so the
-// visited set is exactly the probe claims a remote explorer must see.
+// search state.
 func (s *searcher) exportBatch(p *phaseRun, tasks []*unit) *BranchBatch {
 	b := &BranchBatch{
 		ProgHash: s.main.m.Prog().Hash(),
@@ -202,12 +172,6 @@ func (s *searcher) exportBatch(p *phaseRun, tasks []*unit) *BranchBatch {
 			WantInstr:    s.opts.WantInstr,
 		},
 		Guide: s.opts.Guide,
-	}
-	for _, u := range p.units {
-		b.Units = append(b.Units, BranchUnitMeta{Group: u.group, Probe: u.probe})
-	}
-	for _, ve := range exportVisited(p.vis) {
-		b.Visited = append(b.Visited, BranchVisited{Sig: ve.Sig, Cur: ve.Cur, Budget: ve.Budget, Ordinal: ve.Ordinal})
 	}
 	for _, tu := range tasks {
 		b.Work = append(b.Work, BranchWork{Ordinal: tu.ordinal, Group: tu.group, Choice: tu.choice, Initial: int(tu.initial)})

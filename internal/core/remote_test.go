@@ -57,10 +57,11 @@ func (deadDispatcher) RunBranches(ctx context.Context, prog *kir.Program, batch 
 // what the in-process parallel search finds, across the hand-built
 // corpus. So must a search whose worker pool never launches (every
 // task swept up on the main machine), and a guided search through the
-// fleet. Beyond the reproduction, the merged access knowledge, the
-// leaves and the schedule and prune counts must match: they count only
-// the units up to the winner, whichever machine ran them. This is the
-// determinism contract fleet execution rests on.
+// fleet, and the serial search, blind and guided. Beyond the
+// reproduction, the merged access knowledge, the leaves and the
+// schedule and prune counts must match: they count only the units up to
+// the winner, each a pure function of the phase, whichever machine ran
+// them. This is the determinism contract fleet execution rests on.
 func TestDispatchedReproduceMatchesParallel(t *testing.T) {
 	for _, sc := range scenarios.HandBuilt() {
 		sc := sc
@@ -91,6 +92,10 @@ func TestDispatchedReproduceMatchesParallel(t *testing.T) {
 				o.Dispatch = d
 				return o
 			}
+			serial := func(o LIFSOptions) LIFSOptions {
+				o.Workers = 0
+				return o
+			}
 			poolFailure := opts
 			poolFailure.Fault = faultinject.NewPlan(1, 0).SetRate(faultinject.KindWorkerDeath, 1)
 			poolFailure.Retry = quickRetry
@@ -101,6 +106,8 @@ func TestDispatchedReproduceMatchesParallel(t *testing.T) {
 				opts LIFSOptions
 				want *Reproduction
 			}{
+				{"serial", serial(opts), base},
+				{"guided-serial", serial(guided), guidedBase},
 				{"all-remote", dispatch(opts, remote), base},
 				{"every-3rd-dropped", dispatch(opts, &loopbackDispatcher{skip: 3}), base},
 				{"all-dropped", dispatch(opts, deadDispatcher{}), base},

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -264,7 +265,8 @@ func TestResumeAfterExhaustedBudget(t *testing.T) {
 // TestResumeIgnoresForeignCheckpoints covers the fall-back-fresh
 // contract: a checkpoint written under the wrong version, for a
 // different program, or plain corrupted on disk must be treated exactly
-// like an absent one.
+// like an absent one. That includes a version-1 snapshot, whose partial
+// phase carried the cross-unit visited-state claims version 2 dropped.
 func TestResumeIgnoresForeignCheckpoints(t *testing.T) {
 	sc, ok := scenarios.ByName("fig1")
 	if !ok {
@@ -281,8 +283,17 @@ func TestResumeIgnoresForeignCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden Reproduce: %v", err)
 	}
+	initSig := mustMachine(t, prog).StateSignature()
 
 	poison := map[string]func(t *testing.T, store *durable.CheckpointStore){
+		"version-1 claims": func(t *testing.T, store *durable.CheckpointStore) {
+			payload := fmt.Sprintf(`{"init_sig":%d,"round":0,"next_phase":1,"partial":{"budget":1,"groups_done":1,`+
+				`"units":[{"group":0,"probe":true,"choice":-1,"ran":true}],`+
+				`"visited":[{"sig":1,"cur":0,"budget":1,"ordinal":0}]}}`, initSig)
+			if err := store.Save(key, 1, []byte(payload)); err != nil {
+				t.Fatalf("save: %v", err)
+			}
+		},
 		"wrong version": func(t *testing.T, store *durable.CheckpointStore) {
 			if err := store.Save(key, lifsCheckpointVersion+7, []byte(`{"round":9}`)); err != nil {
 				t.Fatalf("save: %v", err)
@@ -325,6 +336,62 @@ func TestResumeIgnoresForeignCheckpoints(t *testing.T) {
 				t.Errorf("schedules = %d, want the cold run's %d", rep.Stats.Schedules, golden.Stats.Schedules)
 			}
 		})
+	}
+}
+
+// TestResumeCheckpointsDeterministic: two identical checkpointed runs
+// save identical frontiers, mid-phase cuts included. A partial phase
+// holds only ordered unit outcomes, so nothing in it depends on map
+// iteration order.
+func TestResumeCheckpointsDeterministic(t *testing.T) {
+	sc, ok := scenarios.ByName("syz08-j1939-refcount")
+	if !ok {
+		t.Fatal("scenario syz08-j1939-refcount missing")
+	}
+	prog := sc.MustProgram()
+	saves := func() []string {
+		store := testCheckpointStore(t)
+		var out []string
+		cfg := &CheckpointConfig{Store: store, Every: 2}
+		cfg.OnSave = func(key string) {
+			payload, err := store.Load(key, lifsCheckpointVersion)
+			if err != nil {
+				t.Fatalf("load %s: %v", key, err)
+			}
+			var ck lifsCheckpoint
+			if err := json.Unmarshal(payload, &ck); err != nil {
+				t.Fatalf("unmarshal %s: %v", key, err)
+			}
+			if ck.Partial == nil {
+				return
+			}
+			partial, err := json.Marshal(ck.Partial)
+			if err != nil {
+				t.Fatalf("marshal partial: %v", err)
+			}
+			out = append(out, string(partial))
+		}
+		if _, err := Reproduce(mustMachine(t, prog), LIFSOptions{
+			WantKind:   sc.WantKind,
+			WantInstr:  sc.WantInstr(),
+			LeakCheck:  sc.NeedsLeakCheck(),
+			Checkpoint: cfg,
+		}); err != nil {
+			t.Fatalf("Reproduce: %v", err)
+		}
+		return out
+	}
+	first, second := saves(), saves()
+	if len(first) == 0 {
+		t.Fatal("no mid-phase checkpoint was saved")
+	}
+	if len(first) != len(second) {
+		t.Fatalf("runs saved %d and %d partial phases", len(first), len(second))
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Errorf("partial save %d differs between identical runs:\n%s\n%s", i, first[i], second[i])
+		}
 	}
 }
 

@@ -42,7 +42,7 @@ func (b *Builder) Var(name string, init int64) *Builder {
 
 // HeapObj declares a single-word global holding a pointer to a
 // pre-allocated heap object of size words, initialized with init values.
-// The object gets full KASAN tracking (redzones, free state) but is exempt
+// The object gets full KASAN tracking (redzones, free state) but is excluded
 // from leak checking.
 func (b *Builder) HeapObj(name string, size int64, init ...int64) *Builder {
 	b.prog.Globals = append(b.prog.Globals, GlobalDef{

@@ -23,7 +23,7 @@ type GlobalDef struct {
 	// pointer to a pre-allocated heap object of HeapSize words (with
 	// redzones and full KASAN tracking), initialized from Init. Scenarios
 	// use it for objects that must fault precisely on out-of-bounds or
-	// freed access. Pre-allocated objects are exempt from leak checking.
+	// freed access. Pre-allocated objects are excluded from leak checking.
 	HeapSize int64
 }
 

@@ -118,7 +118,7 @@ type Object struct {
 	AllocSite kir.InstrID
 	FreeSite  kir.InstrID
 	// Static objects were pre-allocated at space creation (kir heap
-	// globals) and are exempt from leak checking.
+	// globals) and are excluded from leak checking.
 	Static bool
 }
 
