@@ -559,6 +559,26 @@ func BenchmarkAnalyze(b *testing.B) {
 	}
 }
 
+// BenchmarkDiagnoseCorpus runs one serial DiagnoseScenario of every
+// corpus scenario per iteration — the corpus workload's loop — and
+// reports allocations and the time per diagnosis, so a CPU profile of
+// the diagnosis pipeline is one -cpuprofile away:
+//
+//	go test -bench=DiagnoseCorpus -run='^$' -cpuprofile cpu.out .
+func BenchmarkDiagnoseCorpus(b *testing.B) {
+	all := scenarios.All()
+	opts := aitia.Options{Workers: 1, LIFSWorkers: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, sc := range all {
+			if _, err := aitia.DiagnoseScenario(sc.Name, opts); err != nil {
+				b.Fatalf("%s: %v", sc.Name, err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(all)), "us/diagnosis")
+}
+
 // BenchmarkFuzzerRun measures the bug finder's per-run cost.
 func BenchmarkFuzzerRun(b *testing.B) {
 	sc, _ := scenarios.ByName("fig5")

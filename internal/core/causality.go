@@ -226,16 +226,18 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 	}
 	// Warm handoff: when the reproduction carries live prefix pins for
 	// this very machine (it just replayed the failing run), adopt them
-	// instead of resetting — the flip cache starts with the whole failing
-	// sequence cached. execBase discounts the search's instructions from
+	// instead of resetting — the flip cache starts with every flip cut
+	// of the failing sequence pinned, and pins at the seed's marks. execBase discounts the search's instructions from
 	// this analysis's ExecutedInstrs. Any mismatch (different machine,
 	// reset in between, cache off) falls back to the cold path, which is
 	// byte-identical to the pre-cache pipeline.
 	var init *kvm.Snapshot
 	var warmPins []flipPin
+	var cuts []bool
 	var execBase uint64
 	if pins, ok := rep.seed.adopt(m); ok && opts.Prefix.enabled() {
 		warmPins = pins
+		cuts = rep.seed.cuts
 		init = rep.seed.init
 		execBase = m.Executed()
 		m.SetFaultPlan(opts.Fault)
@@ -264,7 +266,10 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 	var ps prefixStats
 	var fcMain *flipCache
 	if opts.Prefix.enabled() {
-		fcMain = newFlipCache(m, init, failSeq, opts.Prefix, opts.Fault, &ps)
+		if cuts == nil {
+			cuts = sched.CutPoints(failSeq, rep.Accesses)
+		}
+		fcMain = newFlipCache(m, init, failSeq, cuts, opts.Prefix, opts.Fault, &ps)
 		fcMain.pins = warmPins
 	}
 
@@ -556,7 +561,7 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 				}
 				vm := &flipVM{enf: sched.NewEnforcer(wm), init: wm.Snapshot()}
 				if opts.Prefix.enabled() {
-					vm.fc = newFlipCache(wm, vm.init, failSeq, opts.Prefix, opts.Fault, &ps)
+					vm.fc = newFlipCache(wm, vm.init, failSeq, cuts, opts.Prefix, opts.Fault, &ps)
 				}
 				wmMu.Lock()
 				workerMachines = append(workerMachines, wm)

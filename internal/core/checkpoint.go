@@ -121,10 +121,11 @@ func lifsCheckpointKey(prog *kir.Program, opts LIFSOptions) string {
 
 // loadLIFSCheckpoint returns the stored frontier for the key, or nil
 // when none exists, the snapshot is invalid (wrong version, key, or
-// checksum), or it was taken from a different initial machine state.
-// Invalid snapshots are indistinguishable from absent ones by design:
-// the search falls back to fresh.
-func loadLIFSCheckpoint(cfg *CheckpointConfig, key string, initSig uint64) *lifsCheckpoint {
+// checksum), it was taken from a different initial machine state, or an
+// access record names no instruction of prog. Invalid snapshots are
+// indistinguishable from absent ones by design: the search falls back
+// to fresh.
+func loadLIFSCheckpoint(cfg *CheckpointConfig, key string, prog *kir.Program, initSig uint64) *lifsCheckpoint {
 	payload, err := cfg.Store.Load(key, lifsCheckpointVersion)
 	if err != nil {
 		return nil
@@ -138,6 +139,16 @@ func loadLIFSCheckpoint(cfg *CheckpointConfig, key string, initSig uint64) *lifs
 	}
 	if ck.Done && ck.Schedule == nil {
 		return nil
+	}
+	if checkAccesses(prog, ck.Accesses) != nil {
+		return nil
+	}
+	if ck.Partial != nil {
+		for _, us := range ck.Partial.Units {
+			if checkAccesses(prog, us.Accesses) != nil {
+				return nil
+			}
+		}
 	}
 	return &ck
 }

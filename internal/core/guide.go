@@ -193,9 +193,9 @@ func computeExit(p *kir.Program, f *kir.Func) []bool {
 			case in.Op == kir.OpExit:
 				v = false
 			case in.Op == kir.OpJmp:
-				v = ex[p.BranchTarget(in)]
+				v = bit(ex, p.BranchTarget(in))
 			case in.Op.IsBranch():
-				v = ex[p.BranchTarget(in)] || next(ex, i)
+				v = bit(ex, p.BranchTarget(in)) || next(ex, i)
 			default:
 				// Calls may return (over-approximation), falling off the
 				// end pops the frame.
@@ -226,9 +226,9 @@ func (r *reach) flowFunc(p *kir.Program, f *kir.Func, pos []bool, target kir.Ins
 			if !v {
 				switch {
 				case in.Op == kir.OpJmp:
-					v = pos[p.BranchTarget(in)]
+					v = bit(pos, p.BranchTarget(in))
 				case in.Op.IsBranch():
-					v = pos[p.BranchTarget(in)] || next(pos, i)
+					v = bit(pos, p.BranchTarget(in)) || next(pos, i)
 				case in.Op == kir.OpRet || in.Op == kir.OpExit:
 					v = false
 				case in.Op.UsesFunc():
@@ -255,8 +255,13 @@ func (r *reach) entry(fn string) bool {
 	return len(pp) > 0 && pp[0]
 }
 
-func next(bits []bool, i int) bool {
-	return i+1 < len(bits) && bits[i+1]
+func next(bits []bool, i int) bool { return bit(bits, i+1) }
+
+// bit reads a function's bit at instruction index j. A branch may target
+// the end of the function (j == len(bits), an implicit return), which
+// reads false, as falling off the end does in next.
+func bit(bits []bool, j int) bool {
+	return j < len(bits) && bits[j]
 }
 
 // thread reports whether the call stack can still execute the target:

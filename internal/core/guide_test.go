@@ -234,3 +234,31 @@ func TestReachOracle(t *testing.T) {
 		t.Error("dead_end never pops; outer frame must not be consulted")
 	}
 }
+
+// TestReachBranchPastEnd: a built program may branch to one past a
+// function's last instruction, an implicit return. The oracle reads that
+// target as the end of the function, as it reads falling off the end,
+// instead of indexing past its bits.
+func TestReachBranchPastEnd(t *testing.T) {
+	b := kir.NewBuilder()
+	b.Var("x", 0)
+	b.Var("y", 0)
+	mn := b.Func("main")
+	mn.Load(kir.R1, kir.G("x"))
+	mn.Beq(kir.R(kir.R1), kir.Imm(0), "out")
+	mn.Store(kir.G("y"), kir.Imm(1)).L("S")
+	mn.At("out")
+	b.Thread("T", "main")
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ok := prog.ByLabel("S")
+	if !ok {
+		t.Fatal("label S missing")
+	}
+	r := newReach(prog, s.ID)
+	if got := r.pos["main"]; !got[0] || !got[1] || !got[2] {
+		t.Errorf("pos[main] = %v, want S reachable from every instruction", got)
+	}
+}

@@ -219,7 +219,7 @@ func reproduceContext(ctx context.Context, m *kvm.Machine, opts LIFSOptions, all
 		s.fallback = append(s.fallback, td.Name)
 	}
 	s.initSig = m.StateSignature()
-	s.main = &workerVM{m: m, init: m.Snapshot()}
+	s.main = newWorkerVM(m)
 	init := s.main.init
 
 	// Report-guided mode: compile the reachability oracles and seed the
@@ -249,7 +249,7 @@ func reproduceContext(ctx context.Context, m *kvm.Machine, opts LIFSOptions, all
 	if checkpointing {
 		s.ckKey = lifsCheckpointKey(m.Prog(), opts)
 		if allowResume {
-			if ck := loadLIFSCheckpoint(opts.Checkpoint, s.ckKey, s.initSig); ck != nil {
+			if ck := loadLIFSCheckpoint(opts.Checkpoint, s.ckKey, m.Prog(), s.initSig); ck != nil {
 				s.stats.Resumed = true
 				s.stats.CheckpointAge = time.Since(time.Unix(0, ck.SavedAt))
 				if ck.Done {
@@ -408,8 +408,8 @@ rounds:
 	// cannot skip; pin snapshots along it so a subsequent Analyze on this
 	// machine seeks its flip cuts without re-executing the prefix.
 	var seedFC *flipCache
-	if opts.Prefix.enabled() {
-		seedFC = newFlipCache(m, init, nil, opts.Prefix, opts.Fault, &s.prefix)
+	if opts.Prefix.enabled() && terminal == nil {
+		seedFC = newFlipCache(m, init, nil, sched.CutPoints(s.foundTrace, s.am), opts.Prefix, opts.Fault, &s.prefix)
 	}
 	err := faultinject.Do(ctx, opts.Fault, opts.Retry, func(ctx context.Context, attempt int) error {
 		attempts = attempt + 1
@@ -428,7 +428,7 @@ rounds:
 		ro.SeqCap = len(s.foundTrace)
 		if seedFC != nil {
 			ro.OnStep = func(pos int) {
-				if pos%DefaultPinStride == 0 {
+				if pos < len(seedFC.cuts) && seedFC.cuts[pos] {
 					seedFC.pin(pos)
 				}
 			}
@@ -501,7 +501,7 @@ rounds:
 		Leaves:   s.leaves,
 	}
 	if seedFC != nil {
-		rep.seed = &prefixSeed{m: m, init: init, pins: seedFC.pins}
+		rep.seed = &prefixSeed{m: m, init: init, pins: seedFC.pins, cuts: seedFC.cuts}
 	}
 	return rep, nil
 }
@@ -562,6 +562,19 @@ type workerVM struct {
 	pinGroup int
 }
 
+// newWorkerVM makes m, in its initial state, a workerVM. Its trace
+// arenas are sized once, at the program's instruction count: over the
+// corpus a search's longest run holds 1.10 steps (at most 2.0) and 0.73
+// accesses (at most 1.5) per instruction, so most searches never regrow
+// them, and the rest regrow once.
+func newWorkerVM(m *kvm.Machine) *workerVM {
+	vm := &workerVM{m: m, init: m.Snapshot()}
+	n := m.Prog().NumInstrs()
+	vm.buf.steps.Grow(n)
+	vm.buf.accs = make(sched.AccessLog, 0, n)
+	return vm
+}
+
 // reset restores the VM's initial state and drops its pin, which the
 // restore invalidates.
 func (vm *workerVM) reset() {
@@ -587,7 +600,7 @@ func (s *searcher) acquireVM() (*workerVM, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &workerVM{m: m, init: m.Snapshot()}, nil
+	return newWorkerVM(m), nil
 }
 
 // releaseVMs returns worker machines to the spare pool after a phase.
@@ -727,6 +740,9 @@ type unit struct {
 
 	log    sched.AccessLog // accesses this unit recorded that its phase's base lacks
 	leaves []LeafTrace
+	// err rejects a task whose initial thread or branch choice does not
+	// exist (ErrBranchTask); only a fleet batch can carry one.
+	err    error
 	cand   *candidate
 	branch branchInfo    // probe only
 	script *branchScript // probe only: resume state for pinned tasks
@@ -1156,6 +1172,10 @@ func (e *explorer) run(sc *branchScript) {
 	e.buf.steps.Reset(nil)
 	e.buf.reset()
 	if sc == nil {
+		if e.m.Thread(e.u.initial) == nil {
+			e.u.err = fmt.Errorf("%w: initial thread %d of %d", ErrBranchTask, e.u.initial, e.m.NumThreads())
+			return
+		}
 		e.explore(e.u.initial, e.p.k, nil)
 	} else {
 		e.resumeFromPin(sc, e.p.k)
@@ -1197,6 +1217,18 @@ func (e *explorer) passBranch() {
 	if e.pinAtBranch {
 		e.s.pinBranch(e.vm, e.p, e.u.group)
 	}
+}
+
+// choiceOK checks the task's choice against the n choices of its branch
+// event. A fleet batch carries the choice from a peer; one outside the
+// event's choices fails the unit with ErrBranchTask and ends it.
+func (e *explorer) choiceOK(n int) bool {
+	if c := e.u.choice; c >= 0 && c < n {
+		return true
+	}
+	e.u.err = fmt.Errorf("%w: choice %d of %d at the branch event", ErrBranchTask, e.u.choice, n)
+	e.aborted = true
+	return false
 }
 
 // captureScript saves the machine-independent half of the branch state
@@ -1331,6 +1363,9 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 					e.captureScript(true, choices, cur, returnStack)
 					return false
 				}
+				if !e.choiceOK(len(choices)) {
+					return false
+				}
 				e.passBranch()
 				cur = choices[e.u.choice]
 				continue
@@ -1378,6 +1413,9 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 					if e.probe {
 						e.u.branch = branchInfo{choices: len(others) + 1}
 						e.captureScript(false, others, cur, returnStack)
+						return false
+					}
+					if !e.choiceOK(len(others) + 1) {
 						return false
 					}
 					e.passBranch()

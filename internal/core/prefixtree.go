@@ -26,19 +26,9 @@ import (
 // deeper (the deepest pins go first), and creation stops once the
 // pinned bytes exceed the budget.
 
-// Default prefix-cache knobs.
-const (
-	// DefaultPinStride is the schedule-position stride at which the flip
-	// replay cache pins snapshots along the canonical failing sequence
-	// (and the search's final replay seeds it).
-	// Snapshots are O(1) copy-on-write journal marks, so a dense stride
-	// costs almost nothing and keeps the per-flip replay gap at most
-	// stride-1 steps.
-	DefaultPinStride = 2
-	// DefaultPinBudget bounds the bytes pinned by live prefix snapshots
-	// (64 MiB; scenario-sized kernels pin a few KiB per run).
-	DefaultPinBudget = 64 << 20
-)
+// DefaultPinBudget bounds the bytes pinned by live prefix snapshots
+// (64 MiB; scenario-sized kernels pin a few KiB per run).
+const DefaultPinBudget = 64 << 20
 
 // PrefixConfig configures the incremental-replay prefix cache. The zero
 // value enables the cache with the default byte budget.
@@ -143,15 +133,17 @@ func (b *traceBuf) log(s sched.Site, addr uint64, write bool) {
 
 // flipCache incrementally replays prefixes of the canonical failing
 // sequence for the analysis's flip tests. A flip at cut n shares
-// seq[:n] with the failing run verbatim; the cache pins snapshots every
-// DefaultPinStride positions along the sequence and serves each Seek
-// from the deepest pinned ancestor, replaying only the gap. One cache
-// per machine: serial analysis has one, each parallel flip worker its
-// own.
+// seq[:n] with the failing run verbatim; the cache pins snapshots at the
+// positions a flip can cut at (sched.CutPoints) and serves each Seek
+// from the deepest pinned ancestor, replaying only the gap. A pin is two
+// heap snapshots plus a thread clone on the next step, so positions no
+// flip cuts at are not pinned. One cache per machine: serial analysis
+// has one, each parallel flip worker its own.
 type flipCache struct {
 	m      *kvm.Machine
 	init   *kvm.Snapshot
 	seq    []sched.Exec // canonical failing sequence (position-stamped)
+	cuts   []bool       // sched.CutPoints(seq): the positions to pin
 	budget uint64
 	fault  *faultinject.Plan
 	stats  *prefixStats
@@ -163,9 +155,9 @@ type flipPin struct {
 	snap *kvm.Snapshot
 }
 
-func newFlipCache(m *kvm.Machine, init *kvm.Snapshot, seq []sched.Exec, cfg PrefixConfig, fault *faultinject.Plan, stats *prefixStats) *flipCache {
+func newFlipCache(m *kvm.Machine, init *kvm.Snapshot, seq []sched.Exec, cuts []bool, cfg PrefixConfig, fault *faultinject.Plan, stats *prefixStats) *flipCache {
 	return &flipCache{
-		m: m, init: init, seq: seq,
+		m: m, init: init, seq: seq, cuts: cuts,
 		budget: cfg.budget(), fault: fault, stats: stats,
 	}
 }
@@ -207,10 +199,10 @@ func (c *flipCache) Seek(n int, op string, key uint64, attempt int) error {
 	return c.replay(from, n, false)
 }
 
-// replay re-executes seq[from:n] step by step, re-pinning every
-// DefaultPinStride positions on the way. A divergence from a pinned
-// state degrades to one from-scratch replay; diverging from the initial
-// state is a real bug and fails loudly.
+// replay re-executes seq[from:n] step by step, re-pinning at every cut
+// position on the way. A divergence from a pinned state degrades to one
+// from-scratch replay; diverging from the initial state is a real bug
+// and fails loudly.
 func (c *flipCache) replay(from, n int, retried bool) error {
 	for j := from; j < n; j++ {
 		ev, err := c.m.Step(c.seq[j].Thread)
@@ -223,14 +215,14 @@ func (c *flipCache) replay(from, n int, retried bool) error {
 			return c.replay(0, n, true)
 		}
 		c.stats.replayed.Add(1)
-		if pos := j + 1; pos%DefaultPinStride == 0 {
+		if pos := j + 1; c.cuts[pos] {
 			c.pin(pos)
 		}
 	}
 	// Pin the sought position itself: flip retries and sibling flips of
 	// the same race seek the same cut, and a pin exactly there makes the
 	// repeat gap zero.
-	if n > from && n%DefaultPinStride != 0 {
+	if n > from && !c.cuts[n] {
 		c.pin(n)
 	}
 	return nil
@@ -259,15 +251,20 @@ func (c *flipCache) drop(i int) {
 // prefixSeed carries warm pins from a reproduction's final replay into
 // the analysis. Reproduce already executes the winning schedule once (to
 // validate it and leave the machine in the failing state); pinning along
-// that replay means the analysis's flip cache starts with the whole
-// failing sequence cached instead of rebuilding it from instruction 0.
-// The seed is memory-only and machine-bound: Analyze adopts it only when
-// handed the same machine with the pins still live (SnapshotLive), and
-// falls back to a cold cache otherwise.
+// that replay, at the positions a flip can cut at (sched.CutPoints of the
+// found trace), means the analysis's flip cache starts with every cut
+// already cached instead of rebuilding the failing sequence from
+// instruction 0; the seed carries the marks, so the adopting cache pins
+// where the seed did. A terminal-checkpoint resume has no found trace before
+// its replay and hands Analyze no seed; the analysis's cache then pins
+// the cuts as it seeks them. The seed is memory-only and machine-bound:
+// Analyze adopts it only when handed the same machine with the pins still
+// live (SnapshotLive), and falls back to a cold cache otherwise.
 type prefixSeed struct {
 	m    *kvm.Machine
 	init *kvm.Snapshot
 	pins []flipPin
+	cuts []bool // the positions pinned; the adopting cache pins there too
 }
 
 // adopt validates the seed against the machine and returns the still-live

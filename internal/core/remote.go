@@ -35,6 +35,9 @@ type BranchOpts struct {
 	NoPruning    bool           `json:"no_pruning,omitempty"`
 	WantKind     sanitizer.Kind `json:"want_kind,omitempty"`
 	WantInstr    kir.InstrID    `json:"want_instr,omitempty"`
+	// MaxInterleavings bounds the batch's Budget (zero means
+	// DefaultMaxInterleavings).
+	MaxInterleavings int `json:"max_interleavings,omitempty"`
 }
 
 // BranchWork names one branch unit to execute: a task unit's phase
@@ -92,7 +95,9 @@ type BranchDispatcher interface {
 
 // ErrBranchTask rejects a malformed or mismatched branch execution
 // request (wrong program, foreign initial state, work index out of
-// range).
+// range, a budget above MaxInterleavings, an access record naming no
+// instruction of the program, an initial thread that is not a thread, a
+// choice outside its branch event's choices).
 var ErrBranchTask = errors.New("core: invalid branch task")
 
 // ExecuteBranch runs one unit of a branch batch on a fresh VM of prog
@@ -113,21 +118,31 @@ func ExecuteBranch(ctx context.Context, prog *kir.Program, batch *BranchBatch, i
 		return nil, err
 	}
 	opts := LIFSOptions{
-		StepBudget:   batch.Opts.StepBudget,
-		MaxSchedules: batch.Opts.MaxSchedules,
-		LeakCheck:    batch.Opts.LeakCheck,
-		RecordLeaves: batch.Opts.RecordLeaves,
-		NoPruning:    batch.Opts.NoPruning,
-		WantKind:     batch.Opts.WantKind,
-		WantInstr:    batch.Opts.WantInstr,
-		Guide:        batch.Guide,
+		MaxInterleavings: batch.Opts.MaxInterleavings,
+		StepBudget:       batch.Opts.StepBudget,
+		MaxSchedules:     batch.Opts.MaxSchedules,
+		LeakCheck:        batch.Opts.LeakCheck,
+		RecordLeaves:     batch.Opts.RecordLeaves,
+		NoPruning:        batch.Opts.NoPruning,
+		WantKind:         batch.Opts.WantKind,
+		WantInstr:        batch.Opts.WantInstr,
+		Guide:            batch.Guide,
 		// A one-task machine has no later task to resume at a pin.
 		Prefix: PrefixConfig{Disable: true},
 	}
 	if opts.MaxSchedules <= 0 {
 		opts.MaxSchedules = DefaultMaxSchedules
 	}
-	s := &searcher{main: &workerVM{m: m, init: m.Snapshot()}, opts: opts, ctx: ctx}
+	if opts.MaxInterleavings <= 0 {
+		opts.MaxInterleavings = DefaultMaxInterleavings
+	}
+	if batch.Budget < 0 || batch.Budget > opts.MaxInterleavings {
+		return nil, fmt.Errorf("%w: budget %d outside 0..%d", ErrBranchTask, batch.Budget, opts.MaxInterleavings)
+	}
+	if err := checkAccesses(prog, batch.Base); err != nil {
+		return nil, err
+	}
+	s := &searcher{main: newWorkerVM(m), opts: opts, ctx: ctx}
 	if opts.Guide != nil {
 		s.guide = newGuideState(prog, opts)
 	}
@@ -137,6 +152,9 @@ func ExecuteBranch(ctx context.Context, prog *kir.Program, batch *BranchBatch, i
 	s.runTask(p, u, s.main, -1)
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if u.err != nil {
+		return nil, u.err
 	}
 	res := &BranchResult{
 		Ordinal:     w.Ordinal,
@@ -163,13 +181,14 @@ func (s *searcher) exportBatch(p *phaseRun, tasks []*unit) *BranchBatch {
 		Budget:   p.k,
 		Base:     p.base.Export(),
 		Opts: BranchOpts{
-			StepBudget:   s.opts.StepBudget,
-			MaxSchedules: s.opts.MaxSchedules,
-			LeakCheck:    s.opts.LeakCheck,
-			RecordLeaves: s.opts.RecordLeaves,
-			NoPruning:    s.opts.NoPruning,
-			WantKind:     s.opts.WantKind,
-			WantInstr:    s.opts.WantInstr,
+			StepBudget:       s.opts.StepBudget,
+			MaxSchedules:     s.opts.MaxSchedules,
+			LeakCheck:        s.opts.LeakCheck,
+			RecordLeaves:     s.opts.RecordLeaves,
+			NoPruning:        s.opts.NoPruning,
+			WantKind:         s.opts.WantKind,
+			WantInstr:        s.opts.WantInstr,
+			MaxInterleavings: s.opts.MaxInterleavings,
 		},
 		Guide: s.opts.Guide,
 	}
@@ -193,8 +212,9 @@ func (s *searcher) dispatchTasks(p *phaseRun, tasks []*unit, d BranchDispatcher)
 		}
 		return
 	}
+	prog := s.main.m.Prog()
 	for _, res := range results {
-		if res == nil || res.Ordinal < 0 || res.Ordinal >= len(p.units) {
+		if res == nil || res.Ordinal < 0 || res.Ordinal >= len(p.units) || checkAccesses(prog, res.Accesses) != nil {
 			continue
 		}
 		if u := p.units[res.Ordinal]; !u.probe && !u.ran {
@@ -214,4 +234,16 @@ func importBranchResult(u *unit, res *BranchResult) {
 	if res.Accepted {
 		u.cand = &candidate{trace: res.Trace, budgetLeft: res.BudgetLeft}
 	}
+}
+
+// checkAccesses rejects access records that name no instruction of prog.
+// The access map indexes sites by instruction ID, so records from a peer
+// or a checkpoint are checked before they reach it.
+func checkAccesses(prog *kir.Program, recs []sched.AccessExport) error {
+	for _, r := range recs {
+		if r.Instr < 0 || int(r.Instr) >= prog.NumInstrs() {
+			return fmt.Errorf("%w: access record names instruction %d of %d", ErrBranchTask, r.Instr, prog.NumInstrs())
+		}
+	}
+	return nil
 }

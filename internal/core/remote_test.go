@@ -2,13 +2,16 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"aitia/internal/faultinject"
 	"aitia/internal/kir"
 	"aitia/internal/scenarios"
+	"aitia/internal/sched"
 )
 
 // loopbackDispatcher is the minimal BranchDispatcher: every branch is
@@ -172,6 +175,38 @@ func TestExecuteBranchValidation(t *testing.T) {
 	other, _ := scenarios.ByName("fig1")
 	if _, err := ExecuteBranch(context.Background(), other.MustProgram(), d.batch, 0); err == nil {
 		t.Error("batch executed against the wrong program")
+	}
+	if _, err := ExecuteBranch(context.Background(), prog, d.batch, 0); err != nil {
+		t.Fatalf("unmutated batch: %v", err)
+	}
+	// Each field a peer could corrupt is rejected where the explorer
+	// first uses it, never a panic and never a result for other work.
+	for _, c := range []struct {
+		name   string
+		mutate func(b *BranchBatch)
+	}{
+		{"choice -1", func(b *BranchBatch) { b.Work[0].Choice = -1 }},
+		{"choice 99", func(b *BranchBatch) { b.Work[0].Choice = 99 }},
+		{"initial -1", func(b *BranchBatch) { b.Work[0].Initial = -1 }},
+		{"initial 99", func(b *BranchBatch) { b.Work[0].Initial = 99 }},
+		{"budget above max", func(b *BranchBatch) { b.Budget = DefaultMaxInterleavings + 1 }},
+		{"budget -1", func(b *BranchBatch) { b.Budget = -1 }},
+		{"base instr past the program", func(b *BranchBatch) {
+			b.Base = append(slices.Clone(b.Base), sched.AccessExport{Thread: "x", Instr: kir.InstrID(prog.NumInstrs()), Addr: 1, Write: true})
+		}},
+		{"base instr -1", func(b *BranchBatch) {
+			b.Base = append(slices.Clone(b.Base), sched.AccessExport{Thread: "x", Instr: -1, Addr: 1, Write: true})
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			b := *d.batch
+			b.Work = slices.Clone(d.batch.Work)
+			c.mutate(&b)
+			res, err := ExecuteBranch(context.Background(), prog, &b, 0)
+			if !errors.Is(err, ErrBranchTask) {
+				t.Fatalf("got result %v, error %v; want ErrBranchTask", res != nil, err)
+			}
+		})
 	}
 }
 

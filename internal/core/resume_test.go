@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"aitia/internal/durable"
+	"aitia/internal/kir"
 	"aitia/internal/scenarios"
 	"aitia/internal/sched"
 )
@@ -301,6 +302,16 @@ func TestResumeIgnoresForeignCheckpoints(t *testing.T) {
 		},
 		"garbage payload": func(t *testing.T, store *durable.CheckpointStore) {
 			if err := store.Save(key, lifsCheckpointVersion, []byte("not json")); err != nil {
+				t.Fatalf("save: %v", err)
+			}
+		},
+		"access past the program": func(t *testing.T, store *durable.CheckpointStore) {
+			payload, err := json.Marshal(&lifsCheckpoint{InitSig: initSig, Round: 0, NextPhase: 1,
+				Accesses: []sched.AccessExport{{Thread: "A", Instr: kir.InstrID(1 << 30), Addr: 1, Write: true}}})
+			if err != nil {
+				t.Fatalf("marshal: %v", err)
+			}
+			if err := store.Save(key, lifsCheckpointVersion, payload); err != nil {
 				t.Fatalf("save: %v", err)
 			}
 		},

@@ -368,18 +368,17 @@ func (mz *minimizer) minimizeThreads(prog *kir.Program) (*kir.Program, *core.Rep
 
 // minimizeLines greedily removes single source lines of the disassembled
 // program until a fixpoint: a removal survives only if the line-less
-// source still parses and the program oracle holds. Accepted candidates
-// are canonicalized through a disassemble→parse round first — removing a
-// trailing `ret` leaves a dangling end-label whose reparse synthesizes a
-// `nop`, so the raw candidate's instruction IDs would disagree with the
-// emitted canonical source. A seen-hash set rejects candidates that
-// merely re-encode an already-visited program (the synthesized nop makes
-// such no-op removals possible), which also guarantees termination.
+// source still parses, holds fewer instructions, and the program oracle
+// holds. A parsed program round-trips through Disassemble exactly, so the
+// candidate's instruction IDs agree with the source it is emitted as. A
+// seen-hash set skips candidates that re-encode an already-tried program
+// (removing either of two equal lines), sparing their replays.
 func (mz *minimizer) minimizeLines(prog *kir.Program, rep *core.Reproduction) (*kir.Program, *core.Reproduction, error) {
-	canon, err := canonicalize(prog)
+	canon, err := kasm.Parse(kasm.Disassemble(prog))
 	if err != nil || canon.Hash() != prog.Hash() {
-		// A built program whose disassembly does not round-trip cleanly:
-		// leave it as is rather than minimize against shifting IDs.
+		// A built program whose disassembly does not round-trip (one that
+		// branches past its last instruction): leave it as is rather than
+		// minimize against shifting IDs.
 		return prog, rep, nil
 	}
 	prog = canon
@@ -395,17 +394,13 @@ func (mz *minimizer) minimizeLines(prog *kir.Program, rep *core.Reproduction) (*
 			cand = append(cand, lines[:i]...)
 			cand = append(cand, lines[i+1:]...)
 			cp, err := kasm.Parse(strings.Join(cand, "\n"))
-			if err != nil {
-				continue
-			}
-			cp, err = canonicalize(cp)
 			if err != nil || seen[cp.Hash()] {
 				continue
 			}
 			seen[cp.Hash()] = true
 			if cp.NumInstrs() >= prog.NumInstrs() {
-				// Canonicalization re-synthesized what the removal took out
-				// (ret → nop churn): not a reduction.
+				// The line held no instruction (a declaration, or a
+				// label no branch names): not a reduction.
 				continue
 			}
 			if r, ok := mz.progOK(cp); ok {
@@ -416,30 +411,6 @@ func (mz *minimizer) minimizeLines(prog *kir.Program, rep *core.Reproduction) (*
 		}
 	}
 	return prog, rep, nil
-}
-
-// canonicalize reparses the program's disassembly so the returned
-// program, its source text, and its instruction IDs agree. One round
-// suffices: parse∘disassemble is a fixed point from the second
-// application on.
-func canonicalize(p *kir.Program) (*kir.Program, error) {
-	cp, err := kasm.Parse(kasm.Disassemble(p))
-	if err != nil {
-		return nil, err
-	}
-	if cp.Hash() != p.Hash() {
-		// The first parse resolved a dangling label without materializing
-		// an instruction; the reparse did. Run once more to stabilize.
-		cp2, err := kasm.Parse(kasm.Disassemble(cp))
-		if err != nil {
-			return nil, err
-		}
-		if cp2.Hash() != cp.Hash() {
-			return nil, fmt.Errorf("factory: disassembly does not stabilize")
-		}
-		return cp2, nil
-	}
-	return cp, nil
 }
 
 func max(a, b int) int {

@@ -8,9 +8,9 @@ import (
 	"aitia/internal/kir"
 )
 
-// Disassemble renders a finalized program back to kasm source text. The
-// output round-trips through Parse into an equivalent program (same
-// instructions, globals, threads and labels).
+// Disassemble renders a finalized program back to kasm source text. For
+// a program Parse assembled, the output round-trips through Parse into
+// the same program: Parse(Disassemble(p)).Hash() == p.Hash().
 func Disassemble(prog *kir.Program) string {
 	var b strings.Builder
 
@@ -62,7 +62,9 @@ func Disassemble(prog *kir.Program) string {
 				fmt.Fprintf(&b, "        %s\n", in.String())
 			}
 		}
-		// Branch targets pointing one past the last instruction.
+		// Branch targets one past the last instruction, which only a
+		// built program has: Parse rejects a label with nothing after
+		// it, so a nop follows.
 		for _, lbl := range sortStrings(targets[len(f.Instrs)]) {
 			fmt.Fprintf(&b, "%s:\n", lbl)
 			b.WriteString("        nop\n")

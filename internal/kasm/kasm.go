@@ -73,6 +73,9 @@ type parser struct {
 	b    *kir.Builder
 	fb   *kir.FuncBuilder
 	line int
+	// open is the last branch target of the current func that no
+	// instruction follows yet.
+	open string
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -128,11 +131,17 @@ func (p *parser) parseLine(raw string) error {
 		if label != "" {
 			return p.errf("label on 'end'")
 		}
+		if p.open != "" {
+			// A target past the last instruction has no source form that
+			// Disassemble could print back as is.
+			return p.errf("branch target %q with no instruction after it", p.open)
+		}
 		return nil
 	}
 	// Local branch target: "name:" alone on a line.
 	if strings.HasSuffix(head, ":") && len(fields) == 1 {
-		p.fb.At(strings.TrimSuffix(head, ":"))
+		p.open = strings.TrimSuffix(head, ":")
+		p.fb.At(p.open)
 		if label != "" {
 			return p.errf("paper label on a branch target")
 		}
@@ -142,6 +151,7 @@ func (p *parser) parseLine(raw string) error {
 	if err != nil {
 		return err
 	}
+	p.open = ""
 	if label != "" {
 		ref.L(label)
 	}

@@ -1,9 +1,8 @@
 package kvm
 
 import (
-	"hash/fnv"
-
 	"aitia/internal/kir"
+	"aitia/internal/mem"
 )
 
 // PeekAccesses returns the shared-memory accesses the thread's next
@@ -50,61 +49,32 @@ func (m *Machine) PeekAccesses(tid ThreadID) []Access {
 // identical scheduling — the equivalence LIFS uses to prune redundant
 // interleavings (the paper's DPOR-style "skip equivalent instruction
 // sequences").
+//
+// The signature is FNV-1a over the threads, in order, followed by the
+// order-independent sum of the entry hashes of the space's state and the
+// lock owners (mem.Space.StateHash). It allocates nothing: LIFS takes one
+// at every prune check.
 func (m *Machine) StateSignature() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	word := func(v uint64) {
-		buf[0] = byte(v)
-		buf[1] = byte(v >> 8)
-		buf[2] = byte(v >> 16)
-		buf[3] = byte(v >> 24)
-		buf[4] = byte(v >> 32)
-		buf[5] = byte(v >> 40)
-		buf[6] = byte(v >> 48)
-		buf[7] = byte(v >> 56)
-		h.Write(buf[:])
-	}
-
+	h := mem.FNVOffset
 	for _, t := range m.threads {
-		h.Write([]byte(t.Name))
-		word(uint64(t.State))
-		word(t.WaitLock)
+		h = mem.FNVString(h, t.Name)
+		h = mem.FNVWord(h, uint64(t.State))
+		h = mem.FNVWord(h, t.WaitLock)
 		for _, r := range t.Regs {
-			word(uint64(r))
+			h = mem.FNVWord(h, uint64(r))
 		}
 		for _, l := range t.Locks {
-			word(l)
+			h = mem.FNVWord(h, l)
 		}
 		for _, fr := range t.frames {
-			h.Write([]byte(fr.fn.Name))
-			word(uint64(fr.pc))
+			h = mem.FNVString(h, fr.fn.Name)
+			h = mem.FNVWord(h, uint64(fr.pc))
 		}
-		word(0xfeed) // frame separator
+		h = mem.FNVWord(h, 0xfeed) // frame separator
 	}
-
-	// Maps are folded order-independently: each entry is hashed on its own
-	// and the entry hashes are summed.
-	var acc uint64
-	entry := func(parts ...uint64) {
-		eh := fnv.New64a()
-		for _, p := range parts {
-			var b [8]byte
-			b[0] = byte(p)
-			b[1] = byte(p >> 8)
-			b[2] = byte(p >> 16)
-			b[3] = byte(p >> 24)
-			b[4] = byte(p >> 32)
-			b[5] = byte(p >> 40)
-			b[6] = byte(p >> 48)
-			b[7] = byte(p >> 56)
-			eh.Write(b[:])
-		}
-		acc += eh.Sum64()
-	}
-	m.space.FoldState(func(parts ...uint64) { entry(parts...) })
+	acc := m.space.StateHash()
 	for addr, owner := range m.lockOwner {
-		entry(0x10c4, addr, uint64(owner))
+		acc += mem.FNVWord(mem.FNVWord(mem.FNVWord(mem.FNVOffset, 0x10c4), addr), uint64(owner))
 	}
-	word(acc)
-	return h.Sum64()
+	return mem.FNVWord(h, acc)
 }

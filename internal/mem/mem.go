@@ -501,7 +501,8 @@ func (s *Space) Leaked() []*Object {
 
 // FoldState feeds the space's mutable state to fold as numeric tuples, one
 // call per logical entry, in unspecified order. Callers combine the tuples
-// order-independently to build state signatures.
+// order-independently to build state signatures; StateHash is the
+// allocation-free fold of the same tuples.
 func (s *Space) FoldState(fold func(parts ...uint64)) {
 	for addr, v := range s.words {
 		fold(0x77, addr, uint64(v))
@@ -516,6 +517,51 @@ func (s *Space) FoldState(fold func(parts ...uint64)) {
 		fold(0x0b, o.Base, uint64(o.Size), uint64(o.State))
 	}
 	fold(0xa1, s.next)
+}
+
+// FNVOffset is the 64-bit FNV-1a offset basis: the hash of no bytes.
+const FNVOffset uint64 = 14695981039346656037
+
+const fnvPrime uint64 = 1099511628211
+
+// FNVWord feeds v to the 64-bit FNV-1a hash h as 8 little-endian bytes.
+func FNVWord(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime
+		v >>= 8
+	}
+	return h
+}
+
+// FNVString feeds the bytes of str to the 64-bit FNV-1a hash h.
+func FNVString(h uint64, str string) uint64 {
+	for i := 0; i < len(str); i++ {
+		h ^= uint64(str[i])
+		h *= fnvPrime
+	}
+	return h
+}
+
+// StateHash folds the tuples FoldState enumerates into one
+// order-independent value, without allocating: each tuple is hashed on
+// its own as FNV-1a over its parts (FNVWord each), and the tuple hashes
+// are summed.
+func (s *Space) StateHash() uint64 {
+	var acc uint64
+	for addr, v := range s.words {
+		acc += FNVWord(FNVWord(FNVWord(FNVOffset, 0x77), addr), uint64(v))
+	}
+	for addr, l := range s.lists {
+		for i, v := range l {
+			acc += FNVWord(FNVWord(FNVWord(FNVWord(FNVOffset, 0x11), addr), uint64(i)), uint64(v))
+		}
+		acc += FNVWord(FNVWord(FNVWord(FNVOffset, 0x12), addr), uint64(len(l)))
+	}
+	for _, o := range s.objects {
+		acc += FNVWord(FNVWord(FNVWord(FNVWord(FNVOffset, 0x0b), o.Base), uint64(o.Size)), uint64(o.State))
+	}
+	return acc + FNVWord(FNVWord(FNVOffset, 0xa1), s.next)
 }
 
 // Snapshot is a copy-on-write checkpoint: a position in the space's undo

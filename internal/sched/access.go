@@ -3,9 +3,6 @@ package sched
 import (
 	"cmp"
 	"slices"
-	"strings"
-
-	"aitia/internal/kir"
 )
 
 // accessMode records how a site has been observed to access an address.
@@ -29,27 +26,30 @@ func modeOf(write bool) accessMode {
 // races whose second access never executed in the failing run (e.g. the
 // paper's B17 => A12, where A12 is only known from other explorations).
 //
-// Thread names are interned into a small per-map table, so no lookup
-// hashes a string: one flat (thread, instruction, address) table holds
-// every site's mode per address, each address lists the threads that
-// touched it, and each site lists its addresses in ascending order.
+// Thread names are interned into a small per-map table, and each thread
+// indexes its sites by the finalized kir.InstrID, so a site lookup is a
+// scan of a handful of names and a slice index, never a hash: each site
+// keeps its addresses in ascending order with their modes, and each
+// address lists the threads that touched it. Sites must carry finalized
+// (non-negative) instruction IDs; queries about any other ID find
+// nothing.
 type AccessMap struct {
-	threads []string                 // interned thread names, by index
-	modes   map[accessKey]accessMode // site and address -> mode
-	byAddr  map[uint64][]threadMode  // address -> the threads that accessed it
-	sites   []siteAddrs              // known sites, in insertion order
-	siteIdx map[siteKey]int32        // site -> index in sites
+	threads []threadSites           // interned threads, by index
+	byAddr  map[uint64][]threadMode // address -> the threads that accessed it
+	nsites  int                     // sites with at least one address
+	naddrs  int                     // (site, address) entries
 }
 
-// siteKey is a site with its thread interned.
-type siteKey struct {
-	instr  kir.InstrID
-	thread int32
+// threadSites is one interned thread's access knowledge.
+type threadSites struct {
+	name  string
+	sites [][]addrMode // by kir.InstrID: the site's addresses, ascending
 }
 
-type accessKey struct {
+// addrMode is how one site accessed one address.
+type addrMode struct {
 	addr uint64
-	site siteKey
+	mode accessMode
 }
 
 // threadMode is how one thread (all its sites together) accessed an
@@ -59,38 +59,40 @@ type threadMode struct {
 	mode   accessMode
 }
 
-type siteAddrs struct {
-	site  Site
-	key   siteKey
-	addrs []uint64 // ascending
-}
-
 // NewAccessMap returns an empty access map.
 func NewAccessMap() *AccessMap {
-	return &AccessMap{
-		modes:   make(map[accessKey]accessMode),
-		byAddr:  make(map[uint64][]threadMode),
-		siteIdx: make(map[siteKey]int32),
-	}
+	return &AccessMap{byAddr: make(map[uint64][]threadMode)}
 }
 
 // thread returns the interned index of a thread name, or -1 for a thread
 // the map has never seen. Programs have a handful of threads, so a scan
 // beats hashing the name.
 func (am *AccessMap) thread(name string) int32 {
-	for i, t := range am.threads {
-		if t == name {
+	for i := range am.threads {
+		if am.threads[i].name == name {
 			return int32(i)
 		}
 	}
 	return -1
 }
 
-// key returns the site's interned key; ok is false when the site's
-// thread is unknown.
-func (am *AccessMap) key(s Site) (k siteKey, ok bool) {
+// site returns the addresses recorded for s, nil when there are none.
+func (am *AccessMap) site(s Site) []addrMode {
 	t := am.thread(s.Thread)
-	return siteKey{instr: s.Instr, thread: t}, t >= 0
+	if t < 0 {
+		return nil
+	}
+	sites := am.threads[t].sites
+	if s.Instr < 0 || int(s.Instr) >= len(sites) {
+		return nil
+	}
+	return sites[s.Instr]
+}
+
+// search returns the index of addr in a site's ascending addresses, and
+// whether it is there.
+func search(addrs []addrMode, addr uint64) (int, bool) {
+	return slices.BinarySearchFunc(addrs, addr, func(e addrMode, a uint64) int { return cmp.Compare(e.addr, a) })
 }
 
 // RecordRun folds a run's accesses into the map. res must be a full run
@@ -103,31 +105,31 @@ func (am *AccessMap) RecordRun(res *RunResult) {
 	}
 }
 
-// Record adds one observed access.
+// Record adds one observed access. s.Instr must be non-negative.
 func (am *AccessMap) Record(s Site, addr uint64, write bool) {
 	t := am.thread(s.Thread)
 	if t < 0 {
 		t = int32(len(am.threads))
-		am.threads = append(am.threads, s.Thread)
+		am.threads = append(am.threads, threadSites{name: s.Thread})
 	}
+	ts := &am.threads[t]
+	if n := int(s.Instr) + 1; n > len(ts.sites) {
+		ts.sites = append(ts.sites, make([][]addrMode, n-len(ts.sites))...)
+	}
+	addrs := ts.sites[s.Instr]
 	mode := modeOf(write)
-	sk := siteKey{instr: s.Instr, thread: t}
-	k := accessKey{addr: addr, site: sk}
-	old := am.modes[k]
-	if old&mode != 0 {
+	i, found := search(addrs, addr)
+	switch {
+	case found && addrs[i].mode&mode != 0:
 		return
-	}
-	am.modes[k] = old | mode
-	if old == 0 {
-		si, ok := am.siteIdx[sk]
-		if !ok {
-			si = int32(len(am.sites))
-			am.siteIdx[sk] = si
-			am.sites = append(am.sites, siteAddrs{site: Site{Thread: am.threads[t], Instr: s.Instr}, key: sk})
+	case found:
+		addrs[i].mode |= mode
+	default:
+		if len(addrs) == 0 {
+			am.nsites++
 		}
-		sa := &am.sites[si]
-		i, _ := slices.BinarySearch(sa.addrs, addr)
-		sa.addrs = slices.Insert(sa.addrs, i, addr)
+		am.naddrs++
+		ts.sites[s.Instr] = slices.Insert(addrs, i, addrMode{addr: addr, mode: mode})
 	}
 	list := am.byAddr[addr]
 	for i := range list {
@@ -142,8 +144,9 @@ func (am *AccessMap) Record(s Site, addr uint64, write bool) {
 // Has reports whether the map already holds the access: the site has
 // been observed to access addr in this mode.
 func (am *AccessMap) Has(s Site, addr uint64, write bool) bool {
-	sk, ok := am.key(s)
-	return ok && am.modes[accessKey{addr: addr, site: sk}]&modeOf(write) != 0
+	addrs := am.site(s)
+	i, found := search(addrs, addr)
+	return found && addrs[i].mode&modeOf(write) != 0
 }
 
 // ConflictsAt reports whether an access (thread, addr, write) conflicts
@@ -164,12 +167,4 @@ func (am *AccessMap) ConflictsAt(thread string, addr uint64, write bool) bool {
 }
 
 // NumSites returns the number of known sites.
-func (am *AccessMap) NumSites() int { return len(am.sites) }
-
-// compareSites orders sites by thread name, then instruction.
-func compareSites(a, b Site) int {
-	if c := strings.Compare(a.Thread, b.Thread); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Instr, b.Instr)
-}
+func (am *AccessMap) NumSites() int { return am.nsites }

@@ -115,7 +115,7 @@ func threadNames(n int) []string {
 }
 
 // compareAccessMaps checks every query of got against the reference.
-func compareAccessMaps(t *testing.T, got *AccessMap, want *naiveAccessMap, threads []string, rng *rand.Rand, nInstr, nAddr int) {
+func compareAccessMaps(t *testing.T, got *AccessMap, want *naiveAccessMap, threads []string, rng *rand.Rand, ids []kir.InstrID, nAddr int) {
 	t.Helper()
 	probe := append(slices.Clone(threads), "never-seen", "T", "")
 	sites := want.sortedSites()
@@ -131,8 +131,13 @@ func compareAccessMaps(t *testing.T, got *AccessMap, want *naiveAccessMap, threa
 			}
 		}
 	}
+	// Probe the recorded IDs, their neighbours and IDs no site has.
+	probeIDs := []kir.InstrID{kir.NoInstr, slices.Max(ids) + 1, slices.Max(ids) + 1000}
+	for _, id := range ids {
+		probeIDs = append(probeIDs, id, id+1)
+	}
 	for i := 0; i < 50; i++ {
-		a := Site{Thread: probe[rng.Intn(len(probe))], Instr: kir.InstrID(rng.Intn(nInstr + 1))}
+		a := Site{Thread: probe[rng.Intn(len(probe))], Instr: probeIDs[rng.Intn(len(probeIDs))]}
 		if len(sites) > 0 && i%2 == 0 {
 			a = sites[rng.Intn(len(sites))]
 		}
@@ -154,30 +159,52 @@ func compareAccessMaps(t *testing.T, got *AccessMap, want *naiveAccessMap, threa
 
 // TestAccessMapMatchesNaive drives the interned map and the nested-map
 // reference with the same random access streams, over 1 to 100 threads,
-// and checks that every query agrees along the way; a log folded into a
-// map agrees too.
+// spawned-thread names, and dense, sparse and large instruction IDs
+// (the map indexes sites by ID), and checks that every query agrees
+// along the way; a log folded into a map agrees too.
 func TestAccessMapMatchesNaive(t *testing.T) {
-	for _, nThreads := range []int{1, 2, 3, 7, 30, 100} {
-		t.Run(fmt.Sprintf("threads=%d", nThreads), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(nThreads)))
-			threads := threadNames(nThreads)
-			nInstr, nAddr := 12, 16
+	dense := make([]kir.InstrID, 12)
+	for i := range dense {
+		dense[i] = kir.InstrID(i)
+	}
+	sparse := []kir.InstrID{0, 3, 64, 65, 1000, 4095}
+	large := []kir.InstrID{1 << 16, 1<<16 + 1, 1<<16 + 511, 90001}
+	spawned := []string{"A", "kworker:A2", "rcu:K1", "kworker:B7", "rcu:R1", "kworker:A"}
+	for _, c := range []struct {
+		name    string
+		threads []string
+		ids     []kir.InstrID
+	}{
+		{"threads=1", threadNames(1), dense},
+		{"threads=2", threadNames(2), dense},
+		{"threads=3", threadNames(3), dense},
+		{"threads=7", threadNames(7), dense},
+		{"threads=30", threadNames(30), dense},
+		{"threads=100", threadNames(100), dense},
+		{"sparse/threads=7", threadNames(7), sparse},
+		{"large/threads=3", threadNames(3), large},
+		{"spawned", spawned, dense},
+		{"spawned/sparse", spawned, sparse},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(len(c.threads))))
+			nAddr := 16
 			got, want := NewAccessMap(), newNaiveAccessMap()
 			var log AccessLog
-			compareAccessMaps(t, got, want, threads, rng, nInstr, nAddr)
+			compareAccessMaps(t, got, want, c.threads, rng, c.ids, nAddr)
 			for i := 1; i <= 600; i++ {
-				s := Site{Thread: threads[rng.Intn(nThreads)], Instr: kir.InstrID(rng.Intn(nInstr))}
+				s := Site{Thread: c.threads[rng.Intn(len(c.threads))], Instr: c.ids[rng.Intn(len(c.ids))]}
 				addr, write := uint64(rng.Intn(nAddr)), rng.Intn(3) == 0
 				got.Record(s, addr, write)
 				want.Record(s, addr, write)
 				log.Add(s, addr, write)
 				if i%100 == 0 {
-					compareAccessMaps(t, got, want, threads, rng, nInstr, nAddr)
+					compareAccessMaps(t, got, want, c.threads, rng, c.ids, nAddr)
 				}
 			}
 			folded := NewAccessMap()
 			folded.Fold(log)
-			compareAccessMaps(t, folded, want, threads, rng, nInstr, nAddr)
+			compareAccessMaps(t, folded, want, c.threads, rng, c.ids, nAddr)
 		})
 	}
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"slices"
+	"strings"
 
 	"aitia/internal/kir"
 )
@@ -20,28 +21,30 @@ type AccessExport struct {
 }
 
 // Export flattens the map into a deterministic record list: sites by
-// thread name, then instruction, addresses ascending within a site. Import(Export()) is
-// an identity (the map is a pure union of such records).
+// thread name, then instruction, addresses ascending within a site.
+// Import(Export()) is an identity (the map is a pure union of such
+// records).
 func (am *AccessMap) Export() []AccessExport {
-	if len(am.modes) == 0 {
+	if am.naddrs == 0 {
 		return nil
 	}
-	order := make([]*siteAddrs, len(am.sites))
-	for i := range am.sites {
-		order[i] = &am.sites[i]
+	order := make([]*threadSites, len(am.threads))
+	for i := range am.threads {
+		order[i] = &am.threads[i]
 	}
-	slices.SortFunc(order, func(a, b *siteAddrs) int { return compareSites(a.site, b.site) })
-	out := make([]AccessExport, 0, len(am.modes))
-	for _, sa := range order {
-		for _, a := range sa.addrs {
-			mode := am.modes[accessKey{addr: a, site: sa.key}]
-			out = append(out, AccessExport{
-				Thread: sa.site.Thread,
-				Instr:  sa.site.Instr,
-				Addr:   a,
-				Read:   mode&modeRead != 0,
-				Write:  mode&modeWrite != 0,
-			})
+	slices.SortFunc(order, func(a, b *threadSites) int { return strings.Compare(a.name, b.name) })
+	out := make([]AccessExport, 0, am.naddrs)
+	for _, ts := range order {
+		for instr, addrs := range ts.sites {
+			for _, a := range addrs {
+				out = append(out, AccessExport{
+					Thread: ts.name,
+					Instr:  kir.InstrID(instr),
+					Addr:   a.addr,
+					Read:   a.mode&modeRead != 0,
+					Write:  a.mode&modeWrite != 0,
+				})
+			}
 		}
 	}
 	return out

@@ -345,6 +345,39 @@ func PlanFlipCut(seq []Exec, r Race, fallback []string, fo FlipOptions) (int, Sc
 	return i + moved, FromSeq(tail[moved:], fallback)
 }
 
+// CutPoints marks the positions of seq a flip of one of its races can
+// cut at (PlanFlipCut): mark[k] reports whether a prefix cache should pin
+// the state just before seq[k]. A displaced region starts at its race's
+// First access, a step with an access that conflicts per am, or at the
+// lock acquire widenCriticalSections widens it back to; a phantom race's
+// cut is its First access too. When the region holds a thread its own
+// thread spawns, the spawn repair keeps the spawn in place and releases
+// the spawned thread's entries right after it, so the cut moves to the
+// step after a spawn. The rule marks exactly these: the steps with a
+// conflicting access, the OpLock steps and the steps after a spawn. am
+// must hold seq's own accesses. mark has len(seq)+1 entries; the last,
+// the end of the run, is never a cut.
+func CutPoints(seq []Exec, am *AccessMap) []bool {
+	mark := make([]bool, len(seq)+1)
+	for k := range seq {
+		e := &seq[k]
+		if e.Spawned != "" && k+1 < len(seq) {
+			mark[k+1] = true
+		}
+		if e.Instr.Op == kir.OpLock {
+			mark[k] = true
+			continue
+		}
+		for _, a := range e.Accesses {
+			if am.ConflictsAt(e.Name, a.Addr, a.Write) {
+				mark[k] = true
+				break
+			}
+		}
+	}
+	return mark
+}
+
 // FlipCut returns the cut PlanFlipCut returns, flipping the whole
 // sequence on its own; it is the reference PlanFlipCut is checked
 // against.

@@ -45,6 +45,14 @@ func (l *StepLog) Append(m *kvm.Machine, t *kvm.Thread, ev kvm.StepEvent) {
 	l.Seq = append(l.Seq, exec)
 }
 
+// Grow reserves room for n more records with n accesses among them, so a
+// log sized once for the runs it will hold appends without regrowing.
+// Locksets are rare enough to grow on demand.
+func (l *StepLog) Grow(n int) {
+	l.Seq = slices.Grow(l.Seq, n)
+	l.accs = slices.Grow(l.accs, n)
+}
+
 // Mark returns the log's current position.
 func (l *StepLog) Mark() LogMark {
 	return LogMark{seq: len(l.Seq), accs: len(l.accs), locks: len(l.locks)}

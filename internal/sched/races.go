@@ -187,36 +187,43 @@ func PhantomRaces(res *RunResult, am *AccessMap) []Race {
 	}
 	seen := make(map[RaceKey]bool)
 	var races []Race
-	for _, sa := range am.sites {
-		s := sa.site
-		if !unfinished[s.Thread] || executed[s] {
+	for t := range am.threads {
+		ts := &am.threads[t]
+		if !unfinished[ts.name] {
 			continue
 		}
-		for _, addr := range sa.addrs {
-			list := byAddr[addr]
-			// Last executed *conflicting* access to addr by a different
-			// thread (read-read pairs are skipped, not terminal).
-			for i := len(list) - 1; i >= 0; i-- {
-				p := &res.Seq[list[i].i]
-				if p.Name == s.Thread {
-					continue
+		for instr, addrs := range ts.sites {
+			s := Site{Thread: ts.name, Instr: kir.InstrID(instr)}
+			if len(addrs) == 0 || executed[s] {
+				continue
+			}
+			for _, a := range addrs {
+				list := byAddr[a.addr]
+				// Last executed *conflicting* access to addr by a
+				// different thread (read-read pairs are skipped, not
+				// terminal).
+				for i := len(list) - 1; i >= 0; i-- {
+					p := &res.Seq[list[i].i]
+					if p.Name == s.Thread {
+						continue
+					}
+					if !list[i].write && a.mode&modeWrite == 0 {
+						continue
+					}
+					r := Race{
+						First:      p.Site(),
+						Second:     s,
+						Addr:       a.addr,
+						FirstStep:  p.Step,
+						SecondStep: -1,
+						Phantom:    true,
+					}
+					if !seen[r.Key()] {
+						seen[r.Key()] = true
+						races = append(races, r)
+					}
+					break
 				}
-				if !list[i].write && am.modes[accessKey{addr: addr, site: sa.key}]&modeWrite == 0 {
-					continue
-				}
-				r := Race{
-					First:      p.Site(),
-					Second:     s,
-					Addr:       addr,
-					FirstStep:  p.Step,
-					SecondStep: -1,
-					Phantom:    true,
-				}
-				if !seen[r.Key()] {
-					seen[r.Key()] = true
-					races = append(races, r)
-				}
-				break
 			}
 		}
 	}

@@ -101,10 +101,10 @@ type Metrics struct {
 	// MaxRequeues budget — distinct from JobsFailed so operators can
 	// tell "infrastructure kept flaking" from "the diagnosis broke".
 	JobsRequeueExhausted Counter
-	JobsPartial   Counter // completed with a Partial (degraded) diagnosis
-	JobsRecovered Counter // re-enqueued from the journal after a restart
-	CacheHits     Counter // submissions answered from the result cache
-	CacheMisses   Counter // submissions that had to run the pipeline
+	JobsPartial          Counter // completed with a Partial (degraded) diagnosis
+	JobsRecovered        Counter // re-enqueued from the journal after a restart
+	CacheHits            Counter // submissions answered from the result cache
+	CacheMisses          Counter // submissions that had to run the pipeline
 
 	// Per-kind splits (aitia_jobs_total{kind=...}): trace jobs diagnose
 	// a program blind, report jobs from a crash report.
