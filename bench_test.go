@@ -579,6 +579,47 @@ func BenchmarkDiagnoseCorpus(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(all)), "us/diagnosis")
 }
 
+// BenchmarkPlanFlipCut plans one flip of every race of every corpus
+// scenario's failing run per iteration, as Causality Analysis does before
+// each flip test, and reports the planning time and allocations per plan.
+// Plans name the flipped order by positions of the failing run, so they
+// copy no step record.
+func BenchmarkPlanFlipCut(b *testing.B) {
+	type flip struct {
+		seq      []sched.Exec
+		race     sched.Race
+		fallback []string
+	}
+	var flips []flip
+	for _, sc := range scenarios.All() {
+		prog := sc.MustProgram()
+		m, err := kvm.New(prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := core.Reproduce(m, core.LIFSOptions{WantKind: sc.WantKind, WantInstr: sc.WantInstr(), LeakCheck: sc.NeedsLeakCheck()})
+		if err != nil {
+			b.Fatalf("%s: %v", sc.Name, err)
+		}
+		var fallback []string
+		for _, td := range prog.Threads {
+			fallback = append(fallback, td.Name)
+		}
+		for _, r := range rep.Races {
+			flips = append(flips, flip{seq: rep.Run.Seq, race: r, fallback: fallback})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range flips {
+			sched.PlanFlipCut(f.seq, f.race, f.fallback, sched.FlipOptions{})
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(flips)), "ns/plan")
+	b.ReportMetric(float64(len(flips)), "plans/op")
+}
+
 // BenchmarkFuzzerRun measures the bug finder's per-run cost.
 func BenchmarkFuzzerRun(b *testing.B) {
 	sc, _ := scenarios.ByName("fig5")

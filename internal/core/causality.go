@@ -389,7 +389,7 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 			}
 			// Size the run's own records for the rest of a failing run's
 			// length, so they rarely regrow.
-			ro.SeqCap = len(failSeq) - len(ro.Prefix) + flipSeqSlack
+			ro.Log = make([]sched.Exec, 0, len(failSeq)-len(ro.Prefix)+flipSeqSlack)
 			res, err := enf.Run(plan, ro)
 			if err != nil {
 				return err

@@ -193,13 +193,13 @@ func computeExit(p *kir.Program, f *kir.Func) []bool {
 			case in.Op == kir.OpExit:
 				v = false
 			case in.Op == kir.OpJmp:
-				v = bit(ex, p.BranchTarget(in))
+				v = exitBit(ex, p.BranchTarget(in))
 			case in.Op.IsBranch():
-				v = bit(ex, p.BranchTarget(in)) || next(ex, i)
+				v = exitBit(ex, p.BranchTarget(in)) || exitBit(ex, i+1)
 			default:
 				// Calls may return (over-approximation), falling off the
 				// end pops the frame.
-				v = next(ex, i)
+				v = exitBit(ex, i+1)
 			}
 			if v {
 				ex[i] = true
@@ -257,11 +257,19 @@ func (r *reach) entry(fn string) bool {
 
 func next(bits []bool, i int) bool { return bit(bits, i+1) }
 
-// bit reads a function's bit at instruction index j. A branch may target
-// the end of the function (j == len(bits), an implicit return), which
-// reads false, as falling off the end does in next.
+// bit reads a function's target-reachability bit at instruction index j.
+// A branch may target the end of the function (j == len(bits), an
+// implicit return), which reads false, as falling off the end does in
+// next: the end itself executes no target.
 func bit(bits []bool, j int) bool {
 	return j < len(bits) && bits[j]
+}
+
+// exitBit reads a function's exit bit at instruction index j. The end of
+// the function (falling off it, or a branch to it) reads true: the kvm
+// pops a frame that runs off its end, as it pops one at ret.
+func exitBit(ex []bool, j int) bool {
+	return j >= len(ex) || ex[j]
 }
 
 // thread reports whether the call stack can still execute the target:

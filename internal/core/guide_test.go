@@ -261,4 +261,48 @@ func TestReachBranchPastEnd(t *testing.T) {
 	if got := r.pos["main"]; !got[0] || !got[1] || !got[2] {
 		t.Errorf("pos[main] = %v, want S reachable from every instruction", got)
 	}
+	// main has no ret: it falls off its end, or branches to it, and the
+	// kvm pops the frame either way.
+	if got := r.exit["main"]; !got[0] || !got[1] || !got[2] {
+		t.Errorf("exit[main] = %v, want every instruction able to pop the frame", got)
+	}
+}
+
+// TestGuidedCalleeFallsOffEnd: a callee with no ret pops its frame at its
+// end, so a thread inside it can still reach a target only the caller's
+// continuation executes. The guided search must not prune it.
+func TestGuidedCalleeFallsOffEnd(t *testing.T) {
+	b := kir.NewBuilder()
+	b.Var("p", 0)
+	b.Var("y", 0)
+	mn := b.Func("main")
+	mn.Call("helper")
+	mn.Load(kir.R1, kir.G("p"))
+	mn.Load(kir.R2, kir.Ind(kir.R1, 0)).L("DEREF")
+	mn.Ret()
+	h := b.Func("helper")
+	h.Store(kir.G("y"), kir.Imm(1))
+	h.Store(kir.G("y"), kir.Imm(2))
+	b.Thread("T", "main")
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deref, _ := prog.ByLabel("DEREF")
+	opts := LIFSOptions{WantKind: sanitizer.KindNullDeref, WantInstr: deref.ID}
+	blind, err := Reproduce(mustMachine(t, prog), opts)
+	if err != nil {
+		t.Fatalf("blind Reproduce: %v", err)
+	}
+	opts.Guide = &Guide{}
+	rep, err := Reproduce(mustMachine(t, prog), opts)
+	if err != nil {
+		t.Fatalf("guided Reproduce: %v", err)
+	}
+	if got, want := rep.Run.FormatSeq(prog, true), blind.Run.FormatSeq(prog, true); got != want {
+		t.Errorf("guided run %q, want the blind run %q", got, want)
+	}
+	if rep.Stats.GuidePruned != 0 {
+		t.Errorf("guided search pruned %d times below a live caller continuation", rep.Stats.GuidePruned)
+	}
 }

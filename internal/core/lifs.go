@@ -398,6 +398,9 @@ rounds:
 		schedule = *terminal.Schedule
 	} else {
 		schedule = sched.FromSeq(s.foundTrace, s.fallback)
+		if testHookWinner != nil {
+			testHookWinner(s.foundTrace)
+		}
 	}
 	m.SetFaultPlan(opts.Fault)
 	enf := sched.NewEnforcer(m)
@@ -424,8 +427,11 @@ rounds:
 		ro.FaultOp = "lifs.replay"
 		ro.FaultAttempt = attempt
 		ro.Ctx = ctx
-		// The replay re-executes the found trace: size its log once.
-		ro.SeqCap = len(s.foundTrace)
+		// The replay re-executes the found trace and records into the
+		// winner's own records: a full run with no Base, so it rewrites
+		// them in place, locksets included, and its RunResult.Seq is
+		// that array.
+		ro.Log = s.foundTrace
 		if seedFC != nil {
 			ro.OnStep = func(pos int) {
 				if pos < len(seedFC.cuts) && seedFC.cuts[pos] {
@@ -506,6 +512,10 @@ rounds:
 	return rep, nil
 }
 
+// testHookWinner, when set by a test, sees the winning candidate's
+// records before the final replay records into them.
+var testHookWinner func(trace []sched.Exec)
+
 // searcher carries the state of one LIFS search.
 type searcher struct {
 	main     *workerVM        // the searched machine: probes and sweeps run here
@@ -570,7 +580,7 @@ type workerVM struct {
 func newWorkerVM(m *kvm.Machine) *workerVM {
 	vm := &workerVM{m: m, init: m.Snapshot()}
 	n := m.Prog().NumInstrs()
-	vm.buf.steps.Grow(n)
+	vm.buf.path = path{steps: make([]pathStep, 0, n), accs: make([]sched.AccessRec, 0, n)}
 	vm.buf.accs = make(sched.AccessLog, 0, n)
 	return vm
 }
@@ -718,7 +728,9 @@ type branchInfo struct {
 	choices int  // number of task units to create (0: the prefix ended at a leaf or was pruned)
 }
 
-// candidate is a unit's first accepted leaf.
+// candidate is a unit's first accepted leaf. Its trace is the leaf's
+// path turned into records once (path.records); the winner's trace
+// becomes the canonical run: the final replay records into it.
 type candidate struct {
 	trace      []sched.Exec
 	budgetLeft int
@@ -986,7 +998,7 @@ func (s *searcher) sweep(p *phaseRun, tasks []*unit) {
 func (s *searcher) runTask(p *phaseRun, tu *unit, vm *workerVM, worker int) {
 	e := newExplorer(p, tu, vm, false)
 	sc := p.scripts[tu.group]
-	if sc == nil || vm.pinPhase != p || vm.pinGroup != tu.group || !s.restorePin(vm, len(sc.trace)) {
+	if sc == nil || vm.pinPhase != p || vm.pinGroup != tu.group || !s.restorePin(vm, len(sc.path.steps)) {
 		sc = nil
 		vm.reset()
 		e.pinAtBranch = s.opts.Prefix.enabled()
@@ -1169,7 +1181,7 @@ func newExplorer(p *phaseRun, u *unit, vm *workerVM, probe bool) *explorer {
 // script from its group's restored branch state — and leaves a copy of
 // the unit's access log on the unit.
 func (e *explorer) run(sc *branchScript) {
-	e.buf.steps.Reset(nil)
+	e.buf.path.rewind(0)
 	e.buf.reset()
 	if sc == nil {
 		if e.m.Thread(e.u.initial) == nil {
@@ -1186,11 +1198,10 @@ func (e *explorer) run(sc *branchScript) {
 // resumeFromPin continues a task from its group's restored branch state,
 // reproducing exactly what the uncached task would do after replaying
 // the prefix and flipping splitPending: take the assigned choice. The
-// shared script trace is copied into the machine's trace buffer; its
-// records stay shared, and read-only.
+// shared script's path is copied into the machine's trace buffer.
 func (e *explorer) resumeFromPin(sc *branchScript, budget int) {
 	e.splitPending = false
-	e.buf.steps.Reset(sc.trace)
+	e.buf.path.copyFrom(&sc.path)
 	e.suspectSeen = sc.seen
 	if sc.natural {
 		e.explore(sc.choices[e.u.choice], budget, cloneStack(sc.stack))
@@ -1213,7 +1224,7 @@ func (e *explorer) resumeFromPin(sc *branchScript, budget int) {
 // far re-executed the probe's known prefix; pinAtBranch pins it.
 func (e *explorer) passBranch() {
 	e.splitPending = false
-	e.s.prefix.replayed.Add(uint64(len(e.buf.steps.Seq)))
+	e.s.prefix.replayed.Add(uint64(len(e.buf.path.steps)))
 	if e.pinAtBranch {
 		e.s.pinBranch(e.vm, e.p, e.u.group)
 	}
@@ -1238,7 +1249,7 @@ func (e *explorer) captureScript(natural bool, choices []kvm.ThreadID, cur kvm.T
 		return
 	}
 	e.u.script = &branchScript{
-		trace:   sched.CloneSeq(e.buf.steps.Seq),
+		path:    e.buf.path.clone(),
 		seen:    e.suspectSeen,
 		stack:   cloneStack(stack),
 		natural: natural,
@@ -1371,7 +1382,7 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 				continue
 			}
 			snap := e.m.Snapshot()
-			mark := e.buf.steps.Mark()
+			mark := len(e.buf.path.steps)
 			seen := e.suspectSeen
 			for _, choice := range choices {
 				if e.explore(choice, budget, cloneStack(returnStack)) {
@@ -1381,7 +1392,7 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 					return false
 				}
 				e.m.Restore(snap)
-				e.buf.steps.Rewind(mark)
+				e.buf.path.rewind(mark)
 				e.suspectSeen = seen
 				e.offReport = false
 			}
@@ -1434,7 +1445,7 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 				if !e.splitPending && budget > 0 {
 					others := e.othersViable(cur)
 					snap := e.m.Snapshot()
-					mark := e.buf.steps.Mark()
+					mark := len(e.buf.path.steps)
 					seen := e.suspectSeen
 					for _, u := range others {
 						if e.explore(u, budget-1, cloneStack(returnStack)) {
@@ -1444,7 +1455,7 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 							return false
 						}
 						e.m.Restore(snap)
-						e.buf.steps.Rewind(mark)
+						e.buf.path.rewind(mark)
 						e.suspectSeen = seen
 						e.offReport = false
 					}
@@ -1470,7 +1481,7 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 			continue
 		}
 		e.record(curT, ev)
-		if len(e.buf.steps.Seq) > e.s.stepBudget() {
+		if len(e.buf.path.steps) > e.s.stepBudget() {
 			e.m.InjectFailure(&sanitizer.Failure{
 				Kind:   sanitizer.KindWatchdog,
 				Thread: curT.Name,
@@ -1500,7 +1511,7 @@ func (e *explorer) record(curT *kvm.Thread, ev kvm.StepEvent) {
 			e.buf.log(site, a.Addr, a.Write)
 		}
 	}
-	e.buf.steps.Append(e.m, curT, ev)
+	e.buf.path.append(curT.ID, ev)
 }
 
 // leaf finishes one complete run.
@@ -1523,9 +1534,10 @@ func (e *explorer) leaf(budgetLeft int) bool {
 	}
 	if e.s.opts.RecordLeaves {
 		lt := LeafTrace{Failed: f != nil, Preemptions: e.p.k - budgetLeft}
-		for _, x := range e.buf.steps.Seq {
-			if x.Instr.Label != "" {
-				lt.Labels = append(lt.Labels, x.Instr.Label)
+		prog := e.m.Prog()
+		for _, st := range e.buf.path.steps {
+			if in := prog.InstrAt(st.instr); in.Label != "" {
+				lt.Labels = append(lt.Labels, in.Label)
 			}
 		}
 		e.u.leaves = append(e.u.leaves, lt)
@@ -1536,7 +1548,7 @@ func (e *explorer) leaf(budgetLeft int) bool {
 		// (natural switches at thread completion and involuntary lock
 		// diversions are free).
 		e.u.cand = &candidate{
-			trace:      sched.CloneSeq(e.buf.steps.Seq),
+			trace:      e.buf.path.records(e.m),
 			budgetLeft: budgetLeft,
 		}
 		// CAS-min so lower ordinals always win; units above the best

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"aitia/internal/faultinject"
+	"aitia/internal/kir"
 	"aitia/internal/kvm"
 	"aitia/internal/sched"
 )
@@ -80,7 +82,7 @@ func (ps *prefixStats) notePinned(b uint64) {
 // branch; the machine-specific half (the snapshot) is pinned separately
 // per machine, so parallel workers share one script but own their pins.
 type branchScript struct {
-	trace   []sched.Exec   // executed prefix (shared read-only; resume copies it)
+	path    path           // executed prefix (the script's own copy; resume copies it)
 	seen    uint32         // guide suspects executed on the prefix
 	stack   []kvm.ThreadID // lock-diversion return stack at the branch
 	natural bool           // natural switch (else conflict preemption)
@@ -88,23 +90,102 @@ type branchScript struct {
 	cur     kvm.ThreadID   // conflict: the thread at the conflict point
 }
 
-// traceBuf is one machine's reusable LIFS exploration scratch: the step
-// log the explorer's trace lives in (rewound at every backtrack) and the
+// traceBuf is one machine's reusable LIFS exploration scratch: the path
+// the explorer's trace lives in (rewound at every backtrack) and the
 // access log its unit records into. Units on one machine run one at a
 // time, so one buffer per machine — the searcher's main machine, each
-// workerVM — serves them all, and the trace of a pinned task no longer
-// re-copies its group's prefix on its first step. Nothing in the buffer
-// outlives a unit: branch scripts and candidates take copies
-// (sched.CloneSeq), the unit keeps a copy of its access log.
+// workerVM — serves them all. Nothing in the buffer outlives a unit: a
+// branch script copies the path (pointer-free, so the copy is one move
+// of two flat arrays), an accepted leaf builds its sched.Exec records
+// from it once (path.records), and the unit keeps a copy of its access
+// log.
 type traceBuf struct {
-	steps sched.StepLog
-	accs  sched.AccessLog
+	path path
+	accs sched.AccessLog
 	// recent is a direct-mapped cache of accesses already in accs, so a
 	// unit re-executing the same suffix in schedule after schedule logs
 	// each access about once. A miss only costs a duplicate record,
 	// which Fold dedupes; the zero entry matches no access, as every
 	// thread has a name.
 	recent [1 << 6]sched.LoggedAccess // indexed by a 6-bit hash
+}
+
+// path is the explorer's current path: the order of (thread,
+// instruction) decisions LIFS needs, and each step's accesses. It holds
+// no pointer, so the garbage collector never scans it and copying it
+// copies two flat arrays. An accepted leaf turns it into sched.Exec
+// records once (records).
+type path struct {
+	steps []pathStep
+	accs  []sched.AccessRec // all steps' accesses, in step order
+}
+
+// pathStep is one executed step of a path: 16 bytes, no pointers.
+type pathStep struct {
+	thread  int32       // kvm.ThreadID of the executing thread
+	instr   kir.InstrID // the executed instruction
+	spawned int32       // kvm.ThreadID the step spawned, or kvm.NoThread
+	accEnd  int32       // end of the step's accesses in path.accs
+}
+
+// append records one executed step of thread t (ev as returned by Step).
+func (p *path) append(t kvm.ThreadID, ev kvm.StepEvent) {
+	for _, a := range ev.Accesses {
+		p.accs = append(p.accs, sched.AccessRec{Addr: a.Addr, Write: a.Write})
+	}
+	p.steps = append(p.steps, pathStep{
+		thread:  int32(t),
+		instr:   ev.Instr.ID,
+		spawned: int32(ev.Spawned),
+		accEnd:  int32(len(p.accs)),
+	})
+}
+
+// rewind truncates the path to its first n steps.
+func (p *path) rewind(n int) {
+	p.steps = p.steps[:n]
+	end := 0
+	if n > 0 {
+		end = int(p.steps[n-1].accEnd)
+	}
+	p.accs = p.accs[:end]
+}
+
+// copyFrom makes p a copy of q, reusing p's arrays.
+func (p *path) copyFrom(q *path) {
+	p.steps = append(p.steps[:0], q.steps...)
+	p.accs = append(p.accs[:0], q.accs...)
+}
+
+// clone returns a copy of p with arrays of its own.
+func (p *path) clone() path {
+	return path{steps: slices.Clone(p.steps), accs: slices.Clone(p.accs)}
+}
+
+// records builds the path's sched.Exec records, each stamped with its
+// position, from m, the machine that executed the path and still holds
+// its threads: thread names come from m, and each Instr points into m's
+// finalized program. The records share one fresh array of accesses and
+// carry no locksets: the final replay, which records into these same
+// records (sched.Options.Log), fills them in.
+func (p *path) records(m *kvm.Machine) []sched.Exec {
+	prog := m.Prog()
+	accs := slices.Clone(p.accs)
+	out := make([]sched.Exec, len(p.steps))
+	start := 0
+	for k, st := range p.steps {
+		t := m.Thread(kvm.ThreadID(st.thread))
+		e := &out[k]
+		*e = sched.Exec{Step: k, Thread: t.ID, Name: t.Name, Instr: prog.InstrAt(st.instr)}
+		if end := int(st.accEnd); end > start {
+			e.Accesses = accs[start:end:end]
+			start = end
+		}
+		if st.spawned != int32(kvm.NoThread) {
+			e.Spawned = m.Thread(kvm.ThreadID(st.spawned)).Name
+		}
+	}
+	return out
 }
 
 // reset empties the access log and its cache for a new unit.

@@ -1,0 +1,121 @@
+package core
+
+import (
+	"reflect"
+	"testing"
+
+	"aitia/internal/faultinject"
+	"aitia/internal/scenarios"
+	"aitia/internal/sched"
+)
+
+// replayRetryPlan returns a fault plan under which the final replay's
+// first enforcement stalls within its first steps and its second runs
+// clean, so the replay retries exactly once; every other kind is off.
+func replayRetryPlan(t *testing.T) *faultinject.Plan {
+	t.Helper()
+	for seed := int64(1); seed < 10000; seed++ {
+		probe := faultinject.NewPlan(seed, 0).SetRate(faultinject.KindEnforceStall, 0.5)
+		if at := probe.StallStep("lifs.replay", 0, 0); at >= 0 && at < 4 && probe.StallStep("lifs.replay", 0, 1) < 0 {
+			return faultinject.NewPlan(seed, 0).SetRate(faultinject.KindEnforceStall, 0.5)
+		}
+	}
+	t.Fatal("no seed stalls only the replay's first attempt")
+	return nil
+}
+
+// TestReplayReusesWinnerTrace: the final replay records the canonical run
+// into the winning candidate's own records. On every corpus scenario —
+// serially, on 4 workers and through a loopback dispatcher, with and
+// without a stall that forces one replay retry — rep.Run.Seq deep-equals
+// a fresh enforcement of rep.Schedule from the initial state (steps,
+// names, accesses, locksets and spawns), and shares its backing array
+// with the winner's records.
+func TestReplayReusesWinnerTrace(t *testing.T) {
+	var winner []sched.Exec
+	testHookWinner = func(trace []sched.Exec) { winner = trace }
+	defer func() { testHookWinner = nil }()
+	modes := []struct {
+		name string
+		set  func(*LIFSOptions)
+	}{
+		{"serial", func(o *LIFSOptions) { o.Workers = 1 }},
+		{"workers=4", func(o *LIFSOptions) { o.Workers = 4 }},
+		{"dispatch", func(o *LIFSOptions) { o.Workers = 4; o.Dispatch = &loopbackDispatcher{} }},
+	}
+	for _, faulted := range []bool{false, true} {
+		for _, mode := range modes {
+			for _, sc := range scenarios.All() {
+				prog := sc.MustProgram()
+				opts := LIFSOptions{WantKind: sc.WantKind, WantInstr: sc.WantInstr(), LeakCheck: sc.NeedsLeakCheck()}
+				mode.set(&opts)
+				if faulted {
+					opts.Fault = replayRetryPlan(t)
+				}
+				winner = nil
+				rep, err := Reproduce(mustMachine(t, prog), opts)
+				if err != nil {
+					t.Fatalf("%s %s faulted=%v: %v", sc.Name, mode.name, faulted, err)
+				}
+				if faulted {
+					if st := opts.Fault.Stats(); st.Retries == 0 {
+						t.Fatalf("%s %s: the replay did not retry", sc.Name, mode.name)
+					}
+				}
+				fresh, err := sched.NewEnforcer(mustMachine(t, prog)).Run(rep.Schedule, sched.Options{LeakCheck: sc.NeedsLeakCheck()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(rep.Run.Seq, fresh.Seq) || len(rep.Run.Base) != 0 {
+					t.Fatalf("%s %s faulted=%v: the canonical run differs from a fresh enforcement of its schedule\n got %+v\nwant %+v",
+						sc.Name, mode.name, faulted, rep.Run.Seq, fresh.Seq)
+				}
+				if len(winner) == 0 || &rep.Run.Seq[0] != &winner[0] {
+					t.Fatalf("%s %s faulted=%v: the canonical run does not share the winner's records", sc.Name, mode.name, faulted)
+				}
+			}
+		}
+	}
+}
+
+// hasPointers reports whether values of type t hold any pointer the
+// garbage collector would have to scan.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	default:
+		return true
+	}
+}
+
+// TestPathIsPointerFree guards the explorer's path: its step record and
+// the element type of its access arena hold no pointers, so the arrays
+// the explorer writes on every step are never scanned by the garbage
+// collector, and a step record stays 16 bytes.
+func TestPathIsPointerFree(t *testing.T) {
+	step := reflect.TypeOf(pathStep{})
+	acc := reflect.TypeOf(path{}.accs).Elem()
+	for _, typ := range []reflect.Type{step, acc} {
+		if hasPointers(typ) {
+			t.Errorf("%v holds pointers", typ)
+		}
+	}
+	if step.Size() != 16 {
+		t.Errorf("sizeof(pathStep) = %d, want 16", step.Size())
+	}
+	if !hasPointers(reflect.TypeOf(sched.Exec{})) {
+		t.Error("hasPointers misses the pointers of sched.Exec")
+	}
+}

@@ -143,6 +143,18 @@ func (p *Program) Instr(id InstrID) (Instr, bool) {
 	return ref.fn.Instrs[ref.idx], true
 }
 
+// InstrAt returns a pointer to the instruction with the given static
+// identity, inside the program's own function bodies, or nil for an
+// invalid identity. A finalized program is immutable, so records of
+// executed steps share the pointer instead of copying the instruction.
+func (p *Program) InstrAt(id InstrID) *Instr {
+	if id < 0 || int(id) >= len(p.byID) {
+		return nil
+	}
+	ref := p.byID[id]
+	return &ref.fn.Instrs[ref.idx]
+}
+
 // MustInstr is Instr for identities known to be valid; it panics otherwise.
 func (p *Program) MustInstr(id InstrID) Instr {
 	in, ok := p.Instr(id)

@@ -141,6 +141,7 @@ type Machine struct {
 	epoch      uint64
 	copied     uint64 // approximate bytes journaled, for metrics
 	live       uint64 // approximate bytes currently held by the journal
+	restored   uint64 // approximate bytes written back by restores
 	snapshots  uint64
 	restores   uint64
 	executed   uint64 // total instructions ever executed; never rewound

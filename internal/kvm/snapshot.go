@@ -144,6 +144,7 @@ func (m *Machine) Restore(sn *Snapshot) {
 	if !m.SnapshotLive(sn) {
 		panic("kvm: restore of a stale snapshot (restores must be LIFO-ordered)")
 	}
+	live := m.live
 	for i := len(m.journal) - 1; i >= sn.pos; i-- {
 		r := &m.journal[i]
 		switch r.kind {
@@ -170,6 +171,7 @@ func (m *Machine) Restore(sn *Snapshot) {
 		}
 		*r = mundo{} // drop references so truncated entries can be collected
 	}
+	m.restored += live - m.live // the rewound entries are the bytes written back
 	m.journal = m.journal[:sn.pos]
 	m.space.Restore(sn.space)
 	m.failure = sn.failure
@@ -182,6 +184,13 @@ func (m *Machine) Restore(sn *Snapshot) {
 // machine's copy-on-write journaling (thread clones, lock/spawn records
 // and memory undo entries) since the machine was created, for metrics.
 func (m *Machine) SnapshotBytes() uint64 { return m.copied + m.space.CopiedBytes() }
+
+// RestoredBytes returns the approximate number of bytes the machine's
+// restores have written back since it was created: the undo-journal
+// entries a Restore rewinds, and the whole state a RestoreDeep copies.
+// It counts restore work in the same units as LiveBytes, so a snapshot
+// strategy's cost can be gated exactly, without a clock.
+func (m *Machine) RestoredBytes() uint64 { return m.restored + m.space.RestoredBytes() }
 
 // LiveBytes returns the approximate number of bytes currently held by the
 // machine's undo journals (thread clones, lock/spawn records and memory
@@ -232,7 +241,9 @@ func (m *Machine) RestoreDeep(sn *DeepSnapshot) {
 	m.threads = make([]*Thread, len(sn.threads))
 	for i, t := range sn.threads {
 		m.threads[i] = t.clone()
+		m.restored += uint64(threadBytes + 8*len(t.Locks) + 16*len(t.frames))
 	}
+	m.restored += 24 * uint64(len(sn.lockOwner)+len(sn.spawnSeq))
 	m.lockOwner = make(map[uint64]ThreadID, len(sn.lockOwner))
 	for k, v := range sn.lockOwner {
 		m.lockOwner[k] = v

@@ -156,6 +156,7 @@ type Space struct {
 	listSaved  map[uint64]uint64 // list addr -> epoch of its last saved copy
 	copied     uint64            // approximate bytes journaled (CoW metric)
 	live       uint64            // approximate bytes currently held by the journal
+	restored   uint64            // approximate bytes written back by restores
 }
 
 // undoKind tags one journal entry.
@@ -603,6 +604,7 @@ func (s *Space) Restore(sn *Snapshot) {
 	if sn.pos > len(s.journal) || (sn.pos > 0 && s.journal[sn.pos-1].seq != sn.seq) {
 		panic("mem: restore of a stale snapshot (restores must be LIFO-ordered)")
 	}
+	live := s.live
 	for i := len(s.journal) - 1; i >= sn.pos; i-- {
 		r := &s.journal[i]
 		switch r.kind {
@@ -630,6 +632,7 @@ func (s *Space) Restore(sn *Snapshot) {
 		}
 		*r = undoRec{} // drop references so truncated entries can be collected
 	}
+	s.restored += live - s.live // the rewound entries are the bytes written back
 	s.journal = s.journal[:sn.pos]
 	s.next = sn.next
 	s.epoch++
@@ -638,6 +641,12 @@ func (s *Space) Restore(sn *Snapshot) {
 // CopiedBytes returns the approximate number of bytes the undo journal has
 // copied since the space was created — the total CoW cost, for metrics.
 func (s *Space) CopiedBytes() uint64 { return s.copied }
+
+// RestoredBytes returns the approximate number of bytes restores have
+// written back since the space was created: the journal entries Restore
+// rewinds, at the sizes CopiedBytes charged for them, and the whole state
+// RestoreDeep copies, at the same per-word, per-list and per-object sizes.
+func (s *Space) RestoredBytes() uint64 { return s.restored }
 
 // LiveBytes returns the approximate number of bytes currently held by the
 // undo journal — the memory a snapshot of the present state would pin
@@ -684,15 +693,18 @@ func (s *Space) RestoreDeep(sn *DeepSnapshot) {
 	for k, v := range sn.words {
 		s.words[k] = v
 	}
+	s.restored += 16 * uint64(len(sn.words))
 	s.lists = make(map[uint64][]int64, len(sn.lists))
 	for k, v := range sn.lists {
 		s.lists[k] = append([]int64(nil), v...)
+		s.restored += 16 + 8*uint64(len(v))
 	}
 	s.objects = make([]*Object, len(sn.objects))
 	for i, o := range sn.objects {
 		cp := *o
 		s.objects[i] = &cp
 	}
+	s.restored += 24 * uint64(len(sn.objects))
 	s.next = sn.next
 	s.journal = nil
 	s.live = 0

@@ -30,10 +30,14 @@ type Options struct {
 	// into Base and Seq.
 	Prefix []Exec
 
-	// SeqCap, when positive, is the number of own step records the run
-	// allocates up front (the caller's estimate of the run's length past
-	// Prefix), so RunResult.Seq does not grow from empty.
-	SeqCap int
+	// Log, when non-nil, is the array the run records its own steps
+	// into: the run appends them to Log[:0], overwriting whatever Log
+	// held, and RunResult.Seq shares Log's backing array while the run
+	// fits its capacity. A caller that knows the run's length past Prefix
+	// passes a log with that much capacity, so RunResult.Seq does not
+	// grow from empty; the final LIFS replay passes the winning
+	// candidate's own records, which it rewrites in place.
+	Log []Exec
 
 	// OnStep, when non-nil, is called after every executed step with the
 	// cumulative schedule position (len(Prefix) + steps executed so far).
@@ -136,10 +140,7 @@ func (e *Enforcer) Run(sch Schedule, opts Options) (*RunResult, error) {
 	if len(opts.Prefix) > 0 {
 		res.Base = opts.Prefix
 	}
-	log := StepLog{base: len(opts.Prefix)}
-	if opts.SeqCap > 0 {
-		log.Seq = make([]Exec, 0, opts.SeqCap)
-	}
+	log := StepLog{Seq: opts.Log[:0], base: len(opts.Prefix)}
 	// A full run switches once per thread boundary of the replayed
 	// prefix; so does a suffix run, which counts them up front.
 	for i := 1; i < len(opts.Prefix); i++ {

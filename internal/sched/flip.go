@@ -6,29 +6,59 @@ import (
 	"aitia/internal/kir"
 )
 
+// seqOrder is an order of entries of seq named by their positions: the
+// flipped orders flip plans are built from, which never copy a record.
+// A nil pos is the identity order, seq itself.
+type seqOrder struct {
+	seq []Exec
+	pos []int32
+}
+
+func (o seqOrder) len() int {
+	if o.pos == nil {
+		return len(o.seq)
+	}
+	return len(o.pos)
+}
+
+func (o seqOrder) at(k int) *Exec {
+	if o.pos == nil {
+		return &o.seq[k]
+	}
+	return &o.seq[o.pos[k]]
+}
+
 // FromSeq builds the schedule that deterministically replays the given
 // executed sequence (a desired total order of executed instructions): one
 // post-execution switch point per thread-segment boundary. Occurrence
 // counting (Point.Skip) handles instructions that repeat within a
 // segment. The fallback order takes over after the last switch point (and
-// whenever control flow diverges from the recorded sequence).
+// whenever control flow diverges from the recorded sequence). It is
+// fromOrder over the identity order.
 func FromSeq(seq []Exec, fallback []string) Schedule {
+	return fromOrder(seqOrder{seq: seq}, fallback)
+}
+
+// fromOrder builds the schedule that replays the entries of o in o's
+// order (FromSeq).
+func fromOrder(o seqOrder, fallback []string) Schedule {
 	sch := Schedule{Fallback: fallback}
-	if len(seq) == 0 {
+	n := o.len()
+	if n == 0 {
 		return sch
 	}
-	sch.Initial = seq[0].Name
+	sch.Initial = o.at(0).Name
 	segStart := 0
-	for i := 1; i <= len(seq); i++ {
-		if i < len(seq) && seq[i].Name == seq[segStart].Name {
+	for i := 1; i <= n; i++ {
+		if i < n && o.at(i).Name == o.at(segStart).Name {
 			continue
 		}
 		// Segment [segStart, i) of one thread ends at i-1.
-		if i < len(seq) {
-			last := &seq[i-1]
+		if i < n {
+			last := o.at(i - 1)
 			skip := 0
 			for j := segStart; j < i-1; j++ {
-				if seq[j].Instr.ID == last.Instr.ID {
+				if o.at(j).Instr.ID == last.Instr.ID {
 					skip++
 				}
 			}
@@ -37,7 +67,7 @@ func FromSeq(seq []Exec, fallback []string) Schedule {
 				At:    last.Instr.ID,
 				After: true,
 				Skip:  skip,
-				To:    seq[i].Name,
+				To:    o.at(i).Name,
 			})
 		}
 		segStart = i
@@ -68,21 +98,37 @@ type FlipOptions struct {
 func FlipSeq(seq []Exec, r Race) []Exec { return FlipSeqOpt(seq, r, FlipOptions{}) }
 
 // FlipSeqOpt is FlipSeq with ablation switches: seq up to the displaced
-// region, followed by flipTail's tail.
+// region, followed by flipTail's tail. It materializes the flipped order
+// as records, which flip plans never need; it is the form the reference
+// implementations are checked against.
 func FlipSeqOpt(seq []Exec, r Race, fo FlipOptions) []Exec {
+	o := flipOrder(seq, r, fo)
+	out := make([]Exec, o.len())
+	for k := range out {
+		out[k] = *o.at(k)
+	}
+	return out
+}
+
+// flipOrder returns race r's whole flipped order as positions of seq:
+// the identity up to the displaced region, then flipTail's tail.
+func flipOrder(seq []Exec, r Race, fo FlipOptions) seqOrder {
 	i, tail := flipTail(seq, r, fo)
-	// seq[:i:i] has no spare capacity: the append copies it into a new
-	// array sized for the tail too.
-	return append(seq[:i:i], tail...)
+	pos := make([]int32, i, i+len(tail))
+	for k := range pos {
+		pos[k] = int32(k)
+	}
+	return seqOrder{seq: seq, pos: append(pos, tail...)}
 }
 
 // flipTail builds only the part of race r's flipped order that can
 // differ from seq: it returns the displaced region's start i and the
-// flipped order from position i on, so FlipSeqOpt(seq, r, fo) is seq[:i]
-// followed by the tail. seq must be an executed order — every entry of
-// a spawned thread follows its spawn — so the spawn repair never moves
-// an entry of seq[:i]; it is told which threads seq[:i] already spawned.
-func flipTail(seq []Exec, r Race, fo FlipOptions) (int, []Exec) {
+// flipped order from position i on, as positions of seq, so
+// FlipSeqOpt(seq, r, fo) is seq[:i] followed by the entries the tail
+// names. seq must be an executed order — every entry of a spawned
+// thread follows its spawn — so the spawn repair never moves an entry of
+// seq[:i]; it is told which threads seq[:i] already spawned.
+func flipTail(seq []Exec, r Race, fo FlipOptions) (int, []int32) {
 	if r.Phantom {
 		panic("sched: FlipSeq on a phantom race")
 	}
@@ -91,19 +137,21 @@ func flipTail(seq []Exec, r Race, fo FlipOptions) (int, []Exec) {
 		i, j = widenCriticalSections(seq, r)
 	}
 	tX := r.First.Thread
-	tail := make([]Exec, 0, len(seq)-i)
+	tail := make([]int32, 0, len(seq)-i)
 	for k := i; k <= j; k++ {
 		if seq[k].Name != tX {
-			tail = append(tail, seq[k])
+			tail = append(tail, int32(k))
 		}
 	}
 	for k := i; k <= j; k++ {
 		if seq[k].Name == tX {
-			tail = append(tail, seq[k])
+			tail = append(tail, int32(k))
 		}
 	}
-	tail = append(tail, seq[j+1:]...)
-	return i, repairSpawnOrder(tail, spawnedIn(seq[:i]))
+	for k := j + 1; k < len(seq); k++ {
+		tail = append(tail, int32(k))
+	}
+	return i, repairSpawnOrder(seq, tail, spawnedIn(seq[:i]))
 }
 
 // spawnedIn returns the names of the threads spawned in seq, each once.
@@ -117,54 +165,56 @@ func spawnedIn(seq []Exec) []string {
 	return names
 }
 
-// repairSpawnOrder restores spawn causality in a reordered sequence: a
-// dynamically spawned thread (kworker, RCU callback) cannot execute before
-// the step that spawned it, so any of its entries that drifted ahead of
-// the spawn point are pushed back to just after it. Flips that would
-// require breaking spawn causality (e.g. keeping a worker's step in place
-// while delaying the syscall that queues the work) are thereby resolved
-// the same way the hypervisor would resolve them: the worker simply runs
-// later. Repair iterates because spawn chains nest (syscall -> kworker ->
-// RCU callback). seq may continue an executed prefix; spawned names the
-// threads that prefix already spawned, whose entries are never held. A
-// sequence that already respects spawn order is returned as is.
-func repairSpawnOrder(seq []Exec, spawned []string) []Exec {
-	for pass := 0; pass < 8 && spawnOrderViolated(seq, spawned); pass++ {
+// repairSpawnOrder restores spawn causality in order, a reordering of
+// entries of seq given by their positions: a dynamically spawned thread
+// (kworker, RCU callback) cannot execute before the step that spawned
+// it, so any of its entries that drifted ahead of the spawn point are
+// pushed back to just after it. Flips that would require breaking spawn
+// causality (e.g. keeping a worker's step in place while delaying the
+// syscall that queues the work) are thereby resolved the same way the
+// hypervisor would resolve them: the worker simply runs later. Repair
+// iterates because spawn chains nest (syscall -> kworker -> RCU
+// callback). order may continue an executed prefix; spawned names the
+// threads that prefix already spawned, whose entries are never held. An
+// order that already respects spawn order is returned as is.
+func repairSpawnOrder(seq []Exec, order []int32, spawned []string) []int32 {
+	for pass := 0; pass < 8 && spawnOrderViolated(seq, order, spawned); pass++ {
 		spawnAt := make(map[string]int) // thread name -> spawn step position
 		for _, name := range spawned {
 			spawnAt[name] = -1
 		}
-		for pos, e := range seq {
-			if e.Spawned != "" {
-				if _, dup := spawnAt[e.Spawned]; !dup {
-					spawnAt[e.Spawned] = pos
+		for k, p := range order {
+			if name := seq[p].Spawned; name != "" {
+				if _, dup := spawnAt[name]; !dup {
+					spawnAt[name] = k
 				}
 			}
 		}
-		out := make([]Exec, 0, len(seq))
-		var held []Exec // entries waiting for their spawner
+		out := make([]int32, 0, len(order))
+		var held []int32 // entries waiting for their spawner
 		heldOf := func(name string) bool {
 			for _, h := range held {
-				if h.Name == name {
+				if seq[h].Name == name {
 					return true
 				}
 			}
 			return false
 		}
-		for pos, e := range seq {
+		for k, p := range order {
+			e := &seq[p]
 			sp, spawned := spawnAt[e.Name]
-			if (spawned && sp > pos) || heldOf(e.Name) {
+			if (spawned && sp > k) || heldOf(e.Name) {
 				// Runs before its spawner (or behind an earlier held entry
 				// of the same thread): hold it back.
-				held = append(held, e)
+				held = append(held, p)
 				continue
 			}
-			out = append(out, e)
+			out = append(out, p)
 			if e.Spawned != "" {
 				// Release held entries of the thread just spawned.
-				var rest []Exec
+				var rest []int32
 				for _, h := range held {
-					if h.Name == e.Spawned {
+					if seq[h].Name == e.Spawned {
 						out = append(out, h)
 					} else {
 						rest = append(rest, h)
@@ -173,24 +223,24 @@ func repairSpawnOrder(seq []Exec, spawned []string) []Exec {
 				held = rest
 			}
 		}
-		seq = append(out, held...)
+		order = append(out, held...)
 	}
-	return seq
+	return order
 }
 
-// spawnOrderViolated reports whether some thread has an entry before the
-// first entry that spawns it, where spawned names the threads an executed
-// prefix before seq already spawned. It allocates nothing: sequences hold
-// few spawns, so each spawn scans the entries before it.
-func spawnOrderViolated(seq []Exec, spawned []string) bool {
-	for pos := range seq {
-		name := seq[pos].Spawned
+// spawnOrderViolated reports whether some thread has an entry of order
+// before the first entry that spawns it, where spawned names the threads
+// an executed prefix before order already spawned. It allocates nothing:
+// sequences hold few spawns, so each spawn scans the entries before it.
+func spawnOrderViolated(seq []Exec, order []int32, spawned []string) bool {
+	for k, p := range order {
+		name := seq[p].Spawned
 		if name == "" || slices.Contains(spawned, name) {
 			continue
 		}
 		first := true
-		for k := 0; k < pos; k++ {
-			if seq[k].Spawned == name {
+		for _, q := range order[:k] {
+			if seq[q].Spawned == name {
 				first = false // an earlier spawn of the same name decides
 				break
 			}
@@ -198,8 +248,8 @@ func spawnOrderViolated(seq []Exec, spawned []string) bool {
 		if !first {
 			continue
 		}
-		for k := 0; k < pos; k++ {
-			if seq[k].Name == name {
+		for _, q := range order[:k] {
+			if seq[q].Name == name {
 				return true
 			}
 		}
@@ -265,7 +315,7 @@ func PlanFlipOpt(seq []Exec, r Race, fallback []string, fo FlipOptions) Schedule
 	if r.Phantom {
 		return PlanPhantomFlip(seq, r, fallback)
 	}
-	return FromSeq(FlipSeqOpt(seq, r, fo), fallback)
+	return fromOrder(flipOrder(seq, r, fo), fallback)
 }
 
 // PlanPhantomFlip builds the flip schedule for a race whose Second access
@@ -319,12 +369,12 @@ func PlanPhantomFlip(seq []Exec, r Race, fallback []string) Schedule {
 // on a machine brought to the state just before step cut returns exactly
 // the result of enforcing the full PlanFlipOpt plan from the initial
 // state. It equals FlipCut followed by PlanFlipFrom at that cut, but
-// builds only the flipped tail (flipTail), never a copy of the whole
-// sequence.
+// builds only the flipped tail (flipTail), as positions of seq: it copies
+// no record.
 //
 // For a displacement flip the cut is the first position whose entry moved
-// (entries keep their original Step stamps through the flip and the spawn
-// repair, so the cut is the first Step mismatch). For a phantom race the
+// (the flipped tail names entries by their positions in seq, so the cut
+// is the first position mismatch). For a phantom race the
 // plan replays the recorded order verbatim up to the First access, so the
 // cut is FirstStep. A sequence without position stamps shares no provable
 // prefix: its cut is 0.
@@ -338,11 +388,11 @@ func PlanFlipCut(seq []Exec, r Race, fallback []string, fo FlipOptions) (int, Sc
 		return cut, planPhantomFlipFrom(seq, r, fallback, cut)
 	}
 	if !stamped {
-		return 0, FromSeq(FlipSeqOpt(seq, r, fo), fallback)
+		return 0, fromOrder(flipOrder(seq, r, fo), fallback)
 	}
 	i, tail := flipTail(seq, r, fo)
 	moved := firstMoved(tail, i)
-	return i + moved, FromSeq(tail[moved:], fallback)
+	return i + moved, fromOrder(seqOrder{seq: seq, pos: tail[moved:]}, fallback)
 }
 
 // CutPoints marks the positions of seq a flip of one of its races can
@@ -388,7 +438,8 @@ func FlipCut(seq []Exec, r Race, fo FlipOptions) int {
 	if r.Phantom {
 		return r.FirstStep
 	}
-	return firstMoved(FlipSeqOpt(seq, r, fo), 0)
+	i, tail := flipTail(seq, r, fo)
+	return i + firstMoved(tail, i)
 }
 
 // PlanFlipFrom builds the suffix of the flip plan for race r that starts
@@ -400,7 +451,9 @@ func PlanFlipFrom(seq []Exec, r Race, fallback []string, fo FlipOptions, n int) 
 	if r.Phantom {
 		return planPhantomFlipFrom(seq, r, fallback, n)
 	}
-	return FromSeq(FlipSeqOpt(seq, r, fo)[n:], fallback)
+	o := flipOrder(seq, r, fo)
+	o.pos = o.pos[n:]
+	return fromOrder(o, fallback)
 }
 
 // positionStamped reports whether every entry's Step is its index — the
@@ -414,12 +467,12 @@ func positionStamped(seq []Exec) bool {
 	return true
 }
 
-// firstMoved returns the first index k of flipped, a flipped order that
-// starts at position from, whose entry is not the recorded entry of
-// position from+k (len(flipped) when none moved).
-func firstMoved(flipped []Exec, from int) int {
-	for k := range flipped {
-		if flipped[k].Step != from+k {
+// firstMoved returns the first index k of flipped, a flipped order of
+// positions that starts at position from, whose entry is not the
+// recorded entry of position from+k (len(flipped) when none moved).
+func firstMoved(flipped []int32, from int) int {
+	for k, p := range flipped {
+		if int(p) != from+k {
 			return k
 		}
 	}

@@ -112,7 +112,13 @@ func checkTailPlan(seq []Exec, r Race, fallback []string, fo FlipOptions) error 
 	if got := FlipSeqOpt(seq, r, fo); !reflect.DeepEqual(got, ref) {
 		return fmt.Errorf("flipped order differs from the whole-sequence flip")
 	}
-	want := firstMoved(ref, 0)
+	want := len(ref)
+	for k := range ref {
+		if ref[k].Step != k {
+			want = k
+			break
+		}
+	}
 	cut, suffix := PlanFlipCut(seq, r, fallback, fo)
 	if cut != want {
 		return fmt.Errorf("cut %d, whole-sequence flip moves position %d first", cut, want)

@@ -1,26 +1,19 @@
 package sched
 
-import (
-	"slices"
+import "aitia/internal/kvm"
 
-	"aitia/internal/kvm"
-)
-
-// StepLog appends executed steps to a sequence. Each record's Accesses
-// and Lockset are packed into arenas the log shares across its records,
-// so recording a step allocates nothing once the arenas have grown.
-// Records point into the arenas with clamped capacity; an arena that
-// grows moves on to a new backing array and leaves the old records
-// intact.
+// StepLog appends executed steps to a sequence: the enforcer's and the
+// fuzzer's run records. Each record's Accesses and Lockset are packed
+// into arenas the log shares across its records, so recording a step
+// allocates nothing once the arenas have grown. Records point into the
+// arenas with clamped capacity; an arena that grows moves on to a new
+// backing array and leaves the old records intact.
 type StepLog struct {
 	Seq   []Exec
 	accs  []AccessRec
 	locks []uint64
 	base  int // Step stamp of Seq[0]: the length of the prefix the log continues
 }
-
-// LogMark is a position in a StepLog, for Rewind.
-type LogMark struct{ seq, accs, locks int }
 
 // Append records one executed step of thread t (ev as returned by
 // m.Step). Its Step field is the record's position in the run: its index
@@ -43,66 +36,6 @@ func (l *StepLog) Append(m *kvm.Machine, t *kvm.Thread, ev kvm.StepEvent) {
 		exec.Spawned = m.Thread(ev.Spawned).Name
 	}
 	l.Seq = append(l.Seq, exec)
-}
-
-// Grow reserves room for n more records with n accesses among them, so a
-// log sized once for the runs it will hold appends without regrowing.
-// Locksets are rare enough to grow on demand.
-func (l *StepLog) Grow(n int) {
-	l.Seq = slices.Grow(l.Seq, n)
-	l.accs = slices.Grow(l.accs, n)
-}
-
-// Mark returns the log's current position.
-func (l *StepLog) Mark() LogMark {
-	return LogMark{seq: len(l.Seq), accs: len(l.accs), locks: len(l.locks)}
-}
-
-// Rewind truncates the log back to mk and reuses the space after it:
-// records appended since mk — and any shallow copy of them — become
-// invalid. Records that must outlive a rewind are copied with CloneSeq.
-func (l *StepLog) Rewind(mk LogMark) {
-	l.Seq = l.Seq[:mk.seq]
-	l.accs = l.accs[:mk.accs]
-	l.locks = l.locks[:mk.locks]
-}
-
-// Reset empties the log, keeping its capacity, and adopts seq as its
-// first records (shallowly: seq's accesses and locksets must stay
-// unmodified while the log uses them).
-func (l *StepLog) Reset(seq []Exec) {
-	l.Rewind(LogMark{})
-	l.Seq = append(l.Seq, seq...)
-}
-
-// CloneSeq returns a copy of seq that shares no memory with it apart from
-// the immutable instructions: one array for the records and one each for
-// all their accesses and locksets.
-func CloneSeq(seq []Exec) []Exec {
-	if seq == nil {
-		return nil
-	}
-	var na, nl int
-	for i := range seq {
-		na += len(seq[i].Accesses)
-		nl += len(seq[i].Lockset)
-	}
-	out := slices.Clone(seq)
-	accs := make([]AccessRec, 0, na)
-	locks := make([]uint64, 0, nl)
-	for i := range out {
-		if a := out[i].Accesses; len(a) > 0 {
-			k := len(accs)
-			accs = append(accs, a...)
-			out[i].Accesses = accs[k:len(accs):len(accs)]
-		}
-		if ls := out[i].Lockset; len(ls) > 0 {
-			k := len(locks)
-			locks = append(locks, ls...)
-			out[i].Lockset = locks[k:len(locks):len(locks)]
-		}
-	}
-	return out
 }
 
 // LoggedAccess is one observed access of a site.

@@ -66,56 +66,23 @@ func TestRecordedAccessesSurviveLaterSteps(t *testing.T) {
 		}
 	}
 
-	// The explorer's step log: records survive later appends; a rewind
-	// reuses the space, and only CloneSeq copies survive that.
+	// A log that records into a caller's array (Options.Log) overwrites
+	// it in place: the run's records share the array and match a run
+	// into a fresh log.
 	m.Restore(init)
-	var log StepLog
-	a := m.ThreadByName("A")
-	for a.State == kvm.Runnable {
-		ev, err := m.Step(a.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		log.Append(m, a, ev)
+	into := make([]Exec, len(res.Seq))
+	for i := range into {
+		into[i] = Exec{Step: -1, Name: "stale", Accesses: []AccessRec{{Addr: 0xdead}}, Lockset: []uint64{1}, Spawned: "stale"}
 	}
-	mark := log.Mark()
-	snap := m.Snapshot()
-	b := m.ThreadByName("B")
-	for b.State == kvm.Runnable && m.Failure() == nil {
-		ev, err := m.Step(b.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		log.Append(m, b, ev)
+	again, err := NewEnforcer(m).Run(Serial("A", "B"), Options{Log: into})
+	if err != nil {
+		t.Fatal(err)
 	}
-	kept := CloneSeq(log.Seq)
-	if !reflect.DeepEqual(kept, log.Seq) {
-		t.Fatal("CloneSeq differs from its source")
+	if !reflect.DeepEqual(again.Seq, res.Seq) {
+		t.Fatalf("run into a caller's log:\n%+v\nwant\n%+v", again.Seq, res.Seq)
 	}
-	wantAB := make([][]AccessRec, len(log.Seq))
-	for i, e := range log.Seq {
-		if len(e.Accesses) > 0 {
-			wantAB[i] = e.Accesses
-		}
-	}
-	if !reflect.DeepEqual(wantAB, want[:len(log.Seq)]) {
-		t.Fatalf("step log accesses %v, want %v", wantAB, want[:len(log.Seq)])
-	}
-	log.Rewind(mark)
-	m.Restore(snap)
-	// Re-run the tail with other accesses: overwrite B's records.
-	for b.State == kvm.Runnable && m.Failure() == nil {
-		ev, err := m.Step(b.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev.Accesses = append(ev.Accesses[:0], kvm.Access{Addr: 0xdead, Write: true})
-		log.Append(m, b, ev)
-	}
-	for i, e := range kept {
-		if len(e.Accesses) > 0 && !reflect.DeepEqual(e.Accesses, want[i]) {
-			t.Fatalf("cloned step %d: accesses %v, want %v", i, e.Accesses, want[i])
-		}
+	if len(again.Seq) > 0 && &again.Seq[0] != &into[0] {
+		t.Fatal("the run did not record into the caller's log")
 	}
 }
 

@@ -431,10 +431,10 @@ func TestRepairSpawnOrder(t *testing.T) {
 		in("A", 2, "kworker:S"),
 		in("A", 3, ""),
 	}
-	fixed := repairSpawnOrder(seq, nil)
+	fixed := repairSpawnOrder(seq, []int32{0, 1, 2, 3}, nil)
 	order := []string{}
-	for _, e := range fixed {
-		order = append(order, e.Name)
+	for _, p := range fixed {
+		order = append(order, seq[p].Name)
 	}
 	want := []string{"A", "A", "kworker:S", "A"}
 	for i := range want {
@@ -445,7 +445,7 @@ func TestRepairSpawnOrder(t *testing.T) {
 
 	// A sequence that already respects spawn order comes back as is,
 	// without a copy.
-	if again := repairSpawnOrder(fixed, nil); &again[0] != &fixed[0] || len(again) != len(fixed) {
+	if again := repairSpawnOrder(seq, fixed, nil); &again[0] != &fixed[0] || len(again) != len(fixed) {
 		t.Error("repair of a spawn-ordered sequence copied it")
 	}
 }
