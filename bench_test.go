@@ -20,6 +20,7 @@ import (
 	"aitia/internal/core"
 	"aitia/internal/eval"
 	"aitia/internal/fuzz"
+	"aitia/internal/kasm"
 	"aitia/internal/kir"
 	"aitia/internal/kvm"
 	"aitia/internal/sanitizer"
@@ -577,6 +578,30 @@ func BenchmarkDiagnoseCorpus(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(all)), "us/diagnosis")
+}
+
+// BenchmarkParseHash assembles every corpus scenario's kasm text and
+// hashes the program per iteration: what aitia-serve does to admit a
+// submitted program before anything is queued. It reports the time per
+// program; allocations per op cover the whole corpus.
+func BenchmarkParseHash(b *testing.B) {
+	var srcs []string
+	for _, sc := range scenarios.All() {
+		srcs = append(srcs, kasm.Disassemble(sc.MustProgram()))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, src := range srcs {
+			prog, err := kasm.Parse(src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			_ = prog.Hash()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(srcs)), "us/program")
+	b.ReportMetric(float64(len(srcs)), "programs/op")
 }
 
 // BenchmarkPlanFlipCut plans one flip of every race of every corpus

@@ -272,22 +272,22 @@ func exitBit(ex []bool, j int) bool {
 	return j >= len(ex) || ex[j]
 }
 
-// thread reports whether the call stack can still execute the target:
-// some frame's continuation reaches it, walking outward only while inner
-// frames can pop.
-func (r *reach) thread(frames []kvm.Pos) bool {
-	for i := len(frames) - 1; i >= 0; i-- {
-		f := frames[i]
-		pp := r.pos[f.Fn]
-		if f.PC >= len(pp) {
+// thread reports whether the thread's call stack can still execute the
+// target: some frame's continuation reaches it, walking outward only
+// while inner frames can pop. It reads the frames in place.
+func (r *reach) thread(m *kvm.Machine, tid kvm.ThreadID) bool {
+	for i := m.NumFrames(tid) - 1; i >= 0; i-- {
+		fn, pc := m.Frame(tid, i)
+		pp := r.pos[fn.Name]
+		if pc >= len(pp) {
 			// Exhausted frame: it pops on normalize; the next outer
 			// continuation decides.
 			continue
 		}
-		if pp[f.PC] {
+		if pp[pc] {
 			return true
 		}
-		if ee := r.exit[f.Fn]; !ee[f.PC] {
+		if ee := r.exit[fn.Name]; !ee[pc] {
 			return false
 		}
 	}
@@ -298,7 +298,7 @@ func (r *reach) thread(frames []kvm.Pos) bool {
 // execute the target.
 func (r *reach) anyThread(m *kvm.Machine) bool {
 	for i := 0; i < m.NumThreads(); i++ {
-		if fr := m.Frames(kvm.ThreadID(i)); len(fr) > 0 && r.thread(fr) {
+		if r.thread(m, kvm.ThreadID(i)) {
 			return true
 		}
 	}

@@ -181,7 +181,15 @@ func TestReachOracle(t *testing.T) {
 	w.QueueWork("helper", kir.Imm(0)).L("W0")
 	w.Ret()
 
+	// doomed's continuation reaches HY through helper, but only after
+	// dead_end pops, which it never does.
+	dm := b.Func("doomed")
+	dm.Call("dead_end")
+	dm.Call("helper")
+	dm.Ret()
+
 	b.Thread("T", "main")
+	b.Thread("D", "doomed")
 	prog, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -220,18 +228,39 @@ func TestReachOracle(t *testing.T) {
 		t.Error("exit[helper][0] = false, want true (ret reachable)")
 	}
 
-	// Stack walks: the inner frame decides unless it can pop.
-	if !r.thread([]kvm.Pos{{Fn: "main", PC: 1}, {Fn: "helper", PC: 0}}) {
-		t.Error("inner helper@0 should be reachable")
+	// Stack walks over live machine states: the inner frame decides
+	// unless it can pop.
+	m := mustMachine(t, prog)
+	const tT, tD = kvm.ThreadID(0), kvm.ThreadID(1)
+	step := func(tid kvm.ThreadID, n int) {
+		t.Helper()
+		for ; n > 0; n-- {
+			if _, err := m.Step(tid); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if r.thread([]kvm.Pos{{Fn: "main", PC: 1}, {Fn: "helper", PC: 3}}) {
-		t.Error("helper@3 pops into main@1 which cannot reach HY")
-	}
-	if !r.thread([]kvm.Pos{{Fn: "main", PC: 0}}) {
+	if !r.thread(m, tT) {
 		t.Error("main@0 reaches HY via the call")
 	}
-	if r.thread([]kvm.Pos{{Fn: "main", PC: 1}, {Fn: "dead_end", PC: 0}}) {
+	step(tT, 1)
+	if !r.thread(m, tT) {
+		t.Error("inner helper@0 should be reachable")
+	}
+	step(tT, 2) // load x == 0, beq to skip
+	if r.thread(m, tT) {
+		t.Error("helper@3 pops into main@1 which cannot reach HY")
+	}
+	step(tD, 1)
+	if r.thread(m, tD) {
 		t.Error("dead_end never pops; outer frame must not be consulted")
+	}
+	if r.anyThread(m) {
+		t.Error("no thread can reach HY, yet anyThread says one can")
+	}
+	step(tT, 3) // ret, store x, ret
+	if m.NumFrames(tT) != 0 || r.thread(m, tT) {
+		t.Errorf("finished thread: %d frames, reachable %v; want none", m.NumFrames(tT), r.thread(m, tT))
 	}
 }
 

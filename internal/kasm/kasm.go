@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"aitia/internal/kir"
 )
@@ -45,12 +46,16 @@ type ParseError struct {
 // Error implements the error interface.
 func (e *ParseError) Error() string { return fmt.Sprintf("kasm: line %d: %s", e.Line, e.Msg) }
 
-// Parse assembles source text into a finalized program.
+// Parse assembles source text into a finalized program. It walks the
+// source line by line in place, and sizes each function's instruction
+// slice once from the body's length.
 func Parse(src string) (*kir.Program, error) {
 	p := &parser{b: kir.NewBuilder()}
-	for i, raw := range strings.Split(src, "\n") {
-		p.line = i + 1
-		if err := p.parseLine(raw); err != nil {
+	for rest, more := src, true; more; {
+		var raw string
+		raw, rest, more = strings.Cut(rest, "\n")
+		p.line++
+		if err := p.parseLine(raw, rest); err != nil {
 			return nil, err
 		}
 	}
@@ -74,36 +79,83 @@ type parser struct {
 	fb   *kir.FuncBuilder
 	line int
 	// open is the last branch target of the current func that no
-	// instruction follows yet.
-	open string
+	// instruction follows yet; isOpen says whether there is one.
+	open   string
+	isOpen bool
 }
 
 func (p *parser) errf(format string, args ...any) error {
 	return &ParseError{Line: p.line, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (p *parser) parseLine(raw string) error {
+// cutLine strips a raw line's comment and surrounding space and splits
+// off a paper-style "@label " prefix. ok is false for a label with no
+// instruction after it; line is then the label itself.
+func cutLine(raw string) (label, line string, ok bool) {
 	if i := strings.IndexByte(raw, ';'); i >= 0 {
 		raw = raw[:i]
 	}
-	line := strings.TrimSpace(raw)
+	line = strings.TrimSpace(raw)
+	if !strings.HasPrefix(line, "@") {
+		return "", line, true
+	}
+	tag, rest, found := strings.Cut(line, " ")
+	if !found {
+		return "", line, false
+	}
+	return tag[1:], strings.TrimSpace(rest), true
+}
+
+// cutField splits a trimmed line into its first whitespace-separated
+// field and the trimmed remainder.
+func cutField(line string) (head, rest string) {
+	i := strings.IndexFunc(line, unicode.IsSpace)
+	if i < 0 {
+		return line, ""
+	}
+	return line[:i], strings.TrimSpace(line[i:])
+}
+
+// isTarget reports whether a statement is a local branch target:
+// "name:" alone on a line.
+func isTarget(head, rest string) bool {
+	return rest == "" && strings.HasSuffix(head, ":")
+}
+
+// bodyLen counts the instructions of the function body that starts at
+// src, up to its "end" line, so the body's slice is allocated once. It
+// validates nothing: a malformed line counts as an instruction and fails
+// when it is parsed.
+func bodyLen(src string) int {
+	n := 0
+	for more := true; more; {
+		var raw string
+		raw, src, more = strings.Cut(src, "\n")
+		_, line, _ := cutLine(raw)
+		if line == "" {
+			continue
+		}
+		head, rest := cutField(line)
+		if head == "end" {
+			break
+		}
+		if !isTarget(head, rest) {
+			n++
+		}
+	}
+	return n
+}
+
+// parseLine assembles one source line; rest is the source after it.
+func (p *parser) parseLine(raw, rest string) error {
+	label, line, ok := cutLine(raw)
+	if !ok {
+		return p.errf("label %q with no instruction", line)
+	}
 	if line == "" {
 		return nil
 	}
-
-	// Paper-style label prefix: "@A2 <instr>".
-	label := ""
-	if strings.HasPrefix(line, "@") {
-		parts := strings.SplitN(line, " ", 2)
-		if len(parts) != 2 {
-			return p.errf("label %q with no instruction", parts[0])
-		}
-		label = parts[0][1:]
-		line = strings.TrimSpace(parts[1])
-	}
-
-	fields := strings.Fields(line)
-	head := fields[0]
+	head, args := cutField(line)
 
 	if p.fb == nil {
 		switch head {
@@ -112,14 +164,16 @@ func (p *parser) parseLine(raw string) error {
 		case "heap":
 			return p.parseHeap(line)
 		case "ptr":
-			return p.parsePtr(fields)
+			return p.parsePtr(strings.Fields(line))
 		case "thread":
-			return p.parseThread(fields)
+			return p.parseThread(strings.Fields(line))
 		case "func":
-			if len(fields) != 2 {
+			name, extra := cutField(args)
+			if name == "" || extra != "" {
 				return p.errf("func wants exactly one name")
 			}
-			p.fb = p.b.Func(fields[1])
+			p.fb = p.b.Func(name)
+			p.fb.Grow(bodyLen(rest))
 			return nil
 		default:
 			return p.errf("unexpected %q outside a func", head)
@@ -131,27 +185,26 @@ func (p *parser) parseLine(raw string) error {
 		if label != "" {
 			return p.errf("label on 'end'")
 		}
-		if p.open != "" {
+		if p.isOpen {
 			// A target past the last instruction has no source form that
 			// Disassemble could print back as is.
 			return p.errf("branch target %q with no instruction after it", p.open)
 		}
 		return nil
 	}
-	// Local branch target: "name:" alone on a line.
-	if strings.HasSuffix(head, ":") && len(fields) == 1 {
-		p.open = strings.TrimSuffix(head, ":")
+	if isTarget(head, args) {
+		p.open, p.isOpen = strings.TrimSuffix(head, ":"), true
 		p.fb.At(p.open)
 		if label != "" {
 			return p.errf("paper label on a branch target")
 		}
 		return nil
 	}
-	ref, err := p.parseInstr(head, strings.TrimSpace(strings.TrimPrefix(line, head)))
+	ref, err := p.parseInstr(head, args)
 	if err != nil {
 		return err
 	}
-	p.open = ""
+	p.isOpen = false
 	if label != "" {
 		ref.L(label)
 	}
@@ -197,10 +250,14 @@ func (p *parser) parseVarDecl(s string) (name string, size int64, init []int64, 
 		return "", 0, nil, p.errf("missing variable name")
 	}
 	if hasInit {
-		for _, f := range strings.Split(vals, ",") {
-			v, err := strconv.ParseInt(strings.TrimSpace(f), 0, 64)
+		init = make([]int64, 0, strings.Count(vals, ",")+1)
+		for more := true; more; {
+			var f string
+			f, vals, more = strings.Cut(vals, ",")
+			f = strings.TrimSpace(f)
+			v, err := strconv.ParseInt(f, 0, 64)
 			if err != nil {
-				return "", 0, nil, p.errf("bad initializer %q", strings.TrimSpace(f))
+				return "", 0, nil, p.errf("bad initializer %q", f)
 			}
 			init = append(init, v)
 		}
@@ -242,18 +299,25 @@ func (p *parser) parseThread(fields []string) error {
 	return nil
 }
 
-// splitOperands splits "r1, [po+2], 5" into trimmed operand tokens.
-func splitOperands(s string) []string {
-	s = strings.TrimSpace(s)
+// maxOperands is the most operands any instruction takes.
+const maxOperands = 3
+
+// splitOperands splits "r1, [po+2], 5" into trimmed operand tokens. The
+// first maxOperands land in out; the count covers them all, so an
+// instruction with too many still reports how many it got.
+func splitOperands(s string, out *[maxOperands]string) int {
 	if s == "" {
-		return nil
+		return 0
 	}
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, part := range parts {
-		out = append(out, strings.TrimSpace(part))
+	n := 0
+	for more := true; more; n++ {
+		var tok string
+		tok, s, more = strings.Cut(s, ",")
+		if n < len(out) {
+			out[n] = strings.TrimSpace(tok)
+		}
 	}
-	return out
+	return n
 }
 
 // parseReg parses "r4".
@@ -319,10 +383,11 @@ func (p *parser) parseInstr(mnem, rest string) (kir.InstrRef, error) {
 	if !ok {
 		return zero, p.errf("unknown mnemonic %q", mnem)
 	}
-	args := splitOperands(rest)
+	var args [maxOperands]string
+	argn := splitOperands(rest, &args)
 	argc := func(n int) error {
-		if len(args) != n {
-			return p.errf("%s wants %d operand(s), got %d", mnem, n, len(args))
+		if argn != n {
+			return p.errf("%s wants %d operand(s), got %d", mnem, n, argn)
 		}
 		return nil
 	}
@@ -452,11 +517,11 @@ func (p *parser) parseInstr(mnem, rest string) (kir.InstrRef, error) {
 		return p.fb.Call(args[0]), nil
 
 	case kir.OpQueueWork, kir.OpCallRCU:
-		if len(args) != 1 && len(args) != 2 {
+		if argn != 1 && argn != 2 {
 			return zero, p.errf("%s wants 1 or 2 operands", mnem)
 		}
 		arg := kir.Imm(0)
-		if len(args) == 2 {
+		if argn == 2 {
 			var err error
 			arg, err = p.parseOperand(args[1])
 			if err != nil {

@@ -1,7 +1,7 @@
 package kasm_test
 
 import (
-	"strings"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -90,33 +90,76 @@ func TestParseSample(t *testing.T) {
 	}
 }
 
+// parseErrorCases pins every message Parse reports for malformed input,
+// with its line: the messages are part of the service's 400 responses.
+// Line 0 marks an error that is not a ParseError (a finalize check).
+var parseErrorCases = []struct {
+	src  string
+	line int
+	msg  string
+}{
+	{"bogus", 1, `kasm: line 1: unexpected "bogus" outside a func`},
+	{"\n\n  bogus thing ; c", 3, `kasm: line 3: unexpected "bogus" outside a func`},
+	{"func", 1, `kasm: line 1: func wants exactly one name`},
+	{"func a b", 1, `kasm: line 1: func wants exactly one name`},
+	{"func f\nret", 2, `kasm: line 2: unterminated func (missing 'end')`},
+	{"func f\nret\n", 3, `kasm: line 3: unterminated func (missing 'end')`},
+	{"func f\r\nret\r\n\r\n", 4, `kasm: line 4: unterminated func (missing 'end')`},
+	{"func f\n@X\nend", 2, `kasm: line 2: label "@X" with no instruction`},
+	{"@X", 1, `kasm: line 1: label "@X" with no instruction`},
+	{"@X\tload r1, [g]", 1, `kasm: line 1: unexpected "r1," outside a func`},
+	{"func f\nret\n@L end", 3, `kasm: line 3: label on 'end'`},
+	{"func f\nload r1, [g]\nout:\nend", 4, `kasm: line 4: branch target "out" with no instruction after it`},
+	{"func f\n@L out:\nret\nend", 2, `kasm: line 2: paper label on a branch target`},
+	{"global x[4", 1, `kasm: line 1: malformed size in "x[4"`},
+	{"heap x[4 = 1", 1, `kasm: line 1: malformed size in "x[4"`},
+	{"global x[z]", 1, `kasm: line 1: bad size in "x[z]"`},
+	{"global = 3", 1, `kasm: line 1: missing variable name`},
+	{"global x = 1, z", 1, `kasm: line 1: bad initializer "z"`},
+	{"global x = 1,", 1, `kasm: line 1: bad initializer ""`},
+	{"ptr a b", 1, `kasm: line 1: ptr wants: ptr <name> -> <global>`},
+	{"ptr a => b", 1, `kasm: line 1: ptr wants: ptr <name> -> <global>`},
+	{"thread a", 1, `kasm: line 1: thread wants: thread <name> <entry> [arg=N | irq]`},
+	{"thread a f b c", 1, `kasm: line 1: thread wants: thread <name> <entry> [arg=N | irq]`},
+	{"thread a f b", 1, `kasm: line 1: bad thread option "b"`},
+	{"thread a f arg=z", 1, `kasm: line 1: bad thread arg "z"`},
+	{"func f\nwat r1\nend", 2, `kasm: line 2: unknown mnemonic "wat"`},
+	{"func f\nload r1\nend", 2, `kasm: line 2: load wants 2 operand(s), got 1`},
+	{"func f\nret r1, r2, r3, r4, r5\nend", 2, `kasm: line 2: ret wants 0 operand(s), got 5`},
+	{"func f\nstore [g], r1,\nend", 2, `kasm: line 2: store wants 2 operand(s), got 3`},
+	{"func f\nload 5, [g]\nend", 2, `kasm: line 2: want register, got "5"`},
+	{"func f\nload r16, [g]\nend", 2, `kasm: line 2: want register, got "r16"`},
+	{"func f\nload r1, [g\nend", 2, `kasm: line 2: malformed address "[g"`},
+	{"func f\nload r1, [g+z]\nend", 2, `kasm: line 2: bad offset in "[g+z]"`},
+	{"func f\nstore [g], zz\nend", 2, `kasm: line 2: bad operand "zz"`},
+	{"func f\nstore , 1\nend", 2, `kasm: line 2: empty operand`},
+	{"func f\nqueue_work\nend", 2, `kasm: line 2: queue_work wants 1 or 2 operands`},
+	{"func f\ncall_rcu a, 1, 2\nend", 2, `kasm: line 2: call_rcu wants 1 or 2 operands`},
+	{"func f\nalloc r1, z\nend", 2, `kasm: line 2: bad alloc size "z"`},
+	{"func f\nbeq r1, 0\nend", 2, `kasm: line 2: beq wants 3 operand(s), got 2`},
+	{"global g = 1\n\nfunc f\nbroken here\nend", 4, `kasm: line 4: unknown mnemonic "broken"`},
+	{"thread T nofunc\nfunc f\nret\nend", 0, `kir: thread "T" has undefined entry "nofunc"`},
+	{"thread T f\nfunc f\nout:\nret\nout:\nnop\nend", 0, `kir: duplicate branch label "out" in f`},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		src  string
-		want string
-	}{
-		{"bogus", `unexpected "bogus"`},
-		{"func f\nwat r1\nend", "unknown mnemonic"},
-		{"func f\nload r1\nend", "wants 2 operand"},
-		{"func f\nload 5, [g]\nend", "want register"},
-		{"func f\nload r1, [g\nend", "malformed address"},
-		{"func f\nret", "unterminated func"},
-		{"thread a", "thread wants"},
-		{"ptr a b", "ptr wants"},
-		{"global = 3", "missing variable name"},
-		{"func f\n@X\nend", "no instruction"},
-		{"global x[z]", "bad size"},
-	}
-	for _, tc := range cases {
-		if _, err := kasm.Parse(tc.src); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("kasm.Parse(%q) err = %v, want %q", tc.src, err, tc.want)
+	for _, tc := range parseErrorCases {
+		_, err := kasm.Parse(tc.src)
+		if err == nil {
+			t.Errorf("Parse(%q) succeeded, want %q", tc.src, tc.msg)
+			continue
 		}
-	}
-	// Errors carry line numbers.
-	_, err := kasm.Parse("global g = 1\n\nfunc f\nbroken here\nend")
-	pe, ok := err.(*kasm.ParseError)
-	if !ok || pe.Line != 4 {
-		t.Errorf("err = %v, want ParseError at line 4", err)
+		if err.Error() != tc.msg {
+			t.Errorf("Parse(%q) = %q, want %q", tc.src, err.Error(), tc.msg)
+		}
+		var pe *kasm.ParseError
+		line := 0
+		if errors.As(err, &pe) {
+			line = pe.Line
+		}
+		if line != tc.line {
+			t.Errorf("Parse(%q) error line %d, want %d", tc.src, line, tc.line)
+		}
 	}
 }
 
@@ -269,4 +312,28 @@ func itoa(v int64) string {
 		return string(rune('0' + v))
 	}
 	return itoa(v/10) + string(rune('0'+v%10))
+}
+
+// TestParseSizesBodies: Parse sizes each function's instruction slice
+// once from its body, so the program it returns holds no spare capacity,
+// including for a function whose body is split across two blocks.
+func TestParseSizesBodies(t *testing.T) {
+	srcs := map[string]string{
+		"sample": sample,
+		"split":  "thread T f\nfunc f\nnop\nout:\nnop\nend\nfunc f\n@X nop\nret\nend\n",
+	}
+	for _, sc := range scenarios.All() {
+		srcs[sc.Name] = kasm.Disassemble(sc.MustProgram())
+	}
+	for name, src := range srcs {
+		prog, err := kasm.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for fn, f := range prog.Funcs {
+			if len(f.Instrs) != cap(f.Instrs) {
+				t.Errorf("%s: func %s holds %d instructions in a slice of %d", name, fn, len(f.Instrs), cap(f.Instrs))
+			}
+		}
+	}
 }

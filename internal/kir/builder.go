@@ -129,6 +129,16 @@ func (r InstrRef) L(label string) InstrRef {
 	return r
 }
 
+// Grow makes room for n more instructions, so the next n emits do not
+// reallocate the function's instruction slice. A caller that knows a
+// body's length up front (the assembler) sizes the slice once.
+func (fb *FuncBuilder) Grow(n int) {
+	ins := fb.f.Instrs
+	if cap(ins)-len(ins) < n {
+		fb.f.Instrs = append(make([]Instr, 0, len(ins)+n), ins...)
+	}
+}
+
 func (fb *FuncBuilder) emit(in Instr) InstrRef {
 	fb.f.Instrs = append(fb.f.Instrs, in)
 	return InstrRef{in: &fb.f.Instrs[len(fb.f.Instrs)-1]}

@@ -3,9 +3,8 @@ package kir
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
-	"io"
-	"sort"
+	"encoding/hex"
+	"slices"
 )
 
 // Hash returns a stable content hash of the program: a hex-encoded
@@ -29,40 +28,45 @@ func (p *Program) Hash() string {
 	return p.hashCache.val
 }
 
+// computeHash serializes the program into one buffer sized up front by
+// hashSize and digests it in one call. Every integer is 8 bytes little
+// endian and every string is length-prefixed, so adjacent fields cannot
+// alias.
 func (p *Program) computeHash() string {
-	h := sha256.New()
+	b := hashBuf(make([]byte, 0, p.hashSize()))
 
 	// Globals in declared order: the order determines the address layout,
 	// which races and chains refer to.
-	writeInt(h, len(p.Globals))
+	b.putInt(len(p.Globals))
+	var offs []int64
 	for _, g := range p.Globals {
-		writeString(h, g.Name)
-		writeInt64(h, g.Size)
-		writeInt64(h, g.HeapSize)
-		writeInt(h, len(g.Init))
+		b.putStr(g.Name)
+		b.putInt64(g.Size)
+		b.putInt64(g.HeapSize)
+		b.putInt(len(g.Init))
 		for _, v := range g.Init {
-			writeInt64(h, v)
+			b.putInt64(v)
 		}
-		offs := make([]int64, 0, len(g.AddrOf))
+		offs = offs[:0]
 		for off := range g.AddrOf {
 			offs = append(offs, off)
 		}
-		sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-		writeInt(h, len(offs))
+		slices.Sort(offs)
+		b.putInt(len(offs))
 		for _, off := range offs {
-			writeInt64(h, off)
-			writeString(h, g.AddrOf[off])
+			b.putInt64(off)
+			b.putStr(g.AddrOf[off])
 		}
 	}
 
 	// Threads in declared order (the order is the fallback scheduling
 	// order and part of the program's identity).
-	writeInt(h, len(p.Threads))
+	b.putInt(len(p.Threads))
 	for _, t := range p.Threads {
-		writeString(h, t.Name)
-		writeString(h, t.Entry)
-		writeInt(h, int(t.Kind))
-		writeInt64(h, t.Arg)
+		b.putStr(t.Name)
+		b.putStr(t.Entry)
+		b.putInt(int(t.Kind))
+		b.putInt64(t.Arg)
 	}
 
 	// Functions in name order (the order Finalize assigns identities in).
@@ -70,56 +74,87 @@ func (p *Program) computeHash() string {
 	for name := range p.Funcs {
 		names = append(names, name)
 	}
-	sort.Strings(names)
-	writeInt(h, len(names))
+	slices.Sort(names)
+	b.putInt(len(names))
+	var lnames []string
 	for _, name := range names {
 		f := p.Funcs[name]
-		writeString(h, name)
+		b.putStr(name)
 		// Branch-target labels, sorted by name, with their positions.
-		labels := f.Labels()
-		lnames := make([]string, 0, len(labels))
-		for l := range labels {
+		lnames = lnames[:0]
+		for l := range f.labels {
 			lnames = append(lnames, l)
 		}
-		sort.Strings(lnames)
-		writeInt(h, len(lnames))
+		slices.Sort(lnames)
+		b.putInt(len(lnames))
 		for _, l := range lnames {
-			writeString(h, l)
-			writeInt(h, labels[l])
+			b.putStr(l)
+			b.putInt(f.labels[l])
 		}
-		writeInt(h, len(f.Instrs))
-		for _, in := range f.Instrs {
-			writeInt(h, int(in.Op))
-			writeInt(h, int(in.Dst))
-			writeOperand(h, in.A)
-			writeOperand(h, in.B)
-			writeInt64(h, in.Size)
-			writeString(h, in.Target)
-			writeString(h, in.Label)
+		b.putInt(len(f.Instrs))
+		for i := range f.Instrs {
+			in := &f.Instrs[i]
+			b.putInt(int(in.Op))
+			b.putInt(int(in.Dst))
+			b.putOperand(&in.A)
+			b.putOperand(&in.B)
+			b.putInt64(in.Size)
+			b.putStr(in.Target)
+			b.putStr(in.Label)
 		}
 	}
 
-	return fmt.Sprintf("%x", h.Sum(nil))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
-func writeOperand(w io.Writer, o Operand) {
-	writeInt(w, int(o.Kind))
-	writeInt64(w, o.Imm)
-	writeInt(w, int(o.Reg))
-	writeString(w, o.Sym)
-	writeInt64(w, o.Off)
+// hashSize returns the exact length of computeHash's serialization. The
+// length does not depend on the order fields are written in, so it needs
+// no sorting.
+func (p *Program) hashSize() int {
+	const word = 8
+	n := word
+	for _, g := range p.Globals {
+		n += word + len(g.Name) + 4*word + len(g.Init)*word
+		for _, sym := range g.AddrOf {
+			n += 2*word + len(sym)
+		}
+	}
+	n += word
+	for _, t := range p.Threads {
+		n += 4*word + len(t.Name) + len(t.Entry)
+	}
+	n += word
+	for name, f := range p.Funcs {
+		n += 3*word + len(name)
+		for l := range f.labels {
+			n += 2*word + len(l)
+		}
+		for i := range f.Instrs {
+			in := &f.Instrs[i]
+			n += 15*word + len(in.A.Sym) + len(in.B.Sym) + len(in.Target) + len(in.Label)
+		}
+	}
+	return n
 }
 
-func writeInt(w io.Writer, v int) { writeInt64(w, int64(v)) }
+// hashBuf accumulates the canonical serialization Hash digests.
+type hashBuf []byte
 
-func writeInt64(w io.Writer, v int64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	w.Write(buf[:])
+func (b *hashBuf) putInt(v int) { b.putInt64(int64(v)) }
+
+func (b *hashBuf) putInt64(v int64) { *b = binary.LittleEndian.AppendUint64(*b, uint64(v)) }
+
+// putStr writes s length-prefixed.
+func (b *hashBuf) putStr(s string) {
+	b.putInt(len(s))
+	*b = append(*b, s...)
 }
 
-// writeString is length-prefixed so adjacent fields cannot alias.
-func writeString(w io.Writer, s string) {
-	writeInt(w, len(s))
-	io.WriteString(w, s)
+func (b *hashBuf) putOperand(o *Operand) {
+	b.putInt(int(o.Kind))
+	b.putInt64(o.Imm)
+	b.putInt(int(o.Reg))
+	b.putStr(o.Sym)
+	b.putInt64(o.Off)
 }

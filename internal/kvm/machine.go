@@ -290,27 +290,25 @@ func (m *Machine) LockOwner(addr uint64) (ThreadID, bool) {
 	return o, ok
 }
 
-// Pos is one call-stack position exposed by Frames: a function name and
-// the index of the next instruction to execute within it. For outer
-// frames the index is the continuation after the active call.
-type Pos struct {
-	Fn string
-	PC int
-}
-
-// Frames returns the thread's call stack, outermost first. Finished and
-// crashed threads return nil. Report-guided search uses the positions to
-// decide whether a thread can still reach a suspect instruction.
-func (m *Machine) Frames(tid ThreadID) []Pos {
+// NumFrames returns the depth of the thread's call stack; 0 for finished
+// and crashed threads. With Frame it walks the stack in place:
+// report-guided search uses the positions to decide whether a thread can
+// still reach a suspect instruction.
+func (m *Machine) NumFrames(tid ThreadID) int {
 	t := m.Thread(tid)
 	if t == nil || (t.State != Runnable && t.State != Blocked) {
-		return nil
+		return 0
 	}
-	out := make([]Pos, len(t.frames))
-	for i, fr := range t.frames {
-		out[i] = Pos{Fn: fr.fn.Name, PC: fr.pc}
-	}
-	return out
+	return len(t.frames)
+}
+
+// Frame returns call-stack position i of the thread, outermost first
+// (0 <= i < NumFrames): the function and the index of the next
+// instruction to execute within it. For outer frames the index is the
+// continuation after the active call.
+func (m *Machine) Frame(tid ThreadID, i int) (fn *kir.Func, pc int) {
+	fr := &m.threads[tid].frames[i]
+	return fr.fn, fr.pc
 }
 
 // NextInstr returns the instruction the thread would execute next, as a
