@@ -1188,7 +1188,7 @@ func (e *explorer) run(sc *branchScript) {
 			e.u.err = fmt.Errorf("%w: initial thread %d of %d", ErrBranchTask, e.u.initial, e.m.NumThreads())
 			return
 		}
-		e.explore(e.u.initial, e.p.k, nil)
+		e.explore(e.u.initial, e.p.k, sched.Diversions{})
 	} else {
 		e.resumeFromPin(sc, e.p.k)
 	}
@@ -1204,20 +1204,20 @@ func (e *explorer) resumeFromPin(sc *branchScript, budget int) {
 	e.buf.path.copyFrom(&sc.path)
 	e.suspectSeen = sc.seen
 	if sc.natural {
-		e.explore(sc.choices[e.u.choice], budget, cloneStack(sc.stack))
+		e.explore(sc.choices[e.u.choice], budget, sc.div)
 		return
 	}
 	if c := e.u.choice; c < len(sc.choices) {
 		// Preemption: switch to the target, spending one budget unit —
 		// the uncached task recurses into explore the same way.
-		e.explore(sc.choices[c], budget-1, cloneStack(sc.stack))
+		e.explore(sc.choices[c], budget-1, sc.div)
 		return
 	}
 	// Fall-through: continue the conflict-point thread. The uncached
 	// task proceeds straight to the Step; skipBranch suppresses the
 	// loop-top checks it would not have re-run.
 	e.skipBranch = true
-	e.explore(sc.cur, budget, cloneStack(sc.stack))
+	e.explore(sc.cur, budget, sc.div)
 }
 
 // passBranch takes a task past its group's branch event. The trace so
@@ -1244,14 +1244,14 @@ func (e *explorer) choiceOK(n int) bool {
 
 // captureScript saves the machine-independent half of the branch state
 // (probe only), so pinned tasks can resume without replaying the prefix.
-func (e *explorer) captureScript(natural bool, choices []kvm.ThreadID, cur kvm.ThreadID, stack []kvm.ThreadID) {
+func (e *explorer) captureScript(natural bool, choices []kvm.ThreadID, cur kvm.ThreadID, div sched.Diversions) {
 	if !e.s.opts.Prefix.enabled() {
 		return
 	}
 	e.u.script = &branchScript{
 		path:    e.buf.path.clone(),
 		seen:    e.suspectSeen,
-		stack:   cloneStack(stack),
+		div:     div,
 		natural: natural,
 		choices: append([]kvm.ThreadID(nil), choices...),
 		cur:     cur,
@@ -1282,9 +1282,11 @@ func (e *explorer) canceled() bool {
 }
 
 // explore runs the machine from its current state with the given current
-// thread and preemption budget, branching at decision points. It returns
-// true when the target failure was found on this unit.
-func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.ThreadID) bool {
+// thread, preemption budget and lock-diversion stack, branching at
+// decision points. It applies the enforcer's scheduling rules (package
+// sched), so the enforcer replays the winning path step for step. It
+// returns true when the target failure was found on this unit.
+func (e *explorer) explore(cur kvm.ThreadID, budget int, div sched.Diversions) bool {
 	for {
 		if e.aborted || e.s.exhausted.Load() || e.canceled() {
 			return false
@@ -1311,58 +1313,31 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 		if !e.offReport && e.guidePruned() {
 			e.offReport = true
 		}
-		if e.m.AllDone() {
-			if e.s.opts.LeakCheck {
-				e.m.CheckLeaks()
-			}
-			return e.leaf(budget)
-		}
-		if e.m.Deadlocked() {
-			e.injectDeadlock()
+		if sched.Ended(e.m, e.s.opts.LeakCheck) {
 			return e.leaf(budget)
 		}
 
-		// Return from a lock diversion as soon as the diverted-from thread
-		// can run again (mirrors the enforcement engine). A pin-resumed
-		// fall-through skips the first check: its uncached twin stepped
-		// straight from the branch event without re-entering the loop top.
-		if n := len(returnStack); n > 0 && !e.skipBranch {
-			t := e.m.Thread(returnStack[n-1])
-			if e.viable(t) {
-				cur = t.ID
-				returnStack = returnStack[:n-1]
-			} else if t == nil || t.State == kvm.Done || t.State == kvm.Crashed {
-				returnStack = returnStack[:n-1]
+		// Return from a lock diversion once the diverted-from thread can
+		// run again. A pin-resumed fall-through skips the first check: its
+		// uncached twin stepped straight from the branch event without
+		// re-entering the loop top.
+		if !e.skipBranch {
+			cur = div.Resume(e.m, cur)
+		}
+		if !e.m.CanRun(cur) {
+			if owner, ok := div.Divert(e.m, cur); ok {
+				cur = owner
 				continue
-			}
-		}
-
-		curT := e.m.Thread(cur)
-		if !e.viable(curT) {
-			if curT != nil && curT.State == kvm.Blocked {
-				if owner, held := e.m.LockOwner(curT.WaitLock); held {
-					returnStack = append(returnStack, cur)
-					cur = owner
-					continue
-				}
 			}
 			// Natural switch: branch over every viable thread (free — the
 			// paper's interleaving count only counts preemptions of a
 			// running thread). No visited-state check here: the chosen
 			// child would immediately re-encounter the same machine state
 			// at its first conflict point, and the check there performs
-			// the deduplication.
+			// the deduplication. Some thread can run, as the run has not
+			// Ended; off-report, the run completes straight-line.
 			choices := e.m.Runnable()
-			if e.offReport && len(choices) > 0 {
-				// Straight-line completion: no branching off-report.
-				cur = choices[0]
-				continue
-			}
-			if len(choices) == 0 {
-				e.injectDeadlock()
-				return e.leaf(budget)
-			}
-			if len(choices) == 1 {
+			if e.offReport || len(choices) == 1 {
 				cur = choices[0]
 				continue
 			}
@@ -1371,7 +1346,7 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 				// choices become task units; a task takes its one choice.
 				if e.probe {
 					e.u.branch = branchInfo{natural: true, choices: len(choices)}
-					e.captureScript(true, choices, cur, returnStack)
+					e.captureScript(true, choices, cur, div)
 					return false
 				}
 				if !e.choiceOK(len(choices)) {
@@ -1385,7 +1360,7 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 			mark := len(e.buf.path.steps)
 			seen := e.suspectSeen
 			for _, choice := range choices {
-				if e.explore(choice, budget, cloneStack(returnStack)) {
+				if e.explore(choice, budget, div) {
 					return true
 				}
 				if e.aborted || e.s.exhausted.Load() {
@@ -1423,7 +1398,7 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 					}
 					if e.probe {
 						e.u.branch = branchInfo{choices: len(others) + 1}
-						e.captureScript(false, others, cur, returnStack)
+						e.captureScript(false, others, cur, div)
 						return false
 					}
 					if !e.choiceOK(len(others) + 1) {
@@ -1431,7 +1406,7 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 					}
 					e.passBranch()
 					if c := e.u.choice; c < len(others) {
-						return e.explore(others[c], budget-1, cloneStack(returnStack))
+						return e.explore(others[c], budget-1, div)
 					}
 					// Fall-through task: continue the current thread with
 					// the budget unchanged.
@@ -1448,7 +1423,7 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 					mark := len(e.buf.path.steps)
 					seen := e.suspectSeen
 					for _, u := range others {
-						if e.explore(u, budget-1, cloneStack(returnStack)) {
+						if e.explore(u, budget-1, div) {
 							return true
 						}
 						if e.aborted || e.s.exhausted.Load() {
@@ -1472,22 +1447,14 @@ func (e *explorer) explore(cur kvm.ThreadID, budget int, returnStack []kvm.Threa
 			return false
 		}
 		if !ev.Executed {
-			owner, held := e.m.LockOwner(curT.WaitLock)
-			if !held {
-				continue
+			if owner, ok := div.Divert(e.m, cur); ok {
+				cur = owner
 			}
-			returnStack = append(returnStack, cur)
-			cur = owner
 			continue
 		}
+		curT := e.m.Thread(cur)
 		e.record(curT, ev)
-		if len(e.buf.path.steps) > e.s.stepBudget() {
-			e.m.InjectFailure(&sanitizer.Failure{
-				Kind:   sanitizer.KindWatchdog,
-				Thread: curT.Name,
-				Instr:  ev.Instr.ID,
-				Msg:    "step budget exceeded during search",
-			})
+		if sched.Watchdog(e.m, len(e.buf.path.steps), e.s.stepBudget(), curT, ev.Instr.ID) {
 			return e.leaf(budget)
 		}
 	}
@@ -1564,21 +1531,6 @@ func (e *explorer) leaf(budgetLeft int) bool {
 	return false
 }
 
-func (e *explorer) viable(t *kvm.Thread) bool {
-	if t == nil {
-		return false
-	}
-	switch t.State {
-	case kvm.Runnable:
-		return true
-	case kvm.Blocked:
-		_, held := e.m.LockOwner(t.WaitLock)
-		return !held
-	default:
-		return false
-	}
-}
-
 func (e *explorer) othersViable(cur kvm.ThreadID) []kvm.ThreadID {
 	var out []kvm.ThreadID
 	for _, tid := range e.m.Runnable() {
@@ -1647,32 +1599,6 @@ func (e *explorer) guidePruned() bool {
 		return true
 	}
 	return false
-}
-
-// injectDeadlock mirrors the enforcement engine's deadlock failure.
-func (e *explorer) injectDeadlock() {
-	for i := 0; i < e.m.NumThreads(); i++ {
-		t := e.m.Thread(kvm.ThreadID(i))
-		if t.State == kvm.Blocked {
-			in, _ := e.m.NextInstr(t.ID)
-			e.m.InjectFailure(&sanitizer.Failure{
-				Kind:   sanitizer.KindDeadlock,
-				Thread: t.Name,
-				Instr:  in.ID,
-				Addr:   t.WaitLock,
-				Msg:    "all unfinished threads are blocked",
-			})
-			return
-		}
-	}
-	e.m.InjectFailure(&sanitizer.Failure{Kind: sanitizer.KindDeadlock, Instr: kir.NoInstr, Msg: "no runnable thread"})
-}
-
-func cloneStack(st []kvm.ThreadID) []kvm.ThreadID {
-	if len(st) == 0 {
-		return nil
-	}
-	return append([]kvm.ThreadID(nil), st...)
 }
 
 func b2i(b bool) int64 {

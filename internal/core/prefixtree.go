@@ -82,12 +82,12 @@ func (ps *prefixStats) notePinned(b uint64) {
 // branch; the machine-specific half (the snapshot) is pinned separately
 // per machine, so parallel workers share one script but own their pins.
 type branchScript struct {
-	path    path           // executed prefix (the script's own copy; resume copies it)
-	seen    uint32         // guide suspects executed on the prefix
-	stack   []kvm.ThreadID // lock-diversion return stack at the branch
-	natural bool           // natural switch (else conflict preemption)
-	choices []kvm.ThreadID // natural: viable threads; conflict: preemption targets
-	cur     kvm.ThreadID   // conflict: the thread at the conflict point
+	path    path             // executed prefix (the script's own copy; resume copies it)
+	seen    uint32           // guide suspects executed on the prefix
+	div     sched.Diversions // lock-diversion return stack at the branch
+	natural bool             // natural switch (else conflict preemption)
+	choices []kvm.ThreadID   // natural: viable threads; conflict: preemption targets
+	cur     kvm.ThreadID     // conflict: the thread at the conflict point
 }
 
 // traceBuf is one machine's reusable LIFS exploration scratch: the path

@@ -4,18 +4,12 @@ import (
 	"testing"
 
 	"aitia/internal/kasm"
-	"aitia/internal/kir"
 	"aitia/internal/kvm"
 )
 
 // fuzzSteps bounds the serial run of each parsed program: a spin loop
 // runs forever otherwise.
 const fuzzSteps = 2000
-
-// fuzzMaxWords bounds the allocation sizes a fuzzed program may ask for.
-// The kvm clears an object's words one by one when it allocates it, so a
-// size near 2^63 is an input that runs for hours, not one that fails.
-const fuzzMaxWords = 1 << 16
 
 // FuzzParse: any source text either fails to parse with an error, or
 // parses into a program that a machine runs without panicking and that
@@ -33,9 +27,6 @@ func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := kasm.Parse(src)
 		if err != nil {
-			return
-		}
-		if !boundedSizes(prog) {
 			return
 		}
 		m, err := kvm.New(prog)
@@ -60,20 +51,4 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("hash %s after the round trip, %s before\n%s", h2, h, out)
 		}
 	})
-}
-
-// boundedSizes reports whether every allocation the program can make,
-// static or dynamic, is at most fuzzMaxWords words.
-func boundedSizes(p *kir.Program) bool {
-	for _, g := range p.Globals {
-		if g.HeapSize > fuzzMaxWords {
-			return false
-		}
-	}
-	for id := kir.InstrID(0); int(id) < p.NumInstrs(); id++ {
-		if in := p.InstrAt(id); in.Op == kir.OpAlloc && in.Size > fuzzMaxWords {
-			return false
-		}
-	}
-	return true
 }

@@ -140,6 +140,9 @@ var parseErrorCases = []struct {
 	{"global g = 1\n\nfunc f\nbroken here\nend", 4, `kasm: line 4: unknown mnemonic "broken"`},
 	{"thread T nofunc\nfunc f\nret\nend", 0, `kir: thread "T" has undefined entry "nofunc"`},
 	{"thread T f\nfunc f\nout:\nret\nout:\nnop\nend", 0, `kir: duplicate branch label "out" in f`},
+	{"global g[65537]\nthread T f\nfunc f\nret\nend", 0, `kir: global "g" has more than 65536 words`},
+	{"heap o[65537]\nthread T f\nfunc f\nret\nend", 0, `kir: global "o" has more than 65536 words`},
+	{"thread T f\nfunc f\nalloc r1, 65537\nret\nend", 0, `kir: f[0]: alloc alloc r1, 65537: allocation size above 65536 words`},
 }
 
 func TestParseErrors(t *testing.T) {

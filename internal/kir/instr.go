@@ -139,6 +139,9 @@ func (in Instr) validate() error {
 		if in.Size <= 0 {
 			return bad("allocation size must be positive")
 		}
+		if in.Size > MaxObjectWords {
+			return bad("allocation size above %d words", MaxObjectWords)
+		}
 	case OpFree:
 		if !in.A.IsValue() {
 			return bad("operand A must be a value (object base address)")

@@ -6,6 +6,13 @@ import (
 	"sync"
 )
 
+// MaxObjectWords bounds the size of every memory object a program can
+// name: a global's Size and HeapSize, and an alloc's Size. The kvm clears
+// an object word by word when it makes it and records one access per word
+// when it frees it, so an unbounded size is an input that runs for hours,
+// not one that fails. Scenario objects are a few words.
+const MaxObjectWords = 1 << 16
+
 // GlobalDef declares a global variable: a named region of Size words with
 // optional initial values (missing words are zero). Globals model the
 // shared kernel objects (struct fields, lists, locks, refcounts) that
@@ -235,6 +242,9 @@ func (p *Program) Finalize() error {
 		}
 		if g.Size <= 0 {
 			return fmt.Errorf("kir: global %q has non-positive size", g.Name)
+		}
+		if g.Size > MaxObjectWords || g.HeapSize > MaxObjectWords {
+			return fmt.Errorf("kir: global %q has more than %d words", g.Name, MaxObjectWords)
 		}
 		limit := g.Size
 		if g.HeapSize > 0 {

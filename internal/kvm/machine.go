@@ -233,7 +233,7 @@ func (m *Machine) Failure() *sanitizer.Failure { return m.failure }
 func (m *Machine) Runnable() []ThreadID {
 	var out []ThreadID
 	for _, t := range m.threads {
-		if m.canRun(t) {
+		if m.CanRun(t.ID) {
 			out = append(out, t.ID)
 		}
 	}
@@ -245,15 +245,21 @@ func (m *Machine) Runnable() []ThreadID {
 // nothing.
 func (m *Machine) FirstRunnable() ThreadID {
 	for _, t := range m.threads {
-		if m.canRun(t) {
+		if m.CanRun(t.ID) {
 			return t.ID
 		}
 	}
 	return NoThread
 }
 
-// canRun reports whether the thread could make progress right now.
-func (m *Machine) canRun(t *Thread) bool {
+// CanRun reports whether the thread could make progress right now: it is
+// Runnable, or Blocked on a lock since released; false for NoThread. It is
+// the one viability rule: the enforcer and the LIFS explorer use it too.
+func (m *Machine) CanRun(tid ThreadID) bool {
+	if tid < 0 || int(tid) >= len(m.threads) {
+		return false
+	}
+	t := m.threads[tid]
 	switch t.State {
 	case Runnable:
 		return true

@@ -87,7 +87,7 @@ func TestStateSignatureMatchesReference(t *testing.T) {
 				if len(run) == 0 {
 					break
 				}
-				if t := m.Thread(cur); t == nil || !m.canRun(t) || rng.Intn(4) == 0 {
+				if !m.CanRun(cur) || rng.Intn(4) == 0 {
 					cur = run[rng.Intn(len(run))]
 				}
 				if _, err := m.Step(cur); err != nil {

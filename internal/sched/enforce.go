@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"aitia/internal/faultinject"
-	"aitia/internal/kir"
 	"aitia/internal/kvm"
-	"aitia/internal/sanitizer"
 )
 
 // Options configure one enforced run.
@@ -94,27 +92,11 @@ func NewEnforcer(m *kvm.Machine) *Enforcer { return &Enforcer{m: m} }
 // Machine returns the wrapped machine.
 func (e *Enforcer) Machine() *kvm.Machine { return e.m }
 
-// viable reports whether the thread can make progress right now.
-func (e *Enforcer) viable(t *kvm.Thread) bool {
-	if t == nil {
-		return false
-	}
-	switch t.State {
-	case kvm.Runnable:
-		return true
-	case kvm.Blocked:
-		_, held := e.m.LockOwner(t.WaitLock)
-		return !held
-	default:
-		return false
-	}
-}
-
 // pick chooses the next thread when the schedule does not dictate one:
 // first matching name in prefs, else the lowest-ID viable thread.
 func (e *Enforcer) pick(prefs []string) kvm.ThreadID {
 	for _, name := range prefs {
-		if t := e.m.ThreadByName(name); e.viable(t) {
+		if t := e.m.ThreadByName(name); t != nil && e.m.CanRun(t.ID) {
 			return t.ID
 		}
 	}
@@ -150,7 +132,7 @@ func (e *Enforcer) Run(sch Schedule, opts Options) (*RunResult, error) {
 	}
 	prefixSwitches := res.Switches
 	pending := append([]Point(nil), sch.Points...) // Skip counters are consumed
-	var returnStack []kvm.ThreadID
+	var div Diversions
 
 	cur := kvm.NoThread
 	if t := e.m.ThreadByName(sch.Initial); t != nil {
@@ -176,17 +158,7 @@ func (e *Enforcer) Run(sch Schedule, opts Options) (*RunResult, error) {
 				return nil, err
 			}
 		}
-		if e.m.Failure() != nil {
-			return finish(), nil
-		}
-		if e.m.AllDone() {
-			if opts.LeakCheck {
-				e.m.CheckLeaks()
-			}
-			return finish(), nil
-		}
-		if e.m.Deadlocked() {
-			e.failDeadlock()
+		if Ended(e.m, opts.LeakCheck) {
 			return finish(), nil
 		}
 
@@ -202,42 +174,24 @@ func (e *Enforcer) Run(sch Schedule, opts Options) (*RunResult, error) {
 				to := e.m.ThreadByName(pending[0].To)
 				pending = pending[1:]
 				res.Missed++
-				if e.viable(to) {
+				if to != nil && e.m.CanRun(to.ID) {
 					cur = to.ID
 				}
 				progressed = true
 			}
 		}
 
-		// Return from a lock diversion as soon as the original thread can
-		// run again, so the intended schedule resumes.
-		if n := len(returnStack); n > 0 {
-			if t := e.m.Thread(returnStack[n-1]); e.viable(t) {
-				cur = t.ID
-				returnStack = returnStack[:n-1]
-			} else if t == nil || t.State == kvm.Done || t.State == kvm.Crashed {
-				returnStack = returnStack[:n-1]
+		// Return from a lock diversion once the diverted-from thread can
+		// run again; divert a thread blocked on a held lock to the owner.
+		cur = div.Resume(e.m, cur)
+		if !e.m.CanRun(cur) {
+			if owner, ok := div.Divert(e.m, cur); ok {
+				cur = owner
+				res.Switches++
 				continue
 			}
-		}
-
-		curT := e.m.Thread(cur)
-		if !e.viable(curT) {
-			if curT != nil && curT.State == kvm.Blocked {
-				// Liveness (paper §3.4): the suspended thread holds the
-				// lock; run the owner until it releases.
-				if owner, held := e.m.LockOwner(curT.WaitLock); held {
-					returnStack = append(returnStack, cur)
-					cur = owner
-					res.Switches++
-					continue
-				}
-			}
+			// Not Ended, so some thread can run.
 			next := e.pick(sch.Fallback)
-			if next == kvm.NoThread {
-				e.failDeadlock()
-				return finish(), nil
-			}
 			if next != cur {
 				res.Switches++
 			}
@@ -246,6 +200,7 @@ func (e *Enforcer) Run(sch Schedule, opts Options) (*RunResult, error) {
 		}
 
 		// Pre-execution breakpoint.
+		curT := e.m.Thread(cur)
 		if len(pending) > 0 && !pending[0].After && pending[0].Run == curT.Name {
 			if next, ok := e.m.NextInstr(cur); ok && next.ID == pending[0].At {
 				if pending[0].Skip > 0 {
@@ -253,7 +208,7 @@ func (e *Enforcer) Run(sch Schedule, opts Options) (*RunResult, error) {
 				} else {
 					to := e.m.ThreadByName(pending[0].To)
 					pending = pending[1:]
-					if to != nil && to.ID != cur && (e.viable(to) || to.State == kvm.Blocked) {
+					if to != nil && to.ID != cur && (e.m.CanRun(to.ID) || to.State == kvm.Blocked) {
 						cur = to.ID
 						res.Switches++
 						continue
@@ -270,13 +225,10 @@ func (e *Enforcer) Run(sch Schedule, opts Options) (*RunResult, error) {
 		}
 		if !ev.Executed {
 			// Blocked on a held lock: divert to the owner (liveness).
-			owner, held := e.m.LockOwner(curT.WaitLock)
-			if !held {
-				continue // released in the meantime; retry
+			if owner, ok := div.Divert(e.m, cur); ok {
+				cur = owner
+				res.Switches++
 			}
-			returnStack = append(returnStack, cur)
-			cur = owner
-			res.Switches++
 			continue
 		}
 
@@ -299,8 +251,7 @@ func (e *Enforcer) Run(sch Schedule, opts Options) (*RunResult, error) {
 				Attempt: opts.FaultAttempt,
 			}
 		}
-		if pos > budget {
-			e.failWatchdog(curT, ev.Instr.ID)
+		if Watchdog(e.m, pos, budget, curT, ev.Instr.ID) {
 			return finish(), nil
 		}
 
@@ -312,40 +263,11 @@ func (e *Enforcer) Run(sch Schedule, opts Options) (*RunResult, error) {
 			} else {
 				to := e.m.ThreadByName(pending[0].To)
 				pending = pending[1:]
-				if to != nil && to.ID != cur && (e.viable(to) || to.State == kvm.Blocked) {
+				if to != nil && to.ID != cur && (e.m.CanRun(to.ID) || to.State == kvm.Blocked) {
 					cur = to.ID
 					res.Switches++
 				}
 			}
 		}
 	}
-}
-
-// failDeadlock records a synthetic deadlock failure on a blocked thread.
-func (e *Enforcer) failDeadlock() {
-	for i := 0; i < e.m.NumThreads(); i++ {
-		t := e.m.Thread(kvm.ThreadID(i))
-		if t.State == kvm.Blocked {
-			in, _ := e.m.NextInstr(t.ID)
-			e.m.InjectFailure(&sanitizer.Failure{
-				Kind:   sanitizer.KindDeadlock,
-				Thread: t.Name,
-				Instr:  in.ID,
-				Addr:   t.WaitLock,
-				Msg:    "all unfinished threads are blocked",
-			})
-			return
-		}
-	}
-	e.m.InjectFailure(&sanitizer.Failure{Kind: sanitizer.KindDeadlock, Instr: kir.NoInstr, Msg: "no runnable thread"})
-}
-
-// failWatchdog records a soft-lockup failure.
-func (e *Enforcer) failWatchdog(t *kvm.Thread, at kir.InstrID) {
-	e.m.InjectFailure(&sanitizer.Failure{
-		Kind:   sanitizer.KindWatchdog,
-		Thread: t.Name,
-		Instr:  at,
-		Msg:    "step budget exceeded",
-	})
 }

@@ -295,15 +295,6 @@ func widenCriticalSections(seq []Exec, r Race) (int, int) {
 	return i, j
 }
 
-func holdsLock(lockset []uint64, l uint64) bool {
-	for _, x := range lockset {
-		if x == l {
-			return true
-		}
-	}
-	return false
-}
-
 // PlanFlip builds the schedule that re-executes the failing run with race
 // r flipped and everything else preserved.
 func PlanFlip(seq []Exec, r Race, fallback []string) Schedule {

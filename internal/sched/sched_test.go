@@ -1,10 +1,12 @@
 package sched
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"aitia/internal/kir"
 	"aitia/internal/kvm"
@@ -226,8 +228,6 @@ func TestDeadlockDetection(t *testing.T) {
 	m := machine(t, prog)
 	// A takes mu1, switch to B (takes mu2, blocks on mu1), diversion back
 	// to A which blocks on mu2: a real ABBA deadlock.
-	in2, _ := m.NextInstr(0)
-	_ = in2
 	fa2 := prog.Funcs["fa"].Instrs[1] // A's second lock
 	sch := Schedule{
 		Initial:  "A",
@@ -239,7 +239,67 @@ func TestDeadlockDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Failed() || res.Failure.Kind != sanitizer.KindDeadlock {
-		t.Errorf("failure = %v, want deadlock", res.Failure)
+		t.Fatalf("failure = %v, want deadlock", res.Failure)
+	}
+	// Both threads are blocked; the failure blames the lowest-ID one, A,
+	// at the lock it waits on.
+	mu2, _ := m.Space().GlobalAddr("mu2")
+	if f := res.Failure; f.Thread != "A" || f.Instr != fa2.ID || f.Addr != mu2 {
+		t.Errorf("deadlock on thread %q at instr %d, lock %#x; want A at %d, lock %#x",
+			f.Thread, f.Instr, f.Addr, fa2.ID, mu2)
+	}
+}
+
+// TestLockCycleWithBystander: an ABBA deadlock between A and B while C
+// still has work. Once A and B each wait on the other's lock, neither can
+// release, so diverting between them makes no progress; the run must go
+// on with C and then fail with the deadlock. The context bounds a run
+// that diverts forever instead.
+func TestLockCycleWithBystander(t *testing.T) {
+	b := kir.NewBuilder()
+	b.Var("mu1", 0)
+	b.Var("mu2", 0)
+	b.Var("g", 0)
+	fa := b.Func("fa")
+	fa.Lock(kir.G("mu1"))
+	fa.Lock(kir.G("mu2")).L("A2")
+	fa.Unlock(kir.G("mu2"))
+	fa.Unlock(kir.G("mu1"))
+	fa.Ret()
+	fb := b.Func("fb")
+	fb.Lock(kir.G("mu2"))
+	fb.Lock(kir.G("mu1"))
+	fb.Unlock(kir.G("mu1"))
+	fb.Unlock(kir.G("mu2"))
+	fb.Ret()
+	fc := b.Func("fc")
+	for i := 0; i < 5; i++ {
+		fc.Store(kir.G("g"), kir.Imm(int64(i)))
+	}
+	fc.Ret()
+	b.Thread("A", "fa")
+	b.Thread("B", "fb")
+	b.Thread("C", "fc")
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2, _ := prog.ByLabel("A2")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, err := NewEnforcer(machine(t, prog)).Run(Schedule{
+		Initial:  "A",
+		Points:   []Point{{Run: "A", At: a2.ID, To: "B"}},
+		Fallback: []string{"A", "B", "C"},
+	}, Options{Ctx: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := res.Failure; f == nil || f.Kind != sanitizer.KindDeadlock || f.Thread != "A" || f.Instr != a2.ID {
+		t.Fatalf("failure = %v, want a deadlock on A at A2", f)
+	}
+	if res.Threads["C"] != kvm.Done {
+		t.Errorf("C is %s at the deadlock, want done", res.Threads["C"])
 	}
 }
 
@@ -260,7 +320,35 @@ func TestWatchdog(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Failed() || res.Failure.Kind != sanitizer.KindWatchdog {
-		t.Errorf("failure = %v, want watchdog", res.Failure)
+		t.Fatalf("failure = %v, want watchdog", res.Failure)
+	}
+	// The step that crosses the budget fails: 100 steps are allowed, the
+	// 101st is the soft lockup.
+	if n := len(res.Seq); n != 101 {
+		t.Errorf("watchdog fired after %d steps, want 101", n)
+	}
+	if f := res.Failure; f.Thread != "A" || f.Instr != res.Seq[len(res.Seq)-1].Instr.ID {
+		t.Errorf("watchdog on thread %q at instr %d, want A at the last executed step", f.Thread, f.Instr)
+	}
+
+	// A run of exactly the budget completes.
+	b = kir.NewBuilder()
+	f = b.Func("straight")
+	for i := 0; i < 9; i++ {
+		f.Nop()
+	}
+	f.Ret()
+	b.Thread("A", "straight")
+	prog, err = b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = NewEnforcer(machine(t, prog)).Run(Serial("A"), Options{StepBudget: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed() || len(res.Seq) != 10 {
+		t.Errorf("a 10-step run under a 10-step budget: %d steps, failure %v", len(res.Seq), res.Failure)
 	}
 }
 
