@@ -218,6 +218,7 @@ func reproduceContext(ctx context.Context, m *kvm.Machine, opts LIFSOptions, all
 	for _, td := range m.Prog().Threads {
 		s.fallback = append(s.fallback, td.Name)
 	}
+	s.am.Reserve(m.Prog().NumInstrs())
 	s.initSig = m.StateSignature()
 	s.main = newWorkerVM(m)
 	init := s.main.init
@@ -428,10 +429,10 @@ rounds:
 		ro.FaultAttempt = attempt
 		ro.Ctx = ctx
 		// The replay re-executes the found trace and records into the
-		// winner's own records: a full run with no Base, so it rewrites
-		// them in place, locksets included, and its RunResult.Seq is
-		// that array.
-		ro.Log = s.foundTrace
+		// winner's own records and their access array: a full run with
+		// no Base, so it rewrites them in place, locksets included, and
+		// its RunResult.Seq is that array.
+		ro.Log, ro.Accs = s.foundTrace, s.foundAccs
 		if seedFC != nil {
 			ro.OnStep = func(pos int) {
 				if pos < len(seedFC.cuts) && seedFC.cuts[pos] {
@@ -464,8 +465,6 @@ rounds:
 		}
 		return nil, fmt.Errorf("core: replay of the found schedule did not reproduce the failure (got %v)", res.Failure)
 	}
-	s.am.RecordRun(res)
-
 	// Prefix-cache and work counters, including the final replay's
 	// instructions (the replay itself is validation, not prefix replay,
 	// so it counts toward ExecutedInstrs only).
@@ -475,10 +474,11 @@ rounds:
 	s.stats.PinnedBytes = s.prefix.pinned.Load()
 	s.stats.ExecutedInstrs = m.Executed() + s.workerExecuted()
 
-	races := sched.ExtractRaces(res)
-	if !opts.NoPhantom {
-		races = append(races, sched.PhantomRaces(res, s.am)...)
+	phantomsOf := s.am
+	if opts.NoPhantom {
+		phantomsOf = nil
 	}
+	races := sched.Races(res, phantomsOf)
 
 	if checkpointing && terminal == nil {
 		// Terminal checkpoint: the found schedule (small — initial
@@ -543,6 +543,7 @@ type searcher struct {
 
 	found      bool
 	foundTrace []sched.Exec
+	foundAccs  []sched.AccessRec // the array foundTrace's accesses share, when known
 	leaves     []LeafTrace
 
 	// Checkpointing state. resume is consumed by the first phase call;
@@ -733,6 +734,7 @@ type branchInfo struct {
 // becomes the canonical run: the final replay records into it.
 type candidate struct {
 	trace      []sched.Exec
+	accs       []sched.AccessRec // the array trace's accesses share; nil for a remote candidate
 	budgetLeft int
 }
 
@@ -930,7 +932,7 @@ func (s *searcher) phase(k int) error {
 	if winner >= 0 {
 		w := p.units[winner]
 		s.found = true
-		s.foundTrace = w.cand.trace
+		s.foundTrace, s.foundAccs = w.cand.trace, w.cand.accs
 		s.stats.Interleavings = k - w.cand.budgetLeft
 	}
 	s.stats.Phases = append(s.stats.Phases, PhaseStat{
@@ -1514,8 +1516,10 @@ func (e *explorer) leaf(budgetLeft int) bool {
 		// actually consumed on this path — exactly the paper's notion
 		// (natural switches at thread completion and involuntary lock
 		// diversions are free).
+		trace, accs := e.buf.path.records(e.m)
 		e.u.cand = &candidate{
-			trace:      e.buf.path.records(e.m),
+			trace:      trace,
+			accs:       accs,
 			budgetLeft: budgetLeft,
 		}
 		// CAS-min so lower ordinals always win; units above the best

@@ -165,10 +165,11 @@ func (p *path) clone() path {
 // records builds the path's sched.Exec records, each stamped with its
 // position, from m, the machine that executed the path and still holds
 // its threads: thread names come from m, and each Instr points into m's
-// finalized program. The records share one fresh array of accesses and
-// carry no locksets: the final replay, which records into these same
-// records (sched.Options.Log), fills them in.
-func (p *path) records(m *kvm.Machine) []sched.Exec {
+// finalized program. The records share one fresh array of accesses,
+// also returned, and carry no locksets: the final replay, which records
+// into these same records and accesses (sched.Options.Log and Accs),
+// fills them in.
+func (p *path) records(m *kvm.Machine) ([]sched.Exec, []sched.AccessRec) {
 	prog := m.Prog()
 	accs := slices.Clone(p.accs)
 	out := make([]sched.Exec, len(p.steps))
@@ -185,7 +186,7 @@ func (p *path) records(m *kvm.Machine) []sched.Exec {
 			e.Spawned = m.Thread(kvm.ThreadID(st.spawned)).Name
 		}
 	}
-	return out
+	return out, accs
 }
 
 // reset empties the access log and its cache for a new unit.

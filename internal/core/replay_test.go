@@ -119,3 +119,62 @@ func TestPathIsPointerFree(t *testing.T) {
 		t.Error("hasPointers misses the pointers of sched.Exec")
 	}
 }
+
+// TestFailingRunAccessesAlreadyKnown: every access of the canonical
+// failing run is already in the reproduction's access knowledge when the
+// search ends, so folding the final replay into it would add nothing.
+// Checked on every corpus scenario serially, on 4 workers, through a
+// loopback dispatcher, in guided report mode, and on a resume from a
+// terminal checkpoint (whose knowledge was exported by the cold search).
+func TestFailingRunAccessesAlreadyKnown(t *testing.T) {
+	modes := []struct {
+		name string
+		set  func(o *LIFSOptions, blind *Reproduction)
+	}{
+		{"workers=4", func(o *LIFSOptions, _ *Reproduction) { o.Workers = 4 }},
+		{"dispatch", func(o *LIFSOptions, _ *Reproduction) { o.Workers = 4; o.Dispatch = &loopbackDispatcher{} }},
+		{"guided", func(o *LIFSOptions, blind *Reproduction) { o.Guide = guideFor(blind) }},
+	}
+	check := func(name, mode string, rep *Reproduction) {
+		t.Helper()
+		for _, e := range rep.Run.Seq {
+			for _, a := range e.Accesses {
+				if !rep.Accesses.Has(e.Site(), a.Addr, a.Write) {
+					t.Fatalf("%s %s: step %d (%s/%s) access %#x write=%v is missing from the access map",
+						name, mode, e.Step, e.Name, e.Instr.Name(), a.Addr, a.Write)
+				}
+			}
+		}
+	}
+	for _, sc := range scenarios.All() {
+		prog := sc.MustProgram()
+		opts := LIFSOptions{WantKind: sc.WantKind, WantInstr: sc.WantInstr(), LeakCheck: sc.NeedsLeakCheck(), Workers: 1}
+		blind, err := Reproduce(mustMachine(t, prog), opts)
+		if err != nil {
+			t.Fatalf("%s serial: %v", sc.Name, err)
+		}
+		check(sc.Name, "serial", blind)
+		for _, mode := range modes {
+			o := opts
+			mode.set(&o, blind)
+			rep, err := Reproduce(mustMachine(t, prog), o)
+			if err != nil {
+				t.Fatalf("%s %s: %v", sc.Name, mode.name, err)
+			}
+			check(sc.Name, mode.name, rep)
+		}
+		o := opts
+		o.Checkpoint = &CheckpointConfig{Store: testCheckpointStore(t)}
+		if _, err := Reproduce(mustMachine(t, prog), o); err != nil {
+			t.Fatalf("%s cold checkpointed: %v", sc.Name, err)
+		}
+		warm, err := Reproduce(mustMachine(t, prog), o)
+		if err != nil {
+			t.Fatalf("%s terminal resume: %v", sc.Name, err)
+		}
+		if !warm.Stats.Resumed || warm.Stats.Schedules != 0 {
+			t.Fatalf("%s: resumed=%t schedules=%d, want a terminal replay", sc.Name, warm.Stats.Resumed, warm.Stats.Schedules)
+		}
+		check(sc.Name, "terminal-resume", warm)
+	}
+}

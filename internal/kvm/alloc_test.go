@@ -1,6 +1,7 @@
 package kvm
 
 import (
+	"reflect"
 	"testing"
 
 	"aitia/internal/kir"
@@ -155,5 +156,141 @@ func TestStepReusesAccessBuffer(t *testing.T) {
 	}
 	if !load.Accesses[0].Write {
 		t.Error("the store did not overwrite the load event's access buffer")
+	}
+}
+
+// journalProg builds two threads that between them store, lock, call,
+// allocate and free: A locks a, stores g through a helper and unlocks;
+// B allocates, stores into and frees a two-word object, then locks and
+// unlocks a.
+func journalProg(t *testing.T) *kir.Program {
+	t.Helper()
+	b := kir.NewBuilder()
+	b.Var("g", 0)
+	b.Var("a", 0)
+	h := b.Func("set")
+	h.Store(kir.G("g"), kir.Imm(7))
+	h.Ret()
+	fa := b.Func("fa")
+	fa.Lock(kir.G("a"))
+	fa.Call("set")
+	fa.Unlock(kir.G("a"))
+	fa.Ret()
+	fb := b.Func("fb")
+	fb.Alloc(kir.R1, 2)
+	fb.Store(kir.Ind(kir.R1, 0), kir.Imm(1))
+	fb.Free(kir.R(kir.R1))
+	fb.Lock(kir.G("a"))
+	fb.Unlock(kir.G("a"))
+	fb.Ret()
+	b.Thread("A", "fa")
+	b.Thread("B", "fb")
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	return prog
+}
+
+// runAll steps thread tid until it is done.
+func runAll(t *testing.T, m *Machine, tid ThreadID) {
+	t.Helper()
+	for m.Thread(tid).State != Done {
+		if _, err := m.Step(tid); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSnapshotRestoreAllocatesNothing: once the journals have grown, a
+// Snapshot, both threads' steps (lock, call, store, unlock, alloc, free)
+// and the Restore that undoes them allocate nothing, and the Restore
+// lands on the snapshot's state.
+func TestSnapshotRestoreAllocatesNothing(t *testing.T) {
+	m, err := New(journalProg(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := m.ThreadByName("A").ID, m.ThreadByName("B").ID
+	sig := m.StateSignature()
+	allocs := testing.AllocsPerRun(100, func() {
+		sn := m.Snapshot()
+		runAll(t, m, a)
+		runAll(t, m, b)
+		m.Restore(sn)
+	})
+	if allocs != 0 {
+		t.Errorf("Snapshot, steps and Restore: %.2f allocations per cycle, want 0", allocs)
+	}
+	if got := m.StateSignature(); got != sig {
+		t.Errorf("state signature after the cycles %#x, want the initial %#x", got, sig)
+	}
+}
+
+// TestRestoreRewindsThreadInPlace: Restore writes a saved thread's state
+// back into the same *Thread, locks and call stack included, so a
+// pointer held across the Restore sees the restored state.
+func TestRestoreRewindsThreadInPlace(t *testing.T) {
+	m, err := New(journalProg(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := m.ThreadByName("A")
+	outer := m.Snapshot()
+	if _, err := m.Step(a.ID); err != nil { // lock a
+		t.Fatal(err)
+	}
+	if _, err := m.Step(a.ID); err != nil { // call set
+		t.Fatal(err)
+	}
+	held := m.Snapshot() // A holds a, inside set
+	runAll(t, m, a.ID)
+	if len(a.Locks) != 0 || len(a.frames) != 0 {
+		t.Fatalf("after A ran: locks %v, depth %d", a.Locks, len(a.frames))
+	}
+	m.Restore(held)
+	if m.Thread(a.ID) != a {
+		t.Fatal("Restore replaced the thread object")
+	}
+	lockA, _ := m.Space().GlobalAddr("a")
+	if len(a.Locks) != 1 || !a.HoldsLock(lockA) || len(a.frames) != 2 || a.State != Runnable {
+		t.Errorf("restored to the inner snapshot: locks %v, depth %d, state %v; want a held, depth 2, runnable",
+			a.Locks, len(a.frames), a.State)
+	}
+	m.Restore(outer)
+	if len(a.Locks) != 0 || len(a.frames) != 1 {
+		t.Errorf("restored to the outer snapshot: locks %v, depth %d; want none, depth 1", a.Locks, len(a.frames))
+	}
+}
+
+// TestJournalIsPointerFree: the machine journal's records and the saved
+// threads of its slab hold no pointer (a saved thread's frames, which
+// name their functions, sit in their own arena).
+func TestJournalIsPointerFree(t *testing.T) {
+	var scalar func(reflect.Type) bool
+	scalar = func(t reflect.Type) bool {
+		switch t.Kind() {
+		case reflect.Array:
+			return scalar(t.Elem())
+		case reflect.Struct:
+			for i := 0; i < t.NumField(); i++ {
+				if !scalar(t.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.String, reflect.Interface, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+			return false
+		default:
+			return true
+		}
+	}
+	for _, v := range []any{mundo{}, savedThread{}} {
+		if typ := reflect.TypeOf(v); !scalar(typ) {
+			t.Errorf("%v holds pointers", typ)
+		}
+	}
+	if scalar(reflect.TypeOf(frame{})) {
+		t.Error("the check misses the pointer of frame")
 	}
 }

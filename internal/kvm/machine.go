@@ -135,17 +135,20 @@ type Machine struct {
 
 	// Copy-on-write checkpointing state (see snapshot.go). Journaling is
 	// off until the first Snapshot call.
-	journal    []mundo
-	mseq       uint64
-	journaling bool
-	epoch      uint64
-	copied     uint64 // approximate bytes journaled, for metrics
-	live       uint64 // approximate bytes currently held by the journal
-	restored   uint64 // approximate bytes written back by restores
-	snapshots  uint64
-	restores   uint64
-	executed   uint64 // total instructions ever executed; never rewound
-	gen        uint64 // bumped by Reset/RestoreDeep; stales every Snapshot
+	journal     []mundo
+	saved       []savedThread // thread states muThread entries index
+	savedLocks  []uint64      // the saved threads' held locks
+	savedFrames []frame       // the saved threads' call stacks
+	mseq        uint64
+	journaling  bool
+	epoch       uint64
+	copied      uint64 // approximate bytes journaled, for metrics
+	live        uint64 // approximate bytes currently held by the journal
+	restored    uint64 // approximate bytes written back by restores
+	snapshots   uint64
+	restores    uint64
+	executed    uint64 // total instructions ever executed; never rewound
+	gen         uint64 // bumped by Reset/RestoreDeep; stales every Snapshot
 
 	// Scratch buffers reused across calls so the step path allocates
 	// nothing: stepAcc backs StepEvent.Accesses until the next Step,

@@ -17,6 +17,8 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"aitia/internal/faultinject"
@@ -140,7 +142,8 @@ type Space struct {
 	globals map[string]uint64
 	gnames  []string // declaration order, for deterministic iteration
 	gend    uint64
-	objects []*Object // sorted by Base
+	objects []*Object  // sorted by Base
+	slab    [][]Object // storage of objects, by index (objectSlot)
 	next    uint64
 	fault   *faultinject.Plan // armed by SetFaultPlan; nil = no injection
 
@@ -149,8 +152,12 @@ type Space struct {
 	// Restore reverse-replays the entries above the mark (O(mutations since
 	// the snapshot)). Journaling is off until the first Snapshot call, so
 	// enforcement-only spaces pay nothing on the Store/Alloc hot path.
+	// Neither the journal nor its list arena holds a pointer, so the
+	// garbage collector never scans them, and once they have grown a
+	// snapshot/mutate/restore cycle allocates nothing.
 	journal    []undoRec
-	seq        uint64 // id of the most recently appended entry
+	listArena  []int64 // saved list contents, in journal order
+	seq        uint64  // id of the most recently appended entry
 	journaling bool
 	epoch      uint64            // bumped on Snapshot and Restore
 	listSaved  map[uint64]uint64 // list addr -> epoch of its last saved copy
@@ -169,17 +176,23 @@ const (
 	undoAlloc                 // an object appended by Alloc
 )
 
-// undoRec is one reverse-replayable mutation record.
+// undoRec is one reverse-replayable mutation record: 32 bytes, no
+// pointers. What val and arg hold depends on kind:
+//
+//	undoWord   addr = the word, val = its old value
+//	undoList   addr = the list, val = its old contents' offset in
+//	           Space.listArena, arg = their length
+//	undoFree   addr = the object's index in Space.objects, val = its
+//	           previous FreeSite, state = its previous state
+//	undoAlloc  nothing: undo pops the last object
 type undoRec struct {
-	kind    undoKind
 	seq     uint64
-	addr    uint64  // word or list address
-	val     int64   // old word value (undoWord)
-	existed bool    // the word/list key was present before the mutation
-	list    []int64 // old list contents (undoList)
-	obj     *Object // the freed object (undoFree); identities are stable
+	addr    uint64
+	val     int64
+	arg     int32
+	kind    undoKind
+	existed bool // the word/list key was present before the mutation
 	state   ObjState
-	site    kir.InstrID // the freed object's previous FreeSite
 }
 
 // append adds one journal entry, stamping it with the next sequence id.
@@ -201,15 +214,18 @@ func (s *Space) saveWord(addr uint64) {
 }
 
 // saveList journals the list at addr, at most once per snapshot epoch,
-// before ListAdd/ListDel mutates it. The copy must preserve exact map
-// presence: FoldState distinguishes an absent list from an empty one.
+// before ListAdd/ListDel mutates it: its contents are copied onto the
+// list arena. The record must preserve exact map presence: FoldState
+// distinguishes an absent list from an empty one.
 func (s *Space) saveList(addr uint64) {
 	if !s.journaling || s.listSaved[addr] == s.epoch {
 		return
 	}
 	s.listSaved[addr] = s.epoch
 	l, ok := s.lists[addr]
-	s.append(undoRec{kind: undoList, addr: addr, list: append([]int64(nil), l...), existed: ok})
+	off := len(s.listArena)
+	s.listArena = append(s.listArena, l...)
+	s.append(undoRec{kind: undoList, addr: addr, val: int64(off), arg: int32(len(l)), existed: ok})
 	s.copied += 16 + 8*uint64(len(l))
 	s.live += 16 + 8*uint64(len(l))
 }
@@ -317,18 +333,36 @@ func (s *Space) check(addr uint64, write bool) *Fault {
 // objectCovering finds the heap object whose payload-plus-redzone region
 // covers addr.
 func (s *Space) objectCovering(addr uint64) *Object {
+	if i := s.objectIndex(addr); i >= 0 {
+		return s.objects[i]
+	}
+	return nil
+}
+
+// objectIndex returns the index in objects of the heap object whose
+// payload-plus-redzone region covers addr, or -1.
+func (s *Space) objectIndex(addr uint64) int {
 	i := sort.Search(len(s.objects), func(i int) bool {
 		o := s.objects[i]
 		return o.Base+uint64(o.Size)+Redzone > addr
 	})
-	if i >= len(s.objects) {
-		return nil
+	if i < len(s.objects) && addr >= s.objects[i].Base-Redzone {
+		return i
 	}
-	o := s.objects[i]
-	if addr >= o.Base-Redzone {
-		return o
+	return -1
+}
+
+// objectSlot returns the storage of the object at index i of objects.
+// Objects live in chunks of 4, 8, 16, ... that never move, so an
+// object's identity is stable; objects only grows and shrinks at its
+// end, so index i always maps to the same slot, and the slot of an
+// Alloc that Restore popped is reused by the next Alloc.
+func (s *Space) objectSlot(i int) *Object {
+	c := bits.Len(uint(i+4)) - 3
+	for len(s.slab) <= c {
+		s.slab = append(s.slab, make([]Object, 4<<len(s.slab)))
 	}
-	return nil
+	return &s.slab[c][i+4-4<<c]
 }
 
 // Load reads the word at addr.
@@ -358,7 +392,8 @@ func (s *Space) Store(addr uint64, v int64) *Fault {
 func (s *Space) Alloc(size int64, site kir.InstrID) uint64 {
 	base := s.next + Redzone
 	s.next = base + uint64(size) + Redzone + heapGap
-	obj := &Object{Base: base, Size: size, State: Allocated, AllocSite: site, FreeSite: kir.NoInstr}
+	obj := s.objectSlot(len(s.objects))
+	*obj = Object{Base: base, Size: size, State: Allocated, AllocSite: site, FreeSite: kir.NoInstr}
 	s.objects = append(s.objects, obj) // bases are monotone, stays sorted
 	if s.journaling {
 		// Undo pops the object; next is restored from the snapshot scalar.
@@ -376,7 +411,11 @@ func (s *Space) Alloc(size int64, site kir.InstrID) uint64 {
 
 // Free releases the object with the given base address.
 func (s *Space) Free(base uint64, site kir.InstrID) *Fault {
-	obj := s.objectCovering(base)
+	i := s.objectIndex(base)
+	var obj *Object
+	if i >= 0 {
+		obj = s.objects[i]
+	}
 	if obj == nil || obj.Base != base {
 		return &Fault{Kind: FaultBadFree, Addr: base, Write: true, Object: obj}
 	}
@@ -384,7 +423,7 @@ func (s *Space) Free(base uint64, site kir.InstrID) *Fault {
 		return &Fault{Kind: FaultDoubleFree, Addr: base, Write: true, Object: obj}
 	}
 	if s.journaling {
-		s.append(undoRec{kind: undoFree, obj: obj, state: obj.State, site: obj.FreeSite})
+		s.append(undoRec{kind: undoFree, addr: uint64(i), val: int64(obj.FreeSite), state: obj.State})
 		s.copied += 24
 		s.live += 24
 	}
@@ -429,8 +468,10 @@ func (s *Space) ListDel(addr uint64, v int64) *Fault {
 	l := s.lists[addr]
 	for i, x := range l {
 		if x == v {
+			// A live list shares its array with nothing (the journal
+			// and deep snapshots copy), so it is cut in place.
 			s.saveList(addr)
-			s.lists[addr] = append(append([]int64(nil), l[:i]...), l[i+1:]...)
+			s.lists[addr] = append(l[:i], l[i+1:]...)
 			return nil
 		}
 	}
@@ -580,9 +621,21 @@ type Snapshot struct {
 	next uint64
 }
 
+// ReserveJournal makes room in the undo journal for n word records, so
+// a journal that stays below n never regrows.
+func (s *Space) ReserveJournal(n int) { s.journal = slices.Grow(s.journal, n) }
+
 // Snapshot captures the current state for later Restore and enables
 // mutation journaling (the first call flips the space into CoW mode).
+// It inlines, so a snapshot that does not outlive its caller's frame
+// is not allocated.
 func (s *Space) Snapshot() *Snapshot {
+	sn := s.mark()
+	return &sn
+}
+
+// mark is Snapshot's value.
+func (s *Space) mark() Snapshot {
 	s.journaling = true
 	if s.listSaved == nil {
 		s.listSaved = make(map[uint64]uint64)
@@ -594,7 +647,7 @@ func (s *Space) Snapshot() *Snapshot {
 	if len(s.journal) > 0 {
 		last = s.journal[len(s.journal)-1].seq
 	}
-	return &Snapshot{pos: len(s.journal), seq: last, next: s.next}
+	return Snapshot{pos: len(s.journal), seq: last, next: s.next}
 }
 
 // Restore rewinds the space to a snapshot (the VM-revert operation the
@@ -616,21 +669,25 @@ func (s *Space) Restore(sn *Snapshot) {
 			}
 			s.live -= 16
 		case undoList:
+			saved := s.listArena[r.val : r.val+int64(r.arg)]
 			if r.existed {
-				s.lists[r.addr] = r.list
+				// Copied into the live list's own array: the arena
+				// region is reused by the next saves.
+				s.lists[r.addr] = append(s.lists[r.addr][:0], saved...)
 			} else {
 				delete(s.lists, r.addr)
 			}
-			s.live -= 16 + 8*uint64(len(r.list))
+			s.listArena = s.listArena[:r.val]
+			s.live -= 16 + 8*uint64(r.arg)
 		case undoFree:
-			r.obj.State = r.state
-			r.obj.FreeSite = r.site
+			obj := s.objects[r.addr]
+			obj.State = r.state
+			obj.FreeSite = kir.InstrID(r.val)
 			s.live -= 24
 		case undoAlloc:
 			s.objects = s.objects[:len(s.objects)-1]
 			s.live -= 8
 		}
-		*r = undoRec{} // drop references so truncated entries can be collected
 	}
 	s.restored += live - s.live // the rewound entries are the bytes written back
 	s.journal = s.journal[:sn.pos]
@@ -706,7 +763,8 @@ func (s *Space) RestoreDeep(sn *DeepSnapshot) {
 	}
 	s.restored += 24 * uint64(len(sn.objects))
 	s.next = sn.next
-	s.journal = nil
+	s.journal = s.journal[:0]
+	s.listArena = s.listArena[:0]
 	s.live = 0
 	s.epoch++
 }

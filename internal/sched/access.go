@@ -2,7 +2,10 @@ package sched
 
 import (
 	"cmp"
+	"iter"
 	"slices"
+
+	"aitia/internal/kir"
 )
 
 // accessMode records how a site has been observed to access an address.
@@ -26,24 +29,29 @@ func modeOf(write bool) accessMode {
 // races whose second access never executed in the failing run (e.g. the
 // paper's B17 => A12, where A12 is only known from other explorations).
 //
-// Thread names are interned into a small per-map table, and each thread
-// indexes its sites by the finalized kir.InstrID, so a site lookup is a
-// scan of a handful of names and a slice index, never a hash: each site
-// keeps its addresses in ascending order with their modes, and each
-// address lists the threads that touched it. Sites must carry finalized
-// (non-negative) instruction IDs; queries about any other ID find
-// nothing.
+// Thread names are interned into a small per-map table. One index over
+// the finalized kir.InstrID, shared by all threads, leads to an
+// instruction's sites: one per thread that executed it (shared functions
+// give several), usually one. A site lookup is thus a slice index and a
+// short chain walk, never a hash, and a thread carries no slots for
+// other threads' code. Each site keeps its addresses in ascending order
+// with their modes, and each address lists the threads that touched it.
+// Sites must carry finalized (non-negative) instruction IDs; queries
+// about any other ID find nothing. The map is only written between
+// phases of a search (Record, Fold); concurrent readers are safe.
 type AccessMap struct {
-	threads []threadSites           // interned threads, by index
-	byAddr  map[uint64][]threadMode // address -> the threads that accessed it
-	nsites  int                     // sites with at least one address
-	naddrs  int                     // (site, address) entries
+	names  []string                // interned thread names, by index
+	first  []int32                 // by kir.InstrID: 1 + index in sites of the instruction's newest site, 0 for none
+	sites  []siteEntry             // every site with at least one address
+	byAddr map[uint64][]threadMode // address -> the threads that accessed it
+	naddrs int                     // (site, address) entries
 }
 
-// threadSites is one interned thread's access knowledge.
-type threadSites struct {
-	name  string
-	sites [][]addrMode // by kir.InstrID: the site's addresses, ascending
+// siteEntry is one (thread, instruction) site's access knowledge.
+type siteEntry struct {
+	thread int32
+	next   int32      // 1 + index in sites of the instruction's next older site, 0 for none
+	addrs  []addrMode // ascending
 }
 
 // addrMode is how one site accessed one address.
@@ -59,21 +67,47 @@ type threadMode struct {
 	mode   accessMode
 }
 
-// NewAccessMap returns an empty access map.
+// NewAccessMap returns an empty access map. Its instruction index grows
+// to the highest ID recorded; Reserve sizes it once up front.
 func NewAccessMap() *AccessMap {
 	return &AccessMap{byAddr: make(map[uint64][]threadMode)}
+}
+
+// Reserve sizes the instruction index for IDs below n, so recording
+// sites of a program with n instructions never regrows it, and makes
+// room for n sites: over the corpus a search finds 0.95 sites per
+// instruction (at most 1.5).
+func (am *AccessMap) Reserve(n int) {
+	if n > len(am.first) {
+		am.first = append(am.first, make([]int32, n-len(am.first))...)
+		am.sites = slices.Grow(am.sites, max(0, n-len(am.sites)))
+	}
 }
 
 // thread returns the interned index of a thread name, or -1 for a thread
 // the map has never seen. Programs have a handful of threads, so a scan
 // beats hashing the name.
 func (am *AccessMap) thread(name string) int32 {
-	for i := range am.threads {
-		if am.threads[i].name == name {
+	for i, n := range am.names {
+		if n == name {
 			return int32(i)
 		}
 	}
 	return -1
+}
+
+// find returns 1 + the index in sites of thread t's site at instr, or 0
+// when the map holds none.
+func (am *AccessMap) find(t int32, instr kir.InstrID) int32 {
+	if instr < 0 || int(instr) >= len(am.first) {
+		return 0
+	}
+	for i := am.first[instr]; i != 0; i = am.sites[i-1].next {
+		if am.sites[i-1].thread == t {
+			return i
+		}
+	}
+	return 0
 }
 
 // site returns the addresses recorded for s, nil when there are none.
@@ -82,11 +116,21 @@ func (am *AccessMap) site(s Site) []addrMode {
 	if t < 0 {
 		return nil
 	}
-	sites := am.threads[t].sites
-	if s.Instr < 0 || int(s.Instr) >= len(sites) {
-		return nil
+	if i := am.find(t, s.Instr); i != 0 {
+		return am.sites[i-1].addrs
 	}
-	return sites[s.Instr]
+	return nil
+}
+
+// threadSites yields thread t's sites in ascending instruction order.
+func (am *AccessMap) threadSites(t int32) iter.Seq2[kir.InstrID, []addrMode] {
+	return func(yield func(kir.InstrID, []addrMode) bool) {
+		for instr := range am.first {
+			if i := am.find(t, kir.InstrID(instr)); i != 0 && !yield(kir.InstrID(instr), am.sites[i-1].addrs) {
+				return
+			}
+		}
+	}
 }
 
 // search returns the index of addr in a site's ascending addresses, and
@@ -95,46 +139,36 @@ func search(addrs []addrMode, addr uint64) (int, bool) {
 	return slices.BinarySearchFunc(addrs, addr, func(e addrMode, a uint64) int { return cmp.Compare(e.addr, a) })
 }
 
-// RecordRun folds a run's accesses into the map. res must be a full run
-// (empty Base).
-func (am *AccessMap) RecordRun(res *RunResult) {
-	for _, e := range res.Seq {
-		for _, a := range e.Accesses {
-			am.Record(e.Site(), a.Addr, a.Write)
-		}
-	}
-}
-
 // Record adds one observed access. s.Instr must be non-negative.
 func (am *AccessMap) Record(s Site, addr uint64, write bool) {
 	t := am.thread(s.Thread)
 	if t < 0 {
-		t = int32(len(am.threads))
-		am.threads = append(am.threads, threadSites{name: s.Thread})
+		t = int32(len(am.names))
+		am.names = append(am.names, s.Thread)
 	}
-	ts := &am.threads[t]
-	if n := int(s.Instr) + 1; n > len(ts.sites) {
-		ts.sites = append(ts.sites, make([][]addrMode, n-len(ts.sites))...)
+	i := am.find(t, s.Instr)
+	if i == 0 {
+		am.Reserve(int(s.Instr) + 1)
+		am.sites = append(am.sites, siteEntry{thread: t, next: am.first[s.Instr]})
+		i = int32(len(am.sites))
+		am.first[s.Instr] = i
 	}
-	addrs := ts.sites[s.Instr]
+	site := &am.sites[i-1]
 	mode := modeOf(write)
-	i, found := search(addrs, addr)
+	k, found := search(site.addrs, addr)
 	switch {
-	case found && addrs[i].mode&mode != 0:
+	case found && site.addrs[k].mode&mode != 0:
 		return
 	case found:
-		addrs[i].mode |= mode
+		site.addrs[k].mode |= mode
 	default:
-		if len(addrs) == 0 {
-			am.nsites++
-		}
 		am.naddrs++
-		ts.sites[s.Instr] = slices.Insert(addrs, i, addrMode{addr: addr, mode: mode})
+		site.addrs = slices.Insert(site.addrs, k, addrMode{addr: addr, mode: mode})
 	}
 	list := am.byAddr[addr]
-	for i := range list {
-		if list[i].thread == t {
-			list[i].mode |= mode
+	for k := range list {
+		if list[k].thread == t {
+			list[k].mode |= mode
 			return
 		}
 	}
@@ -167,4 +201,4 @@ func (am *AccessMap) ConflictsAt(thread string, addr uint64, write bool) bool {
 }
 
 // NumSites returns the number of known sites.
-func (am *AccessMap) NumSites() int { return am.nsites }
+func (am *AccessMap) NumSites() int { return len(am.sites) }

@@ -270,7 +270,7 @@ func TestRaceDedupeIndependentOfMapOrder(t *testing.T) {
 			t.Fatalf("A then B: failure %v, B %v; want A to fail before B runs", ab.Failure, ab.Threads["B"])
 		}
 		am := NewAccessMap()
-		am.RecordRun(ba)
+		recordRun(am, ba)
 		real, phantom := ExtractRaces(ba), PhantomRaces(ab, am)
 		if rep == 0 {
 			firstReal, firstPhantom = real, phantom

@@ -37,6 +37,16 @@ type Options struct {
 	// candidate's own records, which it rewrites in place.
 	Log []Exec
 
+	// Accs and Locks, like Log, are the arrays the run packs its
+	// records' accesses and locksets into: it appends to Accs[:0] and
+	// Locks[:0]. A caller that knows about how many the run records
+	// passes arrays with that much capacity, so they do not grow from
+	// empty; the final LIFS replay passes the access array the winning
+	// candidate's records point into, which it rewrites in place with
+	// the same accesses.
+	Accs  []AccessRec
+	Locks []uint64
+
 	// OnStep, when non-nil, is called after every executed step with the
 	// cumulative schedule position (len(Prefix) + steps executed so far).
 	// The prefix cache uses it to pin snapshots along a replayed run
@@ -122,7 +132,7 @@ func (e *Enforcer) Run(sch Schedule, opts Options) (*RunResult, error) {
 	if len(opts.Prefix) > 0 {
 		res.Base = opts.Prefix
 	}
-	log := StepLog{Seq: opts.Log[:0], base: len(opts.Prefix)}
+	log := StepLog{Seq: opts.Log[:0], accs: opts.Accs[:0], locks: opts.Locks[:0], base: len(opts.Prefix)}
 	// A full run switches once per thread boundary of the replayed
 	// prefix; so does a suffix run, which counts them up front.
 	for i := 1; i < len(opts.Prefix); i++ {

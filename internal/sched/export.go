@@ -28,18 +28,18 @@ func (am *AccessMap) Export() []AccessExport {
 	if am.naddrs == 0 {
 		return nil
 	}
-	order := make([]*threadSites, len(am.threads))
-	for i := range am.threads {
-		order[i] = &am.threads[i]
+	order := make([]int32, len(am.names))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	slices.SortFunc(order, func(a, b *threadSites) int { return strings.Compare(a.name, b.name) })
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(am.names[a], am.names[b]) })
 	out := make([]AccessExport, 0, am.naddrs)
-	for _, ts := range order {
-		for instr, addrs := range ts.sites {
+	for _, t := range order {
+		for instr, addrs := range am.threadSites(t) {
 			for _, a := range addrs {
 				out = append(out, AccessExport{
-					Thread: ts.name,
-					Instr:  kir.InstrID(instr),
+					Thread: am.names[t],
+					Instr:  instr,
 					Addr:   a.addr,
 					Read:   a.mode&modeRead != 0,
 					Write:  a.mode&modeWrite != 0,
@@ -53,6 +53,11 @@ func (am *AccessMap) Export() []AccessExport {
 // ImportAccessMap rebuilds an AccessMap from exported records.
 func ImportAccessMap(recs []AccessExport) *AccessMap {
 	am := NewAccessMap()
+	n := 0
+	for _, r := range recs {
+		n = max(n, int(r.Instr)+1)
+	}
+	am.Reserve(n)
 	am.Fold(ImportAccessLog(recs))
 	return am
 }

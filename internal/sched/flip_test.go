@@ -49,7 +49,7 @@ func TestPhantomRacesAndFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	am.RecordRun(res0)
+	recordRun(am, res0)
 
 	// Failing run: A executes A1, B then fails at B3 before A2 ever runs.
 	m.Restore(init)
@@ -66,7 +66,7 @@ func TestPhantomRacesAndFlip(t *testing.T) {
 	if !res.Failed() {
 		t.Fatalf("run did not fail: %s", res.FormatSeq(prog, false))
 	}
-	am.RecordRun(res)
+	recordRun(am, res)
 
 	phantoms := PhantomRaces(res, am)
 	if len(phantoms) != 1 {

@@ -34,7 +34,7 @@ func failingPhantomRun(t *testing.T) (*kvm.Machine, *kvm.Snapshot, *RunResult, [
 	if err != nil {
 		t.Fatal(err)
 	}
-	am.RecordRun(res0)
+	recordRun(am, res0)
 
 	m.Restore(init)
 	a2, _ := prog.ByLabel("A2")
@@ -50,7 +50,7 @@ func failingPhantomRun(t *testing.T) (*kvm.Machine, *kvm.Snapshot, *RunResult, [
 	if !res.Failed() {
 		t.Fatalf("run did not fail: %s", res.FormatSeq(prog, false))
 	}
-	am.RecordRun(res)
+	recordRun(am, res)
 	races := append(ExtractRaces(res), PhantomRaces(res, am)...)
 	if len(races) == 0 {
 		t.Fatal("no races in the failing run")

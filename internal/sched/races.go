@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -85,28 +86,41 @@ func commonLock(a, b []uint64) uint64 {
 	return 0
 }
 
-// accessPoint is one access of a run: its step's index in Seq, and
-// whether it writes.
+// accessPoint is one access of a run: its address, its step's index in
+// Seq, and whether it writes.
 type accessPoint struct {
+	addr  uint64
 	i     int32
 	write bool
 }
 
-// accessesByAddr flattens a run into per-address ordered access lists. It
-// also returns the addresses, in the order of their first access.
-func accessesByAddr(res *RunResult) (map[uint64][]accessPoint, []uint64) {
-	byAddr := make(map[uint64][]accessPoint)
-	var addrs []uint64
+// indexAccesses flattens a run into one slice of its accesses sorted by
+// (address, step): each address's accesses are one stretch of the slice,
+// in execution order. The sort is stable, so two accesses of one step
+// keep their order too.
+func indexAccesses(res *RunResult) []accessPoint {
+	n := 0
+	for i := range res.Seq {
+		n += len(res.Seq[i].Accesses)
+	}
+	idx := make([]accessPoint, 0, n)
 	for i := range res.Seq {
 		for _, a := range res.Seq[i].Accesses {
-			list, ok := byAddr[a.Addr]
-			if !ok {
-				addrs = append(addrs, a.Addr)
-			}
-			byAddr[a.Addr] = append(list, accessPoint{i: int32(i), write: a.Write})
+			idx = append(idx, accessPoint{addr: a.Addr, i: int32(i), write: a.Write})
 		}
 	}
-	return byAddr, addrs
+	slices.SortStableFunc(idx, func(a, b accessPoint) int { return cmp.Compare(a.addr, b.addr) })
+	return idx
+}
+
+// ofAddr returns the stretch of a sorted index that accesses addr.
+func ofAddr(idx []accessPoint, addr uint64) []accessPoint {
+	lo, _ := slices.BinarySearchFunc(idx, addr, func(p accessPoint, a uint64) int { return cmp.Compare(p.addr, a) })
+	hi := lo
+	for hi < len(idx) && idx[hi].addr == addr {
+		hi++
+	}
+	return idx[lo:hi]
 }
 
 // ExtractRaces returns the data races observed in a run: for every address
@@ -124,14 +138,34 @@ func accessesByAddr(res *RunResult) (map[uint64][]accessPoint, []uint64) {
 // The result is sorted by LastStep so that Causality Analysis can pop
 // races from the back of the failure-causing sequence. res must be a
 // full run (empty Base), such as a reproduction's failing run.
-func ExtractRaces(res *RunResult) []Race {
-	byAddr, addrs := accessesByAddr(res)
-	slices.Sort(addrs)
+func ExtractRaces(res *RunResult) []Race { return Races(res, nil) }
+
+// PhantomRaces returns races whose Second access did not execute in the
+// run: an executed access conflicts (per the cross-run AccessMap) with a
+// known access of a thread that the failure left unfinished. For each
+// (executed-address, unexecuted-site) pair, the *last* executed access is
+// used as First, matching the paper's construction where B17 => A12 enters
+// the test set although A12 never ran. A site's addresses are visited in
+// ascending order, so when one site pair races on several addresses the
+// race on the lowest address wins. res must be a full run (empty Base).
+func PhantomRaces(res *RunResult, am *AccessMap) []Race {
+	return phantomRaces(res, am, indexAccesses(res))
+}
+
+// Races returns a failing run's test set: ExtractRaces' races, then
+// PhantomRaces' against am (none when am is nil), both read from one
+// access index of the run. res must be a full run (empty Base).
+func Races(res *RunResult, am *AccessMap) []Race {
+	idx := indexAccesses(res)
 	seen := make(map[RaceKey]bool)
 	var races []Race
-	for _, addr := range addrs {
-		list := byAddr[addr]
-		for i := 0; i < len(list); i++ {
+	for lo := 0; lo < len(idx); {
+		hi := lo + 1
+		for hi < len(idx) && idx[hi].addr == idx[lo].addr {
+			hi++
+		}
+		list := idx[lo:hi]
+		for i := range list {
 			first := &res.Seq[list[i].i]
 			for j := i + 1; j < len(list); j++ {
 				second := &res.Seq[list[j].i]
@@ -144,7 +178,7 @@ func ExtractRaces(res *RunResult) []Race {
 				r := Race{
 					First:      first.Site(),
 					Second:     second.Site(),
-					Addr:       addr,
+					Addr:       list[i].addr,
 					FirstStep:  first.Step,
 					SecondStep: second.Step,
 					CSLock:     commonLock(first.Lockset, second.Lockset),
@@ -156,49 +190,55 @@ func ExtractRaces(res *RunResult) []Race {
 				break // only the first conflicting successor
 			}
 		}
+		lo = hi
 	}
 	sortRaces(races)
+	if am != nil {
+		races = append(races, phantomRaces(res, am, idx)...)
+	}
 	return races
 }
 
-// PhantomRaces returns races whose Second access did not execute in the
-// run: an executed access conflicts (per the cross-run AccessMap) with a
-// known access of a thread that the failure left unfinished. For each
-// (executed-address, unexecuted-site) pair, the *last* executed access is
-// used as First, matching the paper's construction where B17 => A12 enters
-// the test set although A12 never ran. A site's addresses are visited in
-// ascending order, so when one site pair races on several addresses the
-// race on the lowest address wins. res must be a full run (empty Base).
-func PhantomRaces(res *RunResult, am *AccessMap) []Race {
-	// Threads that were cut short: unfinished or crashed.
-	unfinished := make(map[string]bool)
-	for name, st := range res.Threads {
-		if st != kvm.Done {
-			unfinished[name] = true
+// phantomRaces is PhantomRaces over the run's access index. The sites
+// each unfinished thread executed are marked in a bitset over
+// kir.InstrID; threads are matched by name, as sites are.
+func phantomRaces(res *RunResult, am *AccessMap, idx []accessPoint) []Race {
+	// Threads that were cut short, unfinished or crashed.
+	var cut []int32
+	for t, name := range am.names {
+		if st, ok := res.Threads[name]; ok && st != kvm.Done {
+			cut = append(cut, int32(t))
 		}
 	}
-	if len(unfinished) == 0 {
+	if len(cut) == 0 {
 		return nil
 	}
-	byAddr, _ := accessesByAddr(res)
-	executed := make(map[Site]bool, len(res.Seq))
-	for _, e := range res.Seq {
-		executed[e.Site()] = true
+	words := (len(am.first) + 63) / 64
+	executed := make([]uint64, words*len(cut)) // cut[k]'s bits at [k*words, (k+1)*words)
+	k := 0
+	for i := range res.Seq {
+		e := &res.Seq[i]
+		if am.names[cut[k]] != e.Name {
+			if k = slices.IndexFunc(cut, func(t int32) bool { return am.names[t] == e.Name }); k < 0 {
+				k = 0
+				continue
+			}
+		}
+		if id := int(e.Instr.ID); id >= 0 && id < len(am.first) {
+			executed[k*words+id/64] |= 1 << (id % 64)
+		}
 	}
 	seen := make(map[RaceKey]bool)
 	var races []Race
-	for t := range am.threads {
-		ts := &am.threads[t]
-		if !unfinished[ts.name] {
-			continue
-		}
-		for instr, addrs := range ts.sites {
-			s := Site{Thread: ts.name, Instr: kir.InstrID(instr)}
-			if len(addrs) == 0 || executed[s] {
+	for k, t := range cut {
+		bits := executed[k*words : (k+1)*words]
+		for instr, addrs := range am.threadSites(t) {
+			if bits[instr/64]&(1<<(instr%64)) != 0 {
 				continue
 			}
+			s := Site{Thread: am.names[t], Instr: instr}
 			for _, a := range addrs {
-				list := byAddr[a.addr]
+				list := ofAddr(idx, a.addr)
 				// Last executed *conflicting* access to addr by a
 				// different thread (read-read pairs are skipped, not
 				// terminal).

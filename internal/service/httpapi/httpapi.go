@@ -172,21 +172,24 @@ func NewWithFleet(svc *service.Service, fc FleetConfig) http.Handler {
 // the job was accepted locally; otherwise the response (proxied or
 // error) has already been written.
 func routeSubmit(w http.ResponseWriter, r *http.Request, svc *service.Service, fc FleetConfig, req service.Request) (service.JobStatus, bool) {
-	n := svc.Fleet()
-	if n == nil || len(fc.PeerURLs) == 0 || r.Header.Get(forwardedHeader) != "" {
-		return submitLocal(w, svc, req)
-	}
-	hash, err := service.HashRequest(req)
+	// Resolved once: the ring key comes from the program a local
+	// submission then runs; a proxied one is resolved again only by
+	// its owner.
+	rr, err := svc.Resolve(req)
 	if err != nil {
 		writeError(w, statusFor(err), err.Error())
 		return service.JobStatus{}, false
 	}
-	owner := n.OwnerOf(hash)
+	n := svc.Fleet()
+	if n == nil || len(fc.PeerURLs) == 0 || r.Header.Get(forwardedHeader) != "" {
+		return submitLocal(w, svc, rr)
+	}
+	owner := n.OwnerOf(rr.Hash())
 	if owner == "" || owner == n.ID() || !n.Alive(owner) || fc.PeerURLs[owner] == "" {
 		if owner != "" && owner != n.ID() {
 			n.NoteJobHandoff()
 		}
-		return submitLocal(w, svc, req)
+		return submitLocal(w, svc, rr)
 	}
 	if proxySubmit(w, r, fc, owner, req) {
 		return service.JobStatus{}, false
@@ -195,11 +198,11 @@ func routeSubmit(w http.ResponseWriter, r *http.Request, svc *service.Service, f
 	// replica-to-replica handoff, never a client-visible failure.
 	n.MarkDown(owner)
 	n.NoteJobHandoff()
-	return submitLocal(w, svc, req)
+	return submitLocal(w, svc, rr)
 }
 
-func submitLocal(w http.ResponseWriter, svc *service.Service, req service.Request) (service.JobStatus, bool) {
-	st, err := svc.Submit(req)
+func submitLocal(w http.ResponseWriter, svc *service.Service, rr *service.Resolved) (service.JobStatus, bool) {
+	st, err := svc.SubmitResolved(rr)
 	if err != nil {
 		writeError(w, statusFor(err), err.Error())
 		return service.JobStatus{}, false

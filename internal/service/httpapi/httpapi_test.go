@@ -11,8 +11,10 @@ import (
 
 	"aitia"
 	"aitia/internal/fleet"
+	"aitia/internal/kasm"
 	"aitia/internal/kir"
 	"aitia/internal/obs"
+	"aitia/internal/scenarios"
 	"aitia/internal/service"
 )
 
@@ -143,11 +145,11 @@ func submitBody(t *testing.T) []byte {
 // sees one 202 either way.
 func TestSubmitProxiedToOwner(t *testing.T) {
 	svcs, nodes, urls := fleetPair(t)
-	hash, err := service.HashRequest(service.Request{Scenario: "cve-2017-15649"})
+	rr, err := svcs["n1"].Resolve(service.Request{Scenario: "cve-2017-15649"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := nodes["n1"].OwnerOf(hash)
+	owner := nodes["n1"].OwnerOf(rr.Hash())
 	nonOwner := "n1"
 	if owner == "n1" {
 		nonOwner = "n2"
@@ -181,11 +183,11 @@ func TestSubmitProxiedToOwner(t *testing.T) {
 // replica — one hop, never a proxy cycle.
 func TestSubmitForwardedHeaderBreaksLoop(t *testing.T) {
 	svcs, nodes, urls := fleetPair(t)
-	hash, err := service.HashRequest(service.Request{Scenario: "cve-2017-15649"})
+	rr, err := svcs["n1"].Resolve(service.Request{Scenario: "cve-2017-15649"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := nodes["n1"].OwnerOf(hash)
+	owner := nodes["n1"].OwnerOf(rr.Hash())
 	nonOwner := "n1"
 	if owner == "n1" {
 		nonOwner = "n2"
@@ -216,11 +218,11 @@ func TestSubmitForwardedHeaderBreaksLoop(t *testing.T) {
 // the submission.
 func TestSubmitHandoffWhenOwnerDead(t *testing.T) {
 	svcs, nodes, urls := fleetPair(t)
-	hash, err := service.HashRequest(service.Request{Scenario: "cve-2017-15649"})
+	rr, err := svcs["n1"].Resolve(service.Request{Scenario: "cve-2017-15649"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := nodes["n1"].OwnerOf(hash)
+	owner := nodes["n1"].OwnerOf(rr.Hash())
 	nonOwner := "n1"
 	if owner == "n1" {
 		nonOwner = "n2"
@@ -244,6 +246,44 @@ func TestSubmitHandoffWhenOwnerDead(t *testing.T) {
 	}
 	if got := nodes[nonOwner].Status().JobHandoffs; got != 1 {
 		t.Errorf("job_handoffs = %d, want 1", got)
+	}
+}
+
+// TestOwnedSubmissionResolvesOnce: a source submission that lands on
+// its ring owner is parsed once there — for its routing key and for the
+// job alike — and one proxied from the other replica is parsed once on
+// each.
+func TestOwnedSubmissionResolvesOnce(t *testing.T) {
+	svcs, nodes, urls := fleetPair(t)
+	sc, _ := scenarios.ByName("cve-2017-15649")
+	prog := sc.MustProgram()
+	src := kasm.Disassemble(prog)
+	owner := nodes["n1"].OwnerOf(prog.Hash())
+	other := "n1"
+	if owner == "n1" {
+		other = "n2"
+	}
+	body, err := json.Marshal(service.Request{Source: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolved := func(id string) uint64 { return svcs[id].Metrics().RequestsResolved.Value() }
+	for _, c := range []struct {
+		via                string
+		wantOwner, wantOth uint64
+	}{{owner, 1, 0}, {other, 2, 1}} {
+		resp, err := http.Post(urls[c.via]+"/v1/diagnose", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit via %s = %d", c.via, resp.StatusCode)
+		}
+		if got, oth := resolved(owner), resolved(other); got != c.wantOwner || oth != c.wantOth {
+			t.Errorf("after a submission via %s: owner resolved %d requests, other %d; want %d and %d",
+				c.via, got, oth, c.wantOwner, c.wantOth)
+		}
 	}
 }
 

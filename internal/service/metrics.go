@@ -105,6 +105,10 @@ type Metrics struct {
 	JobsRecovered        Counter // re-enqueued from the journal after a restart
 	CacheHits            Counter // submissions answered from the result cache
 	CacheMisses          Counter // submissions that had to run the pipeline
+	// RequestsResolved counts requests compiled into programs (a
+	// scenario lookup or a kasm parse): one per submission handled
+	// on this node, plus one per job recovered from the journal.
+	RequestsResolved Counter
 
 	// Per-kind splits (aitia_jobs_total{kind=...}): trace jobs diagnose
 	// a program blind, report jobs from a crash report.
@@ -239,6 +243,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 		fmt.Fprintf(w, "aitia_jobs_total{kind=%q} %d\n", kind, m.JobsByKind[i].Value())
 	}
 	counter("aitia_jobs_completed_total", "Diagnosis jobs completed successfully.", &m.JobsCompleted)
+	counter("aitia_requests_resolved_total", "Requests compiled into programs (scenario lookup or kasm parse).", &m.RequestsResolved)
 	counter("aitia_jobs_failed_total", "Diagnosis jobs that failed.", &m.JobsFailed)
 	counter("aitia_jobs_canceled_total", "Diagnosis jobs canceled.", &m.JobsCanceled)
 	counter("aitia_jobs_rejected_total", "Submissions rejected because the queue was full.", &m.JobsRejected)

@@ -463,6 +463,7 @@ func (s *Service) restoreJobs(st *replayState, feedPrior bool) []*job {
 			j.status.FailReason = rj.reason
 			close(j.done)
 		default: // queued or running at crash time: run it again
+			s.metrics.RequestsResolved.Inc()
 			prog, req, err := resolve(j.req)
 			if err != nil {
 				j.status.State = StateFailed
@@ -606,15 +607,26 @@ func (s *Service) Fleet() *fleet.Node { return s.cfg.Fleet }
 // NodeID returns this replica's fleet identity ("" single-node).
 func (s *Service) NodeID() string { return s.cfg.NodeID }
 
-// HashRequest resolves a request far enough to return its program's
-// content hash — the fleet job-routing key. Transports use it to decide
-// which replica owns a submission before accepting it locally.
-func HashRequest(req Request) (string, error) {
-	prog, _, err := resolve(req)
+// Resolved is a request compiled into its program, with its options
+// normalized. A transport resolves a submission once, reads its fleet
+// routing key (Hash) and, when this node owns it, hands it to
+// SubmitResolved, so the submission is parsed once per node.
+type Resolved struct {
+	prog *kir.Program
+	req  Request
+}
+
+// Hash returns the program's content hash: the fleet job-routing key.
+func (r *Resolved) Hash() string { return r.prog.Hash() }
+
+// Resolve compiles a request into its program.
+func (s *Service) Resolve(req Request) (*Resolved, error) {
+	s.metrics.RequestsResolved.Inc()
+	prog, req, err := resolve(req)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	return prog.Hash(), nil
+	return &Resolved{prog: prog, req: req}, nil
 }
 
 // Prior exposes the service's learned flip prior (nil when disabled),
@@ -694,10 +706,17 @@ func kindOf(req Request) int {
 // misses are enqueued for the worker pool, or rejected with ErrQueueFull
 // when the queue is at capacity.
 func (s *Service) Submit(req Request) (JobStatus, error) {
-	prog, req, err := resolve(req)
+	r, err := s.Resolve(req)
 	if err != nil {
 		return JobStatus{}, err
 	}
+	return s.SubmitResolved(r)
+}
+
+// SubmitResolved is Submit for a request already resolved.
+func (s *Service) SubmitResolved(r *Resolved) (JobStatus, error) {
+	prog, req := r.prog, r.req
+	var err error
 	if req.Options.Workers < 0 {
 		req.Options.Workers = 0
 	}
