@@ -513,24 +513,35 @@ func BenchmarkEnforcedRun(b *testing.B) {
 	}
 }
 
-// BenchmarkRaceExtraction measures test-set construction from a failing
-// run.
+// BenchmarkRaceExtraction measures test-set construction as the
+// pipeline makes it: sched.Races over the failing run of every corpus
+// scenario, with the search's access knowledge for the phantom races. One
+// iteration is one pass over the corpus; races/op counts the races a
+// pass extracts.
 func BenchmarkRaceExtraction(b *testing.B) {
-	sc, _ := scenarios.ByName("cve-2017-15649")
-	m, err := kvm.New(sc.MustProgram())
-	if err != nil {
-		b.Fatal(err)
+	var reps []*core.Reproduction
+	races := 0
+	for _, sc := range scenarios.All() {
+		m, err := kvm.New(sc.MustProgram())
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := core.Reproduce(m, core.LIFSOptions{WantKind: sc.WantKind, WantInstr: sc.WantInstr(), LeakCheck: sc.NeedsLeakCheck()})
+		if err != nil {
+			b.Fatalf("%s: %v", sc.Name, err)
+		}
+		reps = append(reps, rep)
+		races += len(rep.Races)
 	}
-	rep, err := core.Reproduce(m, core.LIFSOptions{WantKind: sc.WantKind, WantInstr: sc.WantInstr()})
-	if err != nil {
-		b.Fatal(err)
-	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if races := sched.ExtractRaces(rep.Run); len(races) == 0 {
-			b.Fatal("no races")
+		for _, rep := range reps {
+			sched.Races(rep.Run, rep.Accesses)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reps))/1e3, "us/run")
+	b.ReportMetric(float64(races), "races/op")
 }
 
 // BenchmarkAnalyze measures one cold Causality Analysis: every flip test
@@ -611,7 +622,8 @@ func BenchmarkParseHash(b *testing.B) {
 // copy no step record.
 func BenchmarkPlanFlipCut(b *testing.B) {
 	type flip struct {
-		seq      []sched.Exec
+		prog     *kir.Program
+		seq      *sched.Trace
 		race     sched.Race
 		fallback []string
 	}
@@ -631,14 +643,14 @@ func BenchmarkPlanFlipCut(b *testing.B) {
 			fallback = append(fallback, td.Name)
 		}
 		for _, r := range rep.Races {
-			flips = append(flips, flip{seq: rep.Run.Seq, race: r, fallback: fallback})
+			flips = append(flips, flip{prog: prog, seq: &rep.Run.Seq, race: r, fallback: fallback})
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, f := range flips {
-			sched.PlanFlipCut(f.seq, f.race, f.fallback, sched.FlipOptions{})
+			sched.PlanFlipCut(f.prog, f.seq, f.race, f.fallback, sched.FlipOptions{})
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(flips)), "ns/plan")

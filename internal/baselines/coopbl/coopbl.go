@@ -149,9 +149,9 @@ func extract(res *sched.RunResult) map[Pattern]bool {
 		write bool
 	}
 	byAddr := make(map[uint64][]acc)
-	for _, e := range res.Seq {
-		for _, a := range e.Accesses {
-			byAddr[a.Addr] = append(byAddr[a.Addr], acc{site: e.Site(), write: a.Write})
+	for k := range res.Seq.Steps {
+		for _, a := range res.Seq.Accesses(k) {
+			byAddr[a.Addr] = append(byAddr[a.Addr], acc{site: res.Seq.Site(k), write: a.Write})
 		}
 	}
 	out := make(map[Pattern]bool)

@@ -25,8 +25,6 @@ type Result struct {
 	// Site is the inflection point: the first deviating instruction of
 	// the failed run.
 	Site sched.Site
-	// Instr is the instruction at the inflection point.
-	Instr kir.Instr
 	// PrefixLen is the length of the longest common prefix between the
 	// failed run and its most similar passing run.
 	PrefixLen int
@@ -37,7 +35,7 @@ type Result struct {
 // Format renders the diagnosis.
 func (r *Result) Format(prog *kir.Program) string {
 	return fmt.Sprintf("inflection point: %s (%s) after a common prefix of %d instructions",
-		sched.SiteName(prog, r.Site), r.Instr.String(), r.PrefixLen)
+		sched.SiteName(prog, r.Site), prog.InstrAt(r.Site.Instr).String(), r.PrefixLen)
 }
 
 // Analyze locates the inflection point of a failed run against a corpus
@@ -77,16 +75,10 @@ func Analyze(failRun *sched.RunResult, passRuns []*sched.RunResult) (*Result, er
 		return nil, fmt.Errorf("kairux: failed run is a prefix of a passing run; no inflection point")
 	}
 	return &Result{
-		Site:        fseq[best].site,
-		Instr:       fseq[best].instr,
+		Site:        fseq[best],
 		PrefixLen:   best,
 		ClosestPass: bestIdx,
 	}, nil
-}
-
-type siteStep struct {
-	site  sched.Site
-	instr kir.Instr
 }
 
 // sharedAddrs collects the addresses accessed by more than one thread
@@ -95,12 +87,13 @@ func sharedAddrs(failRun *sched.RunResult, passRuns []*sched.RunResult) map[uint
 	owner := make(map[uint64]string)
 	shared := make(map[uint64]bool)
 	note := func(res *sched.RunResult) {
-		for _, e := range res.Seq {
-			for _, a := range e.Accesses {
-				if prev, ok := owner[a.Addr]; ok && prev != e.Name {
+		for k := range res.Seq.Steps {
+			name := res.Seq.Name(k)
+			for _, a := range res.Seq.Accesses(k) {
+				if prev, ok := owner[a.Addr]; ok && prev != name {
 					shared[a.Addr] = true
 				} else {
-					owner[a.Addr] = e.Name
+					owner[a.Addr] = name
 				}
 			}
 		}
@@ -113,24 +106,24 @@ func sharedAddrs(failRun *sched.RunResult, passRuns []*sched.RunResult) map[uint
 }
 
 // siteSeq projects a run onto its shared-memory-accessing instructions.
-func siteSeq(res *sched.RunResult, shared map[uint64]bool) []siteStep {
-	var out []siteStep
-	for _, e := range res.Seq {
+func siteSeq(res *sched.RunResult, shared map[uint64]bool) []sched.Site {
+	var out []sched.Site
+	for k := range res.Seq.Steps {
 		touches := false
-		for _, a := range e.Accesses {
+		for _, a := range res.Seq.Accesses(k) {
 			if shared[a.Addr] {
 				touches = true
 				break
 			}
 		}
 		if touches {
-			out = append(out, siteStep{site: e.Site(), instr: *e.Instr})
+			out = append(out, res.Seq.Site(k))
 		}
 	}
 	return out
 }
 
-func lcp(a, b []siteStep) int {
+func lcp(a, b []sched.Site) int {
 	n := 0
 	for n < len(a) && n < len(b) && a[n] == b[n] {
 		n++

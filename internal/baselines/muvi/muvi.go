@@ -79,12 +79,13 @@ func Mine(runs []*sched.RunResult, opts Options) []Correlation {
 	var units []map[uint64]bool
 	for _, r := range runs {
 		byThread := make(map[string]map[uint64]bool)
-		for _, e := range r.Seq {
-			for _, a := range e.Accesses {
-				set := byThread[e.Name]
+		for k := range r.Seq.Steps {
+			name := r.Seq.Name(k)
+			for _, a := range r.Seq.Accesses(k) {
+				set := byThread[name]
 				if set == nil {
 					set = make(map[uint64]bool)
-					byThread[e.Name] = set
+					byThread[name] = set
 				}
 				set[canonical(a.Addr)] = true
 			}

@@ -262,7 +262,8 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 		fallback = append(fallback, td.Name)
 	}
 
-	failSeq := rep.Run.Seq
+	prog := m.Prog()
+	failSeq := &rep.Run.Seq
 	original := rep.Run.Failure
 	start := time.Now()
 
@@ -273,7 +274,7 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 	var fcMain *flipCache
 	if opts.Prefix.enabled() {
 		if cuts == nil {
-			cuts = sched.CutPoints(failSeq, rep.Accesses)
+			cuts = sched.CutPoints(prog, failSeq, rep.Accesses)
 		}
 		fcMain = newFlipCache(m, init, failSeq, cuts, opts.Prefix, opts.Fault, &ps)
 		fcMain.pins = warmPins
@@ -310,8 +311,8 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 		}
 		az.End()
 	}()
-	for _, e := range failSeq {
-		if len(e.Accesses) > 0 {
+	for k := range failSeq.Steps {
+		if len(failSeq.Accesses(k)) > 0 {
 			d.Stats.MemAccesses++
 		}
 	}
@@ -370,12 +371,12 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 		// The flip schedule replays failSeq verbatim up to its cut; with
 		// the cache on, Seek brings the machine there (from the deepest
 		// pinned ancestor) and only the suffix plan is enforced. The run
-		// shares failSeq[:cut] as its Base and records only its own
-		// steps, so Base followed by Seq is exactly a full enforcement's
-		// sequence.
-		cut, plan := sched.PlanFlipCut(failSeq, r, fallback, fo)
+		// shares failSeq's first cut steps as its Base and records only
+		// its own steps, so Base followed by Seq is exactly a full
+		// enforcement's sequence.
+		cut, plan := sched.PlanFlipCut(prog, failSeq, r, fallback, fo)
 		if fc == nil {
-			plan = sched.PlanFlipOpt(failSeq, r, fallback, fo)
+			plan = sched.PlanFlipOpt(prog, failSeq, r, fallback, fo)
 		}
 		var tr TestedRace
 		err := faultinject.Do(ctx, opts.Fault, opts.Retry, func(ctx context.Context, attempt int) error {
@@ -389,23 +390,24 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 				if err := fc.Seek(cut, "ca.flip", uint64(idx), attempt); err != nil {
 					return err
 				}
-				ro.Prefix = failSeq[:cut:cut]
+				ro.Prefix = failSeq.Prefix(cut)
 			} else if err := enf.Machine().TryRestore(init, "ca.flip", uint64(idx), attempt); err != nil {
 				return err
 			}
 			// Size the run's own records and their arrays for the rest
 			// of the failing run, so they rarely regrow. Locksets are
 			// sized exactly: few runs hold locks.
-			tail := failSeq[len(ro.Prefix):]
 			accs, locks := 0, 0
-			for k := range tail {
-				accs += len(tail[k].Accesses)
-				locks += len(tail[k].Lockset)
+			for k := ro.Prefix.Len(); k < failSeq.Len(); k++ {
+				accs += len(failSeq.Accesses(k))
+				locks += len(failSeq.Lockset(k))
 			}
-			ro.Log = make([]sched.Exec, 0, flipRoom(len(tail)))
-			ro.Accs = make([]sched.AccessRec, 0, flipRoom(accs))
+			ro.Log = sched.Trace{
+				Steps: make([]sched.Exec, 0, flipRoom(failSeq.Len()-ro.Prefix.Len())),
+				Accs:  make([]sched.AccessRec, 0, flipRoom(accs)),
+			}
 			if locks > 0 {
-				ro.Locks = make([]uint64, 0, locks)
+				ro.Log.Locks = make([]uint64, 0, locks)
 			}
 			res, err := enf.Run(plan, ro)
 			if err != nil {
@@ -436,7 +438,7 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 			if faultinject.Is(err) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return TestedRace{}, err
 			}
-			return TestedRace{}, fmt.Errorf("core: flip run for %s: %w", r.FormatLong(m.Prog()), err)
+			return TestedRace{}, fmt.Errorf("core: flip run for %s: %w", r.FormatLong(prog), err)
 		}
 		return tr, nil
 	}
@@ -486,9 +488,9 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 		ckSnaps     []flipSnap
 	)
 	if checkpointing {
-		ckFP = caFingerprint(m.Prog().Hash(), rep, order, opts, skip, priors)
-		ckKey = caCheckpointKey(m.Prog().Hash(), ckFP)
-		if ck := loadCACheckpoint(opts.Checkpoint, ckKey, ckFP, len(order)); ck != nil {
+		ckFP = caFingerprint(prog.Hash(), rep, order, opts, skip, priors)
+		ckKey = caCheckpointKey(prog.Hash(), ckFP)
+		if ck := loadCACheckpoint(opts.Checkpoint, ckKey, ckFP, len(order), prog.NumInstrs()); ck != nil {
 			for _, fs := range ck.Flips {
 				if done[fs.Idx] {
 					continue

@@ -31,12 +31,8 @@ func synthetic(t *testing.T, n int, kills [][]bool, ambiguous map[int]bool) (*Di
 			if i == j || kills[i][j] {
 				continue // the flipped race's victim does not occur
 			}
-			res.Seq = append(res.Seq,
-				sched.Exec{Step: len(res.Seq), Name: "A", Instr: &kir.Instr{ID: races[j].First.Instr},
-					Accesses: []sched.AccessRec{{Addr: races[j].Addr, Write: true}}},
-				sched.Exec{Step: len(res.Seq) + 1, Name: "B", Instr: &kir.Instr{ID: races[j].Second.Instr},
-					Accesses: []sched.AccessRec{{Addr: races[j].Addr}}},
-			)
+			res.Seq.AddStep("A", races[j].First.Instr, []sched.AccessRec{{Addr: races[j].Addr, Write: true}})
+			res.Seq.AddStep("B", races[j].Second.Instr, []sched.AccessRec{{Addr: races[j].Addr}})
 		}
 		return res
 	}

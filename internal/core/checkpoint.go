@@ -209,14 +209,13 @@ func snapFlip(idx int, tr TestedRace) flipSnap {
 	}
 	if tr.FlipRun != nil {
 		fs.Failed = tr.FlipRun.Failed()
-		fs.Seq = make([]flipExec, 0, len(tr.FlipRun.Base)+len(tr.FlipRun.Seq))
+		fs.Seq = make([]flipExec, 0, tr.FlipRun.Base.Len()+tr.FlipRun.Seq.Len())
 		for _, part := range tr.FlipRun.Parts() {
-			for i := range part {
-				e := &part[i]
+			for k, e := range part.Steps {
 				fs.Seq = append(fs.Seq, flipExec{
-					Thread:   e.Name,
-					Instr:    e.Instr.ID,
-					Accesses: e.Accesses,
+					Thread:   part.Name(k),
+					Instr:    e.Instr,
+					Accesses: part.Accesses(k),
 				})
 			}
 		}
@@ -224,11 +223,11 @@ func snapFlip(idx int, tr TestedRace) flipSnap {
 	return fs
 }
 
-// restoreFlip rebuilds a TestedRace from its snapshot. The synthetic
-// run result carries exactly the fields chain construction reads: the
-// ordered executed sites and their accesses. (Enforcement metadata and
-// full instruction bodies are not reconstructed; reports rendered from
-// a resumed diagnosis fall back to site identities.)
+// restoreFlip rebuilds a TestedRace from its snapshot. The rebuilt run
+// carries exactly what chain construction reads: the ordered executed
+// sites and their accesses, in the same records every run uses, with
+// threads numbered by first appearance. Enforcement metadata, locksets
+// and spawns are not reconstructed.
 func restoreFlip(r sched.Race, fs flipSnap) TestedRace {
 	tr := TestedRace{
 		Race:         r,
@@ -247,15 +246,8 @@ func restoreFlip(r sched.Race, fs flipSnap) TestedRace {
 		return tr
 	}
 	run := &sched.RunResult{}
-	instrs := make([]kir.Instr, len(fs.Seq))
-	for step, fe := range fs.Seq {
-		instrs[step].ID = fe.Instr
-		run.Seq = append(run.Seq, sched.Exec{
-			Step:     step,
-			Name:     fe.Thread,
-			Instr:    &instrs[step],
-			Accesses: fe.Accesses,
-		})
+	for _, fe := range fs.Seq {
+		run.Seq.AddStep(fe.Thread, fe.Instr, fe.Accesses)
 	}
 	tr.FlipRun = run
 	return tr
@@ -272,7 +264,7 @@ func restoreFlip(r sched.Race, fs flipSnap) TestedRace {
 func caFingerprint(progHash string, rep *Reproduction, order []sched.Race, opts AnalysisOptions, skip []bool, priors []FlipPrior) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|seq=%d|sb=%d|leak=%t|ncs=%t|ranked=%t|races=%d",
-		progHash, len(rep.Run.Seq), opts.StepBudget, opts.LeakCheck, opts.NoCriticalSections, opts.Ranker != nil, len(order))
+		progHash, rep.Run.Seq.Len(), opts.StepBudget, opts.LeakCheck, opts.NoCriticalSections, opts.Ranker != nil, len(order))
 	for i, s := range skip {
 		if !s {
 			continue
@@ -300,8 +292,9 @@ func caCheckpointKey(progHash, fingerprint string) string {
 }
 
 // loadCACheckpoint returns the settled flips for the key, or nil when
-// absent, invalid, or fingerprinted for a different test set.
-func loadCACheckpoint(cfg *CheckpointConfig, key, fingerprint string, testSet int) *caCheckpoint {
+// absent, invalid, or fingerprinted for a different test set. A flip
+// run naming an instruction outside the program's instrs is invalid.
+func loadCACheckpoint(cfg *CheckpointConfig, key, fingerprint string, testSet, instrs int) *caCheckpoint {
 	payload, err := cfg.Store.Load(key, caCheckpointVersion)
 	if err != nil {
 		return nil
@@ -316,6 +309,11 @@ func loadCACheckpoint(cfg *CheckpointConfig, key, fingerprint string, testSet in
 	for _, fs := range ck.Flips {
 		if fs.Idx < 0 || fs.Idx >= testSet {
 			return nil
+		}
+		for _, fe := range fs.Seq {
+			if fe.Instr < 0 || int(fe.Instr) >= instrs {
+				return nil
+			}
 		}
 	}
 	return &ck

@@ -2,22 +2,13 @@ package core
 
 import (
 	"reflect"
-	"slices"
 	"testing"
 
 	"aitia/internal/kir"
+	"aitia/internal/kvm"
 	"aitia/internal/scenarios"
 	"aitia/internal/sched"
 )
-
-// joinedRun returns a copy of res whose Seq is its complete sequence,
-// Base followed by Seq, and whose Base is empty: the shape of the same
-// run enforced from the initial state.
-func joinedRun(res *sched.RunResult) *sched.RunResult {
-	cp := *res
-	cp.Base, cp.Seq = nil, append(slices.Clone(res.Base), res.Seq...)
-	return &cp
-}
 
 // TestPlanFlipCutCorpus: on the failing run of every corpus scenario, for
 // every race of its test set (phantom races included), PlanFlipCut's one
@@ -43,7 +34,7 @@ func TestPlanFlipCutCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		init := m.Snapshot()
-		seq := rep.Run.Seq
+		seq := &rep.Run.Seq
 		var fallback []string
 		for _, td := range prog.Threads {
 			fallback = append(fallback, td.Name)
@@ -55,11 +46,11 @@ func TestPlanFlipCutCorpus(t *testing.T) {
 				phantoms++
 			}
 			for _, fo := range []sched.FlipOptions{{}, {NoCriticalSections: true}} {
-				cut, suffix := sched.PlanFlipCut(seq, r, fallback, fo)
-				if want := sched.FlipCut(seq, r, fo); cut != want {
+				cut, suffix := sched.PlanFlipCut(prog, seq, r, fallback, fo)
+				if want := sched.FlipCut(prog, seq, r, fo); cut != want {
 					t.Fatalf("%s race %d %+v: PlanFlipCut cut %d, FlipCut %d", sc.Name, i, fo, cut, want)
 				}
-				if want := sched.PlanFlipFrom(seq, r, fallback, fo, cut); !reflect.DeepEqual(suffix, want) {
+				if want := sched.PlanFlipFrom(prog, seq, r, fallback, fo, cut); !reflect.DeepEqual(suffix, want) {
 					t.Fatalf("%s race %d %+v: PlanFlipCut suffix differs from PlanFlipFrom", sc.Name, i, fo)
 				}
 				if fo.NoCriticalSections {
@@ -67,26 +58,26 @@ func TestPlanFlipCutCorpus(t *testing.T) {
 				}
 
 				m.Restore(init)
-				full, err := sched.NewEnforcer(m).Run(sched.PlanFlipOpt(seq, r, fallback, fo), ro)
+				full, err := sched.NewEnforcer(m).Run(sched.PlanFlipOpt(prog, seq, r, fallback, fo), ro)
 				if err != nil {
 					t.Fatalf("%s race %d: full plan: %v", sc.Name, i, err)
 				}
 				m.Restore(init)
 				for j := 0; j < cut; j++ {
-					if ev, err := m.Step(seq[j].Thread); err != nil || !ev.Executed {
+					if ev, err := m.Step(kvm.ThreadID(seq.Steps[j].Thread)); err != nil || !ev.Executed {
 						t.Fatalf("%s race %d: prefix step %d: executed=%v err=%v", sc.Name, i, j, ev.Executed, err)
 					}
 				}
 				pro := ro
-				pro.Prefix = seq[:cut:cut]
+				pro.Prefix = seq.Prefix(cut)
 				got, err := sched.NewEnforcer(m).Run(suffix, pro)
 				if err != nil {
 					t.Fatalf("%s race %d: suffix plan: %v", sc.Name, i, err)
 				}
-				if got = joinedRun(got); !reflect.DeepEqual(got, full) {
+				if got = got.Joined(); !reflect.DeepEqual(got, full) {
 					t.Fatalf("%s race %d (cut %d of %d): prefix run differs from the full plan's run\nfull:   switches %d missed %d failure %v, %d steps\nprefix: switches %d missed %d failure %v, %d steps",
-						sc.Name, i, cut, len(seq), full.Switches, full.Missed, full.Failure, len(full.Seq),
-						got.Switches, got.Missed, got.Failure, len(got.Seq))
+						sc.Name, i, cut, seq.Len(), full.Switches, full.Missed, full.Failure, full.Seq.Len(),
+						got.Switches, got.Missed, got.Failure, got.Seq.Len())
 				}
 			}
 		}
@@ -121,13 +112,13 @@ func TestCutPointsCoverFlipCuts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Reproduce: %v", sc.Name, err)
 		}
-		seq := rep.Run.Seq
+		seq := &rep.Run.Seq
 		if rep.seed == nil {
 			t.Fatalf("%s: the reproduction carries no prefix seed", sc.Name)
 		}
 		mark := rep.seed.cuts
-		if len(mark) != len(seq)+1 || mark[len(seq)] {
-			t.Fatalf("%s: CutPoints has %d entries (last %v), want %d with the last unmarked", sc.Name, len(mark), mark[len(mark)-1], len(seq)+1)
+		if len(mark) != seq.Len()+1 || mark[seq.Len()] {
+			t.Fatalf("%s: CutPoints has %d entries (last %v), want %d with the last unmarked", sc.Name, len(mark), mark[len(mark)-1], seq.Len()+1)
 		}
 		var fallback []string
 		for _, td := range prog.Threads {
@@ -135,16 +126,17 @@ func TestCutPointsCoverFlipCuts(t *testing.T) {
 		}
 		for i, r := range rep.Races {
 			for _, fo := range []sched.FlipOptions{{}, {NoCriticalSections: true}} {
-				cut, _ := sched.PlanFlipCut(seq, r, fallback, fo)
+				cut, _ := sched.PlanFlipCut(prog, seq, r, fallback, fo)
 				if cut == 0 {
 					continue
 				}
 				cuts++
+				op := prog.InstrAt(seq.Steps[cut].Instr).Op
 				if !mark[cut] {
 					t.Fatalf("%s race %d %s %+v: cut %d (%s %s) is not a cut point",
-						sc.Name, i, r.FormatLong(prog), fo, cut, seq[cut].Name, seq[cut].Instr.Op)
+						sc.Name, i, r.FormatLong(prog), fo, cut, seq.Name(cut), op)
 				}
-				if seq[cut].Instr.Op == kir.OpLock {
+				if op == kir.OpLock {
 					lockCuts++
 				}
 			}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -398,9 +397,9 @@ rounds:
 	if terminal != nil {
 		schedule = *terminal.Schedule
 	} else {
-		schedule = sched.FromSeq(s.foundTrace, s.fallback)
+		schedule = sched.FromSeq(&s.foundTrace, s.fallback)
 		if testHookWinner != nil {
-			testHookWinner(s.foundTrace)
+			testHookWinner(&s.foundTrace)
 		}
 	}
 	m.SetFaultPlan(opts.Fault)
@@ -413,7 +412,7 @@ rounds:
 	// machine seeks its flip cuts without re-executing the prefix.
 	var seedFC *flipCache
 	if opts.Prefix.enabled() && terminal == nil {
-		seedFC = newFlipCache(m, init, nil, sched.CutPoints(s.foundTrace, s.am), opts.Prefix, opts.Fault, &s.prefix)
+		seedFC = newFlipCache(m, init, nil, sched.CutPoints(m.Prog(), &s.foundTrace, s.am), opts.Prefix, opts.Fault, &s.prefix)
 	}
 	err := faultinject.Do(ctx, opts.Fault, opts.Retry, func(ctx context.Context, attempt int) error {
 		attempts = attempt + 1
@@ -429,10 +428,10 @@ rounds:
 		ro.FaultAttempt = attempt
 		ro.Ctx = ctx
 		// The replay re-executes the found trace and records into the
-		// winner's own records and their access array: a full run with
-		// no Base, so it rewrites them in place, locksets included, and
-		// its RunResult.Seq is that array.
-		ro.Log, ro.Accs = s.foundTrace, s.foundAccs
+		// winner's own arrays: a full run with no Base, so it rewrites
+		// them in place, locksets included, and its RunResult.Seq shares
+		// them.
+		ro.Log = s.foundTrace
 		if seedFC != nil {
 			ro.OnStep = func(pos int) {
 				if pos < len(seedFC.cuts) && seedFC.cuts[pos] {
@@ -451,7 +450,7 @@ rounds:
 		rp.End()
 		return nil, err
 	}
-	rp.Arg("steps", int64(len(res.Seq)))
+	rp.Arg("steps", int64(res.Seq.Len()))
 	rp.Info("attempts", int64(attempts))
 	rp.End()
 	if !res.Failed() || !s.accept(res.Failure) {
@@ -514,7 +513,7 @@ rounds:
 
 // testHookWinner, when set by a test, sees the winning candidate's
 // records before the final replay records into them.
-var testHookWinner func(trace []sched.Exec)
+var testHookWinner func(trace *sched.Trace)
 
 // searcher carries the state of one LIFS search.
 type searcher struct {
@@ -542,8 +541,7 @@ type searcher struct {
 	spare   []*workerVM // worker machines reused across phases
 
 	found      bool
-	foundTrace []sched.Exec
-	foundAccs  []sched.AccessRec // the array foundTrace's accesses share, when known
+	foundTrace sched.Trace
 	leaves     []LeafTrace
 
 	// Checkpointing state. resume is consumed by the first phase call;
@@ -573,16 +571,18 @@ type workerVM struct {
 	pinGroup int
 }
 
-// newWorkerVM makes m, in its initial state, a workerVM. Its trace
-// arenas are sized once, at the program's instruction count: over the
-// corpus a search's longest run holds 1.10 steps (at most 2.0) and 0.73
-// accesses (at most 1.5) per instruction, so most searches never regrow
-// them, and the rest regrow once.
+// newWorkerVM makes m, in its initial state, a workerVM. Its arenas are
+// sized once, from the program's instruction count: over the corpus a
+// search's longest run holds 1.10 steps (at most 2.0) and 0.73 accesses
+// (at most 1.5) per instruction, and a phase's units log up to 1.9
+// accesses per instruction on the larger scenarios (at most 2.9), so
+// the path arrays get one slot per instruction and the access log two.
+// Most searches never regrow them, and the rest regrow once.
 func newWorkerVM(m *kvm.Machine) *workerVM {
 	vm := &workerVM{m: m, init: m.Snapshot()}
 	n := m.Prog().NumInstrs()
-	vm.buf.path = path{steps: make([]pathStep, 0, n), accs: make([]sched.AccessRec, 0, n)}
-	vm.buf.accs = make(sched.AccessLog, 0, n)
+	vm.buf.path = path{steps: make([]pathStep, 0, n), accs: make([]kvm.Access, 0, n)}
+	vm.buf.accs = make(sched.AccessLog, 0, 2*n)
 	return vm
 }
 
@@ -619,6 +619,18 @@ func (s *searcher) releaseVMs(vms []*workerVM) {
 	s.spareMu.Lock()
 	s.spare = append(s.spare, vms...)
 	s.spareMu.Unlock()
+}
+
+// emptyLogs empties the access log of every machine, once the phase
+// merge has folded the ranges its units recorded there. Pool workers
+// sit in the spare pool between phases.
+func (s *searcher) emptyLogs() {
+	s.main.buf.accs = s.main.buf.accs[:0]
+	s.spareMu.Lock()
+	defer s.spareMu.Unlock()
+	for _, vm := range s.spare {
+		vm.buf.accs = vm.buf.accs[:0]
+	}
 }
 
 // workerBytes sums the copy-on-write cost over the worker machines.
@@ -733,8 +745,7 @@ type branchInfo struct {
 // path turned into records once (path.records); the winner's trace
 // becomes the canonical run: the final replay records into it.
 type candidate struct {
-	trace      []sched.Exec
-	accs       []sched.AccessRec // the array trace's accesses share; nil for a remote candidate
+	trace      sched.Trace
 	budgetLeft int
 }
 
@@ -752,7 +763,11 @@ type unit struct {
 	choice  int // task: index into the branch event's canonical choices
 	initial kvm.ThreadID
 
-	log    sched.AccessLog // accesses this unit recorded that its phase's base lacks
+	// log holds the accesses this unit recorded that its phase's base
+	// lacks: a range of its machine's log (traceBuf.accs), valid until
+	// the phase merge empties that log, or an array of its own for a
+	// unit restored from a checkpoint or run by the fleet.
+	log    sched.AccessLog
 	leaves []LeafTrace
 	// err rejects a task whose initial thread or branch choice does not
 	// exist (ErrBranchTask); only a fleet batch can carry one.
@@ -925,6 +940,7 @@ func (s *searcher) phase(k int) error {
 		s.stats.GuidePruned += u.guidePruned
 		s.emitUnit(p, u)
 	}
+	s.emptyLogs()
 	if s.stats.Schedules >= s.opts.MaxSchedules {
 		// Fleet-run units count only here.
 		s.exhausted.Store(true)
@@ -932,7 +948,7 @@ func (s *searcher) phase(k int) error {
 	if winner >= 0 {
 		w := p.units[winner]
 		s.found = true
-		s.foundTrace, s.foundAccs = w.cand.trace, w.cand.accs
+		s.foundTrace = w.cand.trace
 		s.stats.Interleavings = k - w.cand.budgetLeft
 	}
 	s.stats.Phases = append(s.stats.Phases, PhaseStat{
@@ -1180,11 +1196,11 @@ func newExplorer(p *phaseRun, u *unit, vm *workerVM, probe bool) *explorer {
 }
 
 // run explores the unit — from the machine's initial state, or with a
-// script from its group's restored branch state — and leaves a copy of
-// the unit's access log on the unit.
+// script from its group's restored branch state — and leaves the range
+// of the machine's access log it recorded on the unit.
 func (e *explorer) run(sc *branchScript) {
-	e.buf.path.rewind(0)
-	e.buf.reset()
+	lo := e.buf.startUnit()
+	defer func() { e.u.log = e.buf.accs[lo:len(e.buf.accs):len(e.buf.accs)] }()
 	if sc == nil {
 		if e.m.Thread(e.u.initial) == nil {
 			e.u.err = fmt.Errorf("%w: initial thread %d of %d", ErrBranchTask, e.u.initial, e.m.NumThreads())
@@ -1194,7 +1210,6 @@ func (e *explorer) run(sc *branchScript) {
 	} else {
 		e.resumeFromPin(sc, e.p.k)
 	}
-	e.u.log = slices.Clone(e.buf.accs)
 }
 
 // resumeFromPin continues a task from its group's restored branch state,
@@ -1516,10 +1531,8 @@ func (e *explorer) leaf(budgetLeft int) bool {
 		// actually consumed on this path — exactly the paper's notion
 		// (natural switches at thread completion and involuntary lock
 		// diversions are free).
-		trace, accs := e.buf.path.records(e.m)
 		e.u.cand = &candidate{
-			trace:      trace,
-			accs:       accs,
+			trace:      e.buf.path.records(e.m),
 			budgetLeft: budgetLeft,
 		}
 		// CAS-min so lower ordinals always win; units above the best

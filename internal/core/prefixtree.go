@@ -92,32 +92,33 @@ type branchScript struct {
 
 // traceBuf is one machine's reusable LIFS exploration scratch: the path
 // the explorer's trace lives in (rewound at every backtrack) and the
-// access log its unit records into. Units on one machine run one at a
+// access log its units record into. Units on one machine run one at a
 // time, so one buffer per machine — the searcher's main machine, each
-// workerVM — serves them all. Nothing in the buffer outlives a unit: a
-// branch script copies the path (pointer-free, so the copy is one move
-// of two flat arrays), an accepted leaf builds its sched.Exec records
-// from it once (path.records), and the unit keeps a copy of its access
-// log.
+// workerVM — serves them all. The path does not outlive a unit: a
+// branch script copies it (pointer-free, so the copy is one move of two
+// flat arrays), and an accepted leaf builds its run records from it
+// once (path.records). The access log does, until the phase merge: each
+// unit appends its accesses to it and keeps their range (unit.log), and
+// the merge, having folded every unit's range, empties it.
 type traceBuf struct {
 	path path
 	accs sched.AccessLog
-	// recent is a direct-mapped cache of accesses already in accs, so a
-	// unit re-executing the same suffix in schedule after schedule logs
-	// each access about once. A miss only costs a duplicate record,
-	// which Fold dedupes; the zero entry matches no access, as every
-	// thread has a name.
-	recent [1 << 6]sched.LoggedAccess // indexed by a 6-bit hash
+	// recent is a direct-mapped cache of accesses the current unit has
+	// already logged, so a unit re-executing the same suffix in schedule
+	// after schedule logs each access about once. A slot holds 1 + the
+	// index in accs of the access last logged there, 0 when empty. A
+	// miss only costs a duplicate record, which Fold dedupes.
+	recent [1 << 6]int32 // indexed by a 6-bit hash
 }
 
 // path is the explorer's current path: the order of (thread,
 // instruction) decisions LIFS needs, and each step's accesses. It holds
 // no pointer, so the garbage collector never scans it and copying it
-// copies two flat arrays. An accepted leaf turns it into sched.Exec
+// copies two flat arrays. An accepted leaf turns it into a run's
 // records once (records).
 type path struct {
 	steps []pathStep
-	accs  []sched.AccessRec // all steps' accesses, in step order
+	accs  []kvm.Access // all steps' accesses, in step order
 }
 
 // pathStep is one executed step of a path: 16 bytes, no pointers.
@@ -130,9 +131,7 @@ type pathStep struct {
 
 // append records one executed step of thread t (ev as returned by Step).
 func (p *path) append(t kvm.ThreadID, ev kvm.StepEvent) {
-	for _, a := range ev.Accesses {
-		p.accs = append(p.accs, sched.AccessRec{Addr: a.Addr, Write: a.Write})
-	}
+	p.accs = append(p.accs, ev.Accesses...)
 	p.steps = append(p.steps, pathStep{
 		thread:  int32(t),
 		instr:   ev.Instr.ID,
@@ -162,40 +161,36 @@ func (p *path) clone() path {
 	return path{steps: slices.Clone(p.steps), accs: slices.Clone(p.accs)}
 }
 
-// records builds the path's sched.Exec records, each stamped with its
-// position, from m, the machine that executed the path and still holds
-// its threads: thread names come from m, and each Instr points into m's
-// finalized program. The records share one fresh array of accesses,
-// also returned, and carry no locksets: the final replay, which records
-// into these same records and accesses (sched.Options.Log and Accs),
-// fills them in.
-func (p *path) records(m *kvm.Machine) ([]sched.Exec, []sched.AccessRec) {
-	prog := m.Prog()
-	accs := slices.Clone(p.accs)
-	out := make([]sched.Exec, len(p.steps))
+// records builds the path's run records, each stamped with its
+// position, in arrays of their own. m is the machine that executed the
+// path and still holds its threads, whose names the trace takes. The
+// records carry no locksets: the final replay, which records into this
+// same trace (sched.Options.Log), fills them in.
+func (p *path) records(m *kvm.Machine) sched.Trace {
+	tr := sched.Trace{
+		Steps: make([]sched.Exec, 0, len(p.steps)),
+		Accs:  make([]sched.AccessRec, 0, len(p.accs)),
+		Names: sched.ThreadNames(m),
+	}
 	start := 0
 	for k, st := range p.steps {
-		t := m.Thread(kvm.ThreadID(st.thread))
-		e := &out[k]
-		*e = sched.Exec{Step: k, Thread: t.ID, Name: t.Name, Instr: prog.InstrAt(st.instr)}
-		if end := int(st.accEnd); end > start {
-			e.Accesses = accs[start:end:end]
-			start = end
-		}
-		if st.spawned != int32(kvm.NoThread) {
-			e.Spawned = m.Thread(kvm.ThreadID(st.spawned)).Name
-		}
+		end := int(st.accEnd)
+		tr.Append(k, kvm.ThreadID(st.thread), st.instr, kvm.ThreadID(st.spawned), p.accs[start:end], nil)
+		start = end
 	}
-	return out, accs
+	return tr
 }
 
-// reset empties the access log and its cache for a new unit.
-func (b *traceBuf) reset() {
-	b.accs = b.accs[:0]
+// startUnit readies the buffer for a new unit: it empties the path and
+// the cache of logged accesses, and returns where the unit's accesses
+// start in the log.
+func (b *traceBuf) startUnit() int {
+	b.path.rewind(0)
 	clear(b.recent[:])
+	return len(b.accs)
 }
 
-// log appends an access unless the cache has seen it since reset.
+// log appends an access unless the cache has seen it in this unit.
 func (b *traceBuf) log(s sched.Site, addr uint64, write bool) {
 	a := sched.LoggedAccess{Site: s, Addr: addr, Write: write}
 	h := uint64(s.Instr)<<32 ^ addr
@@ -206,11 +201,11 @@ func (b *traceBuf) log(s sched.Site, addr uint64, write bool) {
 	}
 	// Fibonacci hashing: the top bits of the product pick the slot.
 	slot := &b.recent[(h*0x9e3779b97f4a7c15)>>58]
-	if *slot == a {
+	if *slot != 0 && b.accs[*slot-1] == a {
 		return
 	}
-	*slot = a
 	b.accs = append(b.accs, a)
+	*slot = int32(len(b.accs))
 }
 
 // flipCache incrementally replays prefixes of the canonical failing
@@ -224,7 +219,7 @@ func (b *traceBuf) log(s sched.Site, addr uint64, write bool) {
 type flipCache struct {
 	m      *kvm.Machine
 	init   *kvm.Snapshot
-	seq    []sched.Exec // canonical failing sequence (position-stamped)
+	seq    *sched.Trace // canonical failing sequence (position-stamped)
 	cuts   []bool       // sched.CutPoints(seq): the positions to pin
 	budget uint64
 	fault  *faultinject.Plan
@@ -237,7 +232,7 @@ type flipPin struct {
 	snap *kvm.Snapshot
 }
 
-func newFlipCache(m *kvm.Machine, init *kvm.Snapshot, seq []sched.Exec, cuts []bool, cfg PrefixConfig, fault *faultinject.Plan, stats *prefixStats) *flipCache {
+func newFlipCache(m *kvm.Machine, init *kvm.Snapshot, seq *sched.Trace, cuts []bool, cfg PrefixConfig, fault *faultinject.Plan, stats *prefixStats) *flipCache {
 	return &flipCache{
 		m: m, init: init, seq: seq, cuts: cuts,
 		budget: cfg.budget(), fault: fault, stats: stats,
@@ -246,7 +241,7 @@ func newFlipCache(m *kvm.Machine, init *kvm.Snapshot, seq []sched.Exec, cuts []b
 
 // Seek brings the machine to schedule position n of the failing
 // sequence, after which the caller enforces the flip suffix with
-// sched.Options.Prefix = seq[:n]. It preserves the cache-off fault
+// sched.Options.Prefix = seq.Prefix(n). It preserves the cache-off fault
 // identity: the legacy snapshot-restore check is drawn first with the
 // same (op, key, attempt), so chaos fates match a cache-off run. A
 // fired prefix-restore fault (a corrupt pin) degrades to a from-scratch
@@ -287,7 +282,7 @@ func (c *flipCache) Seek(n int, op string, key uint64, attempt int) error {
 // and fails loudly.
 func (c *flipCache) replay(from, n int, retried bool) error {
 	for j := from; j < n; j++ {
-		ev, err := c.m.Step(c.seq[j].Thread)
+		ev, err := c.m.Step(kvm.ThreadID(c.seq.Steps[j].Thread))
 		if err != nil || !ev.Executed {
 			if retried {
 				return fmt.Errorf("core: prefix replay diverged from the recorded sequence at step %d of %d", j, n)

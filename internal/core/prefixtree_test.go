@@ -68,7 +68,7 @@ func comparePipelines(t *testing.T, sc *scenarios.Scenario, repA, repB *Reproduc
 		ra, rb := dA.Tested[i].FlipRun, dB.Tested[i].FlipRun
 		if (ra == nil) != (rb == nil) {
 			t.Errorf("flip run %d present in one pipeline only", i)
-		} else if ra != nil && !reflect.DeepEqual(joinedRun(ra).Seq, joinedRun(rb).Seq) {
+		} else if ra != nil && !reflect.DeepEqual(ra.Joined().Seq, rb.Joined().Seq) {
 			t.Errorf("flip run %d differs step for step", i)
 		}
 	}
@@ -122,22 +122,22 @@ func TestFlipRunSharesFailingPrefix(t *testing.T) {
 		}
 		rep, dOn := prefixPipeline(t, sc, PrefixConfig{}, nil)
 		_, dOff := prefixPipeline(t, sc, PrefixConfig{Disable: true}, nil)
-		failSeq := rep.Run.Seq
+		failSeq := &rep.Run.Seq
 		for i, tr := range dOn.Tested {
 			if tr.FlipRun == nil {
 				continue
 			}
 			flips++
-			cut, _ := sched.PlanFlipCut(failSeq, tr.Race, fallback, sched.FlipOptions{})
-			base := tr.FlipRun.Base
-			if len(base) != cut || (cut > 0 && &base[0] != &failSeq[0]) {
-				t.Errorf("%s flip %d: Base has %d records, want failing run's first %d shared", sc.Name, i, len(base), cut)
+			cut, _ := sched.PlanFlipCut(prog, failSeq, tr.Race, fallback, sched.FlipOptions{})
+			base := &tr.FlipRun.Base
+			if base.Len() != cut || (cut > 0 && (&base.Steps[0] != &failSeq.Steps[0] || &base.Accs[0] != &failSeq.Accs[0])) {
+				t.Errorf("%s flip %d: Base has %d records, want failing run's first %d shared", sc.Name, i, base.Len(), cut)
 			}
 			off := dOff.Tested[i].FlipRun
-			if len(off.Base) != 0 {
-				t.Errorf("%s flip %d: cache-off run has a Base of %d records", sc.Name, i, len(off.Base))
+			if off.Base.Len() != 0 {
+				t.Errorf("%s flip %d: cache-off run has a Base of %d records", sc.Name, i, off.Base.Len())
 			}
-			if !reflect.DeepEqual(joinedRun(tr.FlipRun), off) {
+			if !reflect.DeepEqual(tr.FlipRun.Joined(), off) {
 				t.Errorf("%s flip %d (cut %d): Base followed by Seq differs from the cache-off flip run", sc.Name, i, cut)
 			}
 		}
@@ -247,21 +247,21 @@ func TestAnalyzeWarmHandoff(t *testing.T) {
 	}
 	// The whole point: with the failing sequence pre-cached, analysis-side
 	// replay is far below even one pass over the sequence.
-	if seq := uint64(len(rep.Run.Seq)); warm.Stats.ReplayedInstrs >= seq {
+	if seq := uint64(rep.Run.Seq.Len()); warm.Stats.ReplayedInstrs >= seq {
 		t.Errorf("warm replay %d >= failing-sequence length %d", warm.Stats.ReplayedInstrs, seq)
 	}
 }
 
 // TestTraceBufLogDedupes: a trace buffer's access log, cache and all,
 // folds to the same map as every access it was handed, logs a repeated
-// stream far fewer times than it was handed, and forgets nothing across
-// a reset.
+// stream far fewer times than it was handed, and a new unit logs again
+// what an earlier unit on the buffer logged.
 func TestTraceBufLogDedupes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	threads := []string{"a", "ab", "abc", "b"}
 	for _, distinct := range []int{8, 300} {
 		var buf traceBuf
-		buf.reset()
+		buf.startUnit()
 		var raw sched.AccessLog
 		for n := 0; n < 5000; n++ {
 			k := rng.Intn(distinct)
@@ -276,10 +276,10 @@ func TestTraceBufLogDedupes(t *testing.T) {
 		if distinct == 8 && len(buf.accs) > 2*distinct {
 			t.Errorf("%d distinct accesses logged %d times", distinct, len(buf.accs))
 		}
-		buf.reset()
+		lo := buf.startUnit()
 		buf.log(raw[0].Site, raw[0].Addr, raw[0].Write)
-		if len(buf.accs) != 1 {
-			t.Errorf("after reset, logging a seen access left %d records, want 1", len(buf.accs))
+		if n := len(buf.accs) - lo; n != 1 {
+			t.Errorf("in a new unit, logging a seen access left %d records, want 1", n)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"aitia/internal/faultinject"
 	"aitia/internal/kir"
@@ -73,11 +74,25 @@ type BranchResult struct {
 	Accesses    []sched.AccessExport `json:"accesses,omitempty"`
 	Leaves      []LeafTrace          `json:"leaves,omitempty"`
 	Accepted    bool                 `json:"accepted,omitempty"`
-	Trace       []sched.Exec         `json:"trace,omitempty"`
+	Trace       []BranchStep         `json:"trace,omitempty"`
 	BudgetLeft  int                  `json:"budget_left,omitempty"`
 	Schedules   int                  `json:"schedules,omitempty"`
 	Pruned      int                  `json:"pruned,omitempty"`
 	GuidePruned int                  `json:"guide_pruned,omitempty"`
+}
+
+// BranchStep is one step of an accepted branch's trace on the wire. It
+// keeps the JSON form branch results have always had, the whole
+// instruction included; the importing side checks every step against
+// its program and keeps only IDs (importTrace).
+type BranchStep struct {
+	Step     int
+	Thread   kvm.ThreadID
+	Name     string
+	Instr    *kir.Instr
+	Accesses []sched.AccessRec
+	Lockset  []uint64
+	Spawned  string
 }
 
 // BranchDispatcher executes a phase's branch batch somewhere else — the
@@ -166,10 +181,68 @@ func ExecuteBranch(ctx context.Context, prog *kir.Program, batch *BranchBatch, i
 	}
 	if u.cand != nil {
 		res.Accepted = true
-		res.Trace = u.cand.trace
+		res.Trace = exportTrace(prog, &u.cand.trace)
 		res.BudgetLeft = u.cand.budgetLeft
 	}
 	return res, nil
+}
+
+// exportTrace converts a candidate's trace to its wire form.
+func exportTrace(prog *kir.Program, tr *sched.Trace) []BranchStep {
+	out := make([]BranchStep, tr.Len())
+	for k, e := range tr.Steps {
+		out[k] = BranchStep{
+			Step:    int(e.Step),
+			Thread:  kvm.ThreadID(e.Thread),
+			Name:    tr.Name(k),
+			Instr:   prog.InstrAt(e.Instr),
+			Spawned: tr.Spawned(k),
+		}
+		if accs := tr.Accesses(k); len(accs) > 0 {
+			out[k].Accesses = accs
+		}
+		if locks := tr.Lockset(k); len(locks) > 0 {
+			out[k].Lockset = locks
+		}
+	}
+	return out
+}
+
+// importTrace checks a wire trace against prog and converts it to a
+// candidate's trace. Every step must sit at its own position and name an
+// instruction of prog, and its thread must be one the machine would
+// number that way: a declared thread by its declaration index, or a
+// thread an earlier step spawned, numbered in spawn order. The trace
+// keeps those IDs.
+func importTrace(prog *kir.Program, steps []BranchStep) (sched.Trace, error) {
+	names := make([]string, len(prog.Threads))
+	for i, td := range prog.Threads {
+		names[i] = td.Name
+	}
+	for k, st := range steps {
+		switch {
+		case st.Step != k:
+			return sched.Trace{}, fmt.Errorf("%w: trace step %d stamped %d", ErrBranchTask, k, st.Step)
+		case st.Instr == nil || st.Instr.ID < 0 || int(st.Instr.ID) >= prog.NumInstrs():
+			return sched.Trace{}, fmt.Errorf("%w: trace step %d names no instruction of the program", ErrBranchTask, k)
+		case st.Thread < 0 || int(st.Thread) >= len(names) || names[st.Thread] != st.Name:
+			return sched.Trace{}, fmt.Errorf("%w: trace step %d runs thread %d %q, not a thread of the run", ErrBranchTask, k, st.Thread, st.Name)
+		case st.Spawned != "" && slices.Contains(names, st.Spawned):
+			return sched.Trace{}, fmt.Errorf("%w: trace step %d spawns %q twice", ErrBranchTask, k, st.Spawned)
+		}
+		if st.Spawned != "" {
+			names = append(names, st.Spawned)
+		}
+	}
+	// Interning against the checked table keeps the machine's IDs.
+	tr := sched.Trace{Names: names}
+	for k, st := range steps {
+		tr.AddStep(st.Name, st.Instr.ID, st.Accesses)
+		if st.Spawned != "" {
+			tr.Steps[k].Spawned = tr.Intern(st.Spawned)
+		}
+	}
+	return tr, nil
 }
 
 // exportBatch builds the phase's dispatchable batch from the live
@@ -214,26 +287,42 @@ func (s *searcher) dispatchTasks(p *phaseRun, tasks []*unit, d BranchDispatcher)
 	}
 	prog := s.main.m.Prog()
 	for _, res := range results {
-		if res == nil || res.Ordinal < 0 || res.Ordinal >= len(p.units) || checkAccesses(prog, res.Accesses) != nil {
+		if res == nil || res.Ordinal < 0 || res.Ordinal >= len(p.units) {
 			continue
 		}
 		if u := p.units[res.Ordinal]; !u.probe && !u.ran {
-			importBranchResult(u, res)
+			// A result that fails its checks is dropped: the sweep runs
+			// the unit locally.
+			_ = importBranchResult(prog, u, res)
 		}
 	}
 }
 
-// importBranchResult installs a remotely executed unit's outcome on the
-// unit, as a local run would have left it.
-func importBranchResult(u *unit, res *BranchResult) {
+// importBranchResult checks a remotely executed unit's outcome against
+// prog and installs it on the unit, as a local run would have left it.
+// A result that fails the checks leaves the unit untouched.
+func importBranchResult(prog *kir.Program, u *unit, res *BranchResult) error {
+	if err := checkAccesses(prog, res.Accesses); err != nil {
+		return err
+	}
+	var cand *candidate
+	if res.Accepted {
+		if len(res.Trace) == 0 {
+			return fmt.Errorf("%w: accepted branch with an empty trace", ErrBranchTask)
+		}
+		trace, err := importTrace(prog, res.Trace)
+		if err != nil {
+			return err
+		}
+		cand = &candidate{trace: trace, budgetLeft: res.BudgetLeft}
+	}
 	u.ran = true
 	u.tWorker = -2 // remote execution marker (obs Info arg only)
 	u.log = sched.ImportAccessLog(res.Accesses)
 	u.leaves = res.Leaves
 	u.schedules, u.pruned, u.guidePruned = res.Schedules, res.Pruned, res.GuidePruned
-	if res.Accepted {
-		u.cand = &candidate{trace: res.Trace, budgetLeft: res.BudgetLeft}
-	}
+	u.cand = cand
+	return nil
 }
 
 // checkAccesses rejects access records that name no instruction of prog.

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
 	"reflect"
 	"slices"
 	"sync/atomic"
@@ -223,4 +225,126 @@ func (d *captureDispatcher) RunBranches(ctx context.Context, prog *kir.Program, 
 		d.batch = batch
 	}
 	return d.inner.RunBranches(ctx, prog, batch)
+}
+
+// corruptingDispatcher executes every branch like loopbackDispatcher,
+// then corrupts each accepted result with mutate, as a faulty or hostile
+// peer could.
+type corruptingDispatcher struct {
+	loopbackDispatcher
+	mutate    func(prog *kir.Program, res *BranchResult)
+	corrupted atomic.Int64
+}
+
+func (d *corruptingDispatcher) RunBranches(ctx context.Context, prog *kir.Program, batch *BranchBatch) ([]*BranchResult, error) {
+	results, err := d.loopbackDispatcher.RunBranches(ctx, prog, batch)
+	for _, res := range results {
+		if res != nil && res.Accepted && len(res.Trace) > 0 {
+			d.mutate(prog, res)
+			d.corrupted.Add(1)
+		}
+	}
+	return results, err
+}
+
+// TestCorruptBranchTraceIsDropped: an accepted branch result whose trace
+// does not fit the program — a step without an instruction or past the
+// program's instructions, on a thread the run cannot have, misnumbered,
+// or no trace at all — is dropped on import and its branch swept up
+// locally, so the search reproduces exactly what the in-process parallel
+// search finds, never panicking on the peer's data.
+func TestCorruptBranchTraceIsDropped(t *testing.T) {
+	last := func(res *BranchResult) int { return len(res.Trace) - 1 }
+	mutations := []struct {
+		name   string
+		mutate func(prog *kir.Program, res *BranchResult)
+	}{
+		{"instr nil", func(_ *kir.Program, res *BranchResult) { res.Trace[last(res)].Instr = nil }},
+		{"instr past the program", func(prog *kir.Program, res *BranchResult) {
+			res.Trace[last(res)].Instr = &kir.Instr{ID: kir.InstrID(prog.NumInstrs())}
+		}},
+		{"thread 99", func(_ *kir.Program, res *BranchResult) { res.Trace[last(res)].Thread = 99 }},
+		{"thread renamed", func(_ *kir.Program, res *BranchResult) { res.Trace[last(res)].Name = "ghost" }},
+		{"step misnumbered", func(_ *kir.Program, res *BranchResult) { res.Trace[last(res)].Step = -1 }},
+		{"trace dropped", func(_ *kir.Program, res *BranchResult) { res.Trace = nil }},
+	}
+	for _, mu := range mutations {
+		t.Run(mu.name, func(t *testing.T) {
+			corrupted := int64(0)
+			for _, name := range []string{"fig1", "fig4a", "fig5", "cve-2017-2671"} {
+				sc, _ := scenarios.ByName(name)
+				prog := sc.MustProgram()
+				opts := LIFSOptions{WantKind: sc.WantKind, WantInstr: sc.WantInstr(), LeakCheck: sc.NeedsLeakCheck(), Workers: 4}
+				want, err := Reproduce(mustMachine(t, prog), opts)
+				if err != nil {
+					t.Fatalf("%s: parallel Reproduce: %v", name, err)
+				}
+				d := &corruptingDispatcher{mutate: mu.mutate}
+				opts.Dispatch = d
+				got, err := Reproduce(mustMachine(t, prog), opts)
+				if err != nil {
+					t.Fatalf("%s: Reproduce with corrupt results: %v", name, err)
+				}
+				if !reflect.DeepEqual(got.Schedule, want.Schedule) || !reflect.DeepEqual(got.Races, want.Races) ||
+					got.Stats.Schedules != want.Stats.Schedules {
+					t.Errorf("%s: reproduction with corrupt results differs: schedule %v, want %v", name, got.Schedule, want.Schedule)
+				}
+				corrupted += d.corrupted.Load()
+			}
+			if corrupted == 0 {
+				t.Fatal("no dispatched branch was accepted, so none was corrupted")
+			}
+		})
+	}
+}
+
+// FuzzBranchResult mutates the JSON of a branch result a fleet peer
+// returned for fig1 (testdata/branch-result-fig1.json, captured from a
+// loopback dispatch). Importing it must drop the result, leaving the
+// unit untouched, or install it; an installed result's access log and
+// trace must then read as the pipeline reads them — folded into an
+// access map, planned as a schedule, marked for cut points — without a
+// panic.
+func FuzzBranchResult(f *testing.F) {
+	seed, err := os.ReadFile("testdata/branch-result-fig1.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	sc, _ := scenarios.ByName("fig1")
+	prog := sc.MustProgram()
+	var fallback []string
+	for _, td := range prog.Threads {
+		fallback = append(fallback, td.Name)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var res BranchResult
+		if json.Unmarshal(data, &res) != nil {
+			return
+		}
+		u := &unit{}
+		if err := importBranchResult(prog, u, &res); err != nil {
+			if !errors.Is(err, ErrBranchTask) || u.ran || u.cand != nil || u.log != nil {
+				t.Fatalf("dropped result: error %v, unit ran=%v cand=%v log=%d", err, u.ran, u.cand != nil, len(u.log))
+			}
+			return
+		}
+		if !u.ran || (u.cand == nil && res.Accepted) {
+			t.Fatalf("installed result: unit ran=%v, candidate %v for accepted=%v", u.ran, u.cand != nil, res.Accepted)
+		}
+		am := sched.NewAccessMap()
+		am.Reserve(prog.NumInstrs())
+		am.Fold(u.log)
+		if u.cand != nil {
+			tr := &u.cand.trace
+			sched.FromSeq(tr, fallback)
+			sched.CutPoints(prog, tr, am)
+			for k := range tr.Steps {
+				_ = tr.Site(k)
+				_ = tr.Accesses(k)
+				_ = tr.Lockset(k)
+				_ = tr.Spawned(k)
+			}
+		}
+	})
 }

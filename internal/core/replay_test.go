@@ -32,8 +32,8 @@ func replayRetryPlan(t *testing.T) *faultinject.Plan {
 // names, accesses, locksets and spawns), and shares its backing array
 // with the winner's records.
 func TestReplayReusesWinnerTrace(t *testing.T) {
-	var winner []sched.Exec
-	testHookWinner = func(trace []sched.Exec) { winner = trace }
+	var winner sched.Trace
+	testHookWinner = func(trace *sched.Trace) { winner = *trace }
 	defer func() { testHookWinner = nil }()
 	modes := []struct {
 		name string
@@ -52,7 +52,7 @@ func TestReplayReusesWinnerTrace(t *testing.T) {
 				if faulted {
 					opts.Fault = replayRetryPlan(t)
 				}
-				winner = nil
+				winner = sched.Trace{}
 				rep, err := Reproduce(mustMachine(t, prog), opts)
 				if err != nil {
 					t.Fatalf("%s %s faulted=%v: %v", sc.Name, mode.name, faulted, err)
@@ -66,11 +66,11 @@ func TestReplayReusesWinnerTrace(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(rep.Run.Seq, fresh.Seq) || len(rep.Run.Base) != 0 {
+				if !reflect.DeepEqual(rep.Run.Seq, fresh.Seq) || rep.Run.Base.Len() != 0 {
 					t.Fatalf("%s %s faulted=%v: the canonical run differs from a fresh enforcement of its schedule\n got %+v\nwant %+v",
 						sc.Name, mode.name, faulted, rep.Run.Seq, fresh.Seq)
 				}
-				if len(winner) == 0 || &rep.Run.Seq[0] != &winner[0] {
+				if winner.Len() == 0 || &rep.Run.Seq.Steps[0] != &winner.Steps[0] || &rep.Run.Seq.Accs[0] != &winner.Accs[0] {
 					t.Fatalf("%s %s faulted=%v: the canonical run does not share the winner's records", sc.Name, mode.name, faulted)
 				}
 			}
@@ -100,14 +100,17 @@ func hasPointers(t reflect.Type) bool {
 	}
 }
 
-// TestPathIsPointerFree guards the explorer's path: its step record and
-// the element type of its access arena hold no pointers, so the arrays
-// the explorer writes on every step are never scanned by the garbage
-// collector, and a step record stays 16 bytes.
+// TestPathIsPointerFree guards the explorer's path and the run records
+// it becomes: the path's step record, the element type of its access
+// arena and a run's step record (sched.Exec) hold no pointers, so the
+// arrays the explorer writes on every step and every run's records are
+// never scanned by the garbage collector. A path step stays 16 bytes
+// and a run record at most 32.
 func TestPathIsPointerFree(t *testing.T) {
 	step := reflect.TypeOf(pathStep{})
 	acc := reflect.TypeOf(path{}.accs).Elem()
-	for _, typ := range []reflect.Type{step, acc} {
+	exec := reflect.TypeOf(sched.Exec{})
+	for _, typ := range []reflect.Type{step, acc, exec} {
 		if hasPointers(typ) {
 			t.Errorf("%v holds pointers", typ)
 		}
@@ -115,8 +118,11 @@ func TestPathIsPointerFree(t *testing.T) {
 	if step.Size() != 16 {
 		t.Errorf("sizeof(pathStep) = %d, want 16", step.Size())
 	}
-	if !hasPointers(reflect.TypeOf(sched.Exec{})) {
-		t.Error("hasPointers misses the pointers of sched.Exec")
+	if exec.Size() > 32 {
+		t.Errorf("sizeof(sched.Exec) = %d, want at most 32", exec.Size())
+	}
+	if !hasPointers(reflect.TypeOf(sched.LoggedAccess{})) {
+		t.Error("hasPointers misses the pointer of sched.LoggedAccess's thread name")
 	}
 }
 
@@ -137,11 +143,12 @@ func TestFailingRunAccessesAlreadyKnown(t *testing.T) {
 	}
 	check := func(name, mode string, rep *Reproduction) {
 		t.Helper()
-		for _, e := range rep.Run.Seq {
-			for _, a := range e.Accesses {
-				if !rep.Accesses.Has(e.Site(), a.Addr, a.Write) {
-					t.Fatalf("%s %s: step %d (%s/%s) access %#x write=%v is missing from the access map",
-						name, mode, e.Step, e.Name, e.Instr.Name(), a.Addr, a.Write)
+		seq := &rep.Run.Seq
+		for k, e := range seq.Steps {
+			for _, a := range seq.Accesses(k) {
+				if !rep.Accesses.Has(seq.Site(k), a.Addr, a.Write) {
+					t.Fatalf("%s %s: step %d (%s/instr %d) access %#x write=%v is missing from the access map",
+						name, mode, e.Step, seq.Name(k), e.Instr, a.Addr, a.Write)
 				}
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"aitia/internal/durable"
@@ -347,6 +348,74 @@ func TestResumeIgnoresForeignCheckpoints(t *testing.T) {
 				t.Errorf("schedules = %d, want the cold run's %d", rep.Stats.Schedules, golden.Stats.Schedules)
 			}
 		})
+	}
+}
+
+// TestAnalysisIgnoresCorruptFlipCheckpoint: an analysis checkpoint whose
+// flip run names an instruction outside the program is corrupt. It
+// loads as absent, and the analysis runs every flip fresh to the same
+// chain, where the intact checkpoint resumes.
+func TestAnalysisIgnoresCorruptFlipCheckpoint(t *testing.T) {
+	sc, _ := scenarios.ByName("fig1")
+	prog := sc.MustProgram()
+	store := testCheckpointStore(t)
+	var caKey string
+	cfg := &CheckpointConfig{Store: store, OnSave: func(key string) {
+		if strings.Contains(key, ".ca.") {
+			caKey = key
+		}
+	}}
+	diagnose := func() *Diagnosis {
+		t.Helper()
+		m := mustMachine(t, prog)
+		rep, err := Reproduce(m, LIFSOptions{WantKind: sc.WantKind, WantInstr: sc.WantInstr(), Checkpoint: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := Analyze(m, rep, AnalysisOptions{Checkpoint: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	cold := diagnose()
+	if caKey == "" || cold.Stats.Schedules == 0 {
+		t.Fatalf("the analysis saved no checkpoint (key %q) or ran no flip", caKey)
+	}
+	if warm := diagnose(); !warm.Stats.Resumed || warm.Stats.Schedules != 0 {
+		t.Fatalf("intact checkpoint: resumed=%v schedules=%d, want a resume that runs nothing", warm.Stats.Resumed, warm.Stats.Schedules)
+	}
+	payload, err := store.Load(caKey, caCheckpointVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ck caCheckpoint
+	if err := json.Unmarshal(payload, &ck); err != nil {
+		t.Fatal(err)
+	}
+	corrupted := false
+	for i := range ck.Flips {
+		if len(ck.Flips[i].Seq) > 0 {
+			ck.Flips[i].Seq[0].Instr = kir.InstrID(prog.NumInstrs())
+			corrupted = true
+			break
+		}
+	}
+	if !corrupted {
+		t.Fatal("no checkpointed flip carries a run")
+	}
+	if payload, err = json.Marshal(&ck); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(caKey, caCheckpointVersion, payload); err != nil {
+		t.Fatal(err)
+	}
+	got := diagnose()
+	if got.Stats.Resumed || got.Stats.Schedules != cold.Stats.Schedules {
+		t.Errorf("corrupt checkpoint: resumed=%v schedules=%d, want a fresh analysis of %d", got.Stats.Resumed, got.Stats.Schedules, cold.Stats.Schedules)
+	}
+	if g, w := got.Chain.Format(prog), cold.Chain.Format(prog); g != w {
+		t.Errorf("chain %q, want %q", g, w)
 	}
 }
 

@@ -81,7 +81,7 @@ func Minimize(prog *kir.Program, run *sched.RunResult, opts MinimizeOptions) (*M
 		opts.MaxSchedules = defaultMinimizeSchedules
 	}
 	mz := &minimizer{opts: opts}
-	if run == nil || len(run.Seq) == 0 {
+	if run == nil || run.Seq.Len() == 0 {
 		return nil, fmt.Errorf("factory: finding has no executed sequence")
 	}
 
@@ -158,29 +158,30 @@ type minimizer struct {
 // fallback listing threads in first-appearance order (then any declared
 // threads that never ran).
 func DeriveSchedule(run *sched.RunResult, prog *kir.Program) sched.Schedule {
-	sch := sched.Schedule{Initial: run.Seq[0].Name}
+	seq := run.Seq.Steps
+	sch := sched.Schedule{Initial: run.Seq.Name(0)}
 	lastFire := -1
-	for i := 0; i+1 < len(run.Seq); i++ {
-		if run.Seq[i].Name == run.Seq[i+1].Name {
+	for i := 0; i+1 < len(seq); i++ {
+		if seq[i].Thread == seq[i+1].Thread {
 			continue
 		}
 		skip := 0
 		for j := lastFire + 1; j < i; j++ {
-			if run.Seq[j].Name == run.Seq[i].Name && run.Seq[j].Instr.ID == run.Seq[i].Instr.ID {
+			if seq[j].Thread == seq[i].Thread && seq[j].Instr == seq[i].Instr {
 				skip++
 			}
 		}
 		sch.Points = append(sch.Points, sched.Point{
-			Run: run.Seq[i].Name, At: run.Seq[i].Instr.ID, After: true,
-			To: run.Seq[i+1].Name, Skip: skip,
+			Run: run.Seq.Name(i), At: seq[i].Instr, After: true,
+			To: run.Seq.Name(i + 1), Skip: skip,
 		})
 		lastFire = i
 	}
 	seen := make(map[string]bool)
-	for _, e := range run.Seq {
-		if !seen[e.Name] {
-			seen[e.Name] = true
-			sch.Fallback = append(sch.Fallback, e.Name)
+	for k := range seq {
+		if name := run.Seq.Name(k); !seen[name] {
+			seen[name] = true
+			sch.Fallback = append(sch.Fallback, name)
 		}
 	}
 	for _, td := range prog.Threads {

@@ -205,7 +205,6 @@ func (f *Fuzzer) accepts(fail *sanitizer.Failure) bool {
 // moves to a uniformly random runnable thread).
 func (f *Fuzzer) randomRun(m *kvm.Machine) (*sched.RunResult, error) {
 	res := &sched.RunResult{Threads: make(map[string]kvm.ThreadState)}
-	var log sched.StepLog
 	cur := kvm.NoThread
 	// Per-run thread priorities for the priority strategies, assigned
 	// lazily in deterministic (runnable-slice) order.
@@ -279,9 +278,9 @@ func (f *Fuzzer) randomRun(m *kvm.Machine) (*sched.RunResult, error) {
 			cur = kvm.NoThread
 			continue
 		}
-		log.Append(m, m.Thread(cur), ev)
+		res.Seq.Append(res.Seq.Len(), cur, ev.Instr.ID, ev.Spawned, ev.Accesses, m.Thread(cur).Locks)
 	}
-	res.Seq = log.Seq
+	res.Seq.Names = sched.ThreadNames(m)
 	res.Failure = m.Failure()
 	for i := 0; i < m.NumThreads(); i++ {
 		t := m.Thread(kvm.ThreadID(i))

@@ -69,7 +69,7 @@ func TestCollectRunsLabelsBoth(t *testing.T) {
 		} else {
 			pass++
 		}
-		if len(r.Seq) == 0 {
+		if r.Seq.Len() == 0 {
 			t.Fatal("empty run")
 		}
 	}

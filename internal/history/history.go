@@ -93,34 +93,37 @@ func (t *Trace) Format() string {
 // res must be a full run (empty Base).
 func FromRun(res *sched.RunResult, fds map[string]int) *Trace {
 	tr := &Trace{Crash: res.Failure, FDs: fds}
+	seq := &res.Seq
 	first := make(map[string]int)
 	last := make(map[string]int)
-	for _, e := range res.Seq {
-		if _, ok := first[e.Name]; !ok {
-			first[e.Name] = e.Step
+	for k, e := range seq.Steps {
+		name := seq.Name(k)
+		if _, ok := first[name]; !ok {
+			first[name] = int(e.Step)
 		}
-		last[e.Name] = e.Step
+		last[name] = int(e.Step)
 	}
-	for _, e := range res.Seq {
-		if first[e.Name] == e.Step {
+	for k, e := range seq.Steps {
+		name, step := seq.Name(k), int(e.Step)
+		if first[name] == step {
 			tr.Events = append(tr.Events, Event{
-				TS: uint64(e.Step), Kind: SyscallEnter, Thread: e.Name, FD: fdOf(fds, e.Name),
+				TS: uint64(step), Kind: SyscallEnter, Thread: name, FD: fdOf(fds, name),
 			})
 		}
-		if e.Spawned != "" {
+		if spawned := seq.Spawned(k); spawned != "" {
 			tr.Events = append(tr.Events, Event{
-				TS: uint64(e.Step), Kind: ThreadInvoke, Thread: e.Spawned, Source: e.Name,
+				TS: uint64(step), Kind: ThreadInvoke, Thread: spawned, Source: name,
 			})
 		}
-		if last[e.Name] == e.Step {
+		if last[name] == step {
 			tr.Events = append(tr.Events, Event{
-				TS: uint64(e.Step), Kind: SyscallExit, Thread: e.Name, FD: fdOf(fds, e.Name),
+				TS: uint64(step), Kind: SyscallExit, Thread: name, FD: fdOf(fds, name),
 			})
 		}
 	}
 	if res.Failure != nil {
 		tr.Events = append(tr.Events, Event{
-			TS: uint64(len(res.Seq)), Kind: CrashEvent, Thread: res.Failure.Thread,
+			TS: uint64(seq.Len()), Kind: CrashEvent, Thread: res.Failure.Thread,
 		})
 	}
 	return tr

@@ -103,7 +103,10 @@ func TestFromRun(t *testing.T) {
 		Failure: &sanitizer.Failure{Kind: sanitizer.KindBugOn, Thread: "B"},
 	}
 	add := func(name string, spawned string) {
-		res.Seq = append(res.Seq, sched.Exec{Step: len(res.Seq), Name: name, Spawned: spawned})
+		res.Seq.AddStep(name, 0, nil)
+		if spawned != "" {
+			res.Seq.Steps[res.Seq.Len()-1].Spawned = res.Seq.Intern(spawned)
+		}
 	}
 	add("A", "")
 	add("A", "kworker:S")

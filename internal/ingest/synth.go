@@ -39,9 +39,9 @@ func Synthesize(prog *kir.Program, run *sched.RunResult, races []sched.Race) (st
 		}
 	}
 	if race != nil {
-		first, second := run.Seq[race.FirstStep], run.Seq[race.SecondStep]
+		first, second := race.FirstStep, race.SecondStep
 		fmt.Fprintf(&b, "BUG: KCSAN: data-race in %s / %s\n\n",
-			first.Instr.Fn, second.Instr.Fn)
+			prog.InstrAt(run.Seq.Steps[first].Instr).Fn, prog.InstrAt(run.Seq.Steps[second].Instr).Fn)
 		writeAccess(&b, prog, run, first, race.Addr)
 		b.WriteString("\n")
 		writeAccess(&b, prog, run, second, race.Addr)
@@ -65,12 +65,14 @@ func title(prog *kir.Program, f *sanitizer.Failure) string {
 	return fmt.Sprintf("BUG: %s in %s", f.Kind, loc)
 }
 
-// writeAccess renders one access block: the header line with access
-// type, address, size and task, then the static call path from the
-// thread's entry function to the access, innermost first.
-func writeAccess(b *strings.Builder, prog *kir.Program, run *sched.RunResult, ex sched.Exec, addr uint64) {
-	write := ex.Instr.Op.WritesMemory()
-	for _, a := range ex.Accesses {
+// writeAccess renders the access block of step k of the run: the
+// header line with access type, address, size and task, then the static
+// call path from the thread's entry function to the access, innermost
+// first.
+func writeAccess(b *strings.Builder, prog *kir.Program, run *sched.RunResult, k int, addr uint64) {
+	in := prog.InstrAt(run.Seq.Steps[k].Instr)
+	write := in.Op.WritesMemory()
+	for _, a := range run.Seq.Accesses(k) {
 		if a.Addr == addr {
 			write = a.Write
 			break
@@ -80,29 +82,31 @@ func writeAccess(b *strings.Builder, prog *kir.Program, run *sched.RunResult, ex
 	if write {
 		mode = "write"
 	}
-	size := int(ex.Instr.Size)
+	size := int(in.Size)
 	if size <= 0 {
 		size = 8
 	}
 	fmt.Fprintf(b, "%s to 0x%x of %d bytes by task %s on cpu %d:\n",
-		mode, addr, size, ex.Name, int(ex.Thread))
-	for _, f := range stackFor(prog, run, ex) {
+		mode, addr, size, run.Seq.Name(k), int(run.Seq.Steps[k].Thread))
+	for _, f := range stackFor(prog, run, k) {
 		fn := prog.Funcs[f.Fn]
 		fmt.Fprintf(b, " %s+0x%x/0x%x\n", f.Fn, f.Off, len(fn.Instrs))
 	}
 }
 
-// stackFor reconstructs a plausible call stack for the executed
-// instruction: the shortest static call path from the thread's entry
-// function to the access function. Inner frame first (the access itself);
-// outer frames carry their call-site offsets, like a real unwinder.
-func stackFor(prog *kir.Program, run *sched.RunResult, ex sched.Exec) []Frame {
-	frames := []Frame{{Fn: ex.Instr.Fn, Off: int64(ex.Instr.Idx)}}
-	entry := entryFn(prog, run, ex.Name)
-	if entry == "" || entry == ex.Instr.Fn {
+// stackFor reconstructs a plausible call stack for the instruction step
+// k of the run executed: the shortest static call path from the thread's
+// entry function to the access function. Inner frame first (the access
+// itself); outer frames carry their call-site offsets, like a real
+// unwinder.
+func stackFor(prog *kir.Program, run *sched.RunResult, k int) []Frame {
+	in := prog.InstrAt(run.Seq.Steps[k].Instr)
+	frames := []Frame{{Fn: in.Fn, Off: int64(in.Idx)}}
+	entry := entryFn(prog, run, run.Seq.Name(k))
+	if entry == "" || entry == in.Fn {
 		return frames
 	}
-	path := callPath(prog, entry, ex.Instr.Fn)
+	path := callPath(prog, entry, in.Fn)
 	// path[i] calls path[i+1] at call-site callSites[i]; render outermost
 	// last, each with its call-site offset.
 	for i := len(path) - 2; i >= 0; i-- {
@@ -120,9 +124,9 @@ func entryFn(prog *kir.Program, run *sched.RunResult, name string) string {
 			return td.Entry
 		}
 	}
-	for _, ex := range run.Seq {
-		if ex.Spawned == name {
-			return ex.Instr.Target
+	for k, e := range run.Seq.Steps {
+		if run.Seq.Spawned(k) == name {
+			return prog.InstrAt(e.Instr).Target
 		}
 	}
 	return ""

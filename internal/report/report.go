@@ -23,7 +23,7 @@ func WriteDiagnosis(w io.Writer, prog *kir.Program, rep *core.Reproduction, d *c
 
 	fmt.Fprintf(w, "=== Failure-causing instruction sequence (LIFS) ===\n")
 	fmt.Fprintf(w, "%s\n\n", rep.Run.FormatSeq(prog, false))
-	WriteSwimlanes(w, prog, rep.Run.Seq)
+	WriteSwimlanes(w, prog, &rep.Run.Seq)
 	fmt.Fprintf(w, "schedules: %d   interleavings: %d   pruned: %d   elapsed: %v\n\n",
 		rep.Stats.Schedules, rep.Stats.Interleavings, rep.Stats.Pruned, rep.Stats.Elapsed)
 
@@ -39,7 +39,7 @@ func WriteDiagnosis(w io.Writer, prog *kir.Program, rep *core.Reproduction, d *c
 			mark = "?"
 		}
 		fmt.Fprintf(w, "  %s %-40s %s", mark, tr.Race.FormatLong(prog), tr.Verdict)
-		if gone := Disappeared(rep.Run, tr.FlipRun); len(gone) > 0 && tr.Verdict != core.VerdictBenign {
+		if gone := Disappeared(prog, rep.Run, tr.FlipRun); len(gone) > 0 && tr.Verdict != core.VerdictBenign {
 			fmt.Fprintf(w, "   [disappeared: %s]", strings.Join(gone, " "))
 		}
 		fmt.Fprintln(w)
@@ -58,13 +58,13 @@ func WriteDiagnosis(w io.Writer, prog *kir.Program, rep *core.Reproduction, d *c
 // one column per execution context, like the paper's Figure 2: reading
 // top to bottom gives the total order, and the column shows which context
 // executed each (labelled) instruction.
-func WriteSwimlanes(w io.Writer, prog *kir.Program, seq []sched.Exec) {
+func WriteSwimlanes(w io.Writer, prog *kir.Program, seq *sched.Trace) {
 	var threads []string
 	seen := make(map[string]int)
-	for _, e := range seq {
-		if _, ok := seen[e.Name]; !ok {
-			seen[e.Name] = len(threads)
-			threads = append(threads, e.Name)
+	for k := range seq.Steps {
+		if name := seq.Name(k); seen[name] == 0 {
+			threads = append(threads, name)
+			seen[name] = len(threads) // 1 + column
 		}
 	}
 	if len(threads) == 0 {
@@ -76,8 +76,8 @@ func WriteSwimlanes(w io.Writer, prog *kir.Program, seq []sched.Exec) {
 			width = len(th)
 		}
 	}
-	for _, e := range seq {
-		if n := nameLen(e.Instr); n > width {
+	for _, e := range seq.Steps {
+		if n := nameLen(prog.InstrAt(e.Instr)); n > width {
 			width = n
 		}
 	}
@@ -102,11 +102,10 @@ func WriteSwimlanes(w io.Writer, prog *kir.Program, seq []sched.Exec) {
 		header.WriteString(pad(strings.Repeat("-", width-2), width))
 	}
 	fmt.Fprintf(w, "  %s\n", strings.TrimRight(header.String(), " "))
-	for _, e := range seq {
-		if e.Instr.Label == "" {
-			continue
+	for k, e := range seq.Steps {
+		if in := prog.InstrAt(e.Instr); in.Label != "" {
+			fmt.Fprintf(w, "  %s\n", cell(seen[seq.Name(k)]-1, in.Label))
 		}
-		fmt.Fprintf(w, "  %s\n", cell(seen[e.Name], e.Instr.Label))
 	}
 	fmt.Fprintln(w)
 }
@@ -136,27 +135,26 @@ func decimalLen(n int) int {
 // flow. Either run may be a flip run; both its parts are read. A nil
 // perturbed run (a flip settled by the learned prior without executing)
 // has no footprint.
-func Disappeared(original, perturbed *sched.RunResult) []string {
+func Disappeared(prog *kir.Program, original, perturbed *sched.RunResult) []string {
 	if perturbed == nil {
 		return nil
 	}
 	// The original's labelled sites, struck off as the perturbed run
-	// executes them. Sites, not labels, are compared: a run restored
-	// from a checkpoint carries instructions without labels.
+	// executes them.
 	gone := make(map[sched.Site]string)
 	for _, part := range original.Parts() {
-		for i := range part {
-			if in := part[i].Instr; in.Label != "" {
-				gone[part[i].Site()] = in.Label
+		for k, e := range part.Steps {
+			if in := prog.InstrAt(e.Instr); in.Label != "" {
+				gone[part.Site(k)] = in.Label
 			}
 		}
 	}
 	for _, part := range perturbed.Parts() {
-		for i := range part {
+		for k := range part.Steps {
 			if len(gone) == 0 {
 				return nil
 			}
-			delete(gone, part[i].Site())
+			delete(gone, part.Site(k))
 		}
 	}
 	var out []string

@@ -110,16 +110,16 @@ func TestSwimlanesAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := rep.Run.Seq
-	var doubled []sched.Exec
-	for _, e := range seq {
-		doubled = append(doubled, e)
-		if e.Instr.Label == "" {
-			doubled = append(doubled, e)
+	seq := &rep.Run.Seq
+	doubled := &sched.Trace{Accs: seq.Accs, Locks: seq.Locks, Names: seq.Names}
+	for _, e := range seq.Steps {
+		doubled.Steps = append(doubled.Steps, e)
+		if prog.InstrAt(e.Instr).Label == "" {
+			doubled.Steps = append(doubled.Steps, e)
 		}
 	}
-	unlabelled := len(doubled) - len(seq)
-	allocs := func(seq []sched.Exec) float64 {
+	unlabelled := doubled.Len() - seq.Len()
+	allocs := func(seq *sched.Trace) float64 {
 		var b strings.Builder
 		return testing.AllocsPerRun(10, func() {
 			b.Reset()
@@ -127,7 +127,7 @@ func TestSwimlanesAllocs(t *testing.T) {
 		})
 	}
 	if a, d := allocs(seq), allocs(doubled); d > a+float64(unlabelled)/8 {
-		t.Errorf("WriteSwimlanes: %.0f allocations for %d steps, %.0f with the %d unlabelled ones doubled", a, len(seq), d, unlabelled)
+		t.Errorf("WriteSwimlanes: %.0f allocations for %d steps, %.0f with the %d unlabelled ones doubled", a, seq.Len(), d, unlabelled)
 	}
 }
 

@@ -23,32 +23,23 @@ type Options struct {
 	// never copies or writes it: it returns Prefix by reference as
 	// RunResult.Base and records only its own steps into RunResult.Seq,
 	// numbering them, and accounting the watchdog/stall budgets, from
-	// len(Prefix); the prefix's thread boundaries count as switches. A
-	// suffix run thereby returns exactly the full run's sequence, split
+	// Prefix's length; the prefix's thread boundaries count as switches.
+	// A suffix run thereby returns exactly the full run's sequence, split
 	// into Base and Seq.
-	Prefix []Exec
+	Prefix Trace
 
-	// Log, when non-nil, is the array the run records its own steps
-	// into: the run appends them to Log[:0], overwriting whatever Log
-	// held, and RunResult.Seq shares Log's backing array while the run
-	// fits its capacity. A caller that knows the run's length past Prefix
-	// passes a log with that much capacity, so RunResult.Seq does not
-	// grow from empty; the final LIFS replay passes the winning
-	// candidate's own records, which it rewrites in place.
-	Log []Exec
-
-	// Accs and Locks, like Log, are the arrays the run packs its
-	// records' accesses and locksets into: it appends to Accs[:0] and
-	// Locks[:0]. A caller that knows about how many the run records
-	// passes arrays with that much capacity, so they do not grow from
-	// empty; the final LIFS replay passes the access array the winning
-	// candidate's records point into, which it rewrites in place with
-	// the same accesses.
-	Accs  []AccessRec
-	Locks []uint64
+	// Log holds the arrays the run records its own steps into: it
+	// appends records, accesses and locks to Log's arrays from empty,
+	// overwriting whatever they held, and RunResult.Seq shares them
+	// while the run fits their capacity. A caller that knows about how
+	// long the run is past Prefix passes arrays with that much capacity,
+	// so RunResult.Seq does not grow from empty; the final LIFS replay
+	// passes the winning candidate's own trace, which it rewrites in
+	// place. Log's name table is not read.
+	Log Trace
 
 	// OnStep, when non-nil, is called after every executed step with the
-	// cumulative schedule position (len(Prefix) + steps executed so far).
+	// cumulative schedule position (Prefix.Len() + steps executed so far).
 	// The prefix cache uses it to pin snapshots along a replayed run
 	// without re-stepping it.
 	OnStep func(pos int)
@@ -129,14 +120,15 @@ func (e *Enforcer) Run(sch Schedule, opts Options) (*RunResult, error) {
 	stallAt := opts.Fault.StallStep(faultOp, opts.FaultKey, opts.FaultAttempt)
 	var ticks uint
 	res := &RunResult{Threads: make(map[string]kvm.ThreadState)}
-	if len(opts.Prefix) > 0 {
+	prefix := opts.Prefix.Steps
+	if len(prefix) > 0 {
 		res.Base = opts.Prefix
 	}
-	log := StepLog{Seq: opts.Log[:0], accs: opts.Accs[:0], locks: opts.Locks[:0], base: len(opts.Prefix)}
+	log := Trace{Steps: opts.Log.Steps[:0], Accs: opts.Log.Accs[:0], Locks: opts.Log.Locks[:0]}
 	// A full run switches once per thread boundary of the replayed
 	// prefix; so does a suffix run, which counts them up front.
-	for i := 1; i < len(opts.Prefix); i++ {
-		if opts.Prefix[i].Name != opts.Prefix[i-1].Name {
+	for i := 1; i < len(prefix); i++ {
+		if prefix[i].Thread != prefix[i-1].Thread {
 			res.Switches++
 		}
 	}
@@ -152,7 +144,8 @@ func (e *Enforcer) Run(sch Schedule, opts Options) (*RunResult, error) {
 	}
 
 	finish := func() *RunResult {
-		res.Seq = log.Seq
+		log.Names = ThreadNames(e.m)
+		res.Seq = log
 		res.Failure = e.m.Failure()
 		res.Missed += len(pending)
 		for i := 0; i < e.m.NumThreads(); i++ {
@@ -242,13 +235,15 @@ func (e *Enforcer) Run(sch Schedule, opts Options) (*RunResult, error) {
 			continue
 		}
 
-		if n := len(opts.Prefix); n > 0 && len(log.Seq) == 0 && res.Switches == prefixSwitches && opts.Prefix[n-1].Name != curT.Name {
+		if n := len(prefix); n > 0 && len(log.Steps) == 0 && res.Switches == prefixSwitches && prefix[n-1].Thread != int32(cur) {
 			// The seam: the full run switched from the prefix's last
 			// thread to this one, which this run started on directly.
+			// The machine reached the cut by replaying the prefix, so
+			// its thread IDs are the prefix's.
 			res.Switches++
 		}
-		log.Append(e.m, curT, ev)
-		pos := len(opts.Prefix) + len(log.Seq)
+		log.Append(len(prefix)+len(log.Steps), cur, ev.Instr.ID, ev.Spawned, ev.Accesses, curT.Locks)
+		pos := len(prefix) + len(log.Steps)
 		if opts.OnStep != nil {
 			opts.OnStep(pos)
 		}

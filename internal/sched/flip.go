@@ -1,31 +1,36 @@
 package sched
 
 import (
+	"math"
 	"slices"
 
 	"aitia/internal/kir"
 )
 
-// seqOrder is an order of entries of seq named by their positions: the
+// seqOrder is an order of steps of seq named by their positions: the
 // flipped orders flip plans are built from, which never copy a record.
-// A nil pos is the identity order, seq itself.
+// A nil pos is the identity order of the steps [lo, hi).
 type seqOrder struct {
-	seq []Exec
-	pos []int32
+	seq    *Trace
+	pos    []int32
+	lo, hi int
 }
+
+// stretch is the identity order of seq's steps [lo, hi).
+func stretch(seq *Trace, lo, hi int) seqOrder { return seqOrder{seq: seq, lo: lo, hi: hi} }
 
 func (o seqOrder) len() int {
 	if o.pos == nil {
-		return len(o.seq)
+		return o.hi - o.lo
 	}
 	return len(o.pos)
 }
 
 func (o seqOrder) at(k int) *Exec {
 	if o.pos == nil {
-		return &o.seq[k]
+		return &o.seq.Steps[o.lo+k]
 	}
-	return &o.seq[o.pos[k]]
+	return &o.seq.Steps[o.pos[k]]
 }
 
 // FromSeq builds the schedule that deterministically replays the given
@@ -35,8 +40,8 @@ func (o seqOrder) at(k int) *Exec {
 // segment. The fallback order takes over after the last switch point (and
 // whenever control flow diverges from the recorded sequence). It is
 // fromOrder over the identity order.
-func FromSeq(seq []Exec, fallback []string) Schedule {
-	return fromOrder(seqOrder{seq: seq}, fallback)
+func FromSeq(seq *Trace, fallback []string) Schedule {
+	return fromOrder(stretch(seq, 0, seq.Len()), fallback)
 }
 
 // fromOrder builds the schedule that replays the entries of o in o's
@@ -47,10 +52,11 @@ func fromOrder(o seqOrder, fallback []string) Schedule {
 	if n == 0 {
 		return sch
 	}
-	sch.Initial = o.at(0).Name
+	names := o.seq.Names
+	sch.Initial = names[o.at(0).Thread]
 	segStart := 0
 	for i := 1; i <= n; i++ {
-		if i < n && o.at(i).Name == o.at(segStart).Name {
+		if i < n && o.at(i).Thread == o.at(segStart).Thread {
 			continue
 		}
 		// Segment [segStart, i) of one thread ends at i-1.
@@ -58,16 +64,16 @@ func fromOrder(o seqOrder, fallback []string) Schedule {
 			last := o.at(i - 1)
 			skip := 0
 			for j := segStart; j < i-1; j++ {
-				if o.at(j).Instr.ID == last.Instr.ID {
+				if o.at(j).Instr == last.Instr {
 					skip++
 				}
 			}
 			sch.Points = append(sch.Points, Point{
-				Run:   last.Name,
-				At:    last.Instr.ID,
+				Run:   names[last.Thread],
+				At:    last.Instr,
 				After: true,
 				Skip:  skip,
-				To:    o.at(i).Name,
+				To:    names[o.at(i).Thread],
 			})
 		}
 		segStart = i
@@ -91,29 +97,32 @@ type FlipOptions struct {
 // the Second access, preserving per-thread program order and every other
 // cross-thread ordering. When either access runs under locks, the
 // displaced region is widened to whole critical sections, flipping them as
-// units.
+// units. prog is the program seq executed.
 //
 // FlipSeq panics if the race is phantom (its Second access has no position
 // in seq); phantom races are planned by PlanPhantomFlip.
-func FlipSeq(seq []Exec, r Race) []Exec { return FlipSeqOpt(seq, r, FlipOptions{}) }
+func FlipSeq(prog *kir.Program, seq *Trace, r Race) Trace {
+	return FlipSeqOpt(prog, seq, r, FlipOptions{})
+}
 
 // FlipSeqOpt is FlipSeq with ablation switches: seq up to the displaced
 // region, followed by flipTail's tail. It materializes the flipped order
 // as records, which flip plans never need; it is the form the reference
-// implementations are checked against.
-func FlipSeqOpt(seq []Exec, r Race, fo FlipOptions) []Exec {
-	o := flipOrder(seq, r, fo)
-	out := make([]Exec, o.len())
-	for k := range out {
-		out[k] = *o.at(k)
+// implementations are checked against. The result shares seq's arrays
+// and name table.
+func FlipSeqOpt(prog *kir.Program, seq *Trace, r Race, fo FlipOptions) Trace {
+	o := flipOrder(prog, seq, r, fo)
+	out := Trace{Steps: make([]Exec, o.len()), Accs: seq.Accs, Locks: seq.Locks, Names: seq.Names}
+	for k := range out.Steps {
+		out.Steps[k] = *o.at(k)
 	}
 	return out
 }
 
 // flipOrder returns race r's whole flipped order as positions of seq:
 // the identity up to the displaced region, then flipTail's tail.
-func flipOrder(seq []Exec, r Race, fo FlipOptions) seqOrder {
-	i, tail := flipTail(seq, r, fo)
+func flipOrder(prog *kir.Program, seq *Trace, r Race, fo FlipOptions) seqOrder {
+	i, tail := flipTail(prog, seq, r, fo)
 	pos := make([]int32, i, i+len(tail))
 	for k := range pos {
 		pos[k] = int32(k)
@@ -124,45 +133,48 @@ func flipOrder(seq []Exec, r Race, fo FlipOptions) seqOrder {
 // flipTail builds only the part of race r's flipped order that can
 // differ from seq: it returns the displaced region's start i and the
 // flipped order from position i on, as positions of seq, so
-// FlipSeqOpt(seq, r, fo) is seq[:i] followed by the entries the tail
-// names. seq must be an executed order — every entry of a spawned
-// thread follows its spawn — so the spawn repair never moves an entry of
-// seq[:i]; it is told which threads seq[:i] already spawned.
-func flipTail(seq []Exec, r Race, fo FlipOptions) (int, []int32) {
+// FlipSeqOpt(prog, seq, r, fo) is seq's first i steps followed by the
+// entries the tail names. seq must be an executed order — every entry of
+// a spawned thread follows its spawn — so the spawn repair never moves
+// an entry before i; it is told which threads those entries already
+// spawned.
+func flipTail(prog *kir.Program, seq *Trace, r Race, fo FlipOptions) (int, []int32) {
 	if r.Phantom {
 		panic("sched: FlipSeq on a phantom race")
 	}
 	i, j := r.FirstStep, r.SecondStep
 	if !fo.NoCriticalSections {
-		i, j = widenCriticalSections(seq, r)
+		i, j = widenCriticalSections(prog, seq, r)
 	}
-	tX := r.First.Thread
-	tail := make([]int32, 0, len(seq)-i)
+	tX := seq.ID(r.First.Thread)
+	steps := seq.Steps
+	tail := make([]int32, 0, len(steps)-i)
 	for k := i; k <= j; k++ {
-		if seq[k].Name != tX {
+		if steps[k].Thread != tX {
 			tail = append(tail, int32(k))
 		}
 	}
 	for k := i; k <= j; k++ {
-		if seq[k].Name == tX {
+		if steps[k].Thread == tX {
 			tail = append(tail, int32(k))
 		}
 	}
-	for k := j + 1; k < len(seq); k++ {
+	for k := j + 1; k < len(steps); k++ {
 		tail = append(tail, int32(k))
 	}
-	return i, repairSpawnOrder(seq, tail, spawnedIn(seq[:i]))
+	return i, repairSpawnOrder(seq, tail, spawnedIn(seq, i))
 }
 
-// spawnedIn returns the names of the threads spawned in seq, each once.
-func spawnedIn(seq []Exec) []string {
-	var names []string
-	for k := range seq {
-		if name := seq[k].Spawned; name != "" && !slices.Contains(names, name) {
-			names = append(names, name)
+// spawnedIn returns the IDs of the threads spawned in seq's first n
+// steps, each once.
+func spawnedIn(seq *Trace, n int) []int32 {
+	var ids []int32
+	for _, e := range seq.Steps[:n] {
+		if e.Spawned >= 0 && !slices.Contains(ids, e.Spawned) {
+			ids = append(ids, e.Spawned)
 		}
 	}
-	return names
+	return ids
 }
 
 // repairSpawnOrder restores spawn causality in order, a reordering of
@@ -177,44 +189,48 @@ func spawnedIn(seq []Exec) []string {
 // callback). order may continue an executed prefix; spawned names the
 // threads that prefix already spawned, whose entries are never held. An
 // order that already respects spawn order is returned as is.
-func repairSpawnOrder(seq []Exec, order []int32, spawned []string) []int32 {
+func repairSpawnOrder(seq *Trace, order []int32, spawned []int32) []int32 {
+	steps := seq.Steps
 	for pass := 0; pass < 8 && spawnOrderViolated(seq, order, spawned); pass++ {
-		spawnAt := make(map[string]int) // thread name -> spawn step position
-		for _, name := range spawned {
-			spawnAt[name] = -1
+		// spawnAt[t] is the order position of thread t's first spawn:
+		// -1 when the prefix spawned it, notSpawned when nothing does.
+		const notSpawned = math.MaxInt
+		spawnAt := make([]int, len(seq.Names))
+		for t := range spawnAt {
+			spawnAt[t] = notSpawned
+		}
+		for _, t := range spawned {
+			spawnAt[t] = -1
 		}
 		for k, p := range order {
-			if name := seq[p].Spawned; name != "" {
-				if _, dup := spawnAt[name]; !dup {
-					spawnAt[name] = k
-				}
+			if t := steps[p].Spawned; t >= 0 && spawnAt[t] == notSpawned {
+				spawnAt[t] = k
 			}
 		}
 		out := make([]int32, 0, len(order))
 		var held []int32 // entries waiting for their spawner
-		heldOf := func(name string) bool {
+		heldOf := func(t int32) bool {
 			for _, h := range held {
-				if seq[h].Name == name {
+				if steps[h].Thread == t {
 					return true
 				}
 			}
 			return false
 		}
 		for k, p := range order {
-			e := &seq[p]
-			sp, spawned := spawnAt[e.Name]
-			if (spawned && sp > k) || heldOf(e.Name) {
+			e := &steps[p]
+			if sp := spawnAt[e.Thread]; (sp != notSpawned && sp > k) || heldOf(e.Thread) {
 				// Runs before its spawner (or behind an earlier held entry
 				// of the same thread): hold it back.
 				held = append(held, p)
 				continue
 			}
 			out = append(out, p)
-			if e.Spawned != "" {
+			if e.Spawned >= 0 {
 				// Release held entries of the thread just spawned.
 				var rest []int32
 				for _, h := range held {
-					if seq[h].Name == e.Spawned {
+					if steps[h].Thread == e.Spawned {
 						out = append(out, h)
 					} else {
 						rest = append(rest, h)
@@ -232,16 +248,17 @@ func repairSpawnOrder(seq []Exec, order []int32, spawned []string) []int32 {
 // before the first entry that spawns it, where spawned names the threads
 // an executed prefix before order already spawned. It allocates nothing:
 // sequences hold few spawns, so each spawn scans the entries before it.
-func spawnOrderViolated(seq []Exec, order []int32, spawned []string) bool {
+func spawnOrderViolated(seq *Trace, order []int32, spawned []int32) bool {
+	steps := seq.Steps
 	for k, p := range order {
-		name := seq[p].Spawned
-		if name == "" || slices.Contains(spawned, name) {
+		t := steps[p].Spawned
+		if t < 0 || slices.Contains(spawned, t) {
 			continue
 		}
 		first := true
 		for _, q := range order[:k] {
-			if seq[q].Spawned == name {
-				first = false // an earlier spawn of the same name decides
+			if steps[q].Spawned == t {
+				first = false // an earlier spawn of the same thread decides
 				break
 			}
 		}
@@ -249,7 +266,7 @@ func spawnOrderViolated(seq []Exec, order []int32, spawned []string) bool {
 			continue
 		}
 		for _, q := range order[:k] {
-			if seq[q].Name == name {
+			if steps[q].Thread == t {
 				return true
 			}
 		}
@@ -265,29 +282,29 @@ func spawnOrderViolated(seq []Exec, order []int32, spawned []string) bool {
 // while its thread holds locks, the displaced region starts at the
 // acquisition of the outermost held lock; if the Second access happens
 // under locks, the region runs through the release of all of them.
-func widenCriticalSections(seq []Exec, r Race) (int, int) {
+func widenCriticalSections(prog *kir.Program, seq *Trace, r Race) (int, int) {
 	i, j := r.FirstStep, r.SecondStep
-	if len(seq[i].Lockset) > 0 {
-		outer := seq[i].Lockset[0]
+	if held := seq.Lockset(r.FirstStep); len(held) > 0 {
+		outer := held[0]
+		tX := seq.ID(r.First.Thread)
 		for k := r.FirstStep; k >= 0; k-- {
-			e := seq[k]
-			if e.Name != r.First.Thread {
+			if seq.Steps[k].Thread != tX {
 				continue
 			}
 			i = k
-			if e.Instr.Op == kir.OpLock && len(e.Lockset) > 0 && e.Lockset[len(e.Lockset)-1] == outer {
+			if ls := seq.Lockset(k); prog.InstrAt(seq.Steps[k].Instr).Op == kir.OpLock && len(ls) > 0 && ls[len(ls)-1] == outer {
 				break
 			}
 		}
 	}
-	if len(seq[r.SecondStep].Lockset) > 0 {
-		for k := r.SecondStep; k < len(seq); k++ {
-			e := seq[k]
-			if e.Name != r.Second.Thread {
+	if len(seq.Lockset(r.SecondStep)) > 0 {
+		tY := seq.ID(r.Second.Thread)
+		for k := r.SecondStep; k < seq.Len(); k++ {
+			if seq.Steps[k].Thread != tY {
 				continue
 			}
 			j = k
-			if len(e.Lockset) == 0 {
+			if len(seq.Lockset(k)) == 0 {
 				break
 			}
 		}
@@ -297,16 +314,16 @@ func widenCriticalSections(seq []Exec, r Race) (int, int) {
 
 // PlanFlip builds the schedule that re-executes the failing run with race
 // r flipped and everything else preserved.
-func PlanFlip(seq []Exec, r Race, fallback []string) Schedule {
-	return PlanFlipOpt(seq, r, fallback, FlipOptions{})
+func PlanFlip(prog *kir.Program, seq *Trace, r Race, fallback []string) Schedule {
+	return PlanFlipOpt(prog, seq, r, fallback, FlipOptions{})
 }
 
 // PlanFlipOpt is PlanFlip with ablation switches.
-func PlanFlipOpt(seq []Exec, r Race, fallback []string, fo FlipOptions) Schedule {
+func PlanFlipOpt(prog *kir.Program, seq *Trace, r Race, fallback []string, fo FlipOptions) Schedule {
 	if r.Phantom {
 		return PlanPhantomFlip(seq, r, fallback)
 	}
-	return fromOrder(flipOrder(seq, r, fo), fallback)
+	return fromOrder(flipOrder(prog, seq, r, fo), fallback)
 }
 
 // PlanPhantomFlip builds the flip schedule for a race whose Second access
@@ -316,11 +333,11 @@ func PlanFlipOpt(seq []Exec, r Race, fallback []string, fo FlipOptions) Schedule
 // has executed the Second instruction (a post-execution breakpoint — it may
 // never fire if the access is unreachable, in which case the thread simply
 // finishes), and then resumes the original order.
-func PlanPhantomFlip(seq []Exec, r Race, fallback []string) Schedule {
+func PlanPhantomFlip(seq *Trace, r Race, fallback []string) Schedule {
 	i := r.FirstStep
 
-	prefix := FromSeq(seq[:i], fallback)
-	suffix := FromSeq(seq[i:], fallback)
+	prefix := fromOrder(stretch(seq, 0, i), fallback)
+	suffix := fromOrder(stretch(seq, i, seq.Len()), fallback)
 
 	sch := Schedule{Fallback: fallback}
 	if i == 0 {
@@ -337,7 +354,7 @@ func PlanPhantomFlip(seq []Exec, r Race, fallback []string) Schedule {
 		sch.Points = append(sch.Points, Point{
 			Run:  r.First.Thread,
 			At:   r.First.Instr,
-			Skip: skipWithinFinalSegment(seq[:i], r.First.Thread, r.First.Instr),
+			Skip: skipWithinFinalSegment(stretch(seq, 0, i), r.First.Thread, r.First.Instr),
 			To:   r.Second.Thread,
 		})
 	}
@@ -356,12 +373,12 @@ func PlanPhantomFlip(seq []Exec, r Race, fallback []string) Schedule {
 // PlanFlipCut flips race r once and returns both halves a prefix cache
 // needs: the cut — the length of the verbatim prefix the flip plan shares
 // with the recorded failing sequence — and the suffix of the flip plan
-// that starts there. Enforcing the suffix with Options.Prefix = seq[:cut]
-// on a machine brought to the state just before step cut returns exactly
-// the result of enforcing the full PlanFlipOpt plan from the initial
-// state. It equals FlipCut followed by PlanFlipFrom at that cut, but
-// builds only the flipped tail (flipTail), as positions of seq: it copies
-// no record.
+// that starts there. Enforcing the suffix with Options.Prefix =
+// seq.Prefix(cut) on a machine brought to the state just before step cut
+// returns exactly the result of enforcing the full PlanFlipOpt plan from
+// the initial state. It equals FlipCut followed by PlanFlipFrom at that
+// cut, but builds only the flipped tail (flipTail), as positions of seq:
+// it copies no record.
 //
 // For a displacement flip the cut is the first position whose entry moved
 // (the flipped tail names entries by their positions in seq, so the cut
@@ -369,7 +386,7 @@ func PlanPhantomFlip(seq []Exec, r Race, fallback []string) Schedule {
 // plan replays the recorded order verbatim up to the First access, so the
 // cut is FirstStep. A sequence without position stamps shares no provable
 // prefix: its cut is 0.
-func PlanFlipCut(seq []Exec, r Race, fallback []string, fo FlipOptions) (int, Schedule) {
+func PlanFlipCut(prog *kir.Program, seq *Trace, r Race, fallback []string, fo FlipOptions) (int, Schedule) {
 	stamped := positionStamped(seq)
 	if r.Phantom {
 		cut := 0
@@ -379,16 +396,16 @@ func PlanFlipCut(seq []Exec, r Race, fallback []string, fo FlipOptions) (int, Sc
 		return cut, planPhantomFlipFrom(seq, r, fallback, cut)
 	}
 	if !stamped {
-		return 0, fromOrder(flipOrder(seq, r, fo), fallback)
+		return 0, fromOrder(flipOrder(prog, seq, r, fo), fallback)
 	}
-	i, tail := flipTail(seq, r, fo)
+	i, tail := flipTail(prog, seq, r, fo)
 	moved := firstMoved(tail, i)
 	return i + moved, fromOrder(seqOrder{seq: seq, pos: tail[moved:]}, fallback)
 }
 
 // CutPoints marks the positions of seq a flip of one of its races can
 // cut at (PlanFlipCut): mark[k] reports whether a prefix cache should pin
-// the state just before seq[k]. A displaced region starts at its race's
+// the state just before step k. A displaced region starts at its race's
 // First access, a step with an access that conflicts per am, or at the
 // lock acquire widenCriticalSections widens it back to; a phantom race's
 // cut is its First access too. When the region holds a thread its own
@@ -396,21 +413,21 @@ func PlanFlipCut(seq []Exec, r Race, fallback []string, fo FlipOptions) (int, Sc
 // the spawned thread's entries right after it, so the cut moves to the
 // step after a spawn. The rule marks exactly these: the steps with a
 // conflicting access, the OpLock steps and the steps after a spawn. am
-// must hold seq's own accesses. mark has len(seq)+1 entries; the last,
+// must hold seq's own accesses. mark has seq.Len()+1 entries; the last,
 // the end of the run, is never a cut.
-func CutPoints(seq []Exec, am *AccessMap) []bool {
-	mark := make([]bool, len(seq)+1)
-	for k := range seq {
-		e := &seq[k]
-		if e.Spawned != "" && k+1 < len(seq) {
+func CutPoints(prog *kir.Program, seq *Trace, am *AccessMap) []bool {
+	n := seq.Len()
+	mark := make([]bool, n+1)
+	for k, e := range seq.Steps {
+		if e.Spawned >= 0 && k+1 < n {
 			mark[k+1] = true
 		}
-		if e.Instr.Op == kir.OpLock {
+		if prog.InstrAt(e.Instr).Op == kir.OpLock {
 			mark[k] = true
 			continue
 		}
-		for _, a := range e.Accesses {
-			if am.ConflictsAt(e.Name, a.Addr, a.Write) {
+		for _, a := range seq.Accesses(k) {
+			if am.ConflictsAt(seq.Names[e.Thread], a.Addr, a.Write) {
 				mark[k] = true
 				break
 			}
@@ -422,36 +439,37 @@ func CutPoints(seq []Exec, am *AccessMap) []bool {
 // FlipCut returns the cut PlanFlipCut returns, flipping the whole
 // sequence on its own; it is the reference PlanFlipCut is checked
 // against.
-func FlipCut(seq []Exec, r Race, fo FlipOptions) int {
+func FlipCut(prog *kir.Program, seq *Trace, r Race, fo FlipOptions) int {
 	if !positionStamped(seq) {
 		return 0
 	}
 	if r.Phantom {
 		return r.FirstStep
 	}
-	i, tail := flipTail(seq, r, fo)
+	i, tail := flipTail(prog, seq, r, fo)
 	return i + firstMoved(tail, i)
 }
 
 // PlanFlipFrom builds the suffix of the flip plan for race r that starts
 // at position n of the enforced order, where n must be at most
-// FlipCut(seq, r, fo). The suffix's first segment re-derives exactly the
-// Skip count the full plan's pending head would have left unconsumed at
-// n, and Initial names the thread the full run would be executing there.
-func PlanFlipFrom(seq []Exec, r Race, fallback []string, fo FlipOptions, n int) Schedule {
+// FlipCut(prog, seq, r, fo). The suffix's first segment re-derives
+// exactly the Skip count the full plan's pending head would have left
+// unconsumed at n, and Initial names the thread the full run would be
+// executing there.
+func PlanFlipFrom(prog *kir.Program, seq *Trace, r Race, fallback []string, fo FlipOptions, n int) Schedule {
 	if r.Phantom {
 		return planPhantomFlipFrom(seq, r, fallback, n)
 	}
-	o := flipOrder(seq, r, fo)
+	o := flipOrder(prog, seq, r, fo)
 	o.pos = o.pos[n:]
 	return fromOrder(o, fallback)
 }
 
 // positionStamped reports whether every entry's Step is its index — the
 // stamps the cut detection relies on.
-func positionStamped(seq []Exec) bool {
-	for k := range seq {
-		if seq[k].Step != k {
+func positionStamped(seq *Trace) bool {
+	for k, e := range seq.Steps {
+		if int(e.Step) != k {
 			return false
 		}
 	}
@@ -475,7 +493,7 @@ func firstMoved(flipped []int32, from int) int {
 // consumed: every matching occurrence the suspend point would have
 // skipped lies inside the replayed prefix, so the remaining Skip is zero,
 // and control sits with the thread that executed step n-1.
-func planPhantomFlipFrom(seq []Exec, r Race, fallback []string, n int) Schedule {
+func planPhantomFlipFrom(seq *Trace, r Race, fallback []string, n int) Schedule {
 	if n == 0 {
 		return PlanPhantomFlip(seq, r, fallback)
 	}
@@ -483,17 +501,17 @@ func planPhantomFlipFrom(seq []Exec, r Race, fallback []string, n int) Schedule 
 
 	sch := Schedule{Fallback: fallback}
 	if n < i {
-		prefix := FromSeq(seq[n:i], fallback)
+		prefix := fromOrder(stretch(seq, n, i), fallback)
 		sch.Initial = prefix.Initial
 		sch.Points = append(sch.Points, prefix.Points...)
 		sch.Points = append(sch.Points, Point{
 			Run:  r.First.Thread,
 			At:   r.First.Instr,
-			Skip: skipWithinFinalSegment(seq[n:i], r.First.Thread, r.First.Instr),
+			Skip: skipWithinFinalSegment(stretch(seq, n, i), r.First.Thread, r.First.Instr),
 			To:   r.Second.Thread,
 		})
 	} else {
-		sch.Initial = seq[n-1].Name
+		sch.Initial = seq.Name(n - 1)
 		sch.Points = append(sch.Points, Point{
 			Run: r.First.Thread,
 			At:  r.First.Instr,
@@ -506,30 +524,29 @@ func planPhantomFlipFrom(seq []Exec, r Race, fallback []string, n int) Schedule 
 		After: true,
 		To:    r.First.Thread,
 	})
-	sch.Points = append(sch.Points, FromSeq(seq[i:], fallback).Points...)
+	sch.Points = append(sch.Points, fromOrder(stretch(seq, i, seq.Len()), fallback).Points...)
 	return sch
 }
 
 // skipWithinFinalSegment computes how many matching occurrences the
 // pre-exec flip point will see before its intended firing position: the
 // occurrences of (thread, instr) inside the thread's final segment of the
-// prefix (earlier occurrences execute while earlier points are pending and
-// therefore never match this point).
-func skipWithinFinalSegment(seq []Exec, thread string, instr kir.InstrID) int {
+// prefix o (earlier occurrences execute while earlier points are pending
+// and therefore never match this point).
+func skipWithinFinalSegment(o seqOrder, thread string, instr kir.InstrID) int {
 	// Find the final contiguous segment of the thread at the end of the
 	// prefix; if the prefix ends with another thread's segment, the flip
 	// point becomes head only when control returns to the thread, which is
 	// exactly at the boundary — no occurrences are consumed before it.
-	n := len(seq)
+	n := o.len()
 	if n == 0 {
 		return 0
 	}
+	t := o.seq.ID(thread)
 	skip := 0
-	if seq[n-1].Name == thread {
-		for k := n - 1; k >= 0 && seq[k].Name == thread; k-- {
-			if seq[k].Instr.ID == instr {
-				skip++
-			}
+	for k := n - 1; k >= 0 && o.at(k).Thread == t; k-- {
+		if o.at(k).Instr == instr {
+			skip++
 		}
 	}
 	return skip

@@ -86,7 +86,7 @@ func TestPhantomRacesAndFlip(t *testing.T) {
 
 	// Flipping the phantom lets A2 run before B2: no failure.
 	m.Restore(init)
-	plan := PlanFlip(res.Seq, r, []string{"A", "B"})
+	plan := PlanFlip(prog, &res.Seq, r, []string{"A", "B"})
 	res2, err := NewEnforcer(m).Run(plan, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -115,9 +115,9 @@ func TestPlanPhantomFlipAtStepZero(t *testing.T) {
 		SecondStep: -1,
 		Phantom:    true,
 	}
-	b1 := prog.MustByLabel("B1")
-	seq := []Exec{{Step: 0, Name: "B", Instr: &b1}}
-	sch := PlanPhantomFlip(seq, r, []string{"A", "B"})
+	var seq Trace
+	seq.AddStep("B", prog.MustByLabel("B1").ID, nil)
+	sch := PlanPhantomFlip(&seq, r, []string{"A", "B"})
 	if sch.Initial != "A" {
 		t.Errorf("Initial = %q, want the Second thread", sch.Initial)
 	}
@@ -180,7 +180,7 @@ func TestRaceFormatting(t *testing.T) {
 }
 
 func TestFromSeqEmpty(t *testing.T) {
-	sch := FromSeq(nil, []string{"A"})
+	sch := FromSeq(&Trace{}, []string{"A"})
 	if sch.Initial != "" || len(sch.Points) != 0 {
 		t.Errorf("FromSeq(nil) = %+v", sch)
 	}
@@ -198,8 +198,8 @@ func TestEnforcerFallbackInitial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Seq) == 0 || res.Seq[0].Name != "B" {
-		t.Errorf("first exec = %+v", res.Seq[0])
+	if res.Seq.Len() == 0 || res.Seq.Name(0) != "B" {
+		t.Errorf("first exec = %+v", res.Seq.Steps[0])
 	}
 }
 

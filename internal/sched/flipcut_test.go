@@ -2,26 +2,17 @@ package sched
 
 import (
 	"reflect"
-	"slices"
 	"testing"
 
+	"aitia/internal/kir"
 	"aitia/internal/kvm"
 )
-
-// joined returns a copy of res whose Seq is its complete sequence, Base
-// followed by Seq, and whose Base is empty: the shape of the same run
-// enforced from the initial state.
-func joined(res *RunResult) *RunResult {
-	cp := *res
-	cp.Base, cp.Seq = nil, append(slices.Clone(res.Base), res.Seq...)
-	return &cp
-}
 
 // failingPhantomRun reproduces the canonical failing run of phantomProg
 // (A executes A1, B fails at B3 before A2 runs) and returns the machine,
 // its initial snapshot, the run and its full race set (concrete plus
 // phantom).
-func failingPhantomRun(t *testing.T) (*kvm.Machine, *kvm.Snapshot, *RunResult, []Race) {
+func failingPhantomRun(t *testing.T) (*kir.Program, *kvm.Machine, *kvm.Snapshot, *RunResult, []Race) {
 	t.Helper()
 	prog := phantomProg(t)
 	m, err := kvm.New(prog)
@@ -55,7 +46,7 @@ func failingPhantomRun(t *testing.T) (*kvm.Machine, *kvm.Snapshot, *RunResult, [
 	if len(races) == 0 {
 		t.Fatal("no races in the failing run")
 	}
-	return m, init, res, races
+	return prog, m, init, res, races
 }
 
 // TestPlanFlipFromMatchesFullPlan is the contract the prefix cache is
@@ -65,21 +56,21 @@ func failingPhantomRun(t *testing.T) (*kvm.Machine, *kvm.Snapshot, *RunResult, [
 // the run that enforcing the full flip plan from the initial state
 // returns, and the full plan's prefix is the recorded sequence verbatim.
 func TestPlanFlipFromMatchesFullPlan(t *testing.T) {
-	m, init, res, races := failingPhantomRun(t)
+	prog, m, init, res, races := failingPhantomRun(t)
 	fallback := []string{"A", "B"}
 	fo := FlipOptions{}
 	for i, r := range races {
-		cut, suffix := PlanFlipCut(res.Seq, r, fallback, fo)
-		if cut < 0 || cut > len(res.Seq) {
-			t.Fatalf("race %d: cut = %d out of range [0, %d]", i, cut, len(res.Seq))
+		cut, suffix := PlanFlipCut(prog, &res.Seq, r, fallback, fo)
+		if cut < 0 || cut > res.Seq.Len() {
+			t.Fatalf("race %d: cut = %d out of range [0, %d]", i, cut, res.Seq.Len())
 		}
-		if want := FlipCut(res.Seq, r, fo); cut != want {
+		if want := FlipCut(prog, &res.Seq, r, fo); cut != want {
 			t.Fatalf("race %d: PlanFlipCut cut %d, FlipCut %d", i, cut, want)
 		}
-		if want := PlanFlipFrom(res.Seq, r, fallback, fo, cut); !reflect.DeepEqual(suffix, want) {
+		if want := PlanFlipFrom(prog, &res.Seq, r, fallback, fo, cut); !reflect.DeepEqual(suffix, want) {
 			t.Fatalf("race %d: PlanFlipCut suffix %v, PlanFlipFrom %v", i, suffix, want)
 		}
-		full := PlanFlipOpt(res.Seq, r, fallback, fo)
+		full := PlanFlipOpt(prog, &res.Seq, r, fallback, fo)
 
 		m.Restore(init)
 		fres, err := NewEnforcer(m).Run(full, Options{})
@@ -88,25 +79,25 @@ func TestPlanFlipFromMatchesFullPlan(t *testing.T) {
 		}
 		// The full plan replays the recorded sequence verbatim up to the
 		// cut — the shared prefix the cache gets to skip.
-		if !reflect.DeepEqual(fres.Seq[:cut], res.Seq[:cut]) {
+		if !reflect.DeepEqual(fres.Seq.Steps[:cut], res.Seq.Steps[:cut]) {
 			t.Errorf("race %d: full plan diverged from the recorded prefix before the cut", i)
 		}
 
 		m.Restore(init)
 		for j := 0; j < cut; j++ {
-			ev, err := m.Step(res.Seq[j].Thread)
+			ev, err := m.Step(kvm.ThreadID(res.Seq.Steps[j].Thread))
 			if err != nil || !ev.Executed {
 				t.Fatalf("race %d: prefix replay step %d: executed=%v err=%v", i, j, ev.Executed, err)
 			}
 		}
-		sres, err := NewEnforcer(m).Run(suffix, Options{Prefix: res.Seq[:cut:cut]})
+		sres, err := NewEnforcer(m).Run(suffix, Options{Prefix: res.Seq.Prefix(cut)})
 		if err != nil {
 			t.Fatalf("race %d: suffix plan: %v", i, err)
 		}
-		if len(fres.Base) != 0 {
-			t.Errorf("race %d: a run from the initial state has a Base of %d steps", i, len(fres.Base))
+		if fres.Base.Len() != 0 {
+			t.Errorf("race %d: a run from the initial state has a Base of %d steps", i, fres.Base.Len())
 		}
-		if !reflect.DeepEqual(fres, joined(sres)) {
+		if !reflect.DeepEqual(fres, sres.Joined()) {
 			t.Errorf("race %d: prefix run differs from the full plan's run\nfull:   %+v\nprefix: %+v", i, fres, sres)
 		}
 	}
@@ -117,36 +108,36 @@ func TestPlanFlipFromMatchesFullPlan(t *testing.T) {
 // — the positions the prefix cache pins at — and the run returns the
 // prefix as its Base and records its own steps, numbered from there.
 func TestEnforcerOnStepPositions(t *testing.T) {
-	m, init, res, _ := failingPhantomRun(t)
+	_, m, init, res, _ := failingPhantomRun(t)
 	m.Restore(init)
 	const base = 3
 	for j := 0; j < base; j++ {
-		if _, err := m.Step(res.Seq[j].Thread); err != nil {
+		if _, err := m.Step(kvm.ThreadID(res.Seq.Steps[j].Thread)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var got []int
 	rr, err := NewEnforcer(m).Run(Serial("A", "B"), Options{
-		Prefix: res.Seq[:base:base],
+		Prefix: res.Seq.Prefix(base),
 		OnStep: func(pos int) { got = append(got, pos) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(rr.Seq) {
-		t.Fatalf("OnStep fired %d times for %d executed steps", len(got), len(rr.Seq))
+	if len(got) != rr.Seq.Len() {
+		t.Fatalf("OnStep fired %d times for %d executed steps", len(got), rr.Seq.Len())
 	}
 	for i, pos := range got {
 		if pos != base+i+1 {
 			t.Fatalf("OnStep[%d] = %d, want %d", i, pos, base+i+1)
 		}
 	}
-	full := joined(rr).Seq
-	if !reflect.DeepEqual(full[:base], res.Seq[:base]) || &rr.Base[0] != &res.Seq[0] {
+	full := rr.Joined().Seq
+	if !reflect.DeepEqual(full.Steps[:base], res.Seq.Steps[:base]) || &rr.Base.Steps[0] != &res.Seq.Steps[0] {
 		t.Error("the run does not start with its prefix, shared")
 	}
-	for k, e := range full {
-		if e.Step != k {
+	for k, e := range full.Steps {
+		if int(e.Step) != k {
 			t.Fatalf("Seq[%d].Step = %d", k, e.Step)
 		}
 	}

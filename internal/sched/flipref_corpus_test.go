@@ -40,7 +40,7 @@ func TestTailPlanMatchesWholeSequenceCorpus(t *testing.T) {
 			}
 			races++
 			for _, fo := range []sched.FlipOptions{{}, {NoCriticalSections: true}} {
-				if err := sched.CheckTailPlan(rep.Run.Seq, r, fallback, fo); err != nil {
+				if err := sched.CheckTailPlan(prog, &rep.Run.Seq, r, fallback, fo); err != nil {
 					t.Fatalf("%s race %d (%s) %+v: %v", sc.Name, i, r.FormatLong(prog), fo, err)
 				}
 			}

@@ -10,62 +10,70 @@ import (
 
 // refFlipSeqOpt is the whole-sequence flip FlipSeqOpt replaced: it copies
 // seq, reorders the displaced region in the copy and repairs spawn order
-// over the entire result. The tail planning must agree with it.
-func refFlipSeqOpt(seq []Exec, r Race, fo FlipOptions) []Exec {
+// over the entire result, matching threads by name. The tail planning
+// must agree with it.
+func refFlipSeqOpt(prog *kir.Program, seq *Trace, r Race, fo FlipOptions) Trace {
 	i, j := r.FirstStep, r.SecondStep
 	if !fo.NoCriticalSections {
-		i, j = widenCriticalSections(seq, r)
+		i, j = widenCriticalSections(prog, seq, r)
 	}
 	tX := r.First.Thread
-	out := make([]Exec, 0, len(seq))
-	out = append(out, seq[:i]...)
+	steps := seq.Steps
+	out := make([]Exec, 0, len(steps))
+	out = append(out, steps[:i]...)
 	for k := i; k <= j; k++ {
-		if seq[k].Name != tX {
-			out = append(out, seq[k])
+		if seq.Name(k) != tX {
+			out = append(out, steps[k])
 		}
 	}
 	for k := i; k <= j; k++ {
-		if seq[k].Name == tX {
-			out = append(out, seq[k])
+		if seq.Name(k) == tX {
+			out = append(out, steps[k])
 		}
 	}
-	out = append(out, seq[j+1:]...)
-	return refRepairSpawnOrder(out)
+	out = append(out, steps[j+1:]...)
+	return Trace{Steps: refRepairSpawnOrder(seq.Names, out), Accs: seq.Accs, Locks: seq.Locks, Names: seq.Names}
 }
 
 // refRepairSpawnOrder is repairSpawnOrder over a whole sequence, with no
-// knowledge of an untouched prefix.
-func refRepairSpawnOrder(seq []Exec) []Exec {
-	for pass := 0; pass < 8 && refSpawnOrderViolated(seq); pass++ {
+// knowledge of an untouched prefix. names is the sequence's name table.
+func refRepairSpawnOrder(names []string, seq []Exec) []Exec {
+	name := func(id int32) string {
+		if id < 0 {
+			return ""
+		}
+		return names[id]
+	}
+	for pass := 0; pass < 8 && refSpawnOrderViolated(names, seq); pass++ {
 		spawnAt := make(map[string]int)
 		for pos, e := range seq {
-			if e.Spawned != "" {
-				if _, dup := spawnAt[e.Spawned]; !dup {
-					spawnAt[e.Spawned] = pos
+			if sp := name(e.Spawned); sp != "" {
+				if _, dup := spawnAt[sp]; !dup {
+					spawnAt[sp] = pos
 				}
 			}
 		}
 		out := make([]Exec, 0, len(seq))
 		var held []Exec
-		heldOf := func(name string) bool {
+		heldOf := func(n string) bool {
 			for _, h := range held {
-				if h.Name == name {
+				if name(h.Thread) == n {
 					return true
 				}
 			}
 			return false
 		}
 		for pos, e := range seq {
-			sp, spawned := spawnAt[e.Name]
-			if (spawned && sp > pos) || heldOf(e.Name) {
+			sp, spawned := spawnAt[name(e.Thread)]
+			if (spawned && sp > pos) || heldOf(name(e.Thread)) {
 				held = append(held, e)
 				continue
 			}
 			out = append(out, e)
-			if e.Spawned != "" {
+			if e.Spawned >= 0 {
 				var rest []Exec
 				for _, h := range held {
-					if h.Name == e.Spawned {
+					if name(h.Thread) == name(e.Spawned) {
 						out = append(out, h)
 					} else {
 						rest = append(rest, h)
@@ -79,15 +87,15 @@ func refRepairSpawnOrder(seq []Exec) []Exec {
 	return seq
 }
 
-func refSpawnOrderViolated(seq []Exec) bool {
+func refSpawnOrderViolated(names []string, seq []Exec) bool {
 	for pos := range seq {
-		name := seq[pos].Spawned
-		if name == "" {
+		if seq[pos].Spawned < 0 {
 			continue
 		}
+		spawned := names[seq[pos].Spawned]
 		first := true
 		for k := 0; k < pos; k++ {
-			if seq[k].Spawned == name {
+			if seq[k].Spawned >= 0 && names[seq[k].Spawned] == spawned {
 				first = false
 				break
 			}
@@ -96,7 +104,7 @@ func refSpawnOrderViolated(seq []Exec) bool {
 			continue
 		}
 		for k := 0; k < pos; k++ {
-			if seq[k].Name == name {
+			if names[seq[k].Thread] == spawned {
 				return true
 			}
 		}
@@ -107,23 +115,23 @@ func refSpawnOrderViolated(seq []Exec) bool {
 // checkTailPlan checks that the tail planning of non-phantom race r agrees
 // with the whole-sequence reference: the flipped order, the cut (the
 // reference's first moved position) and the suffix plan from that cut.
-func checkTailPlan(seq []Exec, r Race, fallback []string, fo FlipOptions) error {
-	ref := refFlipSeqOpt(seq, r, fo)
-	if got := FlipSeqOpt(seq, r, fo); !reflect.DeepEqual(got, ref) {
+func checkTailPlan(prog *kir.Program, seq *Trace, r Race, fallback []string, fo FlipOptions) error {
+	ref := refFlipSeqOpt(prog, seq, r, fo)
+	if got := FlipSeqOpt(prog, seq, r, fo); !reflect.DeepEqual(got, ref) {
 		return fmt.Errorf("flipped order differs from the whole-sequence flip")
 	}
-	want := len(ref)
-	for k := range ref {
-		if ref[k].Step != k {
+	want := ref.Len()
+	for k, e := range ref.Steps {
+		if int(e.Step) != k {
 			want = k
 			break
 		}
 	}
-	cut, suffix := PlanFlipCut(seq, r, fallback, fo)
+	cut, suffix := PlanFlipCut(prog, seq, r, fallback, fo)
 	if cut != want {
 		return fmt.Errorf("cut %d, whole-sequence flip moves position %d first", cut, want)
 	}
-	if w := FromSeq(ref[cut:], fallback); !reflect.DeepEqual(suffix, w) {
+	if w := FromSeq(&Trace{Steps: ref.Steps[cut:], Names: ref.Names}, fallback); !reflect.DeepEqual(suffix, w) {
 		return fmt.Errorf("suffix plan %+v, whole-sequence flip's %+v", suffix, w)
 	}
 	return nil
@@ -140,10 +148,6 @@ var CheckTailPlan = checkTailPlan
 // inside the region (the flip delays the spawn, so the repair must hold
 // the worker's entries back behind it).
 func TestFlipTailSpawnRepair(t *testing.T) {
-	instrs := make([]kir.Instr, 16)
-	for k := range instrs {
-		instrs[k].ID = kir.InstrID(k + 1)
-	}
 	type step struct {
 		name    string
 		instr   int
@@ -152,12 +156,18 @@ func TestFlipTailSpawnRepair(t *testing.T) {
 		spawned string
 	}
 	const x = 0x100
-	build := func(steps []step) []Exec {
-		seq := make([]Exec, len(steps))
-		for k, s := range steps {
-			seq[k] = Exec{Step: k, Name: s.name, Instr: &instrs[s.instr], Spawned: s.spawned}
+	build := func(steps []step) *Trace {
+		seq := &Trace{}
+		for _, s := range steps {
+			var accs []AccessRec
 			if s.write || s.read {
-				seq[k].Accesses = []AccessRec{{Addr: x, Write: s.write}}
+				accs = []AccessRec{{Addr: x, Write: s.write}}
+			}
+			seq.AddStep(s.name, kir.InstrID(s.instr+1), accs)
+		}
+		for k, s := range steps {
+			if s.spawned != "" {
+				seq.Steps[k].Spawned = seq.ID(s.spawned)
 			}
 		}
 		return seq
@@ -196,10 +206,10 @@ func TestFlipTailSpawnRepair(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			seq := build(c.steps)
-			races := ExtractRaces(&RunResult{Seq: seq})
+			races := ExtractRaces(&RunResult{Seq: *seq})
 			var r *Race
 			for k := range races {
-				if races[k].First.Instr == instrs[2].ID && races[k].Second.Instr == instrs[4].ID {
+				if races[k].First.Instr == 3 && races[k].Second.Instr == 5 {
 					r = &races[k]
 				}
 			}
@@ -207,14 +217,15 @@ func TestFlipTailSpawnRepair(t *testing.T) {
 				t.Fatalf("race A => B not extracted: %+v", races)
 			}
 			var got []string
-			for _, e := range refFlipSeqOpt(seq, *r, FlipOptions{}) {
-				got = append(got, e.Name)
+			ref := refFlipSeqOpt(nil, seq, *r, FlipOptions{})
+			for k := range ref.Steps {
+				got = append(got, ref.Name(k))
 			}
 			if !reflect.DeepEqual(got, c.moves) {
 				t.Fatalf("reference flip %v, want %v", got, c.moves)
 			}
 			for _, fo := range []FlipOptions{{}, {NoCriticalSections: true}} {
-				if err := checkTailPlan(seq, *r, []string{"A", "B"}, fo); err != nil {
+				if err := checkTailPlan(nil, seq, *r, []string{"A", "B"}, fo); err != nil {
 					t.Errorf("%+v: %v", fo, err)
 				}
 			}

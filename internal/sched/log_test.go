@@ -10,11 +10,11 @@ import (
 	"aitia/internal/kvm"
 )
 
-// TestExecSize guards the step record's footprint: the instruction is a
-// pointer into the program, not a copy.
+// TestExecSize guards the step record's footprint: IDs and ranges of
+// the run's arrays, no copy of the instruction or its accesses.
 func TestExecSize(t *testing.T) {
-	if n := unsafe.Sizeof(Exec{}); n > 112 {
-		t.Errorf("sizeof(Exec) = %d bytes, want at most 112", n)
+	if n := unsafe.Sizeof(Exec{}); n > 32 {
+		t.Errorf("sizeof(Exec) = %d bytes, want at most 32", n)
 	}
 }
 
@@ -57,32 +57,44 @@ func TestRecordedAccessesSurviveLaterSteps(t *testing.T) {
 	// Overwrite the machine's buffer many times over.
 	m.Restore(init)
 	stepCopies(t, m, "B", "A")
-	if len(res.Seq) != len(want) {
-		t.Fatalf("enforced %d steps, stepped %d", len(res.Seq), len(want))
+	if res.Seq.Len() != len(want) {
+		t.Fatalf("enforced %d steps, stepped %d", res.Seq.Len(), len(want))
 	}
-	for i, e := range res.Seq {
-		if !reflect.DeepEqual(e.Accesses, want[i]) {
-			t.Fatalf("enforcer step %d: accesses %v, want %v", i, e.Accesses, want[i])
+	for i := range res.Seq.Steps {
+		if got := res.Seq.Accesses(i); !reflect.DeepEqual(got, want[i]) && len(got)+len(want[i]) > 0 {
+			t.Fatalf("enforcer step %d: accesses %v, want %v", i, got, want[i])
 		}
 	}
 
-	// A log that records into a caller's array (Options.Log) overwrites
-	// it in place: the run's records share the array and match a run
-	// into a fresh log.
+	// A run that records into a caller's arrays (Options.Log) overwrites
+	// them in place: the run's records share the arrays and match a run
+	// into fresh ones.
 	m.Restore(init)
-	into := make([]Exec, len(res.Seq))
-	for i := range into {
-		into[i] = Exec{Step: -1, Name: "stale", Accesses: []AccessRec{{Addr: 0xdead}}, Lockset: []uint64{1}, Spawned: "stale"}
+	into := Trace{
+		Steps: make([]Exec, res.Seq.Len()),
+		Accs:  make([]AccessRec, len(res.Seq.Accs)),
+		Locks: []uint64{1, 2},
+		Names: []string{"stale"},
+	}
+	for i := range into.Steps {
+		into.Steps[i] = Exec{Step: -1, Thread: 7, Instr: 99, Spawned: 3, accs: span{0, 1}, locks: span{0, 2}}
+	}
+	for i := range into.Accs {
+		into.Accs[i] = AccessRec{Addr: 0xdead}
 	}
 	again, err := NewEnforcer(m).Run(Serial("A", "B"), Options{Log: into})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(again.Seq, res.Seq) {
+	if !reflect.DeepEqual(again.Seq.Steps, res.Seq.Steps) || !reflect.DeepEqual(again.Seq.Accs, res.Seq.Accs) ||
+		!reflect.DeepEqual(again.Seq.Names, res.Seq.Names) || len(again.Seq.Locks) != len(res.Seq.Locks) {
 		t.Fatalf("run into a caller's log:\n%+v\nwant\n%+v", again.Seq, res.Seq)
 	}
-	if len(again.Seq) > 0 && &again.Seq[0] != &into[0] {
+	if again.Seq.Len() > 0 && &again.Seq.Steps[0] != &into.Steps[0] {
 		t.Fatal("the run did not record into the caller's log")
+	}
+	if len(again.Seq.Accs) > 0 && &again.Seq.Accs[0] != &into.Accs[0] {
+		t.Fatal("the run did not record into the caller's access array")
 	}
 }
 

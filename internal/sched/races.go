@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"aitia/internal/kir"
 	"aitia/internal/kvm"
@@ -86,49 +85,173 @@ func commonLock(a, b []uint64) uint64 {
 	return 0
 }
 
-// accessPoint is one access of a run: its address, its step's index in
-// Seq, and whether it writes.
-type accessPoint struct {
-	addr  uint64
-	i     int32
-	write bool
+// accessIndex groups a full run's accesses by address without sorting
+// them. An open-addressing table over addresses leads to each address's
+// latest access, and each access links back to the previous access of
+// its address, so walking an address's chain visits its accesses in
+// reverse execution order. Accesses are named by their index in the
+// run's Accs, which holds them in execution order.
+type accessIndex struct {
+	tr    *Trace
+	slots []int32 // 1 + the latest access of the slot's address; 0 for an empty slot
+	prev  []int32 // by access: 1 + the previous access to its address; 0 for none
+	step  []int32 // by access: its step's index in tr.Steps
+	shift uint8   // 64 - log2(len(slots))
 }
 
-// indexAccesses flattens a run into one slice of its accesses sorted by
-// (address, step): each address's accesses are one stretch of the slice,
-// in execution order. The sort is stable, so two accesses of one step
-// keep their order too.
-func indexAccesses(res *RunResult) []accessPoint {
-	n := 0
-	for i := range res.Seq {
-		n += len(res.Seq[i].Accesses)
+// newAccessIndex indexes tr's accesses in one pass. Its three arrays
+// are one allocation; the table has more slots than the run has
+// accesses, so it always has an empty one.
+func newAccessIndex(tr *Trace) accessIndex {
+	n := len(tr.Accs)
+	size, shift := 8, uint8(61)
+	for size <= n {
+		size, shift = size*2, shift-1
 	}
-	idx := make([]accessPoint, 0, n)
-	for i := range res.Seq {
-		for _, a := range res.Seq[i].Accesses {
-			idx = append(idx, accessPoint{addr: a.Addr, i: int32(i), write: a.Write})
+	buf := make([]int32, size+2*n)
+	ix := accessIndex{tr: tr, slots: buf[:size:size], prev: buf[size : size+n : size+n], step: buf[size+n:], shift: shift}
+	for k, e := range tr.Steps {
+		for g := e.accs.lo; g < e.accs.hi; g++ {
+			slot := ix.slot(tr.Accs[g].Addr)
+			ix.prev[g] = *slot
+			ix.step[g] = int32(k)
+			*slot = g + 1
 		}
 	}
-	slices.SortStableFunc(idx, func(a, b accessPoint) int { return cmp.Compare(a.addr, b.addr) })
-	return idx
+	return ix
 }
 
-// ofAddr returns the stretch of a sorted index that accesses addr.
-func ofAddr(idx []accessPoint, addr uint64) []accessPoint {
-	lo, _ := slices.BinarySearchFunc(idx, addr, func(p accessPoint, a uint64) int { return cmp.Compare(p.addr, a) })
-	hi := lo
-	for hi < len(idx) && idx[hi].addr == addr {
-		hi++
+// slot returns the table slot of addr: the one holding its latest
+// access, or the empty slot where it belongs.
+func (ix *accessIndex) slot(addr uint64) *int32 {
+	mask := len(ix.slots) - 1
+	// Fibonacci hashing: the top bits of the product pick the slot.
+	for i := int((addr * 0x9e3779b97f4a7c15) >> ix.shift); ; i = (i + 1) & mask {
+		if h := ix.slots[i]; h == 0 || ix.tr.Accs[h-1].Addr == addr {
+			return &ix.slots[i]
+		}
 	}
-	return idx[lo:hi]
+}
+
+// thread returns the thread ID of access g's step.
+func (ix *accessIndex) thread(g int32) int32 { return ix.tr.Steps[ix.step[g]].Thread }
+
+// pairs hands add, for every access, the pair it forms with its first
+// conflicting successor by another thread: the access and the
+// successor, by index in the run's Accs. One reverse walk of each
+// address's chain finds every partner: it keeps the nearest later
+// access and the nearest later one of another thread than that, and the
+// same two among the later writes. A write pairs with the nearest later
+// access of another thread, a read with the nearest later write of one.
+func (ix *accessIndex) pairs(add func(first, second int32)) {
+	accs := ix.tr.Accs
+	for _, head := range ix.slots {
+		// a1 is the nearest later access, by thread at1; a2 the nearest
+		// later one by a thread other than at1. w1, wt1, w2: the same
+		// among writes. -1 for none.
+		a1, a2, w1, w2 := int32(-1), int32(-1), int32(-1), int32(-1)
+		var at1, wt1 int32
+		for g := head - 1; g >= 0; g = ix.prev[g] - 1 {
+			t, write := ix.thread(g), accs[g].Write
+			partner := w2
+			switch {
+			case write && a1 >= 0 && at1 != t:
+				partner = a1
+			case write:
+				partner = a2
+			case w1 >= 0 && wt1 != t:
+				partner = w1
+			}
+			if partner >= 0 {
+				add(g, partner)
+			}
+			if a1 < 0 || at1 != t {
+				a2 = a1
+			}
+			a1, at1 = g, t
+			if write {
+				if w1 < 0 || wt1 != t {
+					w2 = w1
+				}
+				w1, wt1 = g, t
+			}
+		}
+	}
+}
+
+// pairSet keeps one pair per site pair: the one on the lowest address,
+// and on one address the one with the earliest first access. It is an
+// open-addressing table over pairs; sites are compared by thread ID and
+// instruction, which within one run name them exactly.
+type pairSet struct {
+	ix    *accessIndex
+	slots []racePair // first is 1 + the access index; 0 marks an empty slot
+	n     int
+	shift uint8
+}
+
+// racePair is a race as two accesses of the run: First's and Second's.
+type racePair struct{ first, second int32 }
+
+// sites returns the steps of a pair's two accesses.
+func (ps *pairSet) sites(p racePair) (*Exec, *Exec) {
+	steps := ps.ix.tr.Steps
+	return &steps[ps.ix.step[p.first-1]], &steps[ps.ix.step[p.second]]
+}
+
+// add offers the pair of accesses first and second.
+func (ps *pairSet) add(first, second int32) {
+	if 2*(ps.n+1) > len(ps.slots) {
+		ps.grow()
+	}
+	ps.put(racePair{first + 1, second})
+}
+
+// put places p in its slot, or replaces the pair of the same sites there
+// when p comes first.
+func (ps *pairSet) put(p racePair) {
+	accs := ps.ix.tr.Accs
+	f, s := ps.sites(p)
+	h := (uint64(uint32(f.Thread))<<32|uint64(uint32(f.Instr)))*0x9e3779b97f4a7c15 ^
+		(uint64(uint32(s.Thread))<<32|uint64(uint32(s.Instr)))*0xc2b2ae3d27d4eb4f
+	mask := len(ps.slots) - 1
+	for i := int(h >> ps.shift); ; i = (i + 1) & mask {
+		q := &ps.slots[i]
+		if q.first == 0 {
+			*q = p
+			ps.n++
+			return
+		}
+		if qf, qs := ps.sites(*q); qf.Thread == f.Thread && qf.Instr == f.Instr && qs.Thread == s.Thread && qs.Instr == s.Instr {
+			if a, b := accs[p.first-1].Addr, accs[q.first-1].Addr; a < b || (a == b && p.first < q.first) {
+				*q = p
+			}
+			return
+		}
+	}
+}
+
+// grow doubles the table (from 8 slots) and re-places its pairs.
+func (ps *pairSet) grow() {
+	old := ps.slots
+	if len(old) == 0 {
+		ps.slots, ps.shift = make([]racePair, 8), 61
+		return
+	}
+	ps.slots, ps.shift, ps.n = make([]racePair, 2*len(old)), ps.shift-1, 0
+	for _, p := range old {
+		if p.first != 0 {
+			ps.put(p)
+		}
+	}
 }
 
 // ExtractRaces returns the data races observed in a run: for every address
 // and every access, the pair formed with the *next conflicting access by a
 // different thread* (at least one of the two is a store), in observed
-// order, deduplicated by static site pair. Addresses are visited in
-// ascending order, so when one site pair races on several addresses the
-// race on the lowest address wins.
+// order, deduplicated by static site pair. When one site pair races on
+// several addresses the race on the lowest address wins, and on one
+// address the one with the earliest First access.
 //
 // Pairing with the next conflicting access — rather than only the
 // immediately adjacent one — matters for patterns like double frees, where
@@ -149,52 +272,39 @@ func ExtractRaces(res *RunResult) []Race { return Races(res, nil) }
 // ascending order, so when one site pair races on several addresses the
 // race on the lowest address wins. res must be a full run (empty Base).
 func PhantomRaces(res *RunResult, am *AccessMap) []Race {
-	return phantomRaces(res, am, indexAccesses(res))
+	ix := newAccessIndex(&res.Seq)
+	return phantomRaces(res, am, &ix)
 }
 
 // Races returns a failing run's test set: ExtractRaces' races, then
 // PhantomRaces' against am (none when am is nil), both read from one
 // access index of the run. res must be a full run (empty Base).
 func Races(res *RunResult, am *AccessMap) []Race {
-	idx := indexAccesses(res)
-	seen := make(map[RaceKey]bool)
+	tr := &res.Seq
+	ix := newAccessIndex(tr)
+	ps := pairSet{ix: &ix}
+	ix.pairs(ps.add)
 	var races []Race
-	for lo := 0; lo < len(idx); {
-		hi := lo + 1
-		for hi < len(idx) && idx[hi].addr == idx[lo].addr {
-			hi++
+	if ps.n > 0 {
+		races = make([]Race, 0, ps.n)
+	}
+	for _, p := range ps.slots {
+		if p.first == 0 {
+			continue
 		}
-		list := idx[lo:hi]
-		for i := range list {
-			first := &res.Seq[list[i].i]
-			for j := i + 1; j < len(list); j++ {
-				second := &res.Seq[list[j].i]
-				if second.Name == first.Name {
-					continue
-				}
-				if !list[i].write && !list[j].write {
-					continue
-				}
-				r := Race{
-					First:      first.Site(),
-					Second:     second.Site(),
-					Addr:       list[i].addr,
-					FirstStep:  first.Step,
-					SecondStep: second.Step,
-					CSLock:     commonLock(first.Lockset, second.Lockset),
-				}
-				if !seen[r.Key()] {
-					seen[r.Key()] = true
-					races = append(races, r)
-				}
-				break // only the first conflicting successor
-			}
-		}
-		lo = hi
+		f, s := int(ix.step[p.first-1]), int(ix.step[p.second])
+		races = append(races, Race{
+			First:      tr.Site(f),
+			Second:     tr.Site(s),
+			Addr:       tr.Accs[p.first-1].Addr,
+			FirstStep:  int(tr.Steps[f].Step),
+			SecondStep: int(tr.Steps[s].Step),
+			CSLock:     commonLock(tr.Lockset(f), tr.Lockset(s)),
+		})
 	}
 	sortRaces(races)
 	if am != nil {
-		races = append(races, phantomRaces(res, am, idx)...)
+		races = append(races, phantomRaces(res, am, &ix)...)
 	}
 	return races
 }
@@ -202,12 +312,15 @@ func Races(res *RunResult, am *AccessMap) []Race {
 // phantomRaces is PhantomRaces over the run's access index. The sites
 // each unfinished thread executed are marked in a bitset over
 // kir.InstrID; threads are matched by name, as sites are.
-func phantomRaces(res *RunResult, am *AccessMap, idx []accessPoint) []Race {
-	// Threads that were cut short, unfinished or crashed.
-	var cut []int32
+func phantomRaces(res *RunResult, am *AccessMap, ix *accessIndex) []Race {
+	tr := &res.Seq
+	// Threads that were cut short, unfinished or crashed, by index in
+	// am and by thread ID in the run (kvm.NoThread if it never ran).
+	var cut, cutID []int32
 	for t, name := range am.names {
 		if st, ok := res.Threads[name]; ok && st != kvm.Done {
 			cut = append(cut, int32(t))
+			cutID = append(cutID, tr.ID(name))
 		}
 	}
 	if len(cut) == 0 {
@@ -216,19 +329,17 @@ func phantomRaces(res *RunResult, am *AccessMap, idx []accessPoint) []Race {
 	words := (len(am.first) + 63) / 64
 	executed := make([]uint64, words*len(cut)) // cut[k]'s bits at [k*words, (k+1)*words)
 	k := 0
-	for i := range res.Seq {
-		e := &res.Seq[i]
-		if am.names[cut[k]] != e.Name {
-			if k = slices.IndexFunc(cut, func(t int32) bool { return am.names[t] == e.Name }); k < 0 {
+	for _, e := range tr.Steps {
+		if cutID[k] != e.Thread {
+			if k = slices.Index(cutID, e.Thread); k < 0 {
 				k = 0
 				continue
 			}
 		}
-		if id := int(e.Instr.ID); id >= 0 && id < len(am.first) {
+		if id := int(e.Instr); id >= 0 && id < len(am.first) {
 			executed[k*words+id/64] |= 1 << (id % 64)
 		}
 	}
-	seen := make(map[RaceKey]bool)
 	var races []Race
 	for k, t := range cut {
 		bits := executed[k*words : (k+1)*words]
@@ -237,30 +348,29 @@ func phantomRaces(res *RunResult, am *AccessMap, idx []accessPoint) []Race {
 				continue
 			}
 			s := Site{Thread: am.names[t], Instr: instr}
+			from := len(races) // this site's races: one per First site
 			for _, a := range addrs {
-				list := ofAddr(idx, a.addr)
 				// Last executed *conflicting* access to addr by a
 				// different thread (read-read pairs are skipped, not
 				// terminal).
-				for i := len(list) - 1; i >= 0; i-- {
-					p := &res.Seq[list[i].i]
-					if p.Name == s.Thread {
+				for g := *ix.slot(a.addr) - 1; g >= 0; g = ix.prev[g] - 1 {
+					if ix.thread(g) == cutID[k] {
 						continue
 					}
-					if !list[i].write && a.mode&modeWrite == 0 {
+					if !tr.Accs[g].Write && a.mode&modeWrite == 0 {
 						continue
 					}
-					r := Race{
-						First:      p.Site(),
-						Second:     s,
-						Addr:       a.addr,
-						FirstStep:  p.Step,
-						SecondStep: -1,
-						Phantom:    true,
-					}
-					if !seen[r.Key()] {
-						seen[r.Key()] = true
-						races = append(races, r)
+					p := int(ix.step[g])
+					first := tr.Site(p)
+					if !slices.ContainsFunc(races[from:], func(r Race) bool { return r.First == first }) {
+						races = append(races, Race{
+							First:      first,
+							Second:     s,
+							Addr:       a.addr,
+							FirstStep:  int(tr.Steps[p].Step),
+							SecondStep: -1,
+							Phantom:    true,
+						})
 					}
 					break
 				}
@@ -274,18 +384,9 @@ func phantomRaces(res *RunResult, am *AccessMap, idx []accessPoint) []Race {
 // sortRaces orders races by their position in the failure-causing
 // sequence (ties broken deterministically by site identity).
 func sortRaces(races []Race) {
-	sort.Slice(races, func(i, j int) bool {
-		a, b := races[i], races[j]
-		if a.LastStep() != b.LastStep() {
-			return a.LastStep() < b.LastStep()
-		}
-		if a.FirstStep != b.FirstStep {
-			return a.FirstStep < b.FirstStep
-		}
-		if a.Second.Thread != b.Second.Thread {
-			return a.Second.Thread < b.Second.Thread
-		}
-		return a.Second.Instr < b.Second.Instr
+	slices.SortFunc(races, func(a, b Race) int {
+		return cmp.Or(cmp.Compare(a.LastStep(), b.LastStep()), cmp.Compare(a.FirstStep, b.FirstStep),
+			cmp.Compare(a.Second.Thread, b.Second.Thread), cmp.Compare(a.Second.Instr, b.Second.Instr))
 	})
 }
 
@@ -306,24 +407,25 @@ func RaceOccurred(res *RunResult, r Race) bool {
 func RaceTrace(res *RunResult, r Race) (order int, firstRan, secondRan bool) {
 	firstAt, secondAt := -1, -1
 	for _, part := range res.Parts() {
-		for i := range part {
-			e := &part[i]
-			s := e.Site()
-			isFirst, isSecond := s == r.First, s == r.Second
+		// Each part names threads by its own IDs.
+		t1, t2 := part.ID(r.First.Thread), part.ID(r.Second.Thread)
+		for k, e := range part.Steps {
+			isFirst := e.Thread == t1 && e.Instr == r.First.Instr
+			isSecond := e.Thread == t2 && e.Instr == r.Second.Instr
 			if !isFirst && !isSecond {
 				continue
 			}
 			firstRan = firstRan || isFirst
 			secondRan = secondRan || isSecond
-			for _, a := range e.Accesses {
+			for _, a := range part.Accesses(k) {
 				if a.Addr != r.Addr {
 					continue
 				}
 				if isFirst && firstAt < 0 {
-					firstAt = e.Step
+					firstAt = int(e.Step)
 				}
 				if isSecond && secondAt < 0 {
-					secondAt = e.Step
+					secondAt = int(e.Step)
 				}
 			}
 		}

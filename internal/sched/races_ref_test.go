@@ -26,8 +26,8 @@ type refAccessPoint struct {
 func refAccessesByAddr(res *RunResult) (map[uint64][]refAccessPoint, []uint64) {
 	byAddr := make(map[uint64][]refAccessPoint)
 	var addrs []uint64
-	for i := range res.Seq {
-		for _, a := range res.Seq[i].Accesses {
+	for i := range res.Seq.Steps {
+		for _, a := range res.Seq.Accesses(i) {
 			list, ok := byAddr[a.Addr]
 			if !ok {
 				addrs = append(addrs, a.Addr)
@@ -41,28 +41,29 @@ func refAccessesByAddr(res *RunResult) (map[uint64][]refAccessPoint, []uint64) {
 // refExtractRaces is the reference ExtractRaces.
 func refExtractRaces(res *RunResult) []Race {
 	byAddr, addrs := refAccessesByAddr(res)
+	seq := &res.Seq
 	slices.Sort(addrs)
 	seen := make(map[RaceKey]bool)
 	var races []Race
 	for _, addr := range addrs {
 		list := byAddr[addr]
 		for i := 0; i < len(list); i++ {
-			first := &res.Seq[list[i].i]
+			first := int(list[i].i)
 			for j := i + 1; j < len(list); j++ {
-				second := &res.Seq[list[j].i]
-				if second.Name == first.Name {
+				second := int(list[j].i)
+				if seq.Name(second) == seq.Name(first) {
 					continue
 				}
 				if !list[i].write && !list[j].write {
 					continue
 				}
 				r := Race{
-					First:      first.Site(),
-					Second:     second.Site(),
+					First:      seq.Site(first),
+					Second:     seq.Site(second),
 					Addr:       addr,
-					FirstStep:  first.Step,
-					SecondStep: second.Step,
-					CSLock:     commonLock(first.Lockset, second.Lockset),
+					FirstStep:  int(seq.Steps[first].Step),
+					SecondStep: int(seq.Steps[second].Step),
+					CSLock:     commonLock(seq.Lockset(first), seq.Lockset(second)),
 				}
 				if !seen[r.Key()] {
 					seen[r.Key()] = true
@@ -88,9 +89,10 @@ func refPhantomRaces(res *RunResult, am *AccessMap) []Race {
 		return nil
 	}
 	byAddr, _ := refAccessesByAddr(res)
-	executed := make(map[Site]bool, len(res.Seq))
-	for _, e := range res.Seq {
-		executed[e.Site()] = true
+	seq := &res.Seq
+	executed := make(map[Site]bool, seq.Len())
+	for i := range seq.Steps {
+		executed[seq.Site(i)] = true
 	}
 	seen := make(map[RaceKey]bool)
 	var races []Race
@@ -106,18 +108,18 @@ func refPhantomRaces(res *RunResult, am *AccessMap) []Race {
 			for _, a := range addrs {
 				list := byAddr[a.addr]
 				for i := len(list) - 1; i >= 0; i-- {
-					p := &res.Seq[list[i].i]
-					if p.Name == s.Thread {
+					p := int(list[i].i)
+					if seq.Name(p) == s.Thread {
 						continue
 					}
 					if !list[i].write && a.mode&modeWrite == 0 {
 						continue
 					}
 					r := Race{
-						First:      p.Site(),
+						First:      seq.Site(p),
 						Second:     s,
 						Addr:       a.addr,
-						FirstStep:  p.Step,
+						FirstStep:  int(seq.Steps[p].Step),
 						SecondStep: -1,
 						Phantom:    true,
 					}
@@ -146,9 +148,9 @@ func RefRaces(res *RunResult, am *AccessMap) []Race {
 
 // recordRun folds every access of a full run into am.
 func recordRun(am *AccessMap, res *RunResult) {
-	for _, e := range res.Seq {
-		for _, a := range e.Accesses {
-			am.Record(e.Site(), a.Addr, a.Write)
+	for i := range res.Seq.Steps {
+		for _, a := range res.Seq.Accesses(i) {
+			am.Record(res.Seq.Site(i), a.Addr, a.Write)
 		}
 	}
 }
@@ -204,28 +206,17 @@ func HandBuiltRaceRuns(t testing.TB) []RaceRun {
 	recordRun(twoAm, enforce("twoaddr/serial-BA", two, nil, Serial("B", "A")))
 	enforce("twoaddr/serial-AB", two, twoAm, Serial("A", "B"))
 
-	instrs := make([]kir.Instr, 64)
-	for k := range instrs {
-		instrs[k].ID = kir.InstrID(k)
-	}
 	const x, y = 0x100, 0x108
 
 	// B writes x twice and reads it, A reads x, then B fails: A's
 	// never-executed sites 9 (writes x) and 10 (reads x, y) are
 	// phantoms, each paired with the last conflicting access to its
 	// address.
-	rep := &RunResult{
-		Seq: []Exec{
-			{Name: "B", Instr: &instrs[1], Accesses: []AccessRec{{Addr: x, Write: true}}},
-			{Name: "A", Instr: &instrs[8], Accesses: []AccessRec{{Addr: x}}},
-			{Name: "B", Instr: &instrs[2], Accesses: []AccessRec{{Addr: x, Write: true}, {Addr: y, Write: true}}},
-			{Name: "B", Instr: &instrs[3], Accesses: []AccessRec{{Addr: x}}},
-		},
-		Threads: map[string]kvm.ThreadState{"A": kvm.Runnable, "B": kvm.Crashed},
-	}
-	for k := range rep.Seq {
-		rep.Seq[k].Step = k
-	}
+	rep := &RunResult{Threads: map[string]kvm.ThreadState{"A": kvm.Runnable, "B": kvm.Crashed}}
+	rep.Seq.AddStep("B", 1, []AccessRec{{Addr: x, Write: true}})
+	rep.Seq.AddStep("A", 8, []AccessRec{{Addr: x}})
+	rep.Seq.AddStep("B", 2, []AccessRec{{Addr: x, Write: true}, {Addr: y, Write: true}})
+	rep.Seq.AddStep("B", 3, []AccessRec{{Addr: x}})
 	repAm := NewAccessMap()
 	repAm.Record(Site{Thread: "A", Instr: 8}, x, false)
 	repAm.Record(Site{Thread: "A", Instr: 9}, x, true)
@@ -240,11 +231,12 @@ func HandBuiltRaceRuns(t testing.TB) []RaceRun {
 	long := &RunResult{Threads: map[string]kvm.ThreadState{"A": kvm.Done, "B": kvm.Runnable, "C": kvm.Blocked}}
 	longAm := NewAccessMap()
 	for k := 0; k < 120; k++ {
-		e := Exec{Step: k, Name: names[rng.Intn(3)], Instr: &instrs[rng.Intn(40)]}
+		name, instr := names[rng.Intn(3)], kir.InstrID(rng.Intn(40))
+		var accs []AccessRec
 		for n := 1 + rng.Intn(2); n > 0; n-- {
-			e.Accesses = append(e.Accesses, AccessRec{Addr: x + 8*uint64(rng.Intn(3)), Write: rng.Intn(3) == 0})
+			accs = append(accs, AccessRec{Addr: x + 8*uint64(rng.Intn(3)), Write: rng.Intn(3) == 0})
 		}
-		long.Seq = append(long.Seq, e)
+		long.Seq.AddStep(name, instr, accs)
 	}
 	for k := 0; k < 30; k++ {
 		s := Site{Thread: names[rng.Intn(3)], Instr: kir.InstrID(40 + rng.Intn(24))}

@@ -121,12 +121,12 @@ func TestAfterExecBreakpointAndSkip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// B's O1 must read n == 1 (after the second store, which wrote 1).
-	for _, e := range res.Seq {
-		if e.Instr.Label == "O1" {
+	for _, e := range res.Seq.Steps {
+		if prog.InstrAt(e.Instr).Label == "O1" {
 			// find B's position: the two L1 executions precede it
 			count := 0
-			for _, e2 := range res.Seq[:e.Step] {
-				if e2.Instr.Label == "L1" {
+			for _, e2 := range res.Seq.Steps[:e.Step] {
+				if prog.InstrAt(e2.Instr).Label == "L1" {
 					count++
 				}
 			}
@@ -324,10 +324,10 @@ func TestWatchdog(t *testing.T) {
 	}
 	// The step that crosses the budget fails: 100 steps are allowed, the
 	// 101st is the soft lockup.
-	if n := len(res.Seq); n != 101 {
+	if n := res.Seq.Len(); n != 101 {
 		t.Errorf("watchdog fired after %d steps, want 101", n)
 	}
-	if f := res.Failure; f.Thread != "A" || f.Instr != res.Seq[len(res.Seq)-1].Instr.ID {
+	if f := res.Failure; f.Thread != "A" || f.Instr != res.Seq.Steps[res.Seq.Len()-1].Instr {
 		t.Errorf("watchdog on thread %q at instr %d, want A at the last executed step", f.Thread, f.Instr)
 	}
 
@@ -347,8 +347,8 @@ func TestWatchdog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Failed() || len(res.Seq) != 10 {
-		t.Errorf("a 10-step run under a 10-step budget: %d steps, failure %v", len(res.Seq), res.Failure)
+	if res.Failed() || res.Seq.Len() != 10 {
+		t.Errorf("a 10-step run under a 10-step budget: %d steps, failure %v", res.Seq.Len(), res.Failure)
 	}
 }
 
@@ -417,7 +417,7 @@ func TestFromSeqReplayProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := machine(t, prog)
 		// Produce a random interleaving directly.
-		var seq []Exec
+		var seq Trace
 		for !m.AllDone() && m.Failure() == nil {
 			run := m.Runnable()
 			if len(run) == 0 {
@@ -431,24 +431,20 @@ func TestFromSeqReplayProperty(t *testing.T) {
 			if !ev.Executed {
 				continue
 			}
-			th := m.Thread(tid)
-			e := Exec{Step: len(seq), Thread: tid, Name: th.Name, Instr: ev.Instr}
-			for _, a := range ev.Accesses {
-				e.Accesses = append(e.Accesses, AccessRec{Addr: a.Addr, Write: a.Write})
-			}
-			seq = append(seq, e)
+			seq.Append(seq.Len(), tid, ev.Instr.ID, ev.Spawned, ev.Accesses, m.Thread(tid).Locks)
 		}
-		sch := FromSeq(seq, []string{"A", "B"})
+		seq.Names = ThreadNames(m)
+		sch := FromSeq(&seq, []string{"A", "B"})
 		m2 := machine(t, prog)
 		res, err := NewEnforcer(m2).Run(sch, Options{})
 		if err != nil {
 			return false
 		}
-		if len(res.Seq) != len(seq) {
+		if res.Seq.Len() != seq.Len() {
 			return false
 		}
-		for i := range seq {
-			if res.Seq[i].Name != seq[i].Name || res.Seq[i].Instr.ID != seq[i].Instr.ID {
+		for i := range seq.Steps {
+			if res.Seq.Name(i) != seq.Name(i) || res.Seq.Steps[i].Instr != seq.Steps[i].Instr {
 				return false
 			}
 		}
@@ -469,19 +465,19 @@ func TestFlipSeqProperties(t *testing.T) {
 	sch := Schedule{Initial: "A", Points: []Point{{Run: "A", At: a2.ID, To: "B"}}, Fallback: []string{"A", "B"}}
 	res, _ := NewEnforcer(m).Run(sch, Options{})
 	for _, r := range ExtractRaces(res) {
-		flipped := FlipSeq(res.Seq, r)
-		if len(flipped) != len(res.Seq) {
-			t.Fatalf("flip changed length: %d vs %d", len(flipped), len(res.Seq))
+		flipped := FlipSeq(prog, &res.Seq, r)
+		if flipped.Len() != res.Seq.Len() {
+			t.Fatalf("flip changed length: %d vs %d", flipped.Len(), res.Seq.Len())
 		}
 		// Per-thread subsequences unchanged.
-		perThread := func(seq []Exec) map[string][]kir.InstrID {
+		perThread := func(seq *Trace) map[string][]kir.InstrID {
 			out := make(map[string][]kir.InstrID)
-			for _, e := range seq {
-				out[e.Name] = append(out[e.Name], e.Instr.ID)
+			for k, e := range seq.Steps {
+				out[seq.Name(k)] = append(out[seq.Name(k)], e.Instr)
 			}
 			return out
 		}
-		want, got := perThread(res.Seq), perThread(flipped)
+		want, got := perThread(&res.Seq), perThread(&flipped)
 		for name := range want {
 			if len(want[name]) != len(got[name]) {
 				t.Fatalf("thread %s length changed", name)
@@ -494,11 +490,11 @@ func TestFlipSeqProperties(t *testing.T) {
 		}
 		// The pair is reversed: Second's position precedes First's.
 		posFirst, posSecond := -1, -1
-		for i, e := range flipped {
-			if e.Site() == r.First && posFirst < 0 {
+		for i := range flipped.Steps {
+			if flipped.Site(i) == r.First && posFirst < 0 {
 				posFirst = i
 			}
-			if e.Site() == r.Second && posSecond < 0 {
+			if flipped.Site(i) == r.Second && posSecond < 0 {
 				posSecond = i
 			}
 		}
@@ -510,19 +506,16 @@ func TestFlipSeqProperties(t *testing.T) {
 
 func TestRepairSpawnOrder(t *testing.T) {
 	// A spawns K at step 1; a reordering put K's step before the spawn.
-	in := func(name string, id kir.InstrID, spawned string) Exec {
-		return Exec{Name: name, Instr: &kir.Instr{ID: id}, Spawned: spawned}
-	}
-	seq := []Exec{
-		in("kworker:S", 10, ""), // violates: spawned at step 2
-		in("A", 1, ""),
-		in("A", 2, "kworker:S"),
-		in("A", 3, ""),
-	}
+	seq := &Trace{}
+	seq.AddStep("kworker:S", 10, nil) // violates: spawned at step 2
+	seq.AddStep("A", 1, nil)
+	seq.AddStep("A", 2, nil)
+	seq.AddStep("A", 3, nil)
+	seq.Steps[2].Spawned = seq.ID("kworker:S")
 	fixed := repairSpawnOrder(seq, []int32{0, 1, 2, 3}, nil)
 	order := []string{}
 	for _, p := range fixed {
-		order = append(order, seq[p].Name)
+		order = append(order, seq.Name(int(p)))
 	}
 	want := []string{"A", "A", "kworker:S", "A"}
 	for i := range want {
