@@ -11,6 +11,7 @@ package aitia_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"aitia"
@@ -475,6 +476,41 @@ func BenchmarkMachineStep(b *testing.B) {
 		steps++
 	}
 	_ = steps
+}
+
+// BenchmarkStateSignature hashes the state of every corpus machine once
+// per op, after a seeded 30-step random walk from its initial state: the
+// hash LIFS takes at every prune check. It reports the time per
+// signature.
+func BenchmarkStateSignature(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var ms []*kvm.Machine
+	for _, sc := range scenarios.All() {
+		m, err := kvm.New(sc.MustProgram())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for step := 0; step < 30 && m.Failure() == nil; step++ {
+			run := m.Runnable()
+			if len(run) == 0 {
+				break
+			}
+			if _, err := m.Step(run[rng.Intn(len(run))]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		ms = append(ms, m)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum uint64
+	for i := 0; i < b.N; i++ {
+		for _, m := range ms {
+			sum += m.StateSignature()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ms)), "ns/signature")
+	_ = sum
 }
 
 // BenchmarkSnapshotRestore measures the VM-revert cost that dominates

@@ -490,7 +490,7 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 	if checkpointing {
 		ckFP = caFingerprint(prog.Hash(), rep, order, opts, skip, priors)
 		ckKey = caCheckpointKey(prog.Hash(), ckFP)
-		if ck := loadCACheckpoint(opts.Checkpoint, ckKey, ckFP, len(order), prog.NumInstrs()); ck != nil {
+		if ck := loadCACheckpoint(opts.Checkpoint, ckKey, ckFP, skip, prog.NumInstrs()); ck != nil {
 			for _, fs := range ck.Flips {
 				if done[fs.Idx] {
 					continue

@@ -121,11 +121,11 @@ func lifsCheckpointKey(prog *kir.Program, opts LIFSOptions) string {
 
 // loadLIFSCheckpoint returns the stored frontier for the key, or nil
 // when none exists, the snapshot is invalid (wrong version, key, or
-// checksum), it was taken from a different initial machine state, or an
-// access record names no instruction of prog. Invalid snapshots are
-// indistinguishable from absent ones by design: the search falls back
-// to fresh.
-func loadLIFSCheckpoint(cfg *CheckpointConfig, key string, prog *kir.Program, initSig uint64) *lifsCheckpoint {
+// checksum), it was taken from a different initial machine state, or it
+// is not a frontier a search of prog with at most maxK interleavings
+// writes (validFrontier). Invalid snapshots are indistinguishable from
+// absent ones by design: the search falls back to fresh.
+func loadLIFSCheckpoint(cfg *CheckpointConfig, key string, prog *kir.Program, maxK int, initSig uint64) *lifsCheckpoint {
 	payload, err := cfg.Store.Load(key, lifsCheckpointVersion)
 	if err != nil {
 		return nil
@@ -134,23 +134,44 @@ func loadLIFSCheckpoint(cfg *CheckpointConfig, key string, prog *kir.Program, in
 	if err := json.Unmarshal(payload, &ck); err != nil {
 		return nil
 	}
-	if ck.InitSig != initSig {
+	if ck.InitSig != initSig || !ck.validFrontier(prog, maxK) {
 		return nil
 	}
+	return &ck
+}
+
+// validFrontier checks a decoded checkpoint against the shapes a search
+// of prog with at most maxK interleavings saves: a terminal one carries
+// its schedule; a frontier names a round (0 or 1) and a next phase
+// (0..maxK+1, the latter once the round's last phase is done), and its
+// round began with no more sites than its access records hold; a
+// partial phase is the next phase, cut after at most every declared
+// thread's group, and holds only units of the groups before the cut
+// with declared initial threads. Every access record must name an
+// instruction of prog.
+func (ck *lifsCheckpoint) validFrontier(prog *kir.Program, maxK int) bool {
 	if ck.Done && ck.Schedule == nil {
-		return nil
+		return false
 	}
-	if checkAccesses(prog, ck.Accesses) != nil {
-		return nil
+	if ck.Round < 0 || ck.Round > 1 || ck.NextPhase < 0 || ck.NextPhase > maxK+1 || ck.SitesAtRoundStart < 0 {
+		return false
 	}
-	if ck.Partial != nil {
-		for _, us := range ck.Partial.Units {
-			if checkAccesses(prog, us.Accesses) != nil {
-				return nil
+	if checkAccesses(prog, ck.Accesses) != nil || ck.SitesAtRoundStart > sched.ImportAccessMap(ck.Accesses).NumSites() {
+		return false
+	}
+	if pp := ck.Partial; pp != nil {
+		groups := len(prog.Threads)
+		if pp.Budget != ck.NextPhase || pp.GroupsDone < 0 || pp.GroupsDone > groups {
+			return false
+		}
+		for _, us := range pp.Units {
+			if us.Group < 0 || us.Group >= pp.GroupsDone || us.Initial < 0 || us.Initial >= groups ||
+				us.Choice < -1 || us.BranchChoices < 0 || checkAccesses(prog, us.Accesses) != nil {
+				return false
 			}
 		}
 	}
-	return &ck
+	return true
 }
 
 func saveLIFSCheckpoint(cfg *CheckpointConfig, key string, ck *lifsCheckpoint) {
@@ -292,9 +313,10 @@ func caCheckpointKey(progHash, fingerprint string) string {
 }
 
 // loadCACheckpoint returns the settled flips for the key, or nil when
-// absent, invalid, or fingerprinted for a different test set. A flip
-// run naming an instruction outside the program's instrs is invalid.
-func loadCACheckpoint(cfg *CheckpointConfig, key, fingerprint string, testSet, instrs int) *caCheckpoint {
+// absent, invalid, or fingerprinted for a different test set. skip is
+// the analysis's prior-skip set, one entry per test. A flip is invalid
+// unless it is one an analysis of the test set settles (flipSnap.valid).
+func loadCACheckpoint(cfg *CheckpointConfig, key, fingerprint string, skip []bool, instrs int) *caCheckpoint {
 	payload, err := cfg.Store.Load(key, caCheckpointVersion)
 	if err != nil {
 		return nil
@@ -307,16 +329,45 @@ func loadCACheckpoint(cfg *CheckpointConfig, key, fingerprint string, testSet, i
 		return nil
 	}
 	for _, fs := range ck.Flips {
-		if fs.Idx < 0 || fs.Idx >= testSet {
+		if !fs.valid(skip, instrs) {
 			return nil
-		}
-		for _, fe := range fs.Seq {
-			if fe.Instr < 0 || int(fe.Instr) >= instrs {
-				return nil
-			}
 		}
 	}
 	return &ck
+}
+
+// valid checks a settled flip against the shapes snapFlip writes: it
+// indexes the test set, and is skipped exactly where the prior skips
+// (with kill rows only there, naming tests), or settled undecided
+// without a run, or settled benign or root cause by a run whose steps
+// name instructions of the program; a benign run failed.
+func (fs *flipSnap) valid(skip []bool, instrs int) bool {
+	if fs.Idx < 0 || fs.Idx >= len(skip) || fs.Skipped != skip[fs.Idx] {
+		return false
+	}
+	v := Verdict(fs.Verdict)
+	if fs.Skipped {
+		for _, j := range fs.Kills {
+			if j < 0 || j >= len(skip) {
+				return false
+			}
+		}
+		return (v == VerdictBenign || v == VerdictRootCause) && len(fs.Seq) == 0
+	}
+	switch {
+	case len(fs.Kills) > 0:
+		return false
+	case v == VerdictUnknown:
+		return len(fs.Seq) == 0
+	case v != VerdictBenign && v != VerdictRootCause, len(fs.Seq) == 0, v == VerdictBenign && !fs.Failed:
+		return false
+	}
+	for _, fe := range fs.Seq {
+		if fe.Instr < 0 || int(fe.Instr) >= instrs {
+			return false
+		}
+	}
+	return true
 }
 
 func saveCACheckpoint(cfg *CheckpointConfig, key string, ck *caCheckpoint) {

@@ -249,7 +249,7 @@ func reproduceContext(ctx context.Context, m *kvm.Machine, opts LIFSOptions, all
 	if checkpointing {
 		s.ckKey = lifsCheckpointKey(m.Prog(), opts)
 		if allowResume {
-			if ck := loadLIFSCheckpoint(opts.Checkpoint, s.ckKey, m.Prog(), s.initSig); ck != nil {
+			if ck := loadLIFSCheckpoint(opts.Checkpoint, s.ckKey, m.Prog(), opts.MaxInterleavings, s.initSig); ck != nil {
 				s.stats.Resumed = true
 				s.stats.CheckpointAge = time.Since(time.Unix(0, ck.SavedAt))
 				if ck.Done {
@@ -539,6 +539,9 @@ type searcher struct {
 
 	spareMu sync.Mutex
 	spare   []*workerVM // worker machines reused across phases
+	// spareUnits are the units of finished phases, dead once their
+	// phase has merged; addUnit reuses them.
+	spareUnits []*unit
 
 	found      bool
 	foundTrace sched.Trace
@@ -565,6 +568,7 @@ type workerVM struct {
 	m    *kvm.Machine
 	init *kvm.Snapshot
 	buf  traceBuf
+	ex   explorer // the explorer of the unit running on the machine
 
 	pin      *kvm.Snapshot // pinned branch state, nil when cold
 	pinPhase *phaseRun
@@ -582,7 +586,7 @@ func newWorkerVM(m *kvm.Machine) *workerVM {
 	vm := &workerVM{m: m, init: m.Snapshot()}
 	n := m.Prog().NumInstrs()
 	vm.buf.path = path{steps: make([]pathStep, 0, n), accs: make([]kvm.Access, 0, n)}
-	vm.buf.accs = make(sched.AccessLog, 0, 2*n)
+	vm.buf.log.Accs = make([]sched.LoggedAccess, 0, 2*n)
 	return vm
 }
 
@@ -625,11 +629,11 @@ func (s *searcher) releaseVMs(vms []*workerVM) {
 // merge has folded the ranges its units recorded there. Pool workers
 // sit in the spare pool between phases.
 func (s *searcher) emptyLogs() {
-	s.main.buf.accs = s.main.buf.accs[:0]
+	s.main.buf.log.Accs = s.main.buf.log.Accs[:0]
 	s.spareMu.Lock()
 	defer s.spareMu.Unlock()
 	for _, vm := range s.spare {
-		vm.buf.accs = vm.buf.accs[:0]
+		vm.buf.log.Accs = vm.buf.log.Accs[:0]
 	}
 }
 
@@ -764,7 +768,7 @@ type unit struct {
 	initial kvm.ThreadID
 
 	// log holds the accesses this unit recorded that its phase's base
-	// lacks: a range of its machine's log (traceBuf.accs), valid until
+	// lacks: a range of its machine's log (traceBuf.log), valid until
 	// the phase merge empties that log, or an array of its own for a
 	// unit restored from a checkpoint or run by the fleet.
 	log    sched.AccessLog
@@ -798,14 +802,32 @@ type phaseRun struct {
 	// serial sweeps each group's tasks right after its probe on the main
 	// machine; otherwise the tasks go to the worker pool or the fleet.
 	serial bool
-	// scripts maps group index to the probe's branch script. Written
-	// serially during the group loop (probes always run on the main
-	// machine, before any parallel dispatch), read-only afterwards.
-	scripts map[int]*branchScript
+	// scripts holds each group's branch script, by group index; nil
+	// where the probe captured none. Written serially during the group
+	// loop (probes always run on the main machine, before any parallel
+	// dispatch), read-only afterwards.
+	scripts []*branchScript
 }
 
+// script returns group g's branch script, nil when there is none.
+func (p *phaseRun) script(g int) *branchScript {
+	if g < 0 || g >= len(p.scripts) {
+		return nil
+	}
+	return p.scripts[g]
+}
+
+// addUnit appends a unit to the phase, reusing a spare unit of an
+// earlier phase when there is one.
 func (p *phaseRun) addUnit(group int, probe bool, choice int, initial kvm.ThreadID) *unit {
-	u := &unit{
+	var u *unit
+	if n := len(p.s.spareUnits); n > 0 {
+		u = p.s.spareUnits[n-1]
+		p.s.spareUnits = p.s.spareUnits[:n-1]
+	} else {
+		u = new(unit)
+	}
+	*u = unit{
 		ordinal: len(p.units),
 		group:   group,
 		probe:   probe,
@@ -841,10 +863,14 @@ func (s *searcher) phase(k int) error {
 	}()
 	p := &phaseRun{
 		s: s, k: k, base: s.am,
-		scripts: make(map[int]*branchScript),
+		scripts: make([]*branchScript, len(s.fallback)),
 		serial:  s.opts.Workers <= 1,
 	}
 	s.best.Store(math.MaxInt64)
+	// The branch scripts in the main machine's arena are dead: the last
+	// phase has merged. A parallel phase keeps each group's script there
+	// until its tasks have run.
+	s.main.buf.scripts.rewind(0)
 
 	// A mid-phase checkpoint re-enters here: the completed units are
 	// restored (with their access records, leaves and branch shapes), and
@@ -881,6 +907,11 @@ func (s *searcher) phase(k int) error {
 		t := s.main.m.ThreadByName(s.fallback[gi])
 		if t == nil {
 			continue
+		}
+		if p.serial {
+			// A serial phase has swept the last group's tasks: the
+			// script in the arena is dead.
+			s.main.buf.scripts.rewind(0)
 		}
 		pu := p.addUnit(gi, true, -1, t.ID)
 		s.main.reset()
@@ -951,6 +982,7 @@ func (s *searcher) phase(k int) error {
 		s.foundTrace = w.cand.trace
 		s.stats.Interleavings = k - w.cand.budgetLeft
 	}
+	s.spareUnits = append(s.spareUnits, p.units...)
 	s.stats.Phases = append(s.stats.Phases, PhaseStat{
 		Budget:    k,
 		Schedules: s.stats.Schedules - schedBefore,
@@ -1015,7 +1047,7 @@ func (s *searcher) sweep(p *phaseRun, tasks []*unit) {
 // group's next task on this machine.
 func (s *searcher) runTask(p *phaseRun, tu *unit, vm *workerVM, worker int) {
 	e := newExplorer(p, tu, vm, false)
-	sc := p.scripts[tu.group]
+	sc := p.script(tu.group)
 	if sc == nil || vm.pinPhase != p || vm.pinGroup != tu.group || !s.restorePin(vm, len(sc.path.steps)) {
 		sc = nil
 		vm.reset()
@@ -1162,12 +1194,8 @@ type explorer struct {
 	// event to the Step without re-entering the loop top, so a resumed
 	// one must not re-run the checks that sit above it.
 	skipBranch bool
-	// visited holds the states this unit reached (see pruneCheck); made
-	// by the first insert.
-	visited map[visKey]struct{}
-
 	// buf is vm's scratch: the trace (the executed steps of the current
-	// path) and the unit's access log live in it.
+	// path), the unit's access log and its visited states live in it.
 	buf     *traceBuf
 	ctxTick int
 	aborted bool
@@ -1182,8 +1210,9 @@ type explorer struct {
 	offReport bool
 }
 
+// newExplorer readies vm's explorer for unit u.
 func newExplorer(p *phaseRun, u *unit, vm *workerVM, probe bool) *explorer {
-	return &explorer{
+	vm.ex = explorer{
 		s:            p.s,
 		p:            p,
 		u:            u,
@@ -1193,6 +1222,7 @@ func newExplorer(p *phaseRun, u *unit, vm *workerVM, probe bool) *explorer {
 		probe:        probe,
 		splitPending: true,
 	}
+	return &vm.ex
 }
 
 // run explores the unit — from the machine's initial state, or with a
@@ -1200,7 +1230,7 @@ func newExplorer(p *phaseRun, u *unit, vm *workerVM, probe bool) *explorer {
 // of the machine's access log it recorded on the unit.
 func (e *explorer) run(sc *branchScript) {
 	lo := e.buf.startUnit()
-	defer func() { e.u.log = e.buf.accs[lo:len(e.buf.accs):len(e.buf.accs)] }()
+	defer func() { e.u.log = e.buf.log.From(lo) }()
 	if sc == nil {
 		if e.m.Thread(e.u.initial) == nil {
 			e.u.err = fmt.Errorf("%w: initial thread %d of %d", ErrBranchTask, e.u.initial, e.m.NumThreads())
@@ -1266,7 +1296,7 @@ func (e *explorer) captureScript(natural bool, choices []kvm.ThreadID, cur kvm.T
 		return
 	}
 	e.u.script = &branchScript{
-		path:    e.buf.path.clone(),
+		path:    e.buf.scripts.keep(&e.buf.path),
 		seen:    e.suspectSeen,
 		div:     div,
 		natural: natural,
@@ -1489,10 +1519,12 @@ func (e *explorer) record(curT *kvm.Thread, ev kvm.StepEvent) {
 			e.suspectSeen |= bits
 		}
 	}
-	site := sched.Site{Thread: curT.Name, Instr: ev.Instr.ID}
-	for _, a := range ev.Accesses {
-		if !e.p.base.Has(site, a.Addr, a.Write) {
-			e.buf.log(site, a.Addr, a.Write)
+	if len(ev.Accesses) > 0 {
+		t := e.buf.thread(curT, e.p.base)
+		for _, a := range ev.Accesses {
+			if !e.p.base.HasAt(t.base, ev.Instr.ID, a.Addr, a.Write) {
+				e.buf.logAccess(sched.Logged(t.log, ev.Instr.ID, a.Addr, a.Write))
+			}
 		}
 	}
 	e.buf.path.append(curT.ID, ev)
@@ -1567,9 +1599,9 @@ func (e *explorer) isConflictPoint(cur kvm.ThreadID) bool {
 	if len(accs) == 0 {
 		return false
 	}
-	name := e.m.Thread(cur).Name
+	t := e.buf.thread(e.m.Thread(cur), e.p.base).base
 	for _, a := range accs {
-		if e.p.base.ConflictsAt(name, a.Addr, a.Write) {
+		if e.p.base.ConflictsBy(t, a.Addr, a.Write) {
 			return true
 		}
 	}
@@ -1591,14 +1623,14 @@ func (e *explorer) pruneCheck(cur kvm.ThreadID, budget int) bool {
 		return false
 	}
 	key := visKey{sig: e.m.StateSignature(), cur: cur, budget: budget}
-	if _, ok := e.visited[key]; ok {
+	if _, ok := e.buf.visited[key]; ok {
 		e.u.pruned++
 		return true
 	}
-	if e.visited == nil {
-		e.visited = make(map[visKey]struct{})
+	if e.buf.visited == nil {
+		e.buf.visited = make(map[visKey]struct{})
 	}
-	e.visited[key] = struct{}{}
+	e.buf.visited[key] = struct{}{}
 	return false
 }
 

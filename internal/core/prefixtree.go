@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync/atomic"
 
 	"aitia/internal/faultinject"
@@ -91,24 +90,60 @@ type branchScript struct {
 }
 
 // traceBuf is one machine's reusable LIFS exploration scratch: the path
-// the explorer's trace lives in (rewound at every backtrack) and the
-// access log its units record into. Units on one machine run one at a
-// time, so one buffer per machine — the searcher's main machine, each
-// workerVM — serves them all. The path does not outlive a unit: a
-// branch script copies it (pointer-free, so the copy is one move of two
-// flat arrays), and an accepted leaf builds its run records from it
-// once (path.records). The access log does, until the phase merge: each
-// unit appends its accesses to it and keeps their range (unit.log), and
-// the merge, having folded every unit's range, empties it.
+// the explorer's trace lives in (rewound at every backtrack), the access
+// log its units record into, the visited-state set of the unit it runs,
+// and the arena branch scripts copy their paths into. Units on one
+// machine run one at a time, so one buffer per machine — the searcher's
+// main machine, each workerVM — serves them all, and none of it is
+// allocated again per unit. The path and the visited set do not outlive
+// a unit: startUnit empties them. A branch script's path copy lives in
+// the arena until searcher.phase rewinds it (when a phase starts, and
+// before each probe of a serial phase), and an accepted leaf builds its
+// run records from the path once (path.records). The
+// access log's records live until the phase merge: each unit appends its
+// accesses and keeps their range (unit.log), and the merge, having
+// folded every unit's range, empties the log.
 type traceBuf struct {
 	path path
-	accs sched.AccessLog
+	log  sched.AccessLog
 	// recent is a direct-mapped cache of accesses the current unit has
 	// already logged, so a unit re-executing the same suffix in schedule
 	// after schedule logs each access about once. A slot holds 1 + the
-	// index in accs of the access last logged there, 0 when empty. A
+	// index in log.Accs of the access last logged there, 0 when empty. A
 	// miss only costs a duplicate record, which Fold dedupes.
 	recent [1 << 6]int32 // indexed by a 6-bit hash
+	// threads caches the current unit's thread-name resolutions by
+	// kvm.ThreadID (see thread).
+	threads []threadRef
+	// visited holds the states the current unit reached (see pruneCheck);
+	// made by the machine's first insert, cleared per unit.
+	visited map[visKey]struct{}
+	// scripts is the arena of the phase's branch-script paths (keep).
+	scripts path
+}
+
+// threadRef is one thread name's index in the machine's access log and
+// in the unit's phase base (sched.AccessMap.ThreadIndex, -1 for a thread
+// the base has not seen).
+type threadRef struct {
+	name      string
+	log, base int32
+}
+
+// thread resolves t's name in the log and in base, once per thread and
+// unit. A thread ID names different threads in different schedules (a
+// spawned thread's ID is its spawn order), so a cached entry counts only
+// while its name is t's.
+func (b *traceBuf) thread(t *kvm.Thread, base *sched.AccessMap) threadRef {
+	id := int(t.ID)
+	for len(b.threads) <= id {
+		b.threads = append(b.threads, threadRef{log: -1})
+	}
+	r := &b.threads[id]
+	if r.log < 0 || r.name != t.Name {
+		*r = threadRef{name: t.Name, log: b.log.Intern(t.Name), base: base.ThreadIndex(t.Name)}
+	}
+	return *r
 }
 
 // path is the explorer's current path: the order of (thread,
@@ -156,9 +191,15 @@ func (p *path) copyFrom(q *path) {
 	p.accs = append(p.accs[:0], q.accs...)
 }
 
-// clone returns a copy of p with arrays of its own.
-func (p *path) clone() path {
-	return path{steps: slices.Clone(p.steps), accs: slices.Clone(p.accs)}
+// keep appends a copy of q to p, an arena of paths, and returns the
+// copy: ranges of p's arrays, capped so that nothing appends into them.
+// The copy stays valid until p is rewound below it.
+func (p *path) keep(q *path) path {
+	s0, a0 := len(p.steps), len(p.accs)
+	p.steps = append(p.steps, q.steps...)
+	p.accs = append(p.accs, q.accs...)
+	s1, a1 := len(p.steps), len(p.accs)
+	return path{steps: p.steps[s0:s1:s1], accs: p.accs[a0:a1:a1]}
 }
 
 // records builds the path's run records, each stamped with its
@@ -181,31 +222,31 @@ func (p *path) records(m *kvm.Machine) sched.Trace {
 	return tr
 }
 
-// startUnit readies the buffer for a new unit: it empties the path and
-// the cache of logged accesses, and returns where the unit's accesses
-// start in the log.
+// startUnit readies the buffer for a new unit: it empties the path, the
+// cache of logged accesses, the thread resolutions (the unit's phase
+// base may differ from the last unit's) and the visited set, and returns
+// where the unit's accesses start in the log.
 func (b *traceBuf) startUnit() int {
 	b.path.rewind(0)
 	clear(b.recent[:])
-	return len(b.accs)
+	b.threads = b.threads[:0]
+	if len(b.visited) > 0 {
+		clear(b.visited)
+	}
+	return len(b.log.Accs)
 }
 
-// log appends an access unless the cache has seen it in this unit.
-func (b *traceBuf) log(s sched.Site, addr uint64, write bool) {
-	a := sched.LoggedAccess{Site: s, Addr: addr, Write: write}
-	h := uint64(s.Instr)<<32 ^ addr
-	if n := len(s.Thread); n > 0 {
-		// Threads running the same code differ mostly at the end of
-		// their names (worker0, worker1).
-		h ^= uint64(n)<<48 ^ uint64(s.Thread[n-1])<<56
-	}
+// logAccess appends an access unless the cache has seen it in this unit.
+func (b *traceBuf) logAccess(a sched.LoggedAccess) {
+	// Threads running the same code differ only in their index.
+	h := uint64(a.Instr)<<32 ^ a.Addr ^ uint64(a.Thread())<<48
 	// Fibonacci hashing: the top bits of the product pick the slot.
 	slot := &b.recent[(h*0x9e3779b97f4a7c15)>>58]
-	if *slot != 0 && b.accs[*slot-1] == a {
+	if *slot != 0 && b.log.Accs[*slot-1] == a {
 		return
 	}
-	b.accs = append(b.accs, a)
-	*slot = int32(len(b.accs))
+	b.log.Accs = append(b.log.Accs, a)
+	*slot = int32(len(b.log.Accs))
 }
 
 // flipCache incrementally replays prefixes of the canonical failing

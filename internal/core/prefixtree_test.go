@@ -7,6 +7,7 @@ import (
 
 	"aitia/internal/faultinject"
 	"aitia/internal/kir"
+	"aitia/internal/kvm"
 	"aitia/internal/scenarios"
 	"aitia/internal/sched"
 )
@@ -268,18 +269,50 @@ func TestTraceBufLogDedupes(t *testing.T) {
 			s := sched.Site{Thread: threads[k%len(threads)], Instr: kir.InstrID(k % 13)}
 			addr, write := uint64(0x100+k%29), k%3 == 0
 			raw.Add(s, addr, write)
-			buf.log(s, addr, write)
+			buf.logAccess(sched.Logged(buf.log.Intern(s.Thread), s.Instr, addr, write))
 		}
-		if got, want := buf.accs.Export(), raw.Export(); !reflect.DeepEqual(got, want) {
+		if got, want := buf.log.Export(), raw.Export(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%d distinct accesses: log folds to %v, want %v", distinct, got, want)
 		}
-		if distinct == 8 && len(buf.accs) > 2*distinct {
-			t.Errorf("%d distinct accesses logged %d times", distinct, len(buf.accs))
+		if distinct == 8 && len(buf.log.Accs) > 2*distinct {
+			t.Errorf("%d distinct accesses logged %d times", distinct, len(buf.log.Accs))
 		}
 		lo := buf.startUnit()
-		buf.log(raw[0].Site, raw[0].Addr, raw[0].Write)
-		if n := len(buf.accs) - lo; n != 1 {
+		a := raw.Accs[0]
+		name := raw.Names[a.Thread()]
+		buf.logAccess(sched.Logged(buf.log.Intern(name), a.Instr, a.Addr, a.Write()))
+		if n := len(buf.log.Accs) - lo; n != 1 {
 			t.Errorf("in a new unit, logging a seen access left %d records, want 1", n)
 		}
+		if got := buf.log.From(lo); got.Names[got.Accs[0].Thread()] != name {
+			t.Errorf("the new unit's range names thread %q, want %q", got.Names[got.Accs[0].Thread()], name)
+		}
+	}
+}
+
+// TestTraceBufThreadFollowsNames: a thread ID names different threads in
+// different schedules (a spawned thread's ID is its spawn order), so a
+// machine's thread resolution follows the name behind the ID: each name
+// gets its own log index and its own index in the base, and a new unit
+// resolves against its own base.
+func TestTraceBufThreadFollowsNames(t *testing.T) {
+	base := sched.NewAccessMap()
+	base.Record(sched.Site{Thread: "kworker:Y", Instr: 1}, 0x100, true)
+	var buf traceBuf
+	buf.startUnit()
+	x := buf.thread(&kvm.Thread{ID: 2, Name: "kworker:X"}, base)
+	y := buf.thread(&kvm.Thread{ID: 2, Name: "kworker:Y"}, base)
+	if got := []string{buf.log.Names[x.log], buf.log.Names[y.log]}; got[0] != "kworker:X" || got[1] != "kworker:Y" {
+		t.Fatalf("ID 2 resolves in the log to %q, want kworker:X then kworker:Y", got)
+	}
+	if x.base != -1 || y.base != base.ThreadIndex("kworker:Y") {
+		t.Fatalf("base indices %d, %d, want -1, %d", x.base, y.base, base.ThreadIndex("kworker:Y"))
+	}
+	next := sched.NewAccessMap()
+	next.Record(sched.Site{Thread: "A", Instr: 0}, 0x100, true)
+	next.Record(sched.Site{Thread: "kworker:X", Instr: 1}, 0x100, true)
+	buf.startUnit()
+	if got := buf.thread(&kvm.Thread{ID: 2, Name: "kworker:X"}, next); got.base != 1 || got.log != x.log {
+		t.Fatalf("in a new unit, kworker:X resolves to log %d, base %d, want log %d, base 1", got.log, got.base, x.log)
 	}
 }

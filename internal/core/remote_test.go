@@ -324,8 +324,8 @@ func FuzzBranchResult(f *testing.F) {
 		}
 		u := &unit{}
 		if err := importBranchResult(prog, u, &res); err != nil {
-			if !errors.Is(err, ErrBranchTask) || u.ran || u.cand != nil || u.log != nil {
-				t.Fatalf("dropped result: error %v, unit ran=%v cand=%v log=%d", err, u.ran, u.cand != nil, len(u.log))
+			if !errors.Is(err, ErrBranchTask) || u.ran || u.cand != nil || u.log.Accs != nil {
+				t.Fatalf("dropped result: error %v, unit ran=%v cand=%v log=%d", err, u.ran, u.cand != nil, len(u.log.Accs))
 			}
 			return
 		}

@@ -100,17 +100,19 @@ func hasPointers(t reflect.Type) bool {
 	}
 }
 
-// TestPathIsPointerFree guards the explorer's path and the run records
-// it becomes: the path's step record, the element type of its access
-// arena and a run's step record (sched.Exec) hold no pointers, so the
-// arrays the explorer writes on every step and every run's records are
-// never scanned by the garbage collector. A path step stays 16 bytes
-// and a run record at most 32.
+// TestPathIsPointerFree guards the explorer's path, its access log and
+// the run records a path becomes: the path's step record, the element
+// type of its access arena, a logged access (sched.LoggedAccess) and a
+// run's step record (sched.Exec) hold no pointers, so the arrays the
+// explorer writes on every step and every run's records are never
+// scanned by the garbage collector. A path step stays 16 bytes, a logged
+// access at most 16 and a run record at most 32.
 func TestPathIsPointerFree(t *testing.T) {
 	step := reflect.TypeOf(pathStep{})
 	acc := reflect.TypeOf(path{}.accs).Elem()
+	logged := reflect.TypeOf(sched.LoggedAccess{})
 	exec := reflect.TypeOf(sched.Exec{})
-	for _, typ := range []reflect.Type{step, acc, exec} {
+	for _, typ := range []reflect.Type{step, acc, logged, exec} {
 		if hasPointers(typ) {
 			t.Errorf("%v holds pointers", typ)
 		}
@@ -118,11 +120,14 @@ func TestPathIsPointerFree(t *testing.T) {
 	if step.Size() != 16 {
 		t.Errorf("sizeof(pathStep) = %d, want 16", step.Size())
 	}
+	if logged.Size() > 16 {
+		t.Errorf("sizeof(sched.LoggedAccess) = %d, want at most 16", logged.Size())
+	}
 	if exec.Size() > 32 {
 		t.Errorf("sizeof(sched.Exec) = %d, want at most 32", exec.Size())
 	}
-	if !hasPointers(reflect.TypeOf(sched.LoggedAccess{})) {
-		t.Error("hasPointers misses the pointer of sched.LoggedAccess's thread name")
+	if !hasPointers(reflect.TypeOf(sched.Site{})) {
+		t.Error("hasPointers misses the pointer of sched.Site's thread name")
 	}
 }
 

@@ -34,7 +34,7 @@ type pipelineOut struct {
 	CAResumed  bool
 }
 
-func testCheckpointStore(t *testing.T) *durable.CheckpointStore {
+func testCheckpointStore(t testing.TB) *durable.CheckpointStore {
 	t.Helper()
 	st, err := durable.OpenCheckpointStore(t.TempDir(), false)
 	if err != nil {

@@ -42,6 +42,10 @@ func (m *Machine) PeekAccesses(tid ThreadID) []Access {
 	return out
 }
 
+// fnvTagLockOwner is the hash of a lock-owner tuple's tag, its constant
+// first part.
+var fnvTagLockOwner = mem.FNVWord(mem.FNVOffset, 0x10c4)
+
 // StateSignature returns a hash of the complete machine state: thread
 // positions, registers, lock ownership, memory words, lists and heap
 // object states. Two machines with equal signatures are (modulo hash
@@ -74,7 +78,7 @@ func (m *Machine) StateSignature() uint64 {
 	}
 	acc := m.space.StateHash()
 	for addr, owner := range m.lockOwner {
-		acc += mem.FNVWord(mem.FNVWord(mem.FNVWord(mem.FNVOffset, 0x10c4), addr), uint64(owner))
+		acc += mem.FNVWord(mem.FNVWord(fnvTagLockOwner, addr), uint64(owner))
 	}
 	return mem.FNVWord(h, acc)
 }

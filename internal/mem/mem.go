@@ -566,14 +566,27 @@ const FNVOffset uint64 = 14695981039346656037
 
 const fnvPrime uint64 = 1099511628211
 
+// fnvPow[k] is fnvPrime to the k-th power (mod 2^64): FNV-1a's step
+// over k zero bytes, whose xor changes nothing.
+var fnvPow = func() (pow [9]uint64) {
+	pow[0] = 1
+	for k := 1; k < len(pow); k++ {
+		pow[k] = pow[k-1] * fnvPrime
+	}
+	return pow
+}()
+
 // FNVWord feeds v to the 64-bit FNV-1a hash h as 8 little-endian bytes.
+// The bytes above v's highest set bit are zero, so they fold into one
+// multiply; the result is bit for bit the byte-wise hash.
 func FNVWord(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
+	n := (bits.Len64(v) + 7) >> 3
+	for i := 0; i < n; i++ {
 		h ^= v & 0xff
 		h *= fnvPrime
 		v >>= 8
 	}
-	return h
+	return h * fnvPow[8-n]
 }
 
 // FNVString feeds the bytes of str to the 64-bit FNV-1a hash h.
@@ -585,6 +598,16 @@ func FNVString(h uint64, str string) uint64 {
 	return h
 }
 
+// The hashes of StateHash's tuple tags, the constant first part of
+// every tuple.
+var (
+	fnvTagWord     = FNVWord(FNVOffset, 0x77)
+	fnvTagListItem = FNVWord(FNVOffset, 0x11)
+	fnvTagListLen  = FNVWord(FNVOffset, 0x12)
+	fnvTagObject   = FNVWord(FNVOffset, 0x0b)
+	fnvTagNext     = FNVWord(FNVOffset, 0xa1)
+)
+
 // StateHash folds the tuples FoldState enumerates into one
 // order-independent value, without allocating: each tuple is hashed on
 // its own as FNV-1a over its parts (FNVWord each), and the tuple hashes
@@ -592,18 +615,19 @@ func FNVString(h uint64, str string) uint64 {
 func (s *Space) StateHash() uint64 {
 	var acc uint64
 	for addr, v := range s.words {
-		acc += FNVWord(FNVWord(FNVWord(FNVOffset, 0x77), addr), uint64(v))
+		acc += FNVWord(FNVWord(fnvTagWord, addr), uint64(v))
 	}
 	for addr, l := range s.lists {
+		item := FNVWord(fnvTagListItem, addr)
 		for i, v := range l {
-			acc += FNVWord(FNVWord(FNVWord(FNVWord(FNVOffset, 0x11), addr), uint64(i)), uint64(v))
+			acc += FNVWord(FNVWord(item, uint64(i)), uint64(v))
 		}
-		acc += FNVWord(FNVWord(FNVWord(FNVOffset, 0x12), addr), uint64(len(l)))
+		acc += FNVWord(FNVWord(fnvTagListLen, addr), uint64(len(l)))
 	}
 	for _, o := range s.objects {
-		acc += FNVWord(FNVWord(FNVWord(FNVWord(FNVOffset, 0x0b), o.Base), uint64(o.Size)), uint64(o.State))
+		acc += FNVWord(FNVWord(FNVWord(fnvTagObject, o.Base), uint64(o.Size)), uint64(o.State))
 	}
-	return acc + FNVWord(FNVWord(FNVOffset, 0xa1), s.next)
+	return acc + FNVWord(fnvTagNext, s.next)
 }
 
 // Snapshot is a copy-on-write checkpoint: a position in the space's undo

@@ -84,16 +84,26 @@ func (am *AccessMap) Reserve(n int) {
 	}
 }
 
-// thread returns the interned index of a thread name, or -1 for a thread
-// the map has never seen. Programs have a handful of threads, so a scan
-// beats hashing the name.
-func (am *AccessMap) thread(name string) int32 {
+// ThreadIndex returns the interned index of a thread name, or -1 for a
+// thread the map has never seen. An index, once given, names the same
+// thread for the life of the map. Programs have a handful of threads, so
+// a scan beats hashing the name.
+func (am *AccessMap) ThreadIndex(name string) int32 {
 	for i, n := range am.names {
 		if n == name {
 			return int32(i)
 		}
 	}
 	return -1
+}
+
+// intern returns the index of a thread name, adding it first if new.
+func (am *AccessMap) intern(name string) int32 {
+	if t := am.ThreadIndex(name); t >= 0 {
+		return t
+	}
+	am.names = append(am.names, name)
+	return int32(len(am.names) - 1)
 }
 
 // find returns 1 + the index in sites of thread t's site at instr, or 0
@@ -110,13 +120,13 @@ func (am *AccessMap) find(t int32, instr kir.InstrID) int32 {
 	return 0
 }
 
-// site returns the addresses recorded for s, nil when there are none.
-func (am *AccessMap) site(s Site) []addrMode {
-	t := am.thread(s.Thread)
+// site returns the addresses recorded for thread t's site at instr, nil
+// when there are none.
+func (am *AccessMap) site(t int32, instr kir.InstrID) []addrMode {
 	if t < 0 {
 		return nil
 	}
-	if i := am.find(t, s.Instr); i != 0 {
+	if i := am.find(t, instr); i != 0 {
 		return am.sites[i-1].addrs
 	}
 	return nil
@@ -141,17 +151,17 @@ func search(addrs []addrMode, addr uint64) (int, bool) {
 
 // Record adds one observed access. s.Instr must be non-negative.
 func (am *AccessMap) Record(s Site, addr uint64, write bool) {
-	t := am.thread(s.Thread)
-	if t < 0 {
-		t = int32(len(am.names))
-		am.names = append(am.names, s.Thread)
-	}
-	i := am.find(t, s.Instr)
+	am.record(am.intern(s.Thread), s.Instr, addr, write)
+}
+
+// record adds one observed access of the thread at index t.
+func (am *AccessMap) record(t int32, instr kir.InstrID, addr uint64, write bool) {
+	i := am.find(t, instr)
 	if i == 0 {
-		am.Reserve(int(s.Instr) + 1)
-		am.sites = append(am.sites, siteEntry{thread: t, next: am.first[s.Instr]})
+		am.Reserve(int(instr) + 1)
+		am.sites = append(am.sites, siteEntry{thread: t, next: am.first[instr]})
 		i = int32(len(am.sites))
-		am.first[s.Instr] = i
+		am.first[instr] = i
 	}
 	site := &am.sites[i-1]
 	mode := modeOf(write)
@@ -178,7 +188,13 @@ func (am *AccessMap) Record(s Site, addr uint64, write bool) {
 // Has reports whether the map already holds the access: the site has
 // been observed to access addr in this mode.
 func (am *AccessMap) Has(s Site, addr uint64, write bool) bool {
-	addrs := am.site(s)
+	return am.HasAt(am.ThreadIndex(s.Thread), s.Instr, addr, write)
+}
+
+// HasAt is Has for the site of the thread at index t (ThreadIndex; -1
+// holds nothing) at instr.
+func (am *AccessMap) HasAt(t int32, instr kir.InstrID, addr uint64, write bool) bool {
+	addrs := am.site(t, instr)
 	i, found := search(addrs, addr)
 	return found && addrs[i].mode&modeOf(write) != 0
 }
@@ -187,11 +203,16 @@ func (am *AccessMap) Has(s Site, addr uint64, write bool) bool {
 // with any access of a different thread recorded so far: the addresses
 // match and at least one side writes.
 func (am *AccessMap) ConflictsAt(thread string, addr uint64, write bool) bool {
+	return am.ConflictsBy(am.ThreadIndex(thread), addr, write)
+}
+
+// ConflictsBy is ConflictsAt for the thread at index t (ThreadIndex; -1,
+// a thread the map has not seen, differs from every recorded thread).
+func (am *AccessMap) ConflictsBy(t int32, addr uint64, write bool) bool {
 	list := am.byAddr[addr]
 	if len(list) == 0 {
 		return false
 	}
-	t := am.thread(thread)
 	for _, tm := range list {
 		if tm.thread != t && (write || tm.mode&modeWrite != 0) {
 			return true
