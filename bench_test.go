@@ -379,14 +379,16 @@ func BenchmarkLIFSParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotCoWVsDeep compares the copy-on-write Snapshot/Restore
-// pair against the retained deep-copy baseline under the searcher's usage
-// pattern: checkpoint, execute a burst of steps, revert. The deep variant
-// copies the whole state every cycle, so its cost scales with total state
-// width; the CoW variant journals only what the burst touches. The two
-// sub-cases span that axis: a small corpus scenario (where the deep copy
-// is cheap and the two are comparable) and a kernel-scale wide state with
-// 4096 globals (where CoW wins by the width ratio).
+// BenchmarkSnapshotCoWVsDeep times the copy-on-write Snapshot/Restore
+// pair under the searcher's usage pattern — checkpoint, execute a burst
+// of steps, revert — and counts its restore work against a deep copy's:
+// cow-words is what each Restore rewinds (kvm.Machine.RestoredBytes),
+// deep-words what restoring the checkpoint by a full copy would write
+// (kvm.Machine.StateBytes). A deep copy's work scales with total state
+// width; the journal's only with what the burst touches. The two
+// sub-cases span that axis: a small corpus scenario (where the two are
+// comparable) and a kernel-scale wide state with 4096 globals (where CoW
+// wins by the width ratio).
 func BenchmarkSnapshotCoWVsDeep(b *testing.B) {
 	sc, _ := scenarios.ByName("syz08-j1939-refcount")
 	wide, err := eval.WideStateProgram(4096)
@@ -415,29 +417,21 @@ func BenchmarkSnapshotCoWVsDeep(b *testing.B) {
 		{"syz08-j1939-refcount", sc.MustProgram()},
 		{"wide-4096", wide},
 	} {
-		b.Run(c.name+"/cow", func(b *testing.B) {
+		b.Run(c.name, func(b *testing.B) {
 			m, err := kvm.New(c.prog)
 			if err != nil {
 				b.Fatal(err)
 			}
+			deep := m.StateBytes() / 8
+			restored := m.RestoredBytes()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				snap := m.Snapshot()
 				step(m)
 				m.Restore(snap)
 			}
-		})
-		b.Run(c.name+"/deep", func(b *testing.B) {
-			m, err := kvm.New(c.prog)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				snap := m.DeepSnapshot()
-				step(m)
-				m.RestoreDeep(snap)
-			}
+			b.ReportMetric(float64(m.RestoredBytes()-restored)/8/float64(b.N), "cow-words/op")
+			b.ReportMetric(float64(deep), "deep-words/op")
 		})
 	}
 }

@@ -93,7 +93,7 @@ var modes = []mode{
 	{name: "kill-recover", value: true, corpus: "handbuilt", run: runKillRecover,
 		usage: "crash-recovery gate, process half: spawn the aitia-serve binary at this `path` with a durable data dir, SIGKILL it mid-diagnosis, restart it, and fail unless every submitted job recovers to its golden chain"},
 	{name: "check-lifs", value: true, corpus: "handbuilt", out: true, run: artifact(measureLIFS, compareLIFS),
-		usage: "run the -lifs artifact and fail if schedule counts or speedups regress more than 25% against the committed baseline JSON at this `path`"},
+		usage: "run the -lifs artifact and fail if schedule counts or speedups regress more than 25%, or a replay row or snapshot word count differs, against the committed baseline JSON at this `path`"},
 	{name: "check-flips", value: true, corpus: "handbuilt", out: true, run: artifact(measureFlips, compareFlips),
 		usage: "flip-regression gate: run the -flips artifact and fail unless every warm chain is byte-identical to cold, the warm pass skips at least 25% of flip tests, and flip counts stay within ±25% of the committed baseline JSON at this `path`"},
 	{name: "trace", value: true, run: writeTrace,
@@ -715,9 +715,11 @@ type lifsParallelRow struct {
 }
 
 // lifsReplayRow is one corpus scenario's serial diagnosis (Reproduce +
-// Analyze) measured with the prefix cache on and off. The counts are
-// deterministic, machine-portable, and the -check-lifs replay gate runs
-// on their corpus totals.
+// Analyze) measured under a prefix-cache budget that pins nothing (the
+// "off" column: every run replays its prefix) and under the default
+// budget (the "on" column and the cache's own counters). The counts are
+// deterministic and machine-portable, and the -check-lifs replay gate
+// compares every row exactly.
 type lifsReplayRow struct {
 	Scenario    string `json:"scenario"`
 	ReplayedOff uint64 `json:"replayed_instrs_off"`
@@ -727,19 +729,18 @@ type lifsReplayRow struct {
 	PinnedBytes uint64 `json:"pinned_bytes"`
 }
 
-// lifsSnapshotRow compares the two snapshot strategies on one state. The
-// word counts are the gated columns: per checkpoint/burst/revert cycle,
-// the words a CoW restore rewinds (its undo-journal entries) against the
-// words a deep restore copies (the live state). They are deterministic
-// and machine-portable; the times and their ratio are reported only.
+// lifsSnapshotRow counts the restore work of one state's
+// checkpoint/burst/revert cycles, the gated columns: per cycle, the words
+// a CoW restore rewinds (its undo-journal entries) against the words a
+// restore by deep copy would write (the whole state at the checkpoint,
+// kvm.Machine.StateBytes). They are deterministic and machine-portable;
+// the CoW time is reported only.
 type lifsSnapshotRow struct {
-	State             string  `json:"state"`
-	Globals           int     `json:"globals"`
-	CoWNSPerCycle     int64   `json:"cow_ns_per_cycle"`
-	DeepNSPerCycle    int64   `json:"deep_ns_per_cycle"`
-	Speedup           float64 `json:"speedup"`
-	CoWWordsPerCycle  uint64  `json:"cow_words_per_cycle"`
-	DeepWordsPerCycle uint64  `json:"deep_words_per_cycle"`
+	State             string `json:"state"`
+	Globals           int    `json:"globals"`
+	CoWNSPerCycle     int64  `json:"cow_ns_per_cycle"`
+	CoWWordsPerCycle  uint64 `json:"cow_words_per_cycle"`
+	DeepWordsPerCycle uint64 `json:"deep_words_per_cycle"`
 }
 
 // measureLIFS measures the two perf mechanisms of the search engine —
@@ -827,18 +828,18 @@ func measureLIFS(list []*scenarios.Scenario) (*lifsArtifact, error) {
 	t.Write(os.Stdout)
 	fmt.Printf("  (%d CPUs, GOMAXPROCS %d — %s)\n\n", art.CPUs, art.GOMAXPROCS, art.Note)
 
-	// Incremental replay: the whole corpus diagnosed serially with the
-	// prefix cache on and off. The counts are deterministic; golden-chain
-	// equality across both modes is asserted here, so a cache bug cannot
-	// ship a "fast" artifact with wrong diagnoses.
+	// Incremental replay: the whole corpus diagnosed serially under a
+	// budget that pins nothing and under the default one. The counts are
+	// deterministic; golden-chain equality across both is asserted here,
+	// so a cache bug cannot ship a "fast" artifact with wrong diagnoses.
 	rows, err := measureReplay(list)
 	if err != nil {
 		return nil, err
 	}
 	art.Replay = rows
 	var offTot, onTot uint64
-	rt := report.Table{Title: "Incremental replay: prefix cache off vs on (serial diagnosis, corpus)"}
-	rt.Add("Scenario", "replayed off", "replayed on", "saved", "hits", "pinned B")
+	rt := report.Table{Title: "Incremental replay: no pins vs default budget (serial diagnosis, corpus)"}
+	rt.Add("Scenario", "replayed no-pin", "replayed default", "saved", "hits", "pinned B")
 	for _, r := range rows {
 		offTot += r.ReplayedOff
 		onTot += r.ReplayedOn
@@ -846,11 +847,12 @@ func measureLIFS(list []*scenarios.Scenario) (*lifsArtifact, error) {
 			fmt.Sprint(r.SavedInstrs), fmt.Sprint(r.PrefixHits), fmt.Sprint(r.PinnedBytes))
 	}
 	rt.Write(os.Stdout)
-	fmt.Printf("  (corpus replayed instructions: %d off, %d on — %.1fx reduction)\n\n",
+	fmt.Printf("  (corpus replayed instructions: %d with no pins, %d with the default budget — %.1fx reduction)\n\n",
 		offTot, onTot, replayRatio(offTot, onTot))
 
-	// Snapshot strategy: checkpoint / 32-step burst / revert cycles. Deep
-	// copy scales with total state width, the journal with bytes dirtied.
+	// Snapshot strategy: checkpoint / 32-step burst / revert cycles. A
+	// deep copy's work scales with total state width, the journal's with
+	// bytes dirtied.
 	wide, err := eval.WideStateProgram(4096)
 	if err != nil {
 		return nil, err
@@ -864,39 +866,34 @@ func measureLIFS(list []*scenarios.Scenario) (*lifsArtifact, error) {
 		{"wide-4096", 4096, wide},
 	}
 	const cycles, burst = 3000, 32
-	st := report.Table{Title: "Snapshot strategy: copy-on-write journal vs deep copy (per checkpoint/burst/revert cycle)"}
-	st.Add("State", "CoW words", "Deep words", "Word ratio", "CoW", "Deep copy", "Speedup")
+	st := report.Table{Title: "Snapshot strategy: copy-on-write journal vs deep copy (words restored per checkpoint/burst/revert cycle)"}
+	st.Add("State", "CoW words", "Deep words", "Word ratio", "CoW")
 	for _, c := range snapCases {
-		cow, cowWords, err := snapshotCycle(c.prog, cycles, burst, false)
+		cow, cowWords, deepWords, err := snapshotCycle(c.prog, cycles, burst)
 		if err != nil {
 			return nil, err
 		}
-		deep, deepWords, err := snapshotCycle(c.prog, cycles, burst, true)
-		if err != nil {
-			return nil, err
-		}
-		speedup := float64(deep) / float64(cow)
 		art.Snapshot = append(art.Snapshot, lifsSnapshotRow{
 			State: c.name, Globals: c.globals,
-			CoWNSPerCycle: cow.Nanoseconds(), DeepNSPerCycle: deep.Nanoseconds(),
-			Speedup:          speedup,
+			CoWNSPerCycle:    cow.Nanoseconds(),
 			CoWWordsPerCycle: cowWords, DeepWordsPerCycle: deepWords,
 		})
 		st.Add(c.name, fmt.Sprint(cowWords), fmt.Sprint(deepWords),
 			fmt.Sprintf("%.1fx", float64(deepWords)/float64(max(cowWords, 1))),
-			fmt.Sprint(cow), fmt.Sprint(deep), fmt.Sprintf("%.1fx", speedup))
+			fmt.Sprint(cow))
 	}
 	st.Write(os.Stdout)
-	fmt.Printf("  (%d cycles of %d steps each; deep-copy cost grows with state width, CoW with bytes dirtied)\n\n",
+	fmt.Printf("  (%d cycles of %d steps each; deep-copy work grows with state width, CoW with bytes dirtied)\n\n",
 		cycles, burst)
 	return &art, nil
 }
 
-// measureReplay diagnoses every corpus scenario serially with the prefix
-// cache disabled and enabled, returning the per-scenario replay counters.
-// Both modes must produce the scenario's golden chain and identical
-// schedule counts — the cache is a work optimization, never a result
-// change — so a divergence fails the measurement itself.
+// measureReplay diagnoses every corpus scenario serially under a
+// prefix-cache budget that pins nothing and under the default budget,
+// returning the per-scenario replay counters. Both must produce the
+// scenario's golden chain and identical schedule counts — the cache is a
+// work optimization, never a result change — so a divergence fails the
+// measurement itself.
 func measureReplay(list []*scenarios.Scenario) ([]lifsReplayRow, error) {
 	var rows []lifsReplayRow
 	for _, sc := range list {
@@ -904,16 +901,17 @@ func measureReplay(list []*scenarios.Scenario) ([]lifsReplayRow, error) {
 		var chains [2]string
 		var scheds [2]int
 		row := lifsReplayRow{Scenario: sc.Name}
-		for i, disable := range []bool{true, false} {
-			prefix := core.PrefixConfig{Disable: disable}
+		// A one-byte budget admits only pins of zero bytes, whose
+		// restores skip nothing.
+		for i, prefix := range []core.PrefixConfig{{BudgetBytes: 1}, {}} {
 			rep, d, err := eval.DiagnoseWith(sc, core.LIFSOptions{Prefix: prefix}, core.AnalysisOptions{Prefix: prefix})
 			if err != nil {
-				return nil, fmt.Errorf("replay-measure %s (cache=%v): %w", sc.Name, !disable, err)
+				return nil, fmt.Errorf("replay-measure %s (budget %d): %w", sc.Name, prefix.BudgetBytes, err)
 			}
 			replayed[i] = rep.Stats.ReplayedInstrs + d.Stats.ReplayedInstrs
 			chains[i] = d.Chain.Format(sc.MustProgram())
 			scheds[i] = rep.Stats.Schedules
-			if !disable {
+			if i == 1 {
 				row.SavedInstrs = rep.Stats.SavedInstrs + d.Stats.SavedInstrs
 				row.PrefixHits = rep.Stats.PrefixHits + d.Stats.PrefixHits
 				row.PinnedBytes = rep.Stats.PinnedBytes
@@ -923,14 +921,14 @@ func measureReplay(list []*scenarios.Scenario) ([]lifsReplayRow, error) {
 			}
 		}
 		if chains[0] != chains[1] {
-			return nil, fmt.Errorf("replay-measure %s: chain differs with the cache on (%q) vs off (%q)",
+			return nil, fmt.Errorf("replay-measure %s: chain differs under the default budget (%q) and with no pins (%q)",
 				sc.Name, chains[1], chains[0])
 		}
 		if want, ok := scenarios.GoldenChains[sc.Name]; ok && chains[0] != want {
 			return nil, fmt.Errorf("replay-measure %s: chain %q does not match the golden %q", sc.Name, chains[0], want)
 		}
 		if scheds[0] != scheds[1] {
-			return nil, fmt.Errorf("replay-measure %s: schedule count differs with the cache on (%d) vs off (%d)",
+			return nil, fmt.Errorf("replay-measure %s: schedule count differs under the default budget (%d) and with no pins (%d)",
 				sc.Name, scheds[1], scheds[0])
 		}
 		row.ReplayedOff, row.ReplayedOn = replayed[0], replayed[1]
@@ -951,12 +949,13 @@ func replayRatio(off, on uint64) float64 {
 // -lifs artifact. Wall-clock times do not transfer between machines, so
 // it checks machine-portable quantities only: per-(scenario, workers)
 // schedule counts within ±25%, parallel speedup ratios one-sided (a
-// regression of more than 25% fails; being faster never does), and the
-// snapshot rows' word counts exactly. Parallel speedups are skipped when
-// this machine has fewer CPUs than the baseline machine.
+// regression of more than 25% fails; being faster never does), the
+// snapshot rows' word counts and every replay row exactly. Parallel
+// speedups are skipped when this machine has fewer CPUs than the
+// baseline machine.
 func compareLIFS(t *tally, baseline string, base, art *lifsArtifact) string {
 	const tol = 0.25
-	t.width = 28
+	t.width = 29
 	parallel := make(map[string]lifsParallelRow)
 	for _, r := range base.Parallel {
 		parallel[fmt.Sprintf("%s/w%d", r.Scenario, r.Workers)] = r
@@ -993,8 +992,8 @@ func compareLIFS(t *tally, baseline string, base, art *lifsArtifact) string {
 			continue
 		}
 		// The restore work is counted, not timed: a CoW restore that
-		// rewinds more than its journal, or a deep copy of a different
-		// state, changes a count. The times are reported only.
+		// rewinds more than its journal, or a state of a different size,
+		// changes a count. The times are reported only.
 		if r.CoWWordsPerCycle != b.CoWWordsPerCycle || r.DeepWordsPerCycle != b.DeepWordsPerCycle {
 			t.fail("snapshot/"+r.State, "restored words per cycle = %d CoW, %d deep; baseline %d CoW, %d deep",
 				r.CoWWordsPerCycle, r.DeepWordsPerCycle, b.CoWWordsPerCycle, b.DeepWordsPerCycle)
@@ -1002,48 +1001,51 @@ func compareLIFS(t *tally, baseline string, base, art *lifsArtifact) string {
 	}
 
 	// Replay gate: the prefix cache must keep earning its keep. The
-	// measured counts are deterministic and machine-portable, so the
-	// corpus totals carry a hard reduction floor plus a tolerance band
-	// against the baseline (improvements always pass; measureReplay has
-	// already asserted golden chains and cache-on/off schedule equality).
+	// measured counts are deterministic and machine-portable, so every
+	// scenario's row must equal the baseline's exactly, and the corpus
+	// totals keep a hard reduction floor (measureReplay has already
+	// asserted golden chains and equal schedule counts under both
+	// budgets).
 	if len(base.Replay) == 0 {
 		t.fail("", "replay section missing from baseline %s — regenerate it with -lifs -out", baseline)
 		return ""
 	}
-	var baseOn, baseHits uint64
+	replay := make(map[string]lifsReplayRow, len(base.Replay))
 	for _, r := range base.Replay {
-		baseOn += r.ReplayedOn
-		baseHits += uint64(r.PrefixHits)
+		replay[r.Scenario] = r
 	}
-	var freshOff, freshOn, freshHits uint64
+	var freshOff, freshOn uint64
 	for _, r := range art.Replay {
 		freshOff += r.ReplayedOff
 		freshOn += r.ReplayedOn
-		freshHits += uint64(r.PrefixHits)
+		b, ok := replay[r.Scenario]
+		if !ok {
+			t.fail("replay/"+r.Scenario, "not in baseline %s — regenerate it with -lifs -out", baseline)
+			continue
+		}
+		delete(replay, r.Scenario)
+		if got, want := r.counts(), b.counts(); got != want {
+			t.fail("replay/"+r.Scenario, "replayed no-pin/default, saved, hits = %d/%d, %d, %d; baseline %d/%d, %d, %d",
+				got[0], got[1], got[2], got[3], want[0], want[1], want[2], want[3])
+		}
 	}
-	replayBad := t.bad
+	for _, b := range base.Replay {
+		if _, missed := replay[b.Scenario]; missed {
+			t.fail("replay/"+b.Scenario, "in baseline %s but not measured", baseline)
+		}
+	}
 	const minReplayReduction = 5.0
 	if ratio := replayRatio(freshOff, freshOn); ratio < minReplayReduction {
-		t.fail("", "replay reduction = %.1fx (corpus replayed %d off, %d on), floor %.0fx — the prefix cache stopped paying off",
+		t.fail("", "replay reduction = %.1fx (corpus replayed %d with no pins, %d with the default budget), floor %.0fx — the prefix cache stopped paying off",
 			ratio, freshOff, freshOn, minReplayReduction)
 	}
-	if ceil := float64(baseOn) * (1 + tol); float64(freshOn) > ceil {
-		t.fail("", "replayed instructions (cache on) = %d, baseline %d (ceiling +25%%: %.0f) — more prefix work is being re-executed",
-			freshOn, baseOn, ceil)
-	}
-	if !within(float64(freshHits), float64(baseHits), tol) {
-		t.fail("", "prefix hits = %d, baseline %d (%s) — the cache hit rate changed structurally",
-			freshHits, baseHits, band(float64(baseHits), tol))
-	}
-	// The checks above compare corpus totals; name the scenarios that
-	// moved so the CI log pinpoints the regression without a local rerun.
-	if t.bad > replayBad {
-		printMoved("  per-scenario replay counters (fresh vs baseline)", [2]string{"replayed on", "hits"},
-			base.Replay, art.Replay, func(r lifsReplayRow) (string, [2]uint64) {
-				return r.Scenario, [2]uint64{r.ReplayedOn, uint64(r.PrefixHits)}
-			})
-	}
-	return "tolerance ±25%, replay floor 5x"
+	return "tolerance ±25%, replay rows exact, replay floor 5x"
+}
+
+// counts returns the row's gated counts: replayed instructions with no
+// pins and under the default budget, saved instructions and prefix hits.
+func (r lifsReplayRow) counts() [4]uint64 {
+	return [4]uint64{r.ReplayedOff, r.ReplayedOn, r.SavedInstrs, uint64(r.PrefixHits)}
 }
 
 // The JSON shape of the -flips learned-ordering artifact (BENCH_flips.json).
@@ -1198,31 +1200,25 @@ func compareFlips(t *tally, baseline string, base, art *flipsArtifact) string {
 	return fmt.Sprintf("chains byte-identical, %.0f%% of flip tests skipped warm, tolerance ±25%%", art.Reduction*100)
 }
 
-// snapshotCycle times one checkpoint / burst / revert cycle, best of 3
-// passes of `cycles` cycles, using either the CoW journal pair or the
-// deep-copy baseline. It also returns the words one cycle's restore
-// writes back (kvm.Machine.RestoredBytes): every cycle reverts to the
-// same state, so the count is exact.
-func snapshotCycle(prog *kir.Program, cycles, burst int, deep bool) (time.Duration, uint64, error) {
+// snapshotCycle times one checkpoint / burst / revert cycle of the CoW
+// journal pair, best of 3 passes of `cycles` cycles. It also returns the
+// words one cycle's restore writes back (kvm.Machine.RestoredBytes) and
+// the words a restore by deep copy would write (kvm.Machine.StateBytes at
+// the checkpoint): every cycle reverts to the same state, so both counts
+// are exact.
+func snapshotCycle(prog *kir.Program, cycles, burst int) (time.Duration, uint64, uint64, error) {
 	best := time.Duration(0)
-	var words uint64
+	var words, deepWords uint64
 	for rep := 0; rep < 3; rep++ {
 		m, err := kvm.New(prog)
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, 0, err
 		}
+		deepWords = m.StateBytes() / 8
 		restored := m.RestoredBytes()
 		start := time.Now()
 		for i := 0; i < cycles; i++ {
-			var (
-				cowSnap  *kvm.Snapshot
-				deepSnap *kvm.DeepSnapshot
-			)
-			if deep {
-				deepSnap = m.DeepSnapshot()
-			} else {
-				cowSnap = m.Snapshot()
-			}
+			snap := m.Snapshot()
 			for s := 0; s < burst; s++ {
 				if m.Failure() != nil {
 					break
@@ -1232,21 +1228,17 @@ func snapshotCycle(prog *kir.Program, cycles, burst int, deep bool) (time.Durati
 					break
 				}
 				if _, err := m.Step(run[0]); err != nil {
-					return 0, 0, err
+					return 0, 0, 0, err
 				}
 			}
-			if deep {
-				m.RestoreDeep(deepSnap)
-			} else {
-				m.Restore(cowSnap)
-			}
+			m.Restore(snap)
 		}
 		if el := time.Since(start); best == 0 || el < best {
 			best = el
 		}
 		words = (m.RestoredBytes() - restored) / 8 / uint64(cycles)
 	}
-	return best / time.Duration(cycles), words, nil
+	return best / time.Duration(cycles), words, deepWords, nil
 }
 
 func printReproduction(j *job) error {

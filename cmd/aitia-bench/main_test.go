@@ -147,6 +147,43 @@ func TestTallySummary(t *testing.T) {
 	}
 }
 
+// TestCompareLIFSReplayExact: the -check-lifs replay gate compares each
+// scenario's row exactly — one prefix hit more in one scenario, or a
+// scenario gone, fails — and keeps the corpus reduction floor.
+func TestCompareLIFSReplayExact(t *testing.T) {
+	base := &lifsArtifact{Replay: []lifsReplayRow{
+		{Scenario: "fig1", ReplayedOff: 300, ReplayedOn: 10, SavedInstrs: 290, PrefixHits: 3},
+		{Scenario: "fig5", ReplayedOff: 800, ReplayedOn: 20, SavedInstrs: 780, PrefixHits: 4},
+	}}
+	fresh := func(edit func(rows []lifsReplayRow) []lifsReplayRow) *lifsArtifact {
+		return &lifsArtifact{Replay: edit(slices.Clone(base.Replay))}
+	}
+	for _, tc := range []struct {
+		name  string
+		art   *lifsArtifact
+		fails int
+	}{
+		{"identical", fresh(func(r []lifsReplayRow) []lifsReplayRow { return r }), 0},
+		{"one more hit", fresh(func(r []lifsReplayRow) []lifsReplayRow { r[1].PrefixHits++; return r }), 1},
+		{"one fewer saved", fresh(func(r []lifsReplayRow) []lifsReplayRow { r[0].SavedInstrs--; return r }), 1},
+		{"scenario gone", fresh(func(r []lifsReplayRow) []lifsReplayRow { return r[:1] }), 1},
+	} {
+		tl := &tally{gate: "check-lifs"}
+		compareLIFS(tl, "BENCH_lifs.json", base, tc.art)
+		if tl.bad != tc.fails {
+			t.Errorf("%s: %d failures, want %d", tc.name, tl.bad, tc.fails)
+		}
+	}
+	// A baseline that itself sits below the floor fails even when the
+	// fresh rows equal it.
+	low := &lifsArtifact{Replay: []lifsReplayRow{{Scenario: "fig1", ReplayedOff: 40, ReplayedOn: 10}}}
+	tl := &tally{gate: "check-lifs"}
+	compareLIFS(tl, "BENCH_lifs.json", low, low)
+	if tl.bad != 1 {
+		t.Errorf("4x reduction: %d failures, want the floor's 1", tl.bad)
+	}
+}
+
 // TestGatesEndToEnd runs two cheap gates through the registry exactly as
 // the command line selects them.
 func TestGatesEndToEnd(t *testing.T) {

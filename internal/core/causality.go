@@ -173,9 +173,8 @@ type AnalysisOptions struct {
 	// schedule replays the failing run verbatim up to its race, so the
 	// analysis pins snapshots along the failing sequence and starts each
 	// flip from the deepest pinned ancestor of its cut, enforcing only
-	// the suffix. The zero value enables the cache with default knobs;
-	// verdicts and the diagnosis are identical with the cache on or off.
-	// See PrefixConfig.
+	// the suffix. The zero value is the default budget; verdicts and the
+	// diagnosis are the same whatever the budget. See PrefixConfig.
 	Prefix PrefixConfig
 	// Ranker, when set, reorders the flip tests by learned expected
 	// root-cause probability (the fixed backward order breaks ties) and
@@ -233,15 +232,16 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 	// Warm handoff: when the reproduction carries live prefix pins for
 	// this very machine (it just replayed the failing run), adopt them
 	// instead of resetting — the flip cache starts with every flip cut
-	// of the failing sequence pinned, and pins at the seed's marks. execBase discounts the search's instructions from
-	// this analysis's ExecutedInstrs. Any mismatch (different machine,
-	// reset in between, cache off) falls back to the cold path, which is
-	// byte-identical to the pre-cache pipeline.
+	// of the failing sequence pinned, and pins at the seed's marks.
+	// execBase discounts the search's instructions from this analysis's
+	// ExecutedInstrs. Any mismatch (different machine, reset in between)
+	// falls back to the cold path: a reset machine whose cache pins the
+	// cuts as it seeks them.
 	var init *kvm.Snapshot
 	var warmPins []flipPin
 	var cuts []bool
 	var execBase uint64
-	if pins, ok := rep.seed.adopt(m); ok && opts.Prefix.enabled() {
+	if pins, ok := rep.seed.adopt(m); ok {
 		warmPins = pins
 		cuts = rep.seed.cuts
 		init = rep.seed.init
@@ -268,17 +268,13 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 	start := time.Now()
 
 	// Prefix cache: one flipCache per machine (snapshots are per-machine),
-	// all feeding the same counters. ps is tracked even with the cache
-	// off, so cache-on/off benchmark runs report comparable replay work.
+	// all feeding the same counters.
 	var ps prefixStats
-	var fcMain *flipCache
-	if opts.Prefix.enabled() {
-		if cuts == nil {
-			cuts = sched.CutPoints(prog, failSeq, rep.Accesses)
-		}
-		fcMain = newFlipCache(m, init, failSeq, cuts, opts.Prefix, opts.Fault, &ps)
-		fcMain.pins = warmPins
+	if cuts == nil {
+		cuts = sched.CutPoints(prog, failSeq, rep.Accesses)
 	}
+	fcMain := newFlipCache(m, init, failSeq, cuts, opts.Prefix, opts.Fault, &ps)
+	fcMain.pins = warmPins
 
 	d := &Diagnosis{Failure: original}
 	d.Stats.TestSet = len(rep.Races)
@@ -367,17 +363,13 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 	// is the flip's index in the deterministic test order, so for a fixed
 	// fault seed the same flips fault, retry and (rarely) exhaust no
 	// matter how the tests are spread over workers.
-	testRace := func(ctx context.Context, enf *sched.Enforcer, init *kvm.Snapshot, fc *flipCache, idx int, r sched.Race) (TestedRace, error) {
-		// The flip schedule replays failSeq verbatim up to its cut; with
-		// the cache on, Seek brings the machine there (from the deepest
-		// pinned ancestor) and only the suffix plan is enforced. The run
-		// shares failSeq's first cut steps as its Base and records only
-		// its own steps, so Base followed by Seq is exactly a full
-		// enforcement's sequence.
+	testRace := func(ctx context.Context, enf *sched.Enforcer, fc *flipCache, idx int, r sched.Race) (TestedRace, error) {
+		// The flip schedule replays failSeq verbatim up to its cut: Seek
+		// brings the machine there (from the deepest pinned ancestor) and
+		// only the suffix plan is enforced. The run shares failSeq's
+		// first cut steps as its Base and records only its own steps, so
+		// Base followed by Seq is exactly a full enforcement's sequence.
 		cut, plan := sched.PlanFlipCut(prog, failSeq, r, fallback, fo)
-		if fc == nil {
-			plan = sched.PlanFlipOpt(prog, failSeq, r, fallback, fo)
-		}
 		var tr TestedRace
 		err := faultinject.Do(ctx, opts.Fault, opts.Retry, func(ctx context.Context, attempt int) error {
 			ro := runOpts
@@ -386,14 +378,10 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 			ro.FaultKey = uint64(idx)
 			ro.FaultAttempt = attempt
 			ro.Ctx = ctx
-			if fc != nil {
-				if err := fc.Seek(cut, "ca.flip", uint64(idx), attempt); err != nil {
-					return err
-				}
-				ro.Prefix = failSeq.Prefix(cut)
-			} else if err := enf.Machine().TryRestore(init, "ca.flip", uint64(idx), attempt); err != nil {
+			if err := fc.Seek(cut, "ca.flip", uint64(idx), attempt); err != nil {
 				return err
 			}
+			ro.Prefix = failSeq.Prefix(cut)
 			// Size the run's own records and their arrays for the rest
 			// of the failing run, so they rarely regrow. Locksets are
 			// sized exactly: few runs hold locks.
@@ -412,10 +400,6 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 			res, err := enf.Run(plan, ro)
 			if err != nil {
 				return err
-			}
-			if fc == nil {
-				// Cache off: the full plan re-enforced the known prefix.
-				ps.replayed.Add(uint64(cut))
 			}
 			tr = TestedRace{
 				Race:         r,
@@ -544,7 +528,7 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 				return err
 			}
 			err := timeFlip(-1, i, func() error {
-				tr, err := testRace(ctx, enf, init, fcMain, i, r)
+				tr, err := testRace(ctx, enf, fcMain, i, r)
 				if err != nil {
 					return err
 				}
@@ -567,9 +551,8 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 		// degrades to the serial path below — which machine runs a flip
 		// never changes its verdict.
 		type flipVM struct {
-			enf  *sched.Enforcer
-			init *kvm.Snapshot
-			fc   *flipCache // this diagnoser's private prefix cache
+			enf *sched.Enforcer
+			fc  *flipCache // this diagnoser's private prefix cache
 		}
 		var wmMu sync.Mutex
 		err := runWorkers(ctx, opts.Tracer, "ca-flip", opts.Workers, len(execOrder),
@@ -578,9 +561,9 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 				if err != nil {
 					return nil, err
 				}
-				vm := &flipVM{enf: sched.NewEnforcer(wm), init: wm.Snapshot()}
-				if opts.Prefix.enabled() {
-					vm.fc = newFlipCache(wm, vm.init, failSeq, cuts, opts.Prefix, opts.Fault, &ps)
+				vm := &flipVM{
+					enf: sched.NewEnforcer(wm),
+					fc:  newFlipCache(wm, wm.Snapshot(), failSeq, cuts, opts.Prefix, opts.Fault, &ps),
 				}
 				wmMu.Lock()
 				workerMachines = append(workerMachines, wm)
@@ -595,7 +578,7 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 					return nil
 				}
 				return timeFlip(worker, idx, func() error {
-					tr, err := testRace(ctx, vm.enf, vm.init, vm.fc, idx, order[idx])
+					tr, err := testRace(ctx, vm.enf, vm.fc, idx, order[idx])
 					if err != nil {
 						return err
 					}

@@ -91,9 +91,9 @@ type LIFSOptions struct {
 	// Prefix configures the incremental-replay prefix cache: each
 	// group's branch state is pinned as a copy-on-write snapshot so
 	// task units resume from it instead of replaying the group prefix
-	// from instruction 0. The zero value enables the cache with default
-	// knobs; the explored tree, the reproduction and Stats.Schedules
-	// are identical with the cache on or off. See PrefixConfig.
+	// from instruction 0. The zero value is the default budget; the
+	// explored tree, the reproduction and Stats.Schedules are the same
+	// whatever the budget. See PrefixConfig.
 	Prefix PrefixConfig
 
 	// Ablation switches (all default off, i.e. the paper's design):
@@ -129,8 +129,8 @@ type SearchStats struct {
 	// not re-counted); runs of units past the winner, cut short or not,
 	// are not counted. Each unit's exploration is a pure function of the
 	// phase and the unit, so the count is the same serially, at every
-	// worker count, through a dispatcher and with the prefix cache on or
-	// off (it skips replay work, never schedules). Pinned by
+	// worker count, through a dispatcher and under every prefix-cache
+	// budget (the cache skips replay work, never schedules). Pinned by
 	// TestParallelScheduleCountExact. Pruned and GuidePruned are counted
 	// the same way.
 	Schedules     int
@@ -411,7 +411,7 @@ rounds:
 	// cannot skip; pin snapshots along it so a subsequent Analyze on this
 	// machine seeks its flip cuts without re-executing the prefix.
 	var seedFC *flipCache
-	if opts.Prefix.enabled() && terminal == nil {
+	if terminal == nil {
 		seedFC = newFlipCache(m, init, nil, sched.CutPoints(m.Prog(), &s.foundTrace, s.am), opts.Prefix, opts.Fault, &s.prefix)
 	}
 	err := faultinject.Do(ctx, opts.Fault, opts.Retry, func(ctx context.Context, attempt int) error {
@@ -662,12 +662,8 @@ func (s *searcher) workerExecuted() uint64 {
 }
 
 // pinBranch pins vm's current state as the branch state of p's group
-// for the prefix cache, unless the cache is disabled or the
-// pinned-bytes budget is exhausted.
+// for the prefix cache, unless the pinned-bytes budget is exhausted.
 func (s *searcher) pinBranch(vm *workerVM, p *phaseRun, group int) {
-	if !s.opts.Prefix.enabled() {
-		return
-	}
 	lb := vm.m.LiveBytes()
 	if lb > s.opts.Prefix.budget() {
 		return
@@ -1043,15 +1039,17 @@ func (s *searcher) sweep(p *phaseRun, tasks []*unit) {
 // runTask explores task unit tu on vm, the one way every task runs:
 // serial, pool, sweep and fleet node alike. It resumes from vm's pin when
 // the pin holds tu's group branch state of this phase. Otherwise it
-// resets vm, replays the group prefix and pins vm at the branch for the
-// group's next task on this machine.
+// resets vm, replays the group prefix and, when the group has a branch
+// script a later task could resume from, pins vm at the branch for the
+// group's next task on this machine. A fleet node's one-task phase holds
+// no script, so it pins nothing.
 func (s *searcher) runTask(p *phaseRun, tu *unit, vm *workerVM, worker int) {
 	e := newExplorer(p, tu, vm, false)
 	sc := p.script(tu.group)
 	if sc == nil || vm.pinPhase != p || vm.pinGroup != tu.group || !s.restorePin(vm, len(sc.path.steps)) {
+		e.pinAtBranch = sc != nil
 		sc = nil
 		vm.reset()
-		e.pinAtBranch = s.opts.Prefix.enabled()
 	}
 	s.timeUnit(tu, worker, func() { e.run(sc) })
 }
@@ -1292,9 +1290,6 @@ func (e *explorer) choiceOK(n int) bool {
 // captureScript saves the machine-independent half of the branch state
 // (probe only), so pinned tasks can resume without replaying the prefix.
 func (e *explorer) captureScript(natural bool, choices []kvm.ThreadID, cur kvm.ThreadID, div sched.Diversions) {
-	if !e.s.opts.Prefix.enabled() {
-		return
-	}
 	e.u.script = &branchScript{
 		path:    e.buf.scripts.keep(&e.buf.path),
 		seen:    e.suspectSeen,

@@ -19,8 +19,8 @@ import (
 // checkpoint and fleet wire form) and the schedule, prune and
 // guide-prune counts — across the whole scenario corpus, and a parallel
 // analysis of the parallel reproduction must yield a byte-identical
-// diagnosis, with the prefix cache on. A serial search with the cache
-// off must count the same too.
+// diagnosis, with the prefix cache on. A serial search under a budget
+// that pins nothing must count the same too, and save no replay.
 // Scoped to the hand-built subset so factory growth does not swell the
 // sweep; the factory itself asserts worker identity on its emissions.
 func TestParallelReproduceMatchesSerial(t *testing.T) {
@@ -56,12 +56,15 @@ func TestParallelReproduceMatchesSerial(t *testing.T) {
 				}
 			}
 			coldOpts := opts
-			coldOpts.Prefix = PrefixConfig{Disable: true}
+			coldOpts.Prefix = pinNothing
 			cold, err := Reproduce(mustMachine(t, prog), coldOpts)
 			if err != nil {
-				t.Fatalf("cache-off Reproduce: %v", err)
+				t.Fatalf("pin-nothing Reproduce: %v", err)
 			}
-			sameCounts("cache-off", cold.Stats)
+			sameCounts("pin-nothing", cold.Stats)
+			if cold.Stats.SavedInstrs != 0 || cold.Stats.PinnedBytes != 0 {
+				t.Errorf("pin-nothing search saved=%d pinned=%d, want 0/0", cold.Stats.SavedInstrs, cold.Stats.PinnedBytes)
+			}
 
 			for _, workers := range []int{2, 4, 8} {
 				popts := opts
@@ -108,28 +111,33 @@ func TestParallelReproduceMatchesSerial(t *testing.T) {
 
 // TestParallelScheduleCountExact pins the schedule count of
 // syz08-j1939-refcount (the corpus's widest search) at every worker
-// count, with the prefix cache on and off. Every unit prunes only on its
-// own visited states, so serial and parallel searches run exactly the
-// same schedules, and the cache skips replay work, never schedules.
+// count, under the default prefix-cache budget and one that pins
+// nothing. Every unit prunes only on its own visited states, so serial
+// and parallel searches run exactly the same schedules, and the cache
+// skips replay work, never schedules.
 func TestParallelScheduleCountExact(t *testing.T) {
 	sc, _ := scenarios.ByName("syz08-j1939-refcount")
 	prog := sc.MustProgram()
 	const want = 23
-	for _, disable := range []bool{false, true} {
+	for _, prefix := range []PrefixConfig{{}, pinNothing} {
 		for _, workers := range []int{1, 2, 4, 8} {
 			rep, err := Reproduce(mustMachine(t, prog), LIFSOptions{
 				WantKind:  sc.WantKind,
 				WantInstr: sc.WantInstr(),
 				LeakCheck: sc.NeedsLeakCheck(),
 				Workers:   workers,
-				Prefix:    PrefixConfig{Disable: disable},
+				Prefix:    prefix,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if rep.Stats.Schedules != want {
-				t.Errorf("cache-disable=%v workers=%d schedules = %d, want %d",
-					disable, workers, rep.Stats.Schedules, want)
+				t.Errorf("budget=%d workers=%d schedules = %d, want %d",
+					prefix.BudgetBytes, workers, rep.Stats.Schedules, want)
+			}
+			if prefix == pinNothing && (rep.Stats.SavedInstrs != 0 || rep.Stats.PinnedBytes != 0) {
+				t.Errorf("pin-nothing workers=%d saved=%d pinned=%d, want 0/0",
+					workers, rep.Stats.SavedInstrs, rep.Stats.PinnedBytes)
 			}
 		}
 	}

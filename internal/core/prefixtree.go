@@ -20,25 +20,21 @@ import (
 // the deepest pinned ancestor, replaying only the suffix.
 //
 // The cache is purely a work optimization: the explored tree, the
-// reproduction, every flip verdict and the diagnosis are identical with
-// the cache on or off. Pins live only in memory — a checkpoint-resumed
-// search starts cold — and journal-based snapshots force LIFO restores,
-// so eviction is structural: seeking below a pin drops everything
-// deeper (the deepest pins go first), and creation stops once the
-// pinned bytes exceed the budget.
+// reproduction, every flip verdict and the diagnosis are identical
+// whatever it pins, down to a budget that pins nothing. Pins live only
+// in memory — a checkpoint-resumed search starts cold — and
+// journal-based snapshots force LIFO restores, so eviction is
+// structural: seeking below a pin drops everything deeper (the deepest
+// pins go first), and creation stops once the pinned bytes exceed the
+// budget.
 
 // DefaultPinBudget bounds the bytes pinned by live prefix snapshots
 // (64 MiB; scenario-sized kernels pin a few KiB per run).
 const DefaultPinBudget = 64 << 20
 
 // PrefixConfig configures the incremental-replay prefix cache. The zero
-// value enables the cache with the default byte budget.
+// value is the default byte budget.
 type PrefixConfig struct {
-	// Disable turns the cache off: every run replays its schedule from
-	// instruction 0, as the pipeline did before the cache existed.
-	// Results are identical either way — only the work differs — so
-	// Disable exists for benchmarking and defense in depth.
-	Disable bool
 	// BudgetBytes bounds the bytes pinned by live prefix snapshots
 	// (measured with kvm.Machine.LiveBytes). Zero means
 	// DefaultPinBudget. When the budget is exhausted no further pins
@@ -46,8 +42,6 @@ type PrefixConfig struct {
 	// ancestor — so the budget caps memory without affecting results.
 	BudgetBytes uint64
 }
-
-func (c PrefixConfig) enabled() bool { return !c.Disable }
 
 func (c PrefixConfig) budget() uint64 {
 	if c.BudgetBytes > 0 {
@@ -282,12 +276,11 @@ func newFlipCache(m *kvm.Machine, init *kvm.Snapshot, seq *sched.Trace, cuts []b
 
 // Seek brings the machine to schedule position n of the failing
 // sequence, after which the caller enforces the flip suffix with
-// sched.Options.Prefix = seq.Prefix(n). It preserves the cache-off fault
-// identity: the legacy snapshot-restore check is drawn first with the
-// same (op, key, attempt), so chaos fates match a cache-off run. A
-// fired prefix-restore fault (a corrupt pin) degrades to a from-scratch
-// replay and never surfaces as an error — degradation costs work, not
-// correctness.
+// sched.Options.Prefix = seq.Prefix(n). The snapshot-restore check is
+// drawn first with the flip's (op, key, attempt), so a flip's chaos fate
+// does not depend on what the cache holds. A fired prefix-restore fault
+// (a corrupt pin) degrades to a from-scratch replay and never surfaces
+// as an error — degradation costs work, not correctness.
 func (c *flipCache) Seek(n int, op string, key uint64, attempt int) error {
 	if err := c.fault.Check(faultinject.KindSnapshotRestore, op, key, attempt); err != nil {
 		return err

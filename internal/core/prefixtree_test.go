@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"aitia/internal/faultinject"
@@ -39,8 +40,8 @@ func prefixPipeline(t *testing.T, sc *scenarios.Scenario, cfg PrefixConfig, plan
 }
 
 // comparePipelines asserts that two pipeline runs explored the same tree
-// and reached the same diagnosis — the cache-on/off, budget and fault
-// variants must differ only in work, never in results.
+// and reached the same diagnosis — the budget and fault variants must
+// differ only in work, never in results.
 func comparePipelines(t *testing.T, sc *scenarios.Scenario, repA, repB *Reproduction, dA, dB *Diagnosis) {
 	t.Helper()
 	prog := sc.MustProgram()
@@ -78,27 +79,74 @@ func comparePipelines(t *testing.T, sc *scenarios.Scenario, repA, repB *Reproduc
 	}
 }
 
+// pinNothing is a budget only a zero-byte pin fits in. Every machine a
+// run uses journals from its initial snapshot on, and every step
+// journals at least its thread, so only an initial state pins zero
+// bytes and restoring it skips nothing: the pipeline runs without the
+// prefix cache's savings.
+var pinNothing = PrefixConfig{BudgetBytes: 1}
+
+// fullFlipRuns enforces the whole flip plan of every race d tested with
+// a run, from the initial state of a fresh machine and with the
+// analysis's run options: the reference the cached flip runs are checked
+// against, independent of the prefix cache. On a sequence without
+// position stamps PlanFlipCut shares no prefix, so its cut is 0 and its
+// suffix is the whole plan. The result is indexed like d.Tested.
+func fullFlipRuns(t *testing.T, prog *kir.Program, rep *Reproduction, d *Diagnosis) []*sched.RunResult {
+	t.Helper()
+	var fallback []string
+	for _, td := range prog.Threads {
+		fallback = append(fallback, td.Name)
+	}
+	unstamped := rep.Run.Seq
+	unstamped.Steps = slices.Clone(unstamped.Steps)
+	for k := range unstamped.Steps {
+		unstamped.Steps[k].Step = -1
+	}
+	m := mustMachine(t, prog)
+	init := m.Snapshot()
+	runs := make([]*sched.RunResult, len(d.Tested))
+	for i, tr := range d.Tested {
+		if tr.FlipRun == nil {
+			continue
+		}
+		cut, plan := sched.PlanFlipCut(prog, &unstamped, tr.Race, fallback, sched.FlipOptions{})
+		if cut != 0 {
+			t.Fatalf("flip %d: an unstamped sequence planned a cut at %d", i, cut)
+		}
+		m.Restore(init)
+		res, err := sched.NewEnforcer(m).Run(plan, sched.Options{})
+		if err != nil {
+			t.Fatalf("flip %d: full plan: %v", i, err)
+		}
+		runs[i] = res
+	}
+	return runs
+}
+
 // TestPrefixCacheOnOffIdentical: across the corpus, the prefix cache is a
 // pure work optimization — the explored tree, the schedule counts, every
-// flip run and the chain are byte-identical with the cache on or off.
-// Scoped to the hand-built subset so factory growth does not swell the
-// sweep.
+// flip run and the chain are byte-identical under the default budget and
+// one that pins nothing (TestFlipRunSharesFailingPrefix checks the flip
+// runs against the whole flip plan's). Scoped to the hand-built subset so
+// factory growth does not swell the sweep.
 func TestPrefixCacheOnOffIdentical(t *testing.T) {
 	for _, sc := range scenarios.HandBuilt() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
 			repOn, dOn := prefixPipeline(t, sc, PrefixConfig{}, nil)
-			repOff, dOff := prefixPipeline(t, sc, PrefixConfig{Disable: true}, nil)
+			repOff, dOff := prefixPipeline(t, sc, pinNothing, nil)
 			comparePipelines(t, sc, repOn, repOff, dOn, dOff)
-
-			// Cache off, nothing may be pinned or restored from pins.
-			for name, st := range map[string][3]uint64{
-				"search":   {repOff.Stats.SavedInstrs, uint64(repOff.Stats.PrefixHits), repOff.Stats.PinnedBytes},
-				"analysis": {dOff.Stats.SavedInstrs, uint64(dOff.Stats.PrefixHits), dOff.Stats.PinnedBytes},
+			// No pins: nothing pinned, no replay skipped. Hits may be
+			// nonzero: restoring a zero-byte pin is a hit that saves
+			// nothing.
+			for name, st := range map[string][2]uint64{
+				"search":   {repOff.Stats.SavedInstrs, repOff.Stats.PinnedBytes},
+				"analysis": {dOff.Stats.SavedInstrs, dOff.Stats.PinnedBytes},
 			} {
-				if st[0] != 0 || st[1] != 0 || st[2] != 0 {
-					t.Errorf("%s cache-off stats nonzero: saved=%d hits=%d pinned=%d", name, st[0], st[1], st[2])
+				if st[0] != 0 || st[1] != 0 {
+					t.Errorf("%s pin-nothing stats nonzero: saved=%d pinned=%d", name, st[0], st[1])
 				}
 			}
 			if repOn.Stats.PinnedBytes > DefaultPinBudget || dOn.Stats.PinnedBytes > DefaultPinBudget {
@@ -112,7 +160,8 @@ func TestPrefixCacheOnOffIdentical(t *testing.T) {
 // TestFlipRunSharesFailingPrefix: with the cache on, every executed flip
 // run holds the failing run's first cut records by reference — its Base
 // is rep.Run.Seq[:cut] itself, not a copy — and Base followed by its own
-// steps is exactly the cache-off flip run, enforcement metadata included.
+// steps is exactly the whole flip plan's run enforced from the initial
+// state, enforcement metadata included.
 func TestFlipRunSharesFailingPrefix(t *testing.T) {
 	flips := 0
 	for _, sc := range scenarios.HandBuilt() {
@@ -122,7 +171,7 @@ func TestFlipRunSharesFailingPrefix(t *testing.T) {
 			fallback = append(fallback, td.Name)
 		}
 		rep, dOn := prefixPipeline(t, sc, PrefixConfig{}, nil)
-		_, dOff := prefixPipeline(t, sc, PrefixConfig{Disable: true}, nil)
+		full := fullFlipRuns(t, prog, rep, dOn)
 		failSeq := &rep.Run.Seq
 		for i, tr := range dOn.Tested {
 			if tr.FlipRun == nil {
@@ -134,12 +183,11 @@ func TestFlipRunSharesFailingPrefix(t *testing.T) {
 			if base.Len() != cut || (cut > 0 && (&base.Steps[0] != &failSeq.Steps[0] || &base.Accs[0] != &failSeq.Accs[0])) {
 				t.Errorf("%s flip %d: Base has %d records, want failing run's first %d shared", sc.Name, i, base.Len(), cut)
 			}
-			off := dOff.Tested[i].FlipRun
-			if off.Base.Len() != 0 {
-				t.Errorf("%s flip %d: cache-off run has a Base of %d records", sc.Name, i, off.Base.Len())
+			if full[i].Base.Len() != 0 {
+				t.Errorf("%s flip %d: the whole plan's run has a Base of %d records", sc.Name, i, full[i].Base.Len())
 			}
-			if !reflect.DeepEqual(tr.FlipRun.Joined(), off) {
-				t.Errorf("%s flip %d (cut %d): Base followed by Seq differs from the cache-off flip run", sc.Name, i, cut)
+			if !reflect.DeepEqual(tr.FlipRun.Joined(), full[i]) {
+				t.Errorf("%s flip %d (cut %d): Base followed by Seq differs from the whole flip plan's run", sc.Name, i, cut)
 			}
 		}
 	}

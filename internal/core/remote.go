@@ -142,8 +142,6 @@ func ExecuteBranch(ctx context.Context, prog *kir.Program, batch *BranchBatch, i
 		WantKind:         batch.Opts.WantKind,
 		WantInstr:        batch.Opts.WantInstr,
 		Guide:            batch.Guide,
-		// A one-task machine has no later task to resume at a pin.
-		Prefix: PrefixConfig{Disable: true},
 	}
 	if opts.MaxSchedules <= 0 {
 		opts.MaxSchedules = DefaultMaxSchedules

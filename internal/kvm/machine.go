@@ -93,14 +93,6 @@ func (t *Thread) HoldsLock(addr uint64) bool {
 	return false
 }
 
-// clone deep-copies the thread.
-func (t *Thread) clone() *Thread {
-	cp := *t
-	cp.Locks = append([]uint64(nil), t.Locks...)
-	cp.frames = append([]frame(nil), t.frames...)
-	return &cp
-}
-
 // Access is one shared-memory access performed by a step.
 type Access struct {
 	Addr  uint64
@@ -148,7 +140,7 @@ type Machine struct {
 	snapshots   uint64
 	restores    uint64
 	executed    uint64 // total instructions ever executed; never rewound
-	gen         uint64 // bumped by Reset/RestoreDeep; stales every Snapshot
+	gen         uint64 // bumped by Reset; stales every Snapshot
 
 	// Scratch buffers reused across calls so the step path allocates
 	// nothing: stepAcc backs StepEvent.Accesses until the next Step,

@@ -192,10 +192,10 @@ func (m *Machine) mark() Snapshot {
 }
 
 // SnapshotLive reports whether sn is still restorable on this machine:
-// taken in the machine's current generation (no Reset or RestoreDeep
-// since) and not truncated away by a restore to an older snapshot. The
-// prefix cache uses it to validate warm pins handed from a reproduction
-// to the analysis.
+// taken in the machine's current generation (no Reset since) and not
+// truncated away by a restore to an older snapshot. The prefix cache
+// uses it to validate warm pins handed from a reproduction to the
+// analysis.
 func (m *Machine) SnapshotLive(sn *Snapshot) bool {
 	return sn.gen == m.gen && sn.pos <= len(m.journal) &&
 		(sn.pos == 0 || m.journal[sn.pos-1].seq == sn.seq)
@@ -248,9 +248,8 @@ func (m *Machine) SnapshotBytes() uint64 { return m.copied + m.space.CopiedBytes
 
 // RestoredBytes returns the approximate number of bytes the machine's
 // restores have written back since it was created: the undo-journal
-// entries a Restore rewinds, and the whole state a RestoreDeep copies.
-// It counts restore work in the same units as LiveBytes, so a snapshot
-// strategy's cost can be gated exactly, without a clock.
+// entries each Restore rewinds. It counts restore work in the same units
+// as LiveBytes, so restore cost can be gated exactly, without a clock.
 func (m *Machine) RestoredBytes() uint64 { return m.restored + m.space.RestoredBytes() }
 
 // LiveBytes returns the approximate number of bytes currently held by the
@@ -260,66 +259,16 @@ func (m *Machine) RestoredBytes() uint64 { return m.restored + m.space.RestoredB
 // pinned-bytes budget.
 func (m *Machine) LiveBytes() uint64 { return m.live + m.space.LiveBytes() }
 
-// DeepSnapshot is a full deep copy of the machine state: memory, threads,
-// lock ownership and counters. It is kept alongside the journal-based
-// Snapshot as the benchmark baseline.
-type DeepSnapshot struct {
-	space     *mem.DeepSnapshot
-	threads   []*Thread
-	lockOwner map[uint64]ThreadID
-	failure   *sanitizer.Failure
-	steps     uint64
-	spawnSeq  map[kir.InstrID]int
-}
-
-// DeepSnapshot captures a full copy of the machine state for RestoreDeep.
-func (m *Machine) DeepSnapshot() *DeepSnapshot {
-	sn := &DeepSnapshot{
-		space:     m.space.DeepSnapshot(),
-		threads:   make([]*Thread, len(m.threads)),
-		lockOwner: make(map[uint64]ThreadID, len(m.lockOwner)),
-		failure:   m.failure,
-		steps:     m.steps,
-		spawnSeq:  make(map[kir.InstrID]int, len(m.spawnSeq)),
+// StateBytes returns the approximate number of bytes of the machine's
+// whole mutable state — memory, threads, lock owners and spawn counters —
+// at the sizes the undo journals charge per entry: what restoring the
+// present state by a full copy would write back, in RestoredBytes' units.
+func (m *Machine) StateBytes() uint64 {
+	n := m.space.StateBytes() + 24*uint64(len(m.lockOwner)+len(m.spawnSeq))
+	for _, t := range m.threads {
+		n += threadBytes + 8*uint64(len(t.Locks)) + 16*uint64(len(t.frames))
 	}
-	for i, t := range m.threads {
-		sn.threads[i] = t.clone()
-	}
-	for k, v := range m.lockOwner {
-		sn.lockOwner[k] = v
-	}
-	for k, v := range m.spawnSeq {
-		sn.spawnSeq[k] = v
-	}
-	return sn
-}
-
-// RestoreDeep rewinds the machine to a deep snapshot. Because it replaces
-// state wholesale and bypasses the journal, it invalidates every live
-// journal-based Snapshot.
-func (m *Machine) RestoreDeep(sn *DeepSnapshot) {
-	m.space.RestoreDeep(sn.space)
-	m.threads = make([]*Thread, len(sn.threads))
-	for i, t := range sn.threads {
-		m.threads[i] = t.clone()
-		m.restored += uint64(threadBytes + 8*len(t.Locks) + 16*len(t.frames))
-	}
-	m.restored += 24 * uint64(len(sn.lockOwner)+len(sn.spawnSeq))
-	m.lockOwner = make(map[uint64]ThreadID, len(sn.lockOwner))
-	for k, v := range sn.lockOwner {
-		m.lockOwner[k] = v
-	}
-	m.failure = sn.failure
-	m.steps = sn.steps
-	m.spawnSeq = make(map[kir.InstrID]int, len(sn.spawnSeq))
-	for k, v := range sn.spawnSeq {
-		m.spawnSeq[k] = v
-	}
-	m.journal = m.journal[:0]
-	m.saved, m.savedLocks, m.savedFrames = m.saved[:0], m.savedLocks[:0], m.savedFrames[:0]
-	m.live = 0
-	m.epoch++
-	m.gen++ // every journal-based Snapshot is now stale
+	return n
 }
 
 // Reset rewinds the machine to its initial state (equivalent to New).

@@ -469,7 +469,7 @@ func (s *Space) ListDel(addr uint64, v int64) *Fault {
 	for i, x := range l {
 		if x == v {
 			// A live list shares its array with nothing (the journal
-			// and deep snapshots copy), so it is cut in place.
+			// copies), so it is cut in place.
 			s.saveList(addr)
 			s.lists[addr] = append(l[:i], l[i+1:]...)
 			return nil
@@ -725,70 +725,22 @@ func (s *Space) CopiedBytes() uint64 { return s.copied }
 
 // RestoredBytes returns the approximate number of bytes restores have
 // written back since the space was created: the journal entries Restore
-// rewinds, at the sizes CopiedBytes charged for them, and the whole state
-// RestoreDeep copies, at the same per-word, per-list and per-object sizes.
+// rewinds, at the sizes CopiedBytes charged for them.
 func (s *Space) RestoredBytes() uint64 { return s.restored }
 
 // LiveBytes returns the approximate number of bytes currently held by the
 // undo journal — the memory a snapshot of the present state would pin
-// relative to the oldest live snapshot. Restores shrink it; RestoreDeep
-// zeroes it.
+// relative to the oldest live snapshot. Restores shrink it.
 func (s *Space) LiveBytes() uint64 { return s.live }
 
-// DeepSnapshot is a full deep copy of a Space's mutable state. It is kept
-// alongside the journal-based Snapshot as the benchmark baseline and as an
-// order-independent checkpoint (deep restores need not be LIFO).
-type DeepSnapshot struct {
-	words   map[uint64]int64
-	lists   map[uint64][]int64
-	objects []*Object
-	next    uint64
-}
-
-// DeepSnapshot captures a full copy of the current state for RestoreDeep.
-func (s *Space) DeepSnapshot() *DeepSnapshot {
-	sn := &DeepSnapshot{
-		words:   make(map[uint64]int64, len(s.words)),
-		lists:   make(map[uint64][]int64, len(s.lists)),
-		objects: make([]*Object, len(s.objects)),
-		next:    s.next,
+// StateBytes returns the approximate number of bytes of the space's
+// whole mutable state, at the sizes the undo journal charges for a saved
+// word, a saved list and a freed object: what restoring the present
+// state by a full copy would write back, in RestoredBytes' units.
+func (s *Space) StateBytes() uint64 {
+	n := 16*uint64(len(s.words)) + 24*uint64(len(s.objects))
+	for _, l := range s.lists {
+		n += 16 + 8*uint64(len(l))
 	}
-	for k, v := range s.words {
-		sn.words[k] = v
-	}
-	for k, v := range s.lists {
-		sn.lists[k] = append([]int64(nil), v...)
-	}
-	for i, o := range s.objects {
-		cp := *o
-		sn.objects[i] = &cp
-	}
-	return sn
-}
-
-// RestoreDeep rewinds the space to a deep snapshot. Because it replaces
-// object identities and bypasses the journal, it invalidates every live
-// journal-based Snapshot (subsequent Restore calls on them panic).
-func (s *Space) RestoreDeep(sn *DeepSnapshot) {
-	s.words = make(map[uint64]int64, len(sn.words))
-	for k, v := range sn.words {
-		s.words[k] = v
-	}
-	s.restored += 16 * uint64(len(sn.words))
-	s.lists = make(map[uint64][]int64, len(sn.lists))
-	for k, v := range sn.lists {
-		s.lists[k] = append([]int64(nil), v...)
-		s.restored += 16 + 8*uint64(len(v))
-	}
-	s.objects = make([]*Object, len(sn.objects))
-	for i, o := range sn.objects {
-		cp := *o
-		s.objects[i] = &cp
-	}
-	s.restored += 24 * uint64(len(sn.objects))
-	s.next = sn.next
-	s.journal = s.journal[:0]
-	s.listArena = s.listArena[:0]
-	s.live = 0
-	s.epoch++
+	return n
 }

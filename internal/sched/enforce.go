@@ -90,9 +90,6 @@ type Enforcer struct {
 // NewEnforcer wraps a machine.
 func NewEnforcer(m *kvm.Machine) *Enforcer { return &Enforcer{m: m} }
 
-// Machine returns the wrapped machine.
-func (e *Enforcer) Machine() *kvm.Machine { return e.m }
-
 // pick chooses the next thread when the schedule does not dictate one:
 // first matching name in prefs, else the lowest-ID viable thread.
 func (e *Enforcer) pick(prefs []string) kvm.ThreadID {

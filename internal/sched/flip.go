@@ -91,34 +91,6 @@ type FlipOptions struct {
 	NoCriticalSections bool
 }
 
-// FlipSeq returns the desired total order for testing race r with its
-// interleaving order flipped, per Causality Analysis (§3.4): the entries of
-// First's thread from the First access onward are delayed until just after
-// the Second access, preserving per-thread program order and every other
-// cross-thread ordering. When either access runs under locks, the
-// displaced region is widened to whole critical sections, flipping them as
-// units. prog is the program seq executed.
-//
-// FlipSeq panics if the race is phantom (its Second access has no position
-// in seq); phantom races are planned by PlanPhantomFlip.
-func FlipSeq(prog *kir.Program, seq *Trace, r Race) Trace {
-	return FlipSeqOpt(prog, seq, r, FlipOptions{})
-}
-
-// FlipSeqOpt is FlipSeq with ablation switches: seq up to the displaced
-// region, followed by flipTail's tail. It materializes the flipped order
-// as records, which flip plans never need; it is the form the reference
-// implementations are checked against. The result shares seq's arrays
-// and name table.
-func FlipSeqOpt(prog *kir.Program, seq *Trace, r Race, fo FlipOptions) Trace {
-	o := flipOrder(prog, seq, r, fo)
-	out := Trace{Steps: make([]Exec, o.len()), Accs: seq.Accs, Locks: seq.Locks, Names: seq.Names}
-	for k := range out.Steps {
-		out.Steps[k] = *o.at(k)
-	}
-	return out
-}
-
 // flipOrder returns race r's whole flipped order as positions of seq:
 // the identity up to the displaced region, then flipTail's tail.
 func flipOrder(prog *kir.Program, seq *Trace, r Race, fo FlipOptions) seqOrder {
@@ -132,15 +104,15 @@ func flipOrder(prog *kir.Program, seq *Trace, r Race, fo FlipOptions) seqOrder {
 
 // flipTail builds only the part of race r's flipped order that can
 // differ from seq: it returns the displaced region's start i and the
-// flipped order from position i on, as positions of seq, so
-// FlipSeqOpt(prog, seq, r, fo) is seq's first i steps followed by the
-// entries the tail names. seq must be an executed order — every entry of
+// flipped order from position i on, as positions of seq, so the whole
+// flipped order is seq's first i steps followed by the entries the tail
+// names. seq must be an executed order — every entry of
 // a spawned thread follows its spawn — so the spawn repair never moves
 // an entry before i; it is told which threads those entries already
 // spawned.
 func flipTail(prog *kir.Program, seq *Trace, r Race, fo FlipOptions) (int, []int32) {
 	if r.Phantom {
-		panic("sched: FlipSeq on a phantom race")
+		panic("sched: flipTail on a phantom race")
 	}
 	i, j := r.FirstStep, r.SecondStep
 	if !fo.NoCriticalSections {
@@ -312,20 +284,6 @@ func widenCriticalSections(prog *kir.Program, seq *Trace, r Race) (int, int) {
 	return i, j
 }
 
-// PlanFlip builds the schedule that re-executes the failing run with race
-// r flipped and everything else preserved.
-func PlanFlip(prog *kir.Program, seq *Trace, r Race, fallback []string) Schedule {
-	return PlanFlipOpt(prog, seq, r, fallback, FlipOptions{})
-}
-
-// PlanFlipOpt is PlanFlip with ablation switches.
-func PlanFlipOpt(prog *kir.Program, seq *Trace, r Race, fallback []string, fo FlipOptions) Schedule {
-	if r.Phantom {
-		return PlanPhantomFlip(seq, r, fallback)
-	}
-	return fromOrder(flipOrder(prog, seq, r, fo), fallback)
-}
-
 // PlanPhantomFlip builds the flip schedule for a race whose Second access
 // never executed in the failing run (the failure truncated its thread
 // first). The plan replays the original sequence up to just before the
@@ -370,22 +328,29 @@ func PlanPhantomFlip(seq *Trace, r Race, fallback []string) Schedule {
 	return sch
 }
 
-// PlanFlipCut flips race r once and returns both halves a prefix cache
-// needs: the cut — the length of the verbatim prefix the flip plan shares
-// with the recorded failing sequence — and the suffix of the flip plan
-// that starts there. Enforcing the suffix with Options.Prefix =
-// seq.Prefix(cut) on a machine brought to the state just before step cut
-// returns exactly the result of enforcing the full PlanFlipOpt plan from
-// the initial state. It equals FlipCut followed by PlanFlipFrom at that
-// cut, but builds only the flipped tail (flipTail), as positions of seq:
-// it copies no record.
+// PlanFlipCut plans the flip test of race r per Causality Analysis
+// (§3.4): the entries of First's thread from the First access onward are
+// delayed until just after the Second access, preserving per-thread
+// program order and every other cross-thread ordering; when either access
+// runs under locks, the displaced region is widened to whole critical
+// sections, flipping them as units. prog is the program seq executed; a
+// phantom race (its Second access has no position in seq) is planned as
+// by PlanPhantomFlip.
+//
+// It returns both halves a prefix cache needs: the cut — the length of
+// the verbatim prefix the flip plan shares with the recorded failing
+// sequence — and the suffix of the flip plan that starts there. Enforcing
+// the suffix with Options.Prefix = seq.Prefix(cut) on a machine brought
+// to the state just before step cut returns exactly the result of
+// enforcing the whole flip plan from the initial state. It builds only
+// the flipped tail (flipTail), as positions of seq: it copies no record.
 //
 // For a displacement flip the cut is the first position whose entry moved
 // (the flipped tail names entries by their positions in seq, so the cut
 // is the first position mismatch). For a phantom race the
 // plan replays the recorded order verbatim up to the First access, so the
 // cut is FirstStep. A sequence without position stamps shares no provable
-// prefix: its cut is 0.
+// prefix: its cut is 0, and the suffix is the whole flip plan.
 func PlanFlipCut(prog *kir.Program, seq *Trace, r Race, fallback []string, fo FlipOptions) (int, Schedule) {
 	stamped := positionStamped(seq)
 	if r.Phantom {
@@ -434,35 +399,6 @@ func CutPoints(prog *kir.Program, seq *Trace, am *AccessMap) []bool {
 		}
 	}
 	return mark
-}
-
-// FlipCut returns the cut PlanFlipCut returns, flipping the whole
-// sequence on its own; it is the reference PlanFlipCut is checked
-// against.
-func FlipCut(prog *kir.Program, seq *Trace, r Race, fo FlipOptions) int {
-	if !positionStamped(seq) {
-		return 0
-	}
-	if r.Phantom {
-		return r.FirstStep
-	}
-	i, tail := flipTail(prog, seq, r, fo)
-	return i + firstMoved(tail, i)
-}
-
-// PlanFlipFrom builds the suffix of the flip plan for race r that starts
-// at position n of the enforced order, where n must be at most
-// FlipCut(prog, seq, r, fo). The suffix's first segment re-derives
-// exactly the Skip count the full plan's pending head would have left
-// unconsumed at n, and Initial names the thread the full run would be
-// executing there.
-func PlanFlipFrom(prog *kir.Program, seq *Trace, r Race, fallback []string, fo FlipOptions, n int) Schedule {
-	if r.Phantom {
-		return planPhantomFlipFrom(seq, r, fallback, n)
-	}
-	o := flipOrder(prog, seq, r, fo)
-	o.pos = o.pos[n:]
-	return fromOrder(o, fallback)
 }
 
 // positionStamped reports whether every entry's Step is its index — the
