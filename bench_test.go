@@ -439,37 +439,43 @@ func BenchmarkSnapshotCoWVsDeep(b *testing.B) {
 // --- substrate micro-benchmarks (the simulator itself) ---
 
 // BenchmarkMachineStep measures raw instruction throughput of the kernel
-// VM.
+// VM over the whole corpus. One op runs every corpus program once from
+// its initial snapshot, always stepping the lowest runnable thread, until
+// it fails, finishes, deadlocks or reaches 1000 steps; it reports the
+// time per step, the Restore that rewinds each run included (journaling
+// is on, as under LIFS).
 func BenchmarkMachineStep(b *testing.B) {
-	sc, _ := scenarios.ByName("cve-2017-15649")
-	prog := sc.MustProgram()
-	m, err := kvm.New(prog)
-	if err != nil {
-		b.Fatal(err)
+	type run struct {
+		m    *kvm.Machine
+		init *kvm.Snapshot
 	}
-	init := m.Snapshot()
+	var runs []run
+	for _, sc := range scenarios.All() {
+		m, err := kvm.New(sc.MustProgram())
+		if err != nil {
+			b.Fatal(err)
+		}
+		runs = append(runs, run{m, m.Snapshot()})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	steps := 0
 	for i := 0; i < b.N; i++ {
-		if m.Failure() != nil || m.AllDone() {
-			b.StopTimer()
-			m.Restore(init)
-			b.StartTimer()
+		for _, r := range runs {
+			r.m.Restore(r.init)
+			for n := 0; n < 1000 && r.m.Failure() == nil; n++ {
+				tid := r.m.FirstRunnable()
+				if tid == kvm.NoThread {
+					break
+				}
+				if _, err := r.m.Step(tid); err != nil {
+					b.Fatal(err)
+				}
+				steps++
+			}
 		}
-		tid := m.FirstRunnable()
-		if tid == kvm.NoThread {
-			b.StopTimer()
-			m.Restore(init)
-			b.StartTimer()
-			continue
-		}
-		if _, err := m.Step(tid); err != nil {
-			b.Fatal(err)
-		}
-		steps++
 	}
-	_ = steps
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(steps, 1)), "ns/step")
 }
 
 // BenchmarkStateSignature hashes the state of every corpus machine once

@@ -185,7 +185,7 @@ func computeExit(p *kir.Program, f *kir.Func) []bool {
 			if ex[i] {
 				continue
 			}
-			in := f.Instrs[i]
+			in := &f.Instrs[i]
 			var v bool
 			switch {
 			case in.Op == kir.OpRet:
@@ -221,7 +221,7 @@ func (r *reach) flowFunc(p *kir.Program, f *kir.Func, pos []bool, target kir.Ins
 			if pos[i] {
 				continue
 			}
-			in := f.Instrs[i]
+			in := &f.Instrs[i]
 			v := in.ID == target
 			if !v {
 				switch {

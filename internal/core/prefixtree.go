@@ -330,12 +330,6 @@ func (c *flipCache) replay(from, n int, retried bool) error {
 			c.pin(pos)
 		}
 	}
-	// Pin the sought position itself: flip retries and sibling flips of
-	// the same race seek the same cut, and a pin exactly there makes the
-	// repeat gap zero.
-	if n > from && !c.cuts[n] {
-		c.pin(n)
-	}
 	return nil
 }
 

@@ -81,8 +81,8 @@ func TestByLabelAndInstrName(t *testing.T) {
 func TestBranchTargetResolution(t *testing.T) {
 	prog := buildSample(t)
 	f := prog.Funcs["main_a"]
-	for _, in := range f.Instrs {
-		if in.Op == OpBeq {
+	for i := range f.Instrs {
+		if in := &f.Instrs[i]; in.Op == OpBeq {
 			idx := prog.BranchTarget(in)
 			if f.Instrs[idx].Op != OpRet {
 				t.Errorf("branch target = %v, want ret", f.Instrs[idx].Op)

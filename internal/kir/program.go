@@ -7,10 +7,10 @@ import (
 )
 
 // MaxObjectWords bounds the size of every memory object a program can
-// name: a global's Size and HeapSize, and an alloc's Size. The kvm clears
-// an object word by word when it makes it and records one access per word
-// when it frees it, so an unbounded size is an input that runs for hours,
-// not one that fails. Scenario objects are a few words.
+// name: a global's Size and HeapSize, and an alloc's Size. Making an
+// object costs the same at any size, but the kvm records one access per
+// word when it frees one, so an unbounded size is an input that runs for
+// hours, not one that fails. Scenario objects are a few words.
 const MaxObjectWords = 1 << 16
 
 // GlobalDef declares a global variable: a named region of Size words with
@@ -576,7 +576,7 @@ func (p *Program) Restrict(names []string) (*Program, error) {
 
 // BranchTarget returns the resolved in-function index of a branch
 // instruction's target. It panics if the instruction is not a branch.
-func (p *Program) BranchTarget(in Instr) int {
+func (p *Program) BranchTarget(in *Instr) int {
 	if !in.Op.IsBranch() {
 		panic(fmt.Sprintf("kir: BranchTarget on non-branch %s", in.Op))
 	}

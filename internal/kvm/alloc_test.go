@@ -2,6 +2,8 @@ package kvm
 
 import (
 	"reflect"
+	"runtime"
+	"strconv"
 	"testing"
 
 	"aitia/internal/kir"
@@ -293,4 +295,65 @@ func TestJournalIsPointerFree(t *testing.T) {
 	if scalar(reflect.TypeOf(frame{})) {
 		t.Error("the check misses the pointer of frame")
 	}
+}
+
+// TestHostileMemoryBounded: memory grows with the words a program
+// writes, not with those it declares or allocates. The program declares
+// 64 globals of kir.MaxObjectWords and writes one word of each, then
+// makes 100 allocations of kir.MaxObjectWords and writes one word of
+// each: 10.8M words, which a flat array of words would hold in more than
+// 80 MB. New, the run and a Restore of its snapshot together allocate
+// less than 4 MB, and the Restore lands on the initial state.
+func TestHostileMemoryBounded(t *testing.T) {
+	const globals, allocs, last = 64, 100, kir.MaxObjectWords - 1
+	b := kir.NewBuilder()
+	fb := b.Func("main")
+	for i := 0; i < globals; i++ {
+		name := "g" + strconv.Itoa(i)
+		b.Global(name, kir.MaxObjectWords)
+		fb.Store(kir.GOff(name, last), kir.Imm(1))
+	}
+	fb.At("top")
+	fb.Alloc(kir.R2, kir.MaxObjectWords)
+	fb.Store(kir.Ind(kir.R2, last), kir.Imm(1))
+	fb.Add(kir.R1, kir.Imm(1))
+	fb.Blt(kir.R(kir.R1), kir.Imm(allocs), "top")
+	fb.Ret()
+	b.Thread("T", "main")
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := New(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := m.StateSignature()
+	sn := m.Snapshot()
+	for !m.AllDone() {
+		if _, err := m.Step(0); err != nil {
+			t.Fatal(err)
+		}
+		if f := m.Failure(); f != nil {
+			t.Fatalf("run failed: %v", f)
+		}
+	}
+	if got, want := m.Space().StateBytes(), uint64(16*(globals+allocs)+24*allocs); got != want {
+		t.Errorf("StateBytes %d after the run, want %d", got, want)
+	}
+	m.Restore(sn)
+	runtime.ReadMemStats(&after)
+
+	if got := m.StateSignature(); got != init {
+		t.Errorf("signature %#x after the restore, want the initial %#x", got, init)
+	}
+	const bound = 4 << 20
+	n := after.TotalAlloc - before.TotalAlloc
+	if n > bound {
+		t.Errorf("New, the run and the restore allocated %d bytes, want at most %d", n, bound)
+	}
+	t.Logf("New, the run and the restore allocated %d bytes", n)
 }

@@ -376,8 +376,9 @@ func (m *Machine) failFault(t *Thread, in *kir.Instr, fault *mem.Fault) *sanitiz
 	return m.fail(t, in, sanitizer.FromFault(fault), fault.Addr, msg)
 }
 
-// value evaluates a value operand against the thread's registers.
-func value(t *Thread, o kir.Operand) int64 {
+// value evaluates a value operand, in place in its instruction, against
+// the thread's registers.
+func value(t *Thread, o *kir.Operand) int64 {
 	switch o.Kind {
 	case kir.KindImm:
 		return o.Imm
@@ -385,24 +386,33 @@ func value(t *Thread, o kir.Operand) int64 {
 		return t.Regs[o.Reg]
 	case kir.KindNone:
 		return 0
-	default:
-		panic(fmt.Sprintf("kvm: operand %s is not a value", o))
 	}
+	panic(badOperand{o, "a value"})
 }
 
-// addr resolves an address operand. Global operands were resolved to
-// global indices at Finalize; indirect addresses may be anything (that is
-// the point — wild and NULL pointers fault at access time).
-func (m *Machine) addr(t *Thread, o kir.Operand) uint64 {
+// addr resolves an address operand, in place in its instruction. Global
+// operands were resolved to global indices at Finalize; indirect
+// addresses may be anything (that is the point — wild and NULL pointers
+// fault at access time).
+func (m *Machine) addr(t *Thread, o *kir.Operand) uint64 {
 	switch o.Kind {
 	case kir.KindGlobal:
 		return m.gbase[o.Global()] + uint64(o.Off)
 	case kir.KindInd:
 		return uint64(t.Regs[o.Reg] + o.Off)
-	default:
-		panic(fmt.Sprintf("kvm: operand %s is not an address", o))
 	}
+	panic(badOperand{o, "an address"})
 }
+
+// badOperand is the panic of value and addr on an operand of the wrong
+// kind, which a finalized program never holds. Its message is built only
+// when printed, which keeps both functions small enough to inline.
+type badOperand struct {
+	o    *kir.Operand
+	want string
+}
+
+func (b badOperand) Error() string { return "kvm: operand " + b.o.String() + " is not " + b.want }
 
 // normalize pops exhausted frames (implicit returns) and marks the thread
 // Done when its stack empties.
@@ -477,20 +487,20 @@ func (m *Machine) step(tid ThreadID) (StepEvent, error) {
 		// observable scheduling points only
 
 	case kir.OpMov:
-		t.Regs[in.Dst] = value(t, in.A)
+		t.Regs[in.Dst] = value(t, &in.A)
 	case kir.OpAdd:
-		t.Regs[in.Dst] += value(t, in.A)
+		t.Regs[in.Dst] += value(t, &in.A)
 	case kir.OpSub:
-		t.Regs[in.Dst] -= value(t, in.A)
+		t.Regs[in.Dst] -= value(t, &in.A)
 	case kir.OpAnd:
-		t.Regs[in.Dst] &= value(t, in.A)
+		t.Regs[in.Dst] &= value(t, &in.A)
 	case kir.OpOr:
-		t.Regs[in.Dst] |= value(t, in.A)
+		t.Regs[in.Dst] |= value(t, &in.A)
 	case kir.OpXor:
-		t.Regs[in.Dst] ^= value(t, in.A)
+		t.Regs[in.Dst] ^= value(t, &in.A)
 
 	case kir.OpLoad:
-		a := m.addr(t, in.A)
+		a := m.addr(t, &in.A)
 		v, fault := m.space.Load(a)
 		ev.Accesses = append(ev.Accesses, Access{Addr: a})
 		if fault != nil {
@@ -500,15 +510,15 @@ func (m *Machine) step(tid ThreadID) (StepEvent, error) {
 		t.Regs[in.Dst] = v
 
 	case kir.OpStore:
-		a := m.addr(t, in.A)
+		a := m.addr(t, &in.A)
 		ev.Accesses = append(ev.Accesses, Access{Addr: a, Write: true})
-		if fault := m.space.Store(a, value(t, in.B)); fault != nil {
+		if fault := m.space.Store(a, value(t, &in.B)); fault != nil {
 			ev.Failure = m.failFault(t, in, fault)
 			return ev, nil
 		}
 
 	case kir.OpBeq, kir.OpBne, kir.OpBlt, kir.OpBge:
-		a, bv := value(t, in.A), value(t, in.B)
+		a, bv := value(t, &in.A), value(t, &in.B)
 		var taken bool
 		switch in.Op {
 		case kir.OpBeq:
@@ -521,12 +531,12 @@ func (m *Machine) step(tid ThreadID) (StepEvent, error) {
 			taken = a >= bv
 		}
 		if taken {
-			fr.pc = m.prog.BranchTarget(*in)
+			fr.pc = m.prog.BranchTarget(in)
 			advance = false
 		}
 
 	case kir.OpJmp:
-		fr.pc = m.prog.BranchTarget(*in)
+		fr.pc = m.prog.BranchTarget(in)
 		advance = false
 
 	case kir.OpCall:
@@ -539,7 +549,7 @@ func (m *Machine) step(tid ThreadID) (StepEvent, error) {
 		advance = false
 
 	case kir.OpLock:
-		la := m.addr(t, in.A)
+		la := m.addr(t, &in.A)
 		owner, held := m.lockOwner[la]
 		switch {
 		case !held:
@@ -557,7 +567,7 @@ func (m *Machine) step(tid ThreadID) (StepEvent, error) {
 		}
 
 	case kir.OpUnlock:
-		la := m.addr(t, in.A)
+		la := m.addr(t, &in.A)
 		if m.lockOwner[la] != tid || !t.HoldsLock(la) {
 			ev.Failure = m.fail(t, in, sanitizer.KindBadUnlock, la, "unlock of a lock not held by this thread")
 			return ev, nil
@@ -575,7 +585,7 @@ func (m *Machine) step(tid ThreadID) (StepEvent, error) {
 		t.Regs[in.Dst] = int64(m.space.Alloc(in.Size, in.ID))
 
 	case kir.OpFree:
-		base := uint64(value(t, in.A))
+		base := uint64(value(t, &in.A))
 		if base == 0 {
 			break // kfree(NULL) is a no-op
 		}
@@ -595,14 +605,14 @@ func (m *Machine) step(tid ThreadID) (StepEvent, error) {
 		}
 
 	case kir.OpBugOn:
-		if value(t, in.A) != 0 {
+		if value(t, &in.A) != 0 {
 			ev.Failure = m.fail(t, in, sanitizer.KindBugOn, 0, "BUG_ON("+in.A.String()+" != 0)")
 			return ev, nil
 		}
 
 	case kir.OpListAdd:
-		a := m.addr(t, in.A)
-		v := value(t, in.B)
+		a := m.addr(t, &in.A)
+		v := value(t, &in.B)
 		ev.Accesses = append(ev.Accesses, Access{Addr: a, Write: true})
 		// CONFIG_DEBUG_LIST semantics: inserting an entry that is already
 		// on the list corrupts its links; the kernel's list debugging
@@ -622,17 +632,17 @@ func (m *Machine) step(tid ThreadID) (StepEvent, error) {
 		}
 
 	case kir.OpListDel:
-		a := m.addr(t, in.A)
+		a := m.addr(t, &in.A)
 		ev.Accesses = append(ev.Accesses, Access{Addr: a, Write: true})
-		if fault := m.space.ListDel(a, value(t, in.B)); fault != nil {
+		if fault := m.space.ListDel(a, value(t, &in.B)); fault != nil {
 			ev.Failure = m.failFault(t, in, fault)
 			return ev, nil
 		}
 
 	case kir.OpListHas:
-		a := m.addr(t, in.A)
+		a := m.addr(t, &in.A)
 		ev.Accesses = append(ev.Accesses, Access{Addr: a})
-		has, fault := m.space.ListHas(a, value(t, in.B))
+		has, fault := m.space.ListHas(a, value(t, &in.B))
 		if fault != nil {
 			ev.Failure = m.failFault(t, in, fault)
 			return ev, nil
@@ -644,7 +654,7 @@ func (m *Machine) step(tid ThreadID) (StepEvent, error) {
 		}
 
 	case kir.OpRefGet, kir.OpRefPut:
-		a := m.addr(t, in.A)
+		a := m.addr(t, &in.A)
 		ev.Accesses = append(ev.Accesses, Access{Addr: a, Write: true})
 		v, fault := m.space.Load(a)
 		if fault != nil {
@@ -695,7 +705,7 @@ func (m *Machine) step(tid ThreadID) (StepEvent, error) {
 			SpawnSite: in.ID,
 			frames:    []frame{{fn: m.prog.Funcs[in.Target]}},
 		}
-		nt.Regs[0] = value(t, in.A)
+		nt.Regs[0] = value(t, &in.A)
 		// The spawned thread is born in the current epoch: any restore
 		// crossing its creation pops it whole, so it needs no clone until
 		// the next snapshot.

@@ -20,11 +20,11 @@ func (m *Machine) PeekAccesses(tid ThreadID) []Access {
 	out := m.peekAcc[:0]
 	switch in.Op {
 	case kir.OpLoad, kir.OpListHas:
-		out = append(out, Access{Addr: m.addr(t, in.A)})
+		out = append(out, Access{Addr: m.addr(t, &in.A)})
 	case kir.OpStore, kir.OpListAdd, kir.OpListDel, kir.OpRefGet, kir.OpRefPut:
-		out = append(out, Access{Addr: m.addr(t, in.A), Write: true})
+		out = append(out, Access{Addr: m.addr(t, &in.A), Write: true})
 	case kir.OpFree:
-		base := uint64(value(t, in.A))
+		base := uint64(value(t, &in.A))
 		if base == 0 {
 			return nil
 		}

@@ -1,8 +1,11 @@
 package kvm
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"aitia/internal/scenarios"
@@ -101,4 +104,51 @@ func TestStateSignatureMatchesReference(t *testing.T) {
 		}
 	}
 	t.Logf("%d states across %d scenarios", states, len(scenarios.All()))
+}
+
+// TestStateSignatureGolden pins the StateSignature of every corpus
+// machine at its initial state and after BenchmarkStateSignature's
+// seeded 30-step random walk to the values committed in
+// testdata/state_signatures.txt. The reference check above only shows
+// that StateSignature and FoldState agree with each other; checkpoints
+// and fleet workers compare signatures taken by different builds, so the
+// values themselves may never change.
+func TestStateSignatureGolden(t *testing.T) {
+	data, err := os.ReadFile("testdata/state_signatures.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]string)
+	for _, line := range strings.Split(string(data), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, sigs, _ := strings.Cut(line, " ")
+		want[name] = sigs
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, sc := range scenarios.All() {
+		m, err := New(sc.MustProgram())
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		init := m.StateSignature()
+		for step := 0; step < 30 && m.Failure() == nil; step++ {
+			run := m.Runnable()
+			if len(run) == 0 {
+				break
+			}
+			if _, err := m.Step(run[rng.Intn(len(run))]); err != nil {
+				t.Fatalf("%s step %d: %v", sc.Name, step, err)
+			}
+		}
+		got := fmt.Sprintf("%016x %016x", init, m.StateSignature())
+		if got != want[sc.Name] {
+			t.Errorf("%s: signatures (init, walk) %s, golden %q", sc.Name, got, want[sc.Name])
+		}
+		delete(want, sc.Name)
+	}
+	for name := range want {
+		t.Errorf("golden signature for %s, which is not in the corpus", name)
+	}
 }

@@ -10,9 +10,18 @@
 //	[GlobalBase, ...)     globals, assigned in declaration order
 //	[HeapBase, ...)       heap objects, each surrounded by redzones
 //
+// The heap starts past the last global when the globals reach HeapBase,
+// so no heap word ever aliases a global.
+//
 // Freed objects are never reused (an unbounded quarantine), so a dangling
 // pointer always identifies its original object — mirroring how KASAN's
 // quarantine keeps use-after-free detectable.
+//
+// Words live in two page tables, one for the globals and one for the
+// heap. A page of pageWords words is allocated on the first nonzero store
+// to it, and every word on an absent page reads 0, so storage grows with
+// the pages a program writes, not with the words it declares or
+// allocates.
 package mem
 
 import (
@@ -39,6 +48,115 @@ const (
 	// heapGap separates consecutive heap objects beyond their redzones.
 	heapGap = 4
 )
+
+// heapStart is the first heap address of a space whose globals end at
+// gend: HeapBase, or the first page boundary past the globals when they
+// reach it.
+func heapStart(gend uint64) uint64 {
+	return max(HeapBase, (gend+pageWords-1)&^(pageWords-1))
+}
+
+// Word-storage geometry. A page holds pageWords consecutive words; a
+// chunk holds the pointers to chunkPages consecutive pages. Both are
+// allocated on the first nonzero store they cover.
+const (
+	pageShift  = 5
+	pageWords  = 1 << pageShift
+	chunkShift = 4
+	chunkPages = 1 << chunkShift
+)
+
+type (
+	page  [pageWords]int64
+	chunk [chunkPages]*page
+)
+
+// pageTable stores the words of one region from base, a page boundary.
+// The word at offset i from base is word i%pageWords of page
+// i/pageWords, which chunk i/(pageWords*chunkPages) points to; base
+// being a page boundary, i%pageWords is also the word's address modulo
+// pageWords. Storage is the pages and chunks written plus one chunk
+// pointer per pageWords*chunkPages words below the highest word written:
+// 8 bytes per 512 words declared or allocated, where a flat array of
+// words would take 4096.
+type pageTable struct {
+	base   uint64
+	chunks []*chunk
+}
+
+// page returns the page holding the word at offset i, or nil if none was
+// allocated.
+func (t *pageTable) page(i uint64) *page {
+	if c := i >> (pageShift + chunkShift); c < uint64(len(t.chunks)) {
+		if ch := t.chunks[c]; ch != nil {
+			return ch[i>>pageShift%chunkPages]
+		}
+	}
+	return nil
+}
+
+// alloc returns the page holding the word at offset i, allocating it and
+// its chunk as needed.
+func (t *pageTable) alloc(i uint64) *page {
+	c := i >> (pageShift + chunkShift)
+	for uint64(len(t.chunks)) <= c {
+		t.chunks = append(t.chunks, nil)
+	}
+	ch := t.chunks[c]
+	if ch == nil {
+		ch = new(chunk)
+		t.chunks[c] = ch
+	}
+	p := &ch[i>>pageShift%chunkPages]
+	if *p == nil {
+		*p = new(page)
+	}
+	return *p
+}
+
+// scan calls fn for each nonzero word in [lo, hi), in address order,
+// skipping absent pages.
+func (t *pageTable) scan(lo, hi uint64, fn func(addr uint64, v int64)) {
+	for i, end := lo-t.base, hi-t.base; i < end; {
+		next := min(i|(pageWords-1)+1, end)
+		if p := t.page(i); p != nil {
+			for ; i < next; i++ {
+				if v := p[i%pageWords]; v != 0 {
+					fn(t.base+i, v)
+				}
+			}
+		}
+		i = next
+	}
+}
+
+// end returns the address past the table's last possibly nonzero word.
+func (t *pageTable) end() uint64 {
+	return t.base + uint64(len(t.chunks))<<(pageShift+chunkShift)
+}
+
+// hash sums StateHash's word-tuple hashes over the table's nonzero
+// words.
+func (t *pageTable) hash() uint64 {
+	var acc uint64
+	for c, ch := range t.chunks {
+		if ch == nil {
+			continue
+		}
+		for j, p := range ch {
+			if p == nil {
+				continue
+			}
+			addr := t.base + (uint64(c)*chunkPages+uint64(j))*pageWords
+			for k, v := range p {
+				if v != 0 {
+					acc += FNVWord(FNVWord(fnvTagWord, addr+uint64(k)), uint64(v))
+				}
+			}
+		}
+	}
+	return acc
+}
 
 // FaultKind classifies invalid memory operations.
 type FaultKind uint8
@@ -137,7 +255,9 @@ func (o *Object) inRedzone(addr uint64) bool {
 
 // Space is a simulated kernel address space.
 type Space struct {
-	words   map[uint64]int64
+	gwords  pageTable // the globals' words, from GlobalBase
+	hwords  pageTable // the heap's words, from heapStart(gend)
+	nonzero uint64    // number of nonzero words, for StateBytes
 	lists   map[uint64][]int64
 	globals map[string]uint64
 	gnames  []string // declaration order, for deterministic iteration
@@ -170,7 +290,7 @@ type Space struct {
 type undoKind uint8
 
 const (
-	undoWord  undoKind = iota // a word overwritten or deleted by Store
+	undoWord  undoKind = iota // a word overwritten by Store
 	undoList                  // a list mutated by ListAdd/ListDel
 	undoFree                  // an object freed by Free
 	undoAlloc                 // an object appended by Alloc
@@ -179,7 +299,8 @@ const (
 // undoRec is one reverse-replayable mutation record: 32 bytes, no
 // pointers. What val and arg hold depends on kind:
 //
-//	undoWord   addr = the word, val = its old value
+//	undoWord   addr = the word, val = its old value (0 for a word
+//	           never written)
 //	undoList   addr = the list, val = its old contents' offset in
 //	           Space.listArena, arg = their length
 //	undoFree   addr = the object's index in Space.objects, val = its
@@ -191,7 +312,7 @@ type undoRec struct {
 	val     int64
 	arg     int32
 	kind    undoKind
-	existed bool // the word/list key was present before the mutation
+	existed bool // undoList: the list key was present before the mutation
 	state   ObjState
 }
 
@@ -202,15 +323,45 @@ func (s *Space) append(r undoRec) {
 	s.journal = append(s.journal, r)
 }
 
-// saveWord journals the word at addr before a Store mutates it.
-func (s *Space) saveWord(addr uint64) {
-	if !s.journaling {
-		return
+// table returns the page table holding addr, an address check accepts.
+func (s *Space) table(addr uint64) *pageTable {
+	if addr < s.hwords.base {
+		return &s.gwords
 	}
-	v, ok := s.words[addr]
-	s.append(undoRec{kind: undoWord, addr: addr, val: v, existed: ok})
-	s.copied += 16
-	s.live += 16
+	return &s.hwords
+}
+
+// word reads the word at addr, an address check accepts.
+func (s *Space) word(addr uint64) int64 {
+	t := s.table(addr)
+	if p := t.page(addr - t.base); p != nil {
+		return p[addr%pageWords]
+	}
+	return 0
+}
+
+// setWord writes v to the word at addr, an address check accepts, and
+// returns the word's old value. A zero store to an absent page allocates
+// nothing.
+func (s *Space) setWord(addr uint64, v int64) int64 {
+	t := s.table(addr)
+	i := addr - t.base
+	p := t.page(i)
+	if p == nil {
+		if v == 0 {
+			return 0
+		}
+		p = t.alloc(i)
+	}
+	w := &p[addr%pageWords]
+	old := *w
+	*w = v
+	if old == 0 && v != 0 {
+		s.nonzero++
+	} else if old != 0 && v == 0 {
+		s.nonzero--
+	}
+	return old
 }
 
 // saveList journals the list at addr, at most once per snapshot epoch,
@@ -234,10 +385,9 @@ func (s *Space) saveList(addr uint64) {
 // GlobalBase in declaration order and initialized per their Init values.
 func NewSpace(globals []kir.GlobalDef) (*Space, error) {
 	s := &Space{
-		words:   make(map[uint64]int64),
+		gwords:  pageTable{base: GlobalBase},
 		lists:   make(map[uint64][]int64),
 		globals: make(map[string]uint64, len(globals)),
-		next:    HeapBase,
 	}
 	addr := uint64(GlobalBase)
 	for _, g := range globals {
@@ -246,36 +396,34 @@ func NewSpace(globals []kir.GlobalDef) (*Space, error) {
 		}
 		s.globals[g.Name] = addr
 		s.gnames = append(s.gnames, g.Name)
-		if g.HeapSize <= 0 { // heap globals' Init fills the object instead
-			for i, v := range g.Init {
-				if v != 0 {
-					s.words[addr+uint64(i)] = v
-				}
-			}
-		}
 		addr += uint64(g.Size)
 	}
 	s.gend = addr
-	// Second pass: address-of initializers (every global now has a base)
-	// and pre-allocated heap objects.
+	s.next = heapStart(s.gend)
+	s.hwords.base = s.next
+	// Second pass: initial values, address-of initializers (every global
+	// now has a base) and pre-allocated heap objects.
 	for _, g := range globals {
 		base := s.globals[g.Name]
+		if g.HeapSize <= 0 { // heap globals' Init fills the object instead
+			for i, v := range g.Init {
+				s.setWord(base+uint64(i), v)
+			}
+		}
 		for off, sym := range g.AddrOf {
 			target, ok := s.globals[sym]
 			if !ok {
 				return nil, fmt.Errorf("mem: global %q AddrOf unknown symbol %q", g.Name, sym)
 			}
-			s.words[base+uint64(off)] = int64(target)
+			s.setWord(base+uint64(off), int64(target))
 		}
 		if g.HeapSize > 0 {
 			objBase := s.Alloc(g.HeapSize, kir.NoInstr)
 			s.objects[len(s.objects)-1].Static = true
 			for i, v := range g.Init {
-				if v != 0 {
-					s.words[objBase+uint64(i)] = v
-				}
+				s.setWord(objBase+uint64(i), v)
 			}
-			s.words[base] = int64(objBase)
+			s.setWord(base, int64(objBase))
 		}
 	}
 	return s, nil
@@ -307,12 +455,19 @@ func (s *Space) SymbolAt(addr uint64) (sym string, off uint64, ok bool) {
 }
 
 // check classifies an access to addr without performing it.
+// A global access, the common case, is decided inline.
 func (s *Space) check(addr uint64, write bool) *Fault {
+	if addr-GlobalBase < s.gend-GlobalBase {
+		return nil
+	}
+	return s.checkOther(addr, write)
+}
+
+// checkOther is check for an address outside the globals.
+func (s *Space) checkOther(addr uint64, write bool) *Fault {
 	switch {
 	case addr < NullTop:
 		return &Fault{Kind: FaultNullDeref, Addr: addr, Write: write}
-	case addr >= GlobalBase && addr < s.gend:
-		return nil
 	case addr >= HeapBase && addr < s.next:
 		obj := s.objectCovering(addr)
 		if obj == nil {
@@ -370,7 +525,7 @@ func (s *Space) Load(addr uint64) (int64, *Fault) {
 	if f := s.check(addr, false); f != nil {
 		return 0, f
 	}
-	return s.words[addr], nil
+	return s.word(addr), nil
 }
 
 // Store writes the word at addr.
@@ -378,17 +533,20 @@ func (s *Space) Store(addr uint64, v int64) *Fault {
 	if f := s.check(addr, true); f != nil {
 		return f
 	}
-	s.saveWord(addr)
-	if v == 0 {
-		delete(s.words, addr)
-	} else {
-		s.words[addr] = v
+	old := s.setWord(addr, v)
+	if s.journaling {
+		s.append(undoRec{kind: undoWord, addr: addr, val: old})
+		s.copied += 16
+		s.live += 16
 	}
 	return nil
 }
 
 // Alloc creates a heap object of size words and returns its base address.
-// The payload is zeroed (fresh allocations read as zero).
+// The payload reads zero without being cleared: addresses are never
+// reused, and a Restore that moves the allocator back below an address
+// rewinds every store to it (each was journaled), so no word at or above
+// the allocator cursor is ever nonzero.
 func (s *Space) Alloc(size int64, site kir.InstrID) uint64 {
 	base := s.next + Redzone
 	s.next = base + uint64(size) + Redzone + heapGap
@@ -397,14 +555,9 @@ func (s *Space) Alloc(size int64, site kir.InstrID) uint64 {
 	s.objects = append(s.objects, obj) // bases are monotone, stays sorted
 	if s.journaling {
 		// Undo pops the object; next is restored from the snapshot scalar.
-		// The word deletes below are no-ops (regions are never reused), so
-		// they need no journal entries.
 		s.append(undoRec{kind: undoAlloc})
 		s.copied += 8
 		s.live += 8
-	}
-	for a := base; a < base+uint64(size); a++ {
-		delete(s.words, a)
 	}
 	return base
 }
@@ -516,17 +669,9 @@ func (s *Space) Leaked() []*Object {
 		if obj.State != Allocated {
 			return
 		}
-		for a := obj.Base; a < obj.Base+uint64(obj.Size); a++ {
-			if w, ok := s.words[a]; ok {
-				mark(w)
-			}
-		}
+		s.hwords.scan(obj.Base, obj.Base+uint64(obj.Size), func(_ uint64, w int64) { mark(w) })
 	}
-	for a := uint64(GlobalBase); a < s.gend; a++ {
-		if w, ok := s.words[a]; ok {
-			mark(w)
-		}
-	}
+	s.gwords.scan(GlobalBase, s.gend, func(_ uint64, w int64) { mark(w) })
 	for _, l := range s.lists {
 		for _, v := range l {
 			mark(v)
@@ -546,9 +691,9 @@ func (s *Space) Leaked() []*Object {
 // order-independently to build state signatures; StateHash is the
 // allocation-free fold of the same tuples.
 func (s *Space) FoldState(fold func(parts ...uint64)) {
-	for addr, v := range s.words {
-		fold(0x77, addr, uint64(v))
-	}
+	word := func(addr uint64, v int64) { fold(0x77, addr, uint64(v)) }
+	s.gwords.scan(s.gwords.base, s.gwords.end(), word)
+	s.hwords.scan(s.hwords.base, s.hwords.end(), word)
 	for addr, l := range s.lists {
 		for i, v := range l {
 			fold(0x11, addr, uint64(i), uint64(v))
@@ -613,10 +758,7 @@ var (
 // its own as FNV-1a over its parts (FNVWord each), and the tuple hashes
 // are summed.
 func (s *Space) StateHash() uint64 {
-	var acc uint64
-	for addr, v := range s.words {
-		acc += FNVWord(FNVWord(fnvTagWord, addr), uint64(v))
-	}
+	acc := s.gwords.hash() + s.hwords.hash()
 	for addr, l := range s.lists {
 		item := FNVWord(fnvTagListItem, addr)
 		for i, v := range l {
@@ -686,11 +828,7 @@ func (s *Space) Restore(sn *Snapshot) {
 		r := &s.journal[i]
 		switch r.kind {
 		case undoWord:
-			if r.existed {
-				s.words[r.addr] = r.val
-			} else {
-				delete(s.words, r.addr)
-			}
+			s.setWord(r.addr, r.val)
 			s.live -= 16
 		case undoList:
 			saved := s.listArena[r.val : r.val+int64(r.arg)]
@@ -738,7 +876,7 @@ func (s *Space) LiveBytes() uint64 { return s.live }
 // word, a saved list and a freed object: what restoring the present
 // state by a full copy would write back, in RestoredBytes' units.
 func (s *Space) StateBytes() uint64 {
-	n := 16*uint64(len(s.words)) + 24*uint64(len(s.objects))
+	n := 16*s.nonzero + 24*uint64(len(s.objects))
 	for _, l := range s.lists {
 		n += 16 + 8*uint64(len(l))
 	}
