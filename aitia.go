@@ -106,12 +106,15 @@ type Options struct {
 	// boundaries only. Ignored without CheckpointDir.
 	CheckpointEvery int
 	// PriorDir, when set, arms the learned flip prior: settled flip
-	// verdicts are aggregated into per-race-pair statistics (keyed by a
+	// verdicts are aggregated into per-race-pair counts (keyed by a
 	// stable cross-program signature, persisted in this directory) and
 	// every diagnosis ranks its flip tests by the learned root-cause
-	// probability, skipping the flips the prior has proven benign. The
-	// causality chain is byte-identical to fixed-order analysis —
-	// ranking changes the work, never the answer. An absent or corrupt
+	// probability. The prior reorders flips, and it skips the flip of a
+	// race whose signature was benign in every diagnosis so far,
+	// settling it benign without a run. It never settles a chain member:
+	// every chain edge comes from a flip run. The benign skip is a
+	// cross-program inference; aitia-bench -check-flips checks it
+	// leave-one-out on the scenario corpus only. An absent or corrupt
 	// prior degrades to fixed order. Empty disables the prior at zero
 	// cost.
 	PriorDir string
@@ -128,7 +131,7 @@ func priorStore(opts Options) (*prior.Store, *durable.CheckpointStore, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	pst, _ := prior.LoadFrom(store, prior.Config{})
+	pst := prior.LoadFrom(store, prior.Config{})
 	return pst, store, nil
 }
 
@@ -705,10 +708,9 @@ func buildResult(prog *kir.Program, rep *core.Reproduction, d *core.Diagnosis) *
 	for _, r := range d.Ambiguous {
 		ambiguous[r.Format(prog)] = true
 	}
-	// The races carry the prior's pair signature, and verdicts settled
-	// by the prior (benign or chain members) are marked — a store
-	// rebuilt from summaries (see service recovery) must not feed them
-	// back to itself.
+	// The races carry the prior's pair signature, and benign verdicts
+	// settled by the prior are marked — a store rebuilt from summaries
+	// (see service recovery) must not feed them back to itself.
 	priorSkipped := make(map[sched.RaceKey]bool)
 	for _, tr := range d.Tested {
 		if tr.PriorSkipped {
@@ -725,7 +727,6 @@ func buildResult(prog *kir.Program, rep *core.Reproduction, d *core.Diagnosis) *
 			Phantom:      r.Phantom,
 			Ambiguous:    ambiguous[r.Format(prog)],
 			Sig:          prior.Signature(prog, r),
-			Prior:        priorSkipped[r.Key()],
 		})
 	}
 	for _, r := range d.Benign {

@@ -77,7 +77,7 @@ var modes = []mode{
 	{name: "lifs", corpus: "handbuilt", out: true, run: artifact(measureLIFS, compareLIFS),
 		usage: "run the LIFS performance artifact (parallel search + snapshot strategy)"},
 	{name: "flips", corpus: "handbuilt", out: true, run: artifact(measureFlips, compareFlips),
-		usage: "run the learned flip-ordering artifact: diagnose the corpus cold (no prior) and warm (prior fed by the cold pass), comparing flip-test counts"},
+		usage: "run the learned flip-ordering artifact: diagnose the corpus cold (no prior) and warm (prior fed by the cold pass), comparing flip-test counts, then diagnose every scenario of the whole corpus warm under a prior fed by all the others (leave-one-out)"},
 	{name: "check-chains", corpus: "all", run: checkChains,
 		usage: "re-diagnose the corpus and fail unless every chain matches the golden set (the CI corpus gate)"},
 	{name: "check-reports", corpus: "all", run: checkReports,
@@ -95,7 +95,7 @@ var modes = []mode{
 	{name: "check-lifs", value: true, corpus: "handbuilt", out: true, run: artifact(measureLIFS, compareLIFS),
 		usage: "run the -lifs artifact and fail if schedule counts or speedups regress more than 25%, or a replay row or snapshot word count differs, against the committed baseline JSON at this `path`"},
 	{name: "check-flips", value: true, corpus: "handbuilt", out: true, run: artifact(measureFlips, compareFlips),
-		usage: "flip-regression gate: run the -flips artifact and fail unless every warm chain is byte-identical to cold, the warm pass skips at least 25% of flip tests, and flip counts stay within ±25% of the committed baseline JSON at this `path`"},
+		usage: "flip-regression gate: run the -flips artifact and fail unless every warm chain, same-corpus and leave-one-out, is byte-identical to cold and every flip count equals the committed baseline JSON at this `path`"},
 	{name: "trace", value: true, run: writeTrace,
 		usage: "write an execution trace of diagnosing -trace-scenario as Chrome trace-event JSON to this `path`"},
 }
@@ -389,28 +389,6 @@ func artifact[T any](measure func([]*scenarios.Scenario) (*T, error), compare fu
 		fmt.Printf("%s: no regression against %s (%s)\n", j.name, j.arg, note)
 		return nil
 	}
-}
-
-// printMoved shows each scenario's two counters next to the baseline's
-// after a corpus-total check failed, marking the rows that moved, so the
-// CI log names the offending scenarios without a local rerun.
-func printMoved[R any](title string, cols [2]string, base, fresh []R, counts func(R) (string, [2]uint64)) {
-	baseCounts := make(map[string][2]uint64, len(base))
-	for _, r := range base {
-		name, c := counts(r)
-		baseCounts[name] = c
-	}
-	t := report.Table{Title: title}
-	t.Add("Scenario", cols[0], "base", cols[1], "base")
-	for _, r := range fresh {
-		name, c := counts(r)
-		b := baseCounts[name]
-		if c != b {
-			name = "! " + name
-		}
-		t.Add(name, fmt.Sprint(c[0]), fmt.Sprint(b[0]), fmt.Sprint(c[1]), fmt.Sprint(b[1]))
-	}
-	t.Write(os.Stdout)
 }
 
 // checkMatrix is the bug-class coverage CI gate: it classifies the
@@ -1058,6 +1036,7 @@ type flipsArtifact struct {
 	WarmSkipped int        `json:"warm_skipped_total"`
 	Reduction   float64    `json:"reduction"`
 	Scenarios   []flipsRow `json:"scenarios"`
+	LeaveOneOut looTotals  `json:"leave_one_out"`
 }
 
 // flipsRow is one corpus scenario diagnosed cold (no prior, the exact
@@ -1075,22 +1054,42 @@ type flipsRow struct {
 	Chain       string `json:"chain"`
 }
 
-// measureFlips runs the cold and warm corpus passes behind the -flips
-// artifact and prints the counts. Cold analyses run with no ranker — the exact fixed backward
-// order — and feed every settled verdict into one shared prior store;
-// warm analyses rank and skip with that store, serially and with 8
-// workers. Any chain divergence or an executed+skipped/test-set mismatch
-// fails the measurement itself: the artifact can only ever report a
-// speedup over byte-identical diagnoses.
+// looTotals sum the leave-one-out pass over the whole corpus: each
+// scenario diagnosed warm under a prior fed by every other scenario's
+// cold diagnosis, never its own.
+type looTotals struct {
+	Scenarios   int `json:"scenarios"`
+	ColdFlips   int `json:"cold_flips_total"`
+	WarmFlips   int `json:"warm_flips_total"`
+	WarmSkipped int `json:"warm_skipped_total"`
+}
+
+// coldRun is one scenario's cold diagnosis, kept to feed priors.
+type coldRun struct {
+	prog  *kir.Program
+	diag  *core.Diagnosis
+	chain string
+}
+
+// measureFlips runs the passes behind the -flips artifact and prints the
+// counts. Every corpus scenario is diagnosed cold once, with no ranker —
+// the exact fixed backward order. The same-corpus pass feeds the cold
+// verdicts of the selected scenarios into one shared prior store and
+// diagnoses each of them warm with it, serially and with 8 workers. The
+// leave-one-out pass then does the same for every scenario of the whole
+// corpus with a prior that never saw it, so a race can only be settled
+// by what other programs taught the prior. Any chain divergence or an
+// executed+skipped/test-set mismatch fails the measurement itself: the
+// artifact can only ever report a speedup over byte-identical diagnoses.
 func measureFlips(list []*scenarios.Scenario) (*flipsArtifact, error) {
 	art := &flipsArtifact{
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		Note: "flip counts are deterministic and machine-portable; warm chains are " +
 			"asserted byte-identical to cold (serial and 8-worker) before a row is emitted",
 	}
-	pst := prior.NewStore(prior.Config{})
-
-	for _, sc := range list {
+	all := scenarios.All()
+	cold := make(map[string]coldRun, len(all))
+	for _, sc := range all {
 		prog := sc.MustProgram()
 		_, d, err := eval.DiagnoseWith(sc, core.LIFSOptions{}, core.AnalysisOptions{})
 		if err != nil {
@@ -1100,39 +1099,27 @@ func measureFlips(list []*scenarios.Scenario) (*flipsArtifact, error) {
 		if want, ok := scenarios.GoldenChains[sc.Name]; ok && chain != want {
 			return nil, fmt.Errorf("flips-measure %s: cold chain %q does not match the golden %q", sc.Name, chain, want)
 		}
-		pst.ObserveDiagnosis(prog, d)
-		art.Scenarios = append(art.Scenarios, flipsRow{
-			Scenario:  sc.Name,
-			TestSet:   d.Stats.TestSet,
-			ColdFlips: d.Stats.FlipsExecuted,
-			Chain:     chain,
-		})
+		cold[sc.Name] = coldRun{prog: prog, diag: d, chain: chain}
 	}
 
+	pst := prior.NewStore(prior.Config{})
+	for _, sc := range list {
+		c := cold[sc.Name]
+		pst.ObserveDiagnosis(c.prog, c.diag)
+		art.Scenarios = append(art.Scenarios, flipsRow{
+			Scenario:  sc.Name,
+			TestSet:   c.diag.Stats.TestSet,
+			ColdFlips: c.diag.Stats.FlipsExecuted,
+			Chain:     c.chain,
+		})
+	}
 	for i, sc := range list {
 		row := &art.Scenarios[i]
-		for _, workers := range []int{0, 8} {
-			_, d, err := eval.DiagnoseWith(sc, core.LIFSOptions{}, core.AnalysisOptions{Workers: workers, Ranker: pst})
-			if err != nil {
-				return nil, fmt.Errorf("flips-measure %s (warm, workers=%d): %w", sc.Name, workers, err)
-			}
-			if chain := d.Chain.Format(sc.MustProgram()); chain != row.Chain {
-				return nil, fmt.Errorf("flips-measure %s: warm chain (workers=%d) %q differs from cold %q — the prior changed the diagnosis",
-					sc.Name, workers, chain, row.Chain)
-			}
-			if got := d.Stats.FlipsExecuted + d.Stats.FlipsSkipped; got != d.Stats.TestSet {
-				return nil, fmt.Errorf("flips-measure %s (workers=%d): executed %d + skipped %d != test set %d",
-					sc.Name, workers, d.Stats.FlipsExecuted, d.Stats.FlipsSkipped, d.Stats.TestSet)
-			}
-			if workers == 0 {
-				row.WarmFlips = d.Stats.FlipsExecuted
-				row.WarmSkipped = d.Stats.FlipsSkipped
-				row.PriorHits = d.Stats.PriorHits
-			} else if d.Stats.FlipsExecuted != row.WarmFlips || d.Stats.FlipsSkipped != row.WarmSkipped {
-				return nil, fmt.Errorf("flips-measure %s: 8-worker pass executed/skipped %d/%d, serial %d/%d — the skip set depends on scheduling",
-					sc.Name, d.Stats.FlipsExecuted, d.Stats.FlipsSkipped, row.WarmFlips, row.WarmSkipped)
-			}
+		st, err := warmFlips(sc, pst, row.Chain)
+		if err != nil {
+			return nil, err
 		}
+		row.WarmFlips, row.WarmSkipped, row.PriorHits = st.FlipsExecuted, st.FlipsSkipped, st.PriorHits
 		art.ColdFlips += row.ColdFlips
 		art.WarmFlips += row.WarmFlips
 		art.WarmSkipped += row.WarmSkipped
@@ -1149,20 +1136,80 @@ func measureFlips(list []*scenarios.Scenario) (*flipsArtifact, error) {
 			fmt.Sprint(r.WarmFlips), fmt.Sprint(r.WarmSkipped), fmt.Sprint(r.PriorHits))
 	}
 	t.Write(os.Stdout)
-	fmt.Printf("  (corpus flip tests: %d cold, %d warm — %.0f%% skipped; %d signature pairs learned)\n\n",
+	fmt.Printf("  (corpus flip tests: %d cold, %d warm — %.0f%% skipped; %d signature pairs learned)\n",
 		art.ColdFlips, art.WarmFlips, art.Reduction*100, art.PriorPairs)
+
+	var diverged []string
+	for _, held := range all {
+		loo := prior.NewStore(prior.Config{})
+		for _, sc := range all {
+			if sc != held {
+				c := cold[sc.Name]
+				loo.ObserveDiagnosis(c.prog, c.diag)
+			}
+		}
+		c := cold[held.Name]
+		st, err := warmFlips(held, loo, c.chain)
+		if errors.Is(err, errWarmChain) {
+			diverged = append(diverged, err.Error())
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		art.LeaveOneOut.Scenarios++
+		art.LeaveOneOut.ColdFlips += c.diag.Stats.FlipsExecuted
+		art.LeaveOneOut.WarmFlips += st.FlipsExecuted
+		art.LeaveOneOut.WarmSkipped += st.FlipsSkipped
+	}
+	if len(diverged) > 0 {
+		return nil, fmt.Errorf("flips-measure leave-one-out: %d of %d chains differ from cold — a prior learned on other programs changed the diagnosis:\n  %s",
+			len(diverged), len(all), strings.Join(diverged, "\n  "))
+	}
+	l := art.LeaveOneOut
+	fmt.Printf("  (leave-one-out over %d scenarios: %d cold, %d warm, %d skipped; every chain identical to cold)\n\n",
+		l.Scenarios, l.ColdFlips, l.WarmFlips, l.WarmSkipped)
 	return art, nil
+}
+
+// errWarmChain marks a warm diagnosis whose chain differs from cold.
+var errWarmChain = errors.New("warm chain differs from cold")
+
+// warmFlips diagnoses sc ranked by pst, serially and with 8 workers, and
+// returns the serial analysis stats. It fails unless both chains equal
+// cold, executed plus skipped flips cover the test set, and both passes
+// execute and skip the same flips.
+func warmFlips(sc *scenarios.Scenario, pst *prior.Store, cold string) (core.AnalysisStats, error) {
+	var serial core.AnalysisStats
+	for _, workers := range []int{0, 8} {
+		_, d, err := eval.DiagnoseWith(sc, core.LIFSOptions{}, core.AnalysisOptions{Workers: workers, Ranker: pst})
+		if err != nil {
+			return serial, fmt.Errorf("flips-measure %s (warm, workers=%d): %w", sc.Name, workers, err)
+		}
+		if chain := d.Chain.Format(sc.MustProgram()); chain != cold {
+			return serial, fmt.Errorf("%w: %s (workers=%d) %q, cold %q", errWarmChain, sc.Name, workers, chain, cold)
+		}
+		st := d.Stats
+		if st.FlipsExecuted+st.FlipsSkipped != st.TestSet {
+			return serial, fmt.Errorf("flips-measure %s (workers=%d): executed %d + skipped %d != test set %d",
+				sc.Name, workers, st.FlipsExecuted, st.FlipsSkipped, st.TestSet)
+		}
+		if workers == 0 {
+			serial = st
+		} else if st.FlipsExecuted != serial.FlipsExecuted || st.FlipsSkipped != serial.FlipsSkipped {
+			return serial, fmt.Errorf("flips-measure %s: 8-worker pass executed/skipped %d/%d, serial %d/%d — the skip set depends on scheduling",
+				sc.Name, st.FlipsExecuted, st.FlipsSkipped, serial.FlipsExecuted, serial.FlipsSkipped)
+		}
+	}
+	return serial, nil
 }
 
 // compareFlips is the flip-regression CI gate (-check-flips) on a fresh
 // -flips artifact, which itself hard-fails on any warm chain diverging
-// from cold or golden. It holds the flip counts to the committed
-// baseline: cold counts exactly, warm counts within ±25% per scenario and
-// corpus-wide, and the warm pass must skip at least 25% of the corpus'
-// flip tests. Corpus-total failures also print the per-scenario rows.
+// from cold or golden, same-corpus or leave-one-out. Flip counts are
+// deterministic, so it holds every scenario's cold, warm and skipped
+// counts and the leave-one-out totals to the committed baseline exactly.
 func compareFlips(t *tally, baseline string, base, art *flipsArtifact) string {
-	const tol = 0.25
-	const minReduction = 0.25
 	baseRows := make(map[string]flipsRow, len(base.Scenarios))
 	for _, r := range base.Scenarios {
 		baseRows[r.Scenario] = r
@@ -1177,27 +1224,14 @@ func compareFlips(t *tally, baseline string, base, art *flipsArtifact) string {
 			t.fail(r.Scenario, "cold flips = %d, baseline %d — the test set itself changed; regenerate the baseline",
 				r.ColdFlips, b.ColdFlips)
 		}
-		if !within(float64(r.WarmFlips), float64(b.WarmFlips), tol) {
-			t.fail(r.Scenario, "warm flips = %d, baseline %d (%s)", r.WarmFlips, b.WarmFlips, band(float64(b.WarmFlips), tol))
+		if r.WarmFlips != b.WarmFlips || r.WarmSkipped != b.WarmSkipped {
+			t.fail(r.Scenario, "warm flips/skipped = %d/%d, baseline %d/%d", r.WarmFlips, r.WarmSkipped, b.WarmFlips, b.WarmSkipped)
 		}
 	}
-
-	aggBad := t.bad
-	if art.Reduction < minReduction {
-		t.fail("", "corpus warm pass skips %.0f%% of flip tests (%d cold -> %d warm), floor %.0f%% — the prior stopped paying off",
-			art.Reduction*100, art.ColdFlips, art.WarmFlips, minReduction*100)
+	if art.LeaveOneOut != base.LeaveOneOut {
+		t.fail("leave-one-out", "totals %+v, baseline %+v", art.LeaveOneOut, base.LeaveOneOut)
 	}
-	if ceil := float64(base.WarmFlips) * (1 + tol); float64(art.WarmFlips) > ceil {
-		t.fail("", "corpus warm flips = %d, baseline %d (ceiling +25%%: %.0f) — warm diagnoses execute more flip tests",
-			art.WarmFlips, base.WarmFlips, ceil)
-	}
-	if t.bad > aggBad {
-		printMoved("  per-scenario flip counts (fresh vs baseline)", [2]string{"warm", "skipped"},
-			base.Scenarios, art.Scenarios, func(r flipsRow) (string, [2]uint64) {
-				return r.Scenario, [2]uint64{uint64(r.WarmFlips), uint64(r.WarmSkipped)}
-			})
-	}
-	return fmt.Sprintf("chains byte-identical, %.0f%% of flip tests skipped warm, tolerance ±25%%", art.Reduction*100)
+	return fmt.Sprintf("chains byte-identical same-corpus and leave-one-out, %.0f%% of flip tests skipped warm, counts exact", art.Reduction*100)
 }
 
 // snapshotCycle times one checkpoint / burst / revert cycle of the CoW

@@ -184,12 +184,51 @@ func TestCompareLIFSReplayExact(t *testing.T) {
 	}
 }
 
-// TestGatesEndToEnd runs two cheap gates through the registry exactly as
-// the command line selects them.
+// TestCompareFlipsExact: flip counts are deterministic, so the
+// -check-flips gate fails on any moved warm or skipped count and on any
+// moved leave-one-out total, however small.
+func TestCompareFlipsExact(t *testing.T) {
+	base := &flipsArtifact{
+		Scenarios: []flipsRow{
+			{Scenario: "fig1", ColdFlips: 2, WarmFlips: 2},
+			{Scenario: "fig5", ColdFlips: 3, WarmFlips: 2, WarmSkipped: 1},
+		},
+		LeaveOneOut: looTotals{Scenarios: 2, ColdFlips: 5, WarmFlips: 4, WarmSkipped: 1},
+	}
+	fresh := func(edit func(a *flipsArtifact)) *flipsArtifact {
+		a := *base
+		a.Scenarios = slices.Clone(base.Scenarios)
+		edit(&a)
+		return &a
+	}
+	for _, tc := range []struct {
+		name  string
+		art   *flipsArtifact
+		fails int
+	}{
+		{"identical", fresh(func(*flipsArtifact) {}), 0},
+		{"one more skip", fresh(func(a *flipsArtifact) { a.Scenarios[1].WarmFlips--; a.Scenarios[1].WarmSkipped++ }), 1},
+		{"one fewer skip", fresh(func(a *flipsArtifact) { a.Scenarios[1].WarmFlips++; a.Scenarios[1].WarmSkipped-- }), 1},
+		{"cold moved", fresh(func(a *flipsArtifact) { a.Scenarios[0].ColdFlips++ }), 1},
+		{"leave-one-out moved", fresh(func(a *flipsArtifact) { a.LeaveOneOut.WarmSkipped++ }), 1},
+		{"new scenario", fresh(func(a *flipsArtifact) { a.Scenarios = append(a.Scenarios, flipsRow{Scenario: "fig7"}) }), 1},
+	} {
+		tl := &tally{gate: "check-flips"}
+		compareFlips(tl, "BENCH_flips.json", base, tc.art)
+		if tl.bad != tc.fails {
+			t.Errorf("%s: %d failures, want %d", tc.name, tl.bad, tc.fails)
+		}
+	}
+}
+
+// TestGatesEndToEnd runs the cheap gates through the registry exactly as
+// the command line selects them. -check-flips holds the committed
+// BENCH_flips.json and runs the leave-one-out pass over the whole corpus.
 func TestGatesEndToEnd(t *testing.T) {
 	for _, args := range [][]string{
 		{"-check-matrix"},
 		{"-check-chains", "-corpus", "extension"},
+		{"-check-flips", "../../BENCH_flips.json"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			c, err := parse(args, io.Discard)

@@ -62,7 +62,7 @@ func main() {
 		dataDir    = flag.String("data-dir", "", "directory for the durable job journal and search checkpoints; empty runs in-memory (no crash recovery)")
 		syncWrites = flag.Bool("sync", false, "with -data-dir: fsync every journal append (slower, survives power loss, not just process death)")
 		ckEvery    = flag.Int("checkpoint-every", 0, "with -data-dir: also checkpoint LIFS every N schedules within a phase (serial searches only); 0 checkpoints at phase boundaries only")
-		priorMin   = flag.Int("prior-min-support", 0, "benign observations required before the learned prior skips a flip test (0 = default 1, negative disables the prior)")
+		priorMin   = flag.Int("prior-min-support", 0, "benign observations, with no root-cause or ambiguous one, required before the learned prior skips a race's flip test and settles it benign; the prior only reorders every other flip, and rebuilds from the job journal on restart (0 = default 1, negative disables the prior)")
 		nodeID     = flag.String("node-id", "", "this replica's fleet identity; empty runs single-node")
 		peersSpec  = flag.String("peers", "", "fleet members as comma-separated id=url entries (e.g. n1=http://host1:8080,n2=http://host2:8080); requires -node-id")
 		leaseTTL   = flag.Duration("lease-ttl", fleet.DefaultLeaseTTL, "branch-lease duration between heartbeats in fleet mode")

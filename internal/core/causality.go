@@ -75,19 +75,17 @@ type TestedRace struct {
 	FlipRealized bool
 	// FlipRun is the run with this race flipped.
 	FlipRun *sched.RunResult
-	// PriorSkipped marks a verdict settled by the learned flip prior
-	// (AnalysisOptions.Ranker) without executing a flip test; FlipRun is
-	// nil for such races.
+	// PriorSkipped marks a benign verdict settled by the learned flip
+	// prior (AnalysisOptions.Ranker) without executing a flip test;
+	// FlipRun is nil for such races.
 	PriorSkipped bool
-	// PriorKills is the prior's kill row for a skipped chain member
-	// (PriorSkipped with a non-benign verdict): the test-order indices
-	// of the races this flip is predicted to make disappear. It stands
-	// in for the missing FlipRun when the chain is built.
-	PriorKills []int
 }
 
 // FlipPrior is one race's learned prior, aligned by index with the
-// candidate slice given to RankFlips.
+// candidate slice given to RankFlips. A prior can reorder flips and
+// settle a race as benign; it can never settle a chain member, so every
+// root-cause or ambiguous verdict and every chain edge comes from a flip
+// run.
 type FlipPrior struct {
 	// Score is the expected root-cause probability; higher scores are
 	// flip-tested first. Equal scores preserve the backward test order.
@@ -97,20 +95,11 @@ type FlipPrior struct {
 	Hit bool
 	// SettledBenign asserts the race is benign with enough support that
 	// its flip test can be skipped: the analysis settles it as
-	// VerdictBenign without a run. Sound because flip tests are mutually
-	// independent and benign races never shape the chain, so the
-	// diagnosis is byte-identical to one that executed the flip —
-	// provided the assertion is correct.
+	// VerdictBenign without a run. Benign races never shape the chain,
+	// so the diagnosis equals one that executed the flip — provided the
+	// assertion is correct. For a learned prior the assertion is a
+	// cross-program inference, not a proof (see package prior).
 	SettledBenign bool
-	// SettledRootCause asserts the race is a chain member with enough
-	// support to settle as VerdictRootCause without a run (the ambiguity
-	// pass still demotes surrounding races as usual). Kills is its
-	// predicted kill row, aligned with the candidate slice: Kills[j]
-	// reports that this flip makes candidate j's pair disappear. The
-	// chain builder consumes the row in place of the missing flip run,
-	// so a ranker must only set SettledRootCause with a complete row.
-	SettledRootCause bool
-	Kills            []bool
 }
 
 // FlipRanker orders the flip tests of a causality analysis by expected
@@ -178,14 +167,15 @@ type AnalysisOptions struct {
 	Prefix PrefixConfig
 	// Ranker, when set, reorders the flip tests by learned expected
 	// root-cause probability (the fixed backward order breaks ties) and
-	// skips the flips the prior has settled: unanimously benign races
-	// settle as VerdictBenign without a run, and unanimous chain members
-	// with a fully known kill row settle as VerdictRootCause (the kill
-	// row replaces the flip run in chain construction). Reordering and
-	// skipping never change the verdicts of executed flips (each flip
-	// test is independent), so with correct priors the diagnosis is
-	// byte-identical to fixed-order analysis. Nil preserves the exact
-	// fixed backward order.
+	// skips the flips it settles as benign, which settle as
+	// VerdictBenign without a run. Every other flip runs, so every
+	// root-cause or ambiguous verdict and every chain edge comes from a
+	// flip run. Reordering never changes a verdict (each flip test is
+	// independent); a skip leaves the diagnosis byte-identical to
+	// fixed-order analysis only if the race is in fact benign, which a
+	// learned prior infers from other programs and cannot prove
+	// (aitia-bench -check-flips checks it leave-one-out, on the scenario
+	// corpus only). Nil preserves the exact fixed backward order.
 	Ranker FlipRanker
 }
 
@@ -341,10 +331,6 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 				skip[i] = true
 				continue
 			}
-			if priors[i].SettledRootCause && len(priors[i].Kills) == len(order) {
-				skip[i] = true
-				continue
-			}
 		}
 		execOrder = append(execOrder, i)
 	}
@@ -472,7 +458,7 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 		ckSnaps     []flipSnap
 	)
 	if checkpointing {
-		ckFP = caFingerprint(prog.Hash(), rep, order, opts, skip, priors)
+		ckFP = caFingerprint(prog.Hash(), rep, order, opts, skip)
 		ckKey = caCheckpointKey(prog.Hash(), ckFP)
 		if ck := loadCACheckpoint(opts.Checkpoint, ckKey, ckFP, skip, prog.NumInstrs()); ck != nil {
 			for _, fs := range ck.Flips {
@@ -500,20 +486,10 @@ func AnalyzeContext(ctx context.Context, m *kvm.Machine, rep *Reproduction, opts
 
 	// Settle the prior-skipped flips immediately (unless a restored
 	// checkpoint already settled them): benign by the prior's assertion,
-	// or a root-cause member carrying its predicted kill row in place of
-	// a run — either way nil FlipRun, exactly what a skip restores to.
+	// with nil FlipRun, exactly what a skip restores to.
 	for i := range order {
 		if skip[i] && !done[i] {
-			tr := TestedRace{Race: order[i], Verdict: VerdictBenign, PriorSkipped: true}
-			if priors[i].SettledRootCause {
-				tr.Verdict = VerdictRootCause
-				for j, killed := range priors[i].Kills {
-					if killed && j != i {
-						tr.PriorKills = append(tr.PriorKills, j)
-					}
-				}
-			}
-			settle(i, tr)
+			settle(i, TestedRace{Race: order[i], Verdict: VerdictBenign, PriorSkipped: true})
 			d.Stats.FlipsSkipped++
 		}
 	}

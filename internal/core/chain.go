@@ -111,19 +111,14 @@ func buildChain(d *Diagnosis, failure *sanitizer.Failure) *Chain {
 		race      sched.Race
 		ambiguous bool
 		flipRun   *sched.RunResult
-		// tested/priorKills identify a member settled by the learned
-		// prior without a run: its test-order index and predicted kill
-		// row (test-order indices), consumed in place of flipRun.
-		tested     int
-		priorKills []int
 	}
 	var members []member
-	for ti, tr := range d.Tested {
+	for _, tr := range d.Tested {
 		switch tr.Verdict {
 		case VerdictRootCause:
-			members = append(members, member{race: tr.Race, flipRun: tr.FlipRun, tested: ti, priorKills: tr.PriorKills})
+			members = append(members, member{race: tr.Race, flipRun: tr.FlipRun})
 		case VerdictAmbiguous:
-			members = append(members, member{race: tr.Race, ambiguous: true, flipRun: tr.FlipRun, tested: ti, priorKills: tr.PriorKills})
+			members = append(members, member{race: tr.Race, ambiguous: true, flipRun: tr.FlipRun})
 		}
 	}
 	sort.Slice(members, func(i, j int) bool {
@@ -139,20 +134,8 @@ func buildChain(d *Diagnosis, failure *sanitizer.Failure) *Chain {
 	for i := range kills {
 		kills[i] = make([]bool, n)
 		for j := range kills[i] {
-			if i == j {
-				continue
-			}
-			if members[i].flipRun != nil {
+			if i != j {
 				kills[i][j] = !sched.RaceOccurred(members[i].flipRun, members[j].race)
-				continue
-			}
-			// Member settled by the learned prior: its predicted kill
-			// row stands in for the missing flip run.
-			for _, k := range members[i].priorKills {
-				if k == members[j].tested {
-					kills[i][j] = true
-					break
-				}
 			}
 		}
 	}

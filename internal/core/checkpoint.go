@@ -207,7 +207,6 @@ type flipSnap struct {
 	Realized bool       `json:"realized,omitempty"`
 	Failed   bool       `json:"failed,omitempty"`
 	Skipped  bool       `json:"skipped,omitempty"`
-	Kills    []int      `json:"kills,omitempty"`
 	Seq      []flipExec `json:"seq,omitempty"`
 }
 
@@ -226,7 +225,6 @@ func snapFlip(idx int, tr TestedRace) flipSnap {
 		Verdict:  uint8(tr.Verdict),
 		Realized: tr.FlipRealized,
 		Skipped:  tr.PriorSkipped,
-		Kills:    tr.PriorKills,
 	}
 	if tr.FlipRun != nil {
 		fs.Failed = tr.FlipRun.Failed()
@@ -256,11 +254,9 @@ func restoreFlip(r sched.Race, fs flipSnap) TestedRace {
 		FlipRealized: fs.Realized,
 	}
 	if fs.Skipped {
-		// Settled by the learned prior without a run; restores to the
-		// same shape a fresh skip settles to (nil FlipRun, and for a
-		// skipped chain member, the prior's kill row).
+		// Settled benign by the learned prior without a run; restores to
+		// the same shape a fresh skip settles to (nil FlipRun).
 		tr.PriorSkipped = true
-		tr.PriorKills = fs.Kills
 		return tr
 	}
 	if Verdict(fs.Verdict) == VerdictUnknown {
@@ -277,27 +273,16 @@ func restoreFlip(r sched.Race, fs flipSnap) TestedRace {
 // caFingerprint identifies one analysis problem: the program, the full
 // test set (order and identity of every race), the failing sequence
 // length, the options that decide verdicts, and — under a ranker — the
-// prior's skip set and the kill rows of skipped chain members. A
-// checkpoint whose fingerprint mismatches is ignored; in particular,
-// resuming under a prior snapshot that skips a different set of flips
-// (or predicts different kill rows) restarts fresh rather than mixing
-// the two.
-func caFingerprint(progHash string, rep *Reproduction, order []sched.Race, opts AnalysisOptions, skip []bool, priors []FlipPrior) string {
+// prior's skip set. A checkpoint whose fingerprint mismatches is
+// ignored; in particular, resuming under a prior snapshot that skips a
+// different set of flips restarts fresh rather than mixing the two.
+func caFingerprint(progHash string, rep *Reproduction, order []sched.Race, opts AnalysisOptions, skip []bool) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|seq=%d|sb=%d|leak=%t|ncs=%t|ranked=%t|races=%d",
 		progHash, rep.Run.Seq.Len(), opts.StepBudget, opts.LeakCheck, opts.NoCriticalSections, opts.Ranker != nil, len(order))
 	for i, s := range skip {
-		if !s {
-			continue
-		}
-		fmt.Fprintf(h, "|sk%d", i)
-		if priors != nil && priors[i].SettledRootCause {
-			fmt.Fprintf(h, "rc")
-			for j, killed := range priors[i].Kills {
-				if killed {
-					fmt.Fprintf(h, ",%d", j)
-				}
-			}
+		if s {
+			fmt.Fprintf(h, "|sk%d", i)
 		}
 	}
 	for _, r := range order {
@@ -338,25 +323,18 @@ func loadCACheckpoint(cfg *CheckpointConfig, key, fingerprint string, skip []boo
 
 // valid checks a settled flip against the shapes snapFlip writes: it
 // indexes the test set, and is skipped exactly where the prior skips
-// (with kill rows only there, naming tests), or settled undecided
-// without a run, or settled benign or root cause by a run whose steps
-// name instructions of the program; a benign run failed.
+// (benign, without a run), or settled undecided without a run, or
+// settled benign or root cause by a run whose steps name instructions of
+// the program; a benign run failed.
 func (fs *flipSnap) valid(skip []bool, instrs int) bool {
 	if fs.Idx < 0 || fs.Idx >= len(skip) || fs.Skipped != skip[fs.Idx] {
 		return false
 	}
 	v := Verdict(fs.Verdict)
 	if fs.Skipped {
-		for _, j := range fs.Kills {
-			if j < 0 || j >= len(skip) {
-				return false
-			}
-		}
-		return (v == VerdictBenign || v == VerdictRootCause) && len(fs.Seq) == 0
+		return v == VerdictBenign && len(fs.Seq) == 0
 	}
 	switch {
-	case len(fs.Kills) > 0:
-		return false
 	case v == VerdictUnknown:
 		return len(fs.Seq) == 0
 	case v != VerdictBenign && v != VerdictRootCause, len(fs.Seq) == 0, v == VerdictBenign && !fs.Failed:

@@ -102,8 +102,9 @@ func TestCorruptLIFSCheckpointLoadsAsAbsent(t *testing.T) {
 // TestCorruptCACheckpointLoadsAsAbsent: settled flips no analysis
 // writes — a benign or root-cause verdict without its run, a benign run
 // that did not fail, an unknown verdict value, a prior skip the
-// analysis does not make — load as absent, and the analysis runs every
-// flip. Loaded, the first gives fig1 a chain without its second race.
+// analysis does not make, a prior skip that is not benign or has a run
+// — load as absent, and the analysis runs every flip. Loaded, the first
+// gives fig1 a chain without its second race.
 func TestCorruptCACheckpointLoadsAsAbsent(t *testing.T) {
 	key, golden := fig1CAKey(t)
 	var ck caCheckpoint
@@ -124,6 +125,26 @@ func TestCorruptCACheckpointLoadsAsAbsent(t *testing.T) {
 		}
 		if got := diagnoseFig1(t, savedStore(t, key, caCheckpointVersion, payload)); got != fig1Chain {
 			t.Errorf("%s: chain %q, want %q", name, got, fig1Chain)
+		}
+	}
+
+	// Under a ranker that settles flip 0, a prior skip loads only as
+	// benign without a run. A skipped root-cause flip with a kill row,
+	// as written when the prior could settle chain members, is absent.
+	_, rep := reproduceFig1(t)
+	skip := make([]bool, len(rep.Races))
+	skip[0] = true
+	fp := caFingerprint(fig1Program().Hash(), rep, testOrder(rep.Races), AnalysisOptions{Ranker: alignedRanker{}}, skip)
+	for name, want := range map[string]bool{
+		`{"idx":0,"verdict":0,"skipped":true}`:                                       true,
+		`{"idx":0,"verdict":1,"skipped":true,"kills":[1]}`:                           false,
+		`{"idx":0,"verdict":1,"skipped":true}`:                                       false,
+		`{"idx":0,"verdict":0,"skipped":true,"failed":true,"seq":[{"t":"A","i":0}]}`: false,
+	} {
+		payload := `{"fingerprint":"` + fp + `","flips":[` + name + `]}`
+		cfg := savedStore(t, key, caCheckpointVersion, []byte(payload))
+		if got := loadCACheckpoint(cfg, key, fp, skip, fig1Program().NumInstrs()) != nil; got != want {
+			t.Errorf("%s: loaded = %v, want %v", name, got, want)
 		}
 	}
 }
@@ -178,6 +199,9 @@ func FuzzCACheckpoint(f *testing.F) {
 	if err := json.Unmarshal(golden, &ck); err != nil {
 		f.Fatal(err)
 	}
+	// A prior-skipped root-cause flip with its kill row, as written when
+	// the prior could settle chain members.
+	f.Add([]byte(`{"fingerprint":"` + ck.Fingerprint + `","flips":[{"idx":0,"verdict":1,"skipped":true,"kills":[1]}]}`))
 	want := make(map[int]flipSnap)
 	for _, fs := range ck.Flips {
 		want[fs.Idx] = fs

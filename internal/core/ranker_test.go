@@ -14,10 +14,9 @@ import (
 var rankerScenarios = []string{"fig1", "cve-2017-15649", "fig4a", "syz08-j1939-refcount"}
 
 // oracles builds a prior slice that settles every final benign verdict
-// as SettledBenign and every final root-cause verdict as
-// SettledRootCause with the kill row taken from the executed flip run —
-// i.e. a perfectly warm prior. Ambiguous and unknown races are left to
-// execute.
+// as SettledBenign and ranks every final root-cause verdict first — a
+// perfectly warm prior, which still leaves every chain member's flip to
+// run. Ambiguous and unknown races get a neutral score.
 func oracles(d *Diagnosis) []FlipPrior {
 	priors := make([]FlipPrior, len(d.Tested))
 	for i, tr := range d.Tested {
@@ -25,13 +24,7 @@ func oracles(d *Diagnosis) []FlipPrior {
 		case VerdictBenign:
 			priors[i] = FlipPrior{Score: 0.1, Hit: true, SettledBenign: true}
 		case VerdictRootCause:
-			kills := make([]bool, len(d.Tested))
-			for j, other := range d.Tested {
-				if j != i {
-					kills[j] = !sched.RaceOccurred(tr.FlipRun, other.Race)
-				}
-			}
-			priors[i] = FlipPrior{Score: 0.9, Hit: true, SettledRootCause: true, Kills: kills}
+			priors[i] = FlipPrior{Score: 0.9, Hit: true}
 		default:
 			priors[i] = FlipPrior{Score: 0.5}
 		}
@@ -65,10 +58,13 @@ func TestRankerSettledChainIdentical(t *testing.T) {
 				t.Fatalf("fixed-order Analyze: %v", err)
 			}
 			priors := oracles(fixed)
-			wantSkips := 0
+			wantSkips, wantHits := 0, 0
 			for _, p := range priors {
-				if p.SettledBenign || p.SettledRootCause {
+				if p.SettledBenign {
 					wantSkips++
+				}
+				if p.Hit {
+					wantHits++
 				}
 			}
 
@@ -102,8 +98,14 @@ func TestRankerSettledChainIdentical(t *testing.T) {
 				if st.FlipsSkipped != wantSkips {
 					t.Errorf("workers=%d skipped %d flips, want %d", workers, st.FlipsSkipped, wantSkips)
 				}
-				if st.PriorHits != wantSkips {
-					t.Errorf("workers=%d prior hits = %d, want %d", workers, st.PriorHits, wantSkips)
+				if st.PriorHits != wantHits {
+					t.Errorf("workers=%d prior hits = %d, want %d", workers, st.PriorHits, wantHits)
+				}
+				for i, tr := range ranked.Tested {
+					if tr.PriorSkipped != priors[i].SettledBenign || (tr.Verdict != VerdictBenign && tr.FlipRun == nil) {
+						t.Errorf("workers=%d race %d: skipped %v with verdict %v and run %v, want a run for every chain member",
+							workers, i, tr.PriorSkipped, tr.Verdict, tr.FlipRun != nil)
+					}
 				}
 			}
 		})

@@ -70,8 +70,9 @@ type Options struct {
 	// Prior, when set, closes the learning loop around the analysis: it
 	// serves as the flip-test ranker (core.AnalysisOptions.Ranker) and
 	// every completed diagnosis's executed verdicts are folded back into
-	// it. The chain is byte-identical with or without it. Nil disables
-	// the prior at zero cost.
+	// it. It reorders flips and may settle races benign without a run;
+	// see package prior for what that guarantees. Nil disables the prior
+	// at zero cost.
 	Prior *prior.Store
 }
 

@@ -9,7 +9,9 @@ import (
 )
 
 // CheckpointKey is the key the prior persists under in a durable
-// checkpoint store (one prior per store).
+// checkpoint store (one prior per store). Only the aitia CLI's -prior
+// directory uses it; the service has a job journal and rebuilds its
+// prior from the journaled verdicts instead.
 const CheckpointKey = "prior.flips"
 
 // checkpointVersion is the durable envelope version; formatVersion is
@@ -21,22 +23,14 @@ const (
 	formatMagic       = "aitia-prior"
 )
 
-// Machine-readable load outcomes (Store.LoadReason): why an analysis
-// runs with a warm prior, or degrades to a fresh empty one — and
-// therefore to exact fixed-order analysis.
-const (
-	ReasonLoaded  = "prior_loaded"
-	ReasonAbsent  = "prior_absent"
-	ReasonInvalid = "prior_invalid"
-)
-
-// snapshot is the serialized store.
+// snapshot is the serialized store. Snapshots written before the prior
+// stopped settling chain members also hold a "kills" map of kill
+// relations; decoding ignores it.
 type snapshot struct {
 	Magic        string                `json:"magic"`
 	Version      int                   `json:"version"`
 	Observations uint64                `json:"observations"`
 	Pairs        map[string]*PairStats `json:"pairs"`
-	Kills        map[string]*KillStats `json:"kills,omitempty"`
 }
 
 // Encode serializes the store. The encoding is deterministic: the same
@@ -50,7 +44,6 @@ func (s *Store) Encode() []byte {
 		Version:      formatVersion,
 		Observations: s.observations,
 		Pairs:        s.pairs,
-		Kills:        s.kills,
 	})
 	if err != nil {
 		// A map[string]*PairStats cannot fail to marshal.
@@ -86,44 +79,24 @@ func Decode(data []byte, cfg Config) (*Store, error) {
 	if total != sn.Observations {
 		return nil, fmt.Errorf("prior: decode: %d observations recorded, %d counted", sn.Observations, total)
 	}
-	for key, ks := range sn.Kills {
-		if key == "" || ks == nil {
-			return nil, errors.New("prior: decode: empty kill key or stats")
-		}
-		if ks.total() == 0 {
-			return nil, fmt.Errorf("prior: decode: kill pair %q with no observations", key)
-		}
-		cp := *ks
-		st.kills[key] = &cp
-	}
 	st.observations = total
 	return st, nil
 }
 
 // LoadFrom loads the persisted prior from the durable store under cfg.
-// An absent or corrupt snapshot degrades to a fresh empty store — which
-// ranks everything equally and skips nothing, i.e. exact fixed-order
-// analysis — with the machine-readable reason returned and recorded on
-// the store (Store.LoadReason).
-func LoadFrom(store *durable.CheckpointStore, cfg Config) (*Store, string) {
-	fresh := func(reason string) (*Store, string) {
-		st := NewStore(cfg)
-		st.loadReason = reason
-		return st, reason
-	}
+// An absent or corrupt snapshot degrades to a fresh empty store, which
+// ranks everything equally and skips nothing: exact fixed-order
+// analysis.
+func LoadFrom(store *durable.CheckpointStore, cfg Config) *Store {
 	payload, err := store.Load(CheckpointKey, checkpointVersion)
-	switch {
-	case errors.Is(err, durable.ErrNoCheckpoint):
-		return fresh(ReasonAbsent)
-	case err != nil:
-		return fresh(fmt.Sprintf("%s: %v", ReasonInvalid, err))
+	if err != nil {
+		return NewStore(cfg)
 	}
 	st, err := Decode(payload, cfg)
 	if err != nil {
-		return fresh(fmt.Sprintf("%s: %v", ReasonInvalid, err))
+		return NewStore(cfg)
 	}
-	st.loadReason = ReasonLoaded
-	return st, ReasonLoaded
+	return st
 }
 
 // SaveTo persists the store into the durable layer (atomic write; see

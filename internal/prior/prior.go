@@ -1,11 +1,18 @@
 // Package prior learns race priors from settled causality analyses and
-// feeds them back as a flip-test ordering: per-race-pair verdict
-// statistics, keyed by a stable cross-program pair signature, rank the
-// flips of the next diagnosis by expected root-cause probability and
-// settle the flips the corpus has unanimously proven benign without
-// executing them. Ranking changes the work, never the answer — the
-// causality chain of a ranked analysis is byte-identical to fixed-order
-// analysis (see core.AnalysisOptions.Ranker for the invariant).
+// feeds them back as a flip-test ordering: per-race-pair verdict counts,
+// keyed by a stable cross-program pair signature, rank the flips of the
+// next diagnosis by expected root-cause probability.
+//
+// What the prior guarantees: it reorders flips, and it may settle a race
+// as benign without running its flip. It never settles a chain member —
+// every root-cause or ambiguous verdict, and every chain edge, comes
+// from a flip run. Reordering alone never changes a diagnosis (flip
+// tests are independent). Benign settlement is a cross-program
+// inference: a signature that was benign in every program seen so far
+// is assumed benign here too. Nothing proves that in general; the
+// leave-one-out pass of aitia-bench -check-flips checks it on this
+// repository's corpus only, where every scenario diagnosed under a
+// prior learned from all the others keeps its cold chain.
 package prior
 
 import (
@@ -100,20 +107,6 @@ type PairStats struct {
 
 func (p PairStats) total() uint64 { return p.Benign + p.RootCause + p.Ambiguous }
 
-// KillStats count, for an ordered signature pair "A->B", whether flipping
-// a race with signature A made a race with signature B disappear from the
-// flip run — the chain builder's kill relation, aggregated like verdicts.
-// Unanimous kill rows are what let the prior settle a chain member
-// without executing its flip: the row stands in for the flip run.
-type KillStats struct {
-	Killed   uint64 `json:"killed,omitempty"`
-	Survived uint64 `json:"survived,omitempty"`
-}
-
-func (k KillStats) total() uint64 { return k.Killed + k.Survived }
-
-func killKey(sigA, sigB string) string { return sigA + "->" + sigB }
-
 // score is the expected root-cause probability under a Laplace-smoothed
 // Bernoulli model; an unseen signature scores 0.5 (no information).
 func (p PairStats) score() float64 {
@@ -130,20 +123,14 @@ type Store struct {
 
 	mu           sync.RWMutex
 	pairs        map[string]*PairStats
-	kills        map[string]*KillStats
 	observations uint64
-	loadReason   string
 }
 
 // NewStore returns an empty store. Empty is the degraded mode: RankFlips
 // scores every race equally and skips nothing, which reproduces exact
 // fixed-order analysis.
 func NewStore(cfg Config) *Store {
-	return &Store{
-		cfg:   cfg,
-		pairs: make(map[string]*PairStats),
-		kills: make(map[string]*KillStats),
-	}
+	return &Store{cfg: cfg, pairs: make(map[string]*PairStats)}
 }
 
 // Observe records one settled flip verdict for a signature. Unknown
@@ -176,12 +163,10 @@ func (s *Store) observe(sig string, v core.Verdict) {
 	s.observations++
 }
 
-// ObserveDiagnosis folds a completed analysis into the store: every
-// executed flip's final (post-ambiguity) verdict, and for every executed
-// chain member, its kill relation against each other tested race (did
-// the flip make that pair disappear?). Prior-skipped races are excluded
-// — their verdict came from this store, and feeding it back would let
-// the prior reinforce itself without evidence.
+// ObserveDiagnosis folds every executed flip's final (post-ambiguity)
+// verdict of a completed analysis into the store. Prior-skipped races
+// are excluded — their verdict came from this store, and feeding it back
+// would let the prior reinforce itself without evidence.
 func (s *Store) ObserveDiagnosis(prog *kir.Program, d *core.Diagnosis) {
 	if d == nil {
 		return
@@ -197,25 +182,6 @@ func (s *Store) ObserveDiagnosis(prog *kir.Program, d *core.Diagnosis) {
 			continue
 		}
 		s.observe(sigs[i], tr.Verdict)
-		if tr.FlipRun == nil || (tr.Verdict != core.VerdictRootCause && tr.Verdict != core.VerdictAmbiguous) {
-			continue
-		}
-		for j, other := range d.Tested {
-			if j == i {
-				continue
-			}
-			key := killKey(sigs[i], sigs[j])
-			ks := s.kills[key]
-			if ks == nil {
-				ks = &KillStats{}
-				s.kills[key] = ks
-			}
-			if sched.RaceOccurred(tr.FlipRun, other.Race) {
-				ks.Survived++
-			} else {
-				ks.Killed++
-			}
-		}
 	}
 }
 
@@ -234,22 +200,17 @@ func (s *Store) ObserveVerdict(sig, verdict string) {
 }
 
 // RankFlips implements core.FlipRanker: one prior per candidate race.
-// Settling is unanimous-evidence only. A race settles benign with at
-// least MinSupport benign verdicts and not a single root-cause or
-// ambiguous one ever recorded for its signature; it settles root-cause
-// with the dual condition (no benign verdict ever) AND a complete,
-// unanimous kill row against every other candidate that might enter the
-// chain — the row stands in for the flip run when the chain is built,
-// so a single disagreeing observation disables the skip.
+// A race settles benign with at least MinSupport benign verdicts and not
+// a single root-cause or ambiguous one ever recorded for its signature,
+// so one disagreeing observation disables the skip. Every other race is
+// only scored, and its flip runs.
 func (s *Store) RankFlips(prog *kir.Program, races []sched.Race) []core.FlipPrior {
 	out := make([]core.FlipPrior, len(races))
-	sigs := make([]string, len(races))
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	min := s.cfg.minSupport()
 	for i, r := range races {
-		sigs[i] = Signature(prog, r)
-		st := s.pairs[sigs[i]]
+		st := s.pairs[Signature(prog, r)]
 		if st == nil {
 			out[i].Score = 0.5
 			continue
@@ -258,34 +219,6 @@ func (s *Store) RankFlips(prog *kir.Program, races []sched.Race) []core.FlipPrio
 			Score:         st.score(),
 			Hit:           true,
 			SettledBenign: st.RootCause == 0 && st.Ambiguous == 0 && st.Benign >= min,
-		}
-	}
-	for i := range races {
-		st := s.pairs[sigs[i]]
-		if st == nil || out[i].SettledBenign {
-			continue
-		}
-		if st.Benign != 0 || st.RootCause+st.Ambiguous < min {
-			continue
-		}
-		kills := make([]bool, len(races))
-		complete := true
-		for j := range races {
-			if j == i || out[j].SettledBenign {
-				// A settled-benign candidate never becomes a chain
-				// member, so its kill relation is never consulted.
-				continue
-			}
-			ks := s.kills[killKey(sigs[i], sigs[j])]
-			if ks == nil || ks.total() < min || (ks.Killed != 0 && ks.Survived != 0) {
-				complete = false
-				break
-			}
-			kills[j] = ks.Killed > 0
-		}
-		if complete {
-			out[i].SettledRootCause = true
-			out[i].Kills = kills
 		}
 	}
 	return out
@@ -298,28 +231,9 @@ func (s *Store) Pairs() int {
 	return len(s.pairs)
 }
 
-// KillPairs returns the number of ordered signature pairs with kill
-// statistics. Zero after a journal rebuild: result summaries carry
-// verdicts but not flip-run footprints, so only benign skips are
-// available until fresh diagnoses repopulate the kill relations.
-func (s *Store) KillPairs() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.kills)
-}
-
 // Observations returns the number of verdicts folded into the store.
 func (s *Store) Observations() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.observations
-}
-
-// LoadReason reports how this store came to be, machine-readably:
-// ReasonLoaded, ReasonAbsent, or ReasonInvalid-prefixed detail (see
-// LoadFrom). Empty for stores never loaded from a durable layer.
-func (s *Store) LoadReason() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.loadReason
 }

@@ -2,7 +2,10 @@ package prior
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -146,23 +149,18 @@ func TestAggregationDeterminism(t *testing.T) {
 	}
 }
 
-// TestEncodeDecodeRoundTrip: a store with verdict and kill statistics
-// survives Encode/Decode bit-exactly.
+// TestEncodeDecodeRoundTrip: a store with verdict statistics survives
+// Encode/Decode bit-exactly.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	prog := buildProg(t, 0)
 	st := NewStore(Config{MinSupport: 2})
-	st.Observe(Signature(prog, raceOf(t, prog, "W", "R")), core.VerdictRootCause)
-	st.Observe(Signature(prog, raceOf(t, prog, "W2", "R2")), core.VerdictBenign)
-
-	// A diagnosis whose executed chain member has an empty flip run:
-	// every other pair disappears, populating the kill relation.
 	d := &core.Diagnosis{Tested: []core.TestedRace{
 		{Race: raceOf(t, prog, "W", "R"), Verdict: core.VerdictRootCause, FlipRun: &sched.RunResult{}},
 		{Race: raceOf(t, prog, "W2", "R2"), Verdict: core.VerdictBenign, FlipRun: &sched.RunResult{}},
 	}}
 	st.ObserveDiagnosis(prog, d)
-	if st.KillPairs() == 0 {
-		t.Fatal("ObserveDiagnosis recorded no kill relations")
+	if st.Observations() != 2 || st.Pairs() != 2 {
+		t.Fatalf("ObserveDiagnosis recorded %d observations over %d pairs, want 2/2", st.Observations(), st.Pairs())
 	}
 
 	enc := st.Encode()
@@ -173,10 +171,55 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !bytes.Equal(st2.Encode(), enc) {
 		t.Errorf("round trip diverged:\n got %s\nwant %s", st2.Encode(), enc)
 	}
-	if st2.Observations() != st.Observations() || st2.Pairs() != st.Pairs() || st2.KillPairs() != st.KillPairs() {
-		t.Errorf("round trip lost statistics: %d/%d/%d, want %d/%d/%d",
-			st2.Observations(), st2.Pairs(), st2.KillPairs(),
-			st.Observations(), st.Pairs(), st.KillPairs())
+	if st2.Observations() != st.Observations() || st2.Pairs() != st.Pairs() {
+		t.Errorf("round trip lost statistics: %d/%d, want %d/%d",
+			st2.Observations(), st2.Pairs(), st.Observations(), st.Pairs())
+	}
+}
+
+// TestLoadSnapshotWithKills: testdata/v1-with-kills holds a checkpoint
+// written by the prior when it still kept kill relations (three
+// diagnoses: cve-2017-15649, syz02-packet-frame and fig1). It still
+// loads, to the same pairs and observations, and re-encodes without the
+// kill relations.
+func TestLoadSnapshotWithKills(t *testing.T) {
+	cs, err := durable.OpenCheckpointStore(filepath.Join("testdata", "v1-with-kills"), false)
+	if err != nil {
+		t.Fatalf("open checkpoint store: %v", err)
+	}
+	payload, err := cs.Load(CheckpointKey, checkpointVersion)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	var old struct {
+		Observations uint64                     `json:"observations"`
+		Pairs        map[string]PairStats       `json:"pairs"`
+		Kills        map[string]json.RawMessage `json:"kills"`
+	}
+	if err := json.Unmarshal(payload, &old); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if len(old.Kills) == 0 {
+		t.Fatal("testdata snapshot holds no kill relations")
+	}
+
+	st := LoadFrom(cs, Config{})
+	if st.Observations() != old.Observations || st.Observations() != 11 || st.Pairs() != len(old.Pairs) || st.Pairs() != 11 {
+		t.Errorf("loaded %d observations over %d pairs, snapshot holds %d over %d (want 11/11)",
+			st.Observations(), st.Pairs(), old.Observations, len(old.Pairs))
+	}
+	var now struct {
+		Pairs map[string]PairStats `json:"pairs"`
+		Kills json.RawMessage      `json:"kills"`
+	}
+	if err := json.Unmarshal(st.Encode(), &now); err != nil {
+		t.Fatalf("unmarshal re-encoding: %v", err)
+	}
+	if !reflect.DeepEqual(now.Pairs, old.Pairs) {
+		t.Errorf("pairs changed on load:\n got %v\nwant %v", now.Pairs, old.Pairs)
+	}
+	if now.Kills != nil {
+		t.Errorf("re-encoding still carries kill relations: %s", now.Kills)
 	}
 }
 
@@ -197,8 +240,9 @@ func TestSelfReinforcementExcluded(t *testing.T) {
 }
 
 // TestRankFlipsSettlement: benign settlement needs MinSupport unanimous
-// benign verdicts; root-cause settlement additionally needs a complete
-// unanimous kill row; a single disagreeing observation disables both.
+// benign verdicts, and a single disagreeing observation disables it. No
+// verdict history settles a race as a chain member: however unanimous,
+// a root-cause signature is only scored.
 func TestRankFlipsSettlement(t *testing.T) {
 	prog := buildProg(t, 0)
 	races := []sched.Race{raceOf(t, prog, "W", "R"), raceOf(t, prog, "W2", "R2")}
@@ -207,7 +251,7 @@ func TestRankFlipsSettlement(t *testing.T) {
 	// Empty store: no hits, neutral scores, nothing settled.
 	empty := NewStore(Config{})
 	for i, p := range empty.RankFlips(prog, races) {
-		if p.Hit || p.SettledBenign || p.SettledRootCause || p.Score != 0.5 {
+		if p.Hit || p.SettledBenign || p.Score != 0.5 {
 			t.Errorf("empty store prior %d = %+v, want neutral", i, p)
 		}
 	}
@@ -227,34 +271,21 @@ func TestRankFlipsSettlement(t *testing.T) {
 		t.Error("conflicting verdict did not disable the benign skip")
 	}
 
-	// Root-cause settlement: unanimous verdicts alone are not enough —
-	// the kill row against every unsettled candidate must be complete.
+	// Unanimous root-cause verdicts rank the race first and settle
+	// nothing: its flip runs.
 	st2 := NewStore(Config{})
-	st2.Observe(sig0, core.VerdictRootCause)
-	if p := st2.RankFlips(prog, races)[0]; p.SettledRootCause {
-		t.Error("settled root-cause without a kill row")
+	for i := 0; i < 5; i++ {
+		st2.Observe(sig0, core.VerdictRootCause)
 	}
-	d := &core.Diagnosis{Tested: []core.TestedRace{
-		{Race: races[0], Verdict: core.VerdictRootCause, FlipRun: &sched.RunResult{}},
-		{Race: races[1], Verdict: core.VerdictRootCause, FlipRun: &sched.RunResult{}},
-	}}
-	st2.ObserveDiagnosis(prog, d)
+	st2.Observe(sig1, core.VerdictBenign)
 	got := st2.RankFlips(prog, races)
-	for i, p := range got {
-		if !p.SettledRootCause {
-			t.Fatalf("prior %d not settled root-cause with a complete kill row: %+v", i, p)
-		}
-		for j, k := range p.Kills {
-			if j != i && !k {
-				t.Errorf("prior %d kill row: candidate %d not killed", i, j)
-			}
-		}
+	if p := got[0]; !p.Hit || p.SettledBenign || p.Score <= got[1].Score {
+		t.Errorf("unanimous root-cause prior = %+v, want a hit scored above %v and not settled", p, got[1].Score)
 	}
 }
 
 // TestLoadDegradesToFixedOrder: an absent or corrupt persisted prior
-// must degrade to an empty store — exact fixed-order analysis — with a
-// machine-readable reason.
+// must degrade to an empty store — exact fixed-order analysis.
 func TestLoadDegradesToFixedOrder(t *testing.T) {
 	dir := t.TempDir()
 	cs, err := durable.OpenCheckpointStore(dir, false)
@@ -262,38 +293,30 @@ func TestLoadDegradesToFixedOrder(t *testing.T) {
 		t.Fatalf("open checkpoint store: %v", err)
 	}
 
-	st, reason := LoadFrom(cs, Config{})
-	if reason != ReasonAbsent || st.Pairs() != 0 {
-		t.Errorf("absent prior: reason %q, %d pairs; want %q, 0", reason, st.Pairs(), ReasonAbsent)
-	}
-	if st.LoadReason() != ReasonAbsent {
-		t.Errorf("LoadReason = %q, want %q", st.LoadReason(), ReasonAbsent)
+	if st := LoadFrom(cs, Config{}); st.Pairs() != 0 {
+		t.Errorf("absent prior: %d pairs, want 0", st.Pairs())
 	}
 
 	corruptions := map[string][]byte{
-		"garbage":      []byte("not json at all"),
-		"wrong magic":  []byte(`{"magic":"evil","version":1,"pairs":{}}`),
-		"wrong count":  []byte(`{"magic":"aitia-prior","version":1,"observations":9,"pairs":{"x":{"benign":1}}}`),
-		"empty sig":    []byte(`{"magic":"aitia-prior","version":1,"observations":1,"pairs":{"":{"benign":1}}}`),
-		"empty kills":  []byte(`{"magic":"aitia-prior","version":1,"observations":1,"pairs":{"x":{"benign":1}},"kills":{"x->y":{}}}`),
-		"bad version":  []byte(`{"magic":"aitia-prior","version":99,"pairs":{}}`),
-		"null killrow": []byte(`{"magic":"aitia-prior","version":1,"observations":1,"pairs":{"x":{"benign":1}},"kills":{"x->y":null}}`),
+		"garbage":     []byte("not json at all"),
+		"wrong magic": []byte(`{"magic":"evil","version":1,"pairs":{}}`),
+		"wrong count": []byte(`{"magic":"aitia-prior","version":1,"observations":9,"pairs":{"x":{"benign":1}}}`),
+		"empty sig":   []byte(`{"magic":"aitia-prior","version":1,"observations":1,"pairs":{"":{"benign":1}}}`),
+		"null stats":  []byte(`{"magic":"aitia-prior","version":1,"observations":1,"pairs":{"x":null}}`),
+		"bad version": []byte(`{"magic":"aitia-prior","version":99,"pairs":{}}`),
 	}
 	for name, payload := range corruptions {
 		if err := cs.Save(CheckpointKey, checkpointVersion, payload); err != nil {
 			t.Fatalf("%s: save: %v", name, err)
 		}
-		st, reason := LoadFrom(cs, Config{})
-		if !strings.HasPrefix(reason, ReasonInvalid) {
-			t.Errorf("%s: reason %q, want %q prefix", name, reason, ReasonInvalid)
-		}
+		st := LoadFrom(cs, Config{})
 		if st.Pairs() != 0 || st.Observations() != 0 {
 			t.Errorf("%s: corrupt prior did not degrade to empty: %d pairs", name, st.Pairs())
 		}
 		prog := buildProg(t, 0)
 		races := []sched.Race{raceOf(t, prog, "W", "R")}
 		for _, p := range st.RankFlips(prog, races) {
-			if p.SettledBenign || p.SettledRootCause || p.Hit {
+			if p.SettledBenign || p.Hit {
 				t.Errorf("%s: degraded store still settles flips: %+v", name, p)
 			}
 		}
@@ -305,9 +328,7 @@ func TestLoadDegradesToFixedOrder(t *testing.T) {
 	if err := good.SaveTo(cs); err != nil {
 		t.Fatalf("SaveTo: %v", err)
 	}
-	st, reason = LoadFrom(cs, Config{})
-	if reason != ReasonLoaded || st.Pairs() != 1 || st.Observations() != 1 {
-		t.Errorf("valid prior: reason %q, %d pairs, %d observations; want loaded/1/1",
-			reason, st.Pairs(), st.Observations())
+	if st := LoadFrom(cs, Config{}); st.Pairs() != 1 || st.Observations() != 1 {
+		t.Errorf("valid prior: %d pairs, %d observations; want 1/1", st.Pairs(), st.Observations())
 	}
 }

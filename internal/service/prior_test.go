@@ -1,102 +1,127 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
+	"aitia"
 	"aitia/internal/durable"
 	"aitia/internal/prior"
 )
 
-// runCorpusJob submits one real diagnosis (default pipeline Diagnoser)
-// and waits for it to complete.
-func runCorpusJob(t *testing.T, s *Service) {
+// runToDone submits one request and waits for it to complete.
+func runToDone(t *testing.T, s *Service, req Request) JobStatus {
 	t.Helper()
-	st, err := s.Submit(Request{Scenario: "cve-2017-15649"})
+	st, err := s.Submit(req)
 	if err != nil {
-		t.Fatalf("Submit: %v", err)
+		t.Fatalf("Submit %s: %v", req.Scenario, err)
 	}
 	final, err := s.Wait(context.Background(), st.ID)
 	if err != nil {
-		t.Fatalf("Wait: %v", err)
+		t.Fatalf("Wait %s: %v", req.Scenario, err)
 	}
 	if final.State != StateDone {
-		t.Fatalf("job state = %q (error %q), want done", final.State, final.Error)
+		t.Fatalf("%s: job state = %q (error %q), want done", req.Scenario, final.State, final.Error)
 	}
+	return final
 }
 
-// TestPriorLearnsAndPersists: a completed diagnosis feeds the learned
-// flip prior, the prior is checkpointed durably, and the next service
-// incarnation on the same data dir warm-loads it.
+// runPriorMix runs trace, report and cache-hit jobs on a durable service
+// over dir with the default pipeline, shuts it down, and returns the
+// encoding of the prior those jobs taught it. The mix diagnoses
+// cve-2017-10661 from its trace and then from its crash report, so the
+// second analysis settles its benign races from the prior and journals
+// prior-settled verdicts.
+func runPriorMix(t *testing.T, dir string) []byte {
+	t.Helper()
+	s := openDurable(t, dir, Config{Workers: 1})
+	var reqs []Request
+	for _, sc := range []string{"cve-2017-15649", "cve-2017-10661", "syz12-sco-timeout"} {
+		reqs = append(reqs, Request{Scenario: sc})
+	}
+	for _, sc := range []string{"fig1", "cve-2017-10661"} {
+		report, err := aitia.ScenarioReport(sc, aitia.Options{})
+		if err != nil {
+			t.Fatalf("ScenarioReport %s: %v", sc, err)
+		}
+		reqs = append(reqs, Request{Scenario: sc, Report: report})
+	}
+	skipped := 0
+	for _, req := range reqs {
+		st := runToDone(t, s, req)
+		if st.CacheHit {
+			t.Fatalf("%s: first submission answered from the cache", req.Scenario)
+		}
+		skipped += st.Result.FlipsSkipped
+	}
+	if skipped == 0 {
+		t.Fatal("no job settled a flip from the prior")
+	}
+	for _, req := range reqs[1:4] {
+		if st := runToDone(t, s, req); !st.CacheHit {
+			t.Fatalf("%s: resubmission was not a cache hit", req.Scenario)
+		}
+	}
+	live := s.Prior().Encode()
+	if s.Prior().Observations() == 0 {
+		t.Fatal("completed diagnoses fed no observations into the prior")
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	return live
+}
+
+// reopenedPrior restarts the service on dir and returns its prior's
+// encoding, checking /healthz reports the same store.
+func reopenedPrior(t *testing.T, dir string) []byte {
+	t.Helper()
+	s := openDurable(t, dir, Config{Workers: 1, Diagnoser: instantDiagnoser("x")})
+	defer s.Shutdown(context.Background())
+	if h := s.Health(); h.PriorPairs != s.Prior().Pairs() {
+		t.Errorf("Health prior pairs = %d, store holds %d", h.PriorPairs, s.Prior().Pairs())
+	}
+	return s.Prior().Encode()
+}
+
+// TestPriorLearnsAndPersists: completed diagnoses feed the learned flip
+// prior, and the next service incarnation on the same data dir rebuilds
+// it from the journal alone — byte-equal to the store the jobs taught,
+// with cache hits and prior-settled verdicts counted once.
 func TestPriorLearnsAndPersists(t *testing.T) {
 	dir := t.TempDir()
-	s1 := openDurable(t, dir, Config{Workers: 1})
-	runCorpusJob(t, s1)
-	if obs := s1.Prior().Observations(); obs == 0 {
-		t.Error("completed diagnosis fed no observations into the prior")
+	live := runPriorMix(t, dir)
+	if err := os.RemoveAll(filepath.Join(dir, "checkpoints")); err != nil {
+		t.Fatal(err)
 	}
-	if kp := s1.Prior().KillPairs(); kp == 0 {
-		t.Error("completed diagnosis recorded no kill relations")
-	}
-	wantPairs := s1.Prior().Pairs()
-	if err := s1.Shutdown(context.Background()); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-
-	s2 := openDurable(t, dir, Config{Workers: 1, Diagnoser: instantDiagnoser("x")})
-	defer s2.Shutdown(context.Background())
-	if got := s2.Prior().Pairs(); got != wantPairs {
-		t.Errorf("warm-loaded prior has %d pairs, want %d", got, wantPairs)
-	}
-	if got := s2.Prior().LoadReason(); got != prior.ReasonLoaded {
-		t.Errorf("LoadReason = %q, want %q", got, prior.ReasonLoaded)
-	}
-	h := s2.Health()
-	if h.PriorPairs != wantPairs || h.PriorReason != prior.ReasonLoaded {
-		t.Errorf("Health prior = %d pairs, reason %q; want %d, %q",
-			h.PriorPairs, h.PriorReason, wantPairs, prior.ReasonLoaded)
-	}
-	if kp := s2.Prior().KillPairs(); kp == 0 {
-		t.Error("warm-loaded prior lost its kill relations")
+	if got := reopenedPrior(t, dir); !bytes.Equal(got, live) {
+		t.Errorf("rebuilt prior differs from the live one:\n got %s\nwant %s", got, live)
 	}
 }
 
-// TestPriorCorruptCheckpointRebuildsFromJournal: a corrupt prior
-// checkpoint degrades with a machine-readable reason, and the journaled
-// result summaries rebuild the verdict statistics (kill relations are
-// not journaled, so only benign skips remain armed until fresh
-// diagnoses).
+// TestPriorCorruptCheckpointRebuildsFromJournal: a prior checkpoint left
+// in the data dir, corrupt or stale, has no say: the restarted service
+// still rebuilds the prior from the journal, byte-equal to the live one.
 func TestPriorCorruptCheckpointRebuildsFromJournal(t *testing.T) {
 	dir := t.TempDir()
-	s1 := openDurable(t, dir, Config{Workers: 1})
-	runCorpusJob(t, s1)
-	if err := s1.Shutdown(context.Background()); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
+	live := runPriorMix(t, dir)
 
 	ck, err := durable.OpenCheckpointStore(filepath.Join(dir, "checkpoints"), false)
 	if err != nil {
 		t.Fatalf("open checkpoint store: %v", err)
 	}
-	if err := ck.Save(prior.CheckpointKey, 1, []byte("corrupt")); err != nil {
-		t.Fatalf("corrupt checkpoint: %v", err)
-	}
-
-	s2 := openDurable(t, dir, Config{Workers: 1, Diagnoser: instantDiagnoser("x")})
-	defer s2.Shutdown(context.Background())
-	if reason := s2.Prior().LoadReason(); !strings.HasPrefix(reason, prior.ReasonInvalid) {
-		t.Errorf("LoadReason = %q, want %q prefix", reason, prior.ReasonInvalid)
-	}
-	if got := s2.Prior().Pairs(); got == 0 {
-		t.Error("journal rebuild restored no verdict statistics")
-	}
-	if kp := s2.Prior().KillPairs(); kp != 0 {
-		t.Errorf("journal rebuild restored %d kill pairs; summaries carry none", kp)
-	}
-	if !strings.HasPrefix(s2.Health().PriorReason, prior.ReasonInvalid) {
-		t.Errorf("Health().PriorReason = %q, want %q prefix", s2.Health().PriorReason, prior.ReasonInvalid)
+	stale := prior.NewStore(prior.Config{})
+	stale.ObserveVerdict("load@f[x]:r=>store@g[x]:w", "benign")
+	for name, payload := range map[string][]byte{"corrupt": []byte("corrupt"), "stale": stale.Encode()} {
+		if err := ck.Save(prior.CheckpointKey, 1, payload); err != nil {
+			t.Fatalf("%s checkpoint: %v", name, err)
+		}
+		if got := reopenedPrior(t, dir); !bytes.Equal(got, live) {
+			t.Errorf("%s checkpoint: rebuilt prior differs from the live one:\n got %s\nwant %s", name, got, live)
+		}
 	}
 }
 
@@ -108,8 +133,7 @@ func TestPriorDisabled(t *testing.T) {
 	if s.Prior() != nil {
 		t.Error("Prior() != nil with PriorMinSupport < 0")
 	}
-	h := s.Health()
-	if h.PriorPairs != 0 || h.PriorReason != "" {
+	if h := s.Health(); h.PriorPairs != 0 {
 		t.Errorf("health advertises a disabled prior: %+v", h)
 	}
 }

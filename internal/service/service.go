@@ -117,12 +117,12 @@ type Config struct {
 	// PriorMinSupport tunes the learned flip prior that completed jobs
 	// feed and later jobs rank their flip tests by
 	// (prior.Config.MinSupport): how many unanimous benign verdicts a
-	// race signature needs before its flips are settled without a run.
-	// Zero means the default (1); negative disables the prior entirely
-	// (every analysis runs in fixed backward order). With DataDir the
-	// prior persists in the checkpoint store and is warm-loaded on
-	// recovery; an absent or corrupt snapshot is rebuilt from the
-	// journal's completed diagnoses.
+	// race signature needs before its flips are settled benign without
+	// a run. The prior never settles a chain member; see package prior
+	// for what it guarantees. Zero means the default (1); negative
+	// disables the prior entirely (every analysis runs in fixed backward
+	// order). With DataDir, recovery rebuilds the prior from the
+	// verdicts of the journal's completed diagnoses.
 	PriorMinSupport int
 	// NodeID names this replica in a fleet; it is stamped on job
 	// statuses so clients can see which node ran their diagnosis.
@@ -339,9 +339,8 @@ func Open(cfg Config) (*Service, error) {
 		drain:   make(chan struct{}),
 		jobs:    make(map[string]*job),
 	}
-	pcfg := prior.Config{MinSupport: cfg.PriorMinSupport}
 	if cfg.PriorMinSupport >= 0 {
-		s.prior = prior.NewStore(pcfg)
+		s.prior = prior.NewStore(prior.Config{MinSupport: cfg.PriorMinSupport})
 	}
 	queueDepth := cfg.QueueDepth
 	var pending []*job
@@ -358,16 +357,6 @@ func Open(cfg Config) (*Service, error) {
 		}
 		s.ckStore, s.journal = ck, jnl
 		s.metrics.Journal, s.metrics.Checkpoints = jnl, ck
-		// Warm-load the prior from its checkpoint. When the snapshot is
-		// absent or corrupt the store comes back empty (with a
-		// machine-readable reason) and restoreJobs rebuilds it from the
-		// journal's completed diagnoses instead.
-		rebuildPrior := false
-		if s.prior != nil {
-			var reason string
-			s.prior, reason = prior.LoadFrom(ck, pcfg)
-			rebuildPrior = reason != prior.ReasonLoaded
-		}
 		// Fleet lease recovery runs first, over the raw WAL: lease
 		// records must be folded before compaction rewrites the journal
 		// (compaction keeps only job state). Records from a prior fleet
@@ -392,7 +381,7 @@ func Open(cfg Config) (*Service, error) {
 			_ = jnl.Close()
 			return nil, err
 		}
-		pending = s.restoreJobs(st, rebuildPrior)
+		pending = s.restoreJobs(st)
 		if len(pending) > queueDepth {
 			// Every interrupted job must fit back on the queue.
 			queueDepth = len(pending)
@@ -426,10 +415,9 @@ func Open(cfg Config) (*Service, error) {
 // the oldest journaled results first. Jobs that were queued or running
 // when the process died are returned for re-enqueueing, journaled as
 // requeued under a forked fault epoch (the crash was this epoch's
-// failure — the next run must not re-draw its exact faults). With
-// feedPrior set, the warmed summaries also rebuild the flip prior (the
-// persisted snapshot was absent or corrupt).
-func (s *Service) restoreJobs(st *replayState, feedPrior bool) []*job {
+// failure — the next run must not re-draw its exact faults). The
+// summaries of completed diagnoses also rebuild the flip prior.
+func (s *Service) restoreJobs(st *replayState) []*job {
 	s.nextID.Store(st.maxSeq)
 	var pending []*job
 	for _, id := range st.order {
@@ -457,6 +445,11 @@ func (s *Service) restoreJobs(st *replayState, feedPrior bool) []*job {
 			j.status.State = StateDone
 			j.status.Result = rj.sum
 			close(j.done)
+			if !rj.submit.CacheHit {
+				// A cache hit ran no flip: its verdicts were counted
+				// when the job it copies ran.
+				s.feedPriorSummary(rj.sum)
+			}
 		case StateFailed, StateCanceled:
 			j.status.State = rj.state
 			j.status.Error = rj.err
@@ -488,16 +481,13 @@ func (s *Service) restoreJobs(st *replayState, feedPrior bool) []*job {
 			continue
 		}
 		s.cache.add(rj.submit.Key, rec.Summary)
-		if feedPrior {
-			s.feedPriorSummary(rec.Summary)
-		}
 	}
 	return pending
 }
 
-// feedPriorSummary rebuilds prior statistics from a journaled result
-// summary — the fallback feed when the persisted prior snapshot is
-// absent or corrupt but the journal still holds completed diagnoses.
+// feedPriorSummary folds a journaled result summary's verdicts into the
+// prior, as the completed job's diagnosis fed them when it ran: the
+// summary lists every tested race with its signature and final verdict.
 // Verdicts the prior itself settled carry no new evidence and are
 // skipped; so are unknown verdicts.
 func (s *Service) feedPriorSummary(sum *aitia.ResultSummary) {
@@ -510,17 +500,6 @@ func (s *Service) feedPriorSummary(sum *aitia.ResultSummary) {
 		}
 		s.prior.ObserveVerdict(v.Race.Sig, v.Verdict)
 	}
-}
-
-// persistPrior checkpoints the flip prior (atomic tmp+rename in the
-// durable store), so a restarted service warm-loads everything earlier
-// jobs taught it. Concurrent saves serialize on the snapshot encoding's
-// read lock and the store's atomic write.
-func (s *Service) persistPrior() {
-	if s.prior == nil || s.ckStore == nil {
-		return
-	}
-	_ = s.prior.SaveTo(s.ckStore)
 }
 
 // Metrics returns the service's metric registry.
@@ -541,11 +520,8 @@ type Health struct {
 	// checkpoint store (Config.DataDir).
 	Durable bool `json:"durable,omitempty"`
 	// PriorPairs is the number of race-pair signatures in the learned
-	// flip prior; PriorReason is how the store came up ("prior_loaded",
-	// "prior_absent", or a "prior_invalid: ..." detail; empty for an
-	// in-memory prior).
-	PriorPairs  int    `json:"prior_pairs,omitempty"`
-	PriorReason string `json:"prior_reason,omitempty"`
+	// flip prior.
+	PriorPairs int `json:"prior_pairs,omitempty"`
 	// RequeueExhausted counts jobs that failed after burning the whole
 	// MaxRequeues budget on classified infrastructure faults — a
 	// distinct, machine-readable failure class (the job statuses carry
@@ -577,7 +553,6 @@ func (s *Service) Health() Health {
 	h.Node = s.cfg.NodeID
 	if s.prior != nil {
 		h.PriorPairs = s.prior.Pairs()
-		h.PriorReason = s.prior.LoadReason()
 	}
 	return h
 }
@@ -977,13 +952,6 @@ func (s *Service) runJob(ctx context.Context, j *job) {
 	sum, err := diagnose(ctx, j.prog, j.req, j.tr, fi)
 	run.End()
 	j.cancel()
-
-	if err == nil {
-		// Persist what the job taught the prior before publishing the
-		// result: a crash after this point recovers a prior at least as
-		// informed as the journaled outcome implies.
-		s.persistPrior()
-	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
